@@ -16,6 +16,8 @@ from .structure import (
     EdgeClass,
     SSet,
     SptAnalysis,
+    StrategyContext,
+    build_context,
     build_spt,
     choose_root,
     classify_x_sets,
@@ -34,7 +36,6 @@ from .equilibrium import (
     best_response_dynamics,
     best_response_exact,
     delta_cost,
-    enumerate_equilibria,
     profile_hash,
     random_profile,
     verify_equilibrium,
@@ -43,12 +44,10 @@ from .audit import (
     AuditFinding,
     AuditReport,
     BoundComparison,
-    StrategyContext,
     audit_altpath,
     audit_deviation_bound,
     audit_full,
     audit_structural,
-    build_context,
     scaffold_profile,
     strategy1_bound,
     strategy2_bound,

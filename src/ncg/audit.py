@@ -16,7 +16,6 @@ girth >= 7, the seller inside H and distinct from the root.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -24,31 +23,20 @@ from math import inf
 
 from .errors import BudgetExceededError
 from .equilibrium import VerificationReport, delta_cost, profile_hash
-from .game import (
-    BoughtEdge,
-    DistanceMatrix,
-    StrategyProfile,
-    all_pairs_distances,
-    connection_cost,
-    is_connected,
-)
+from .game import BoughtEdge, StrategyProfile, adjacency_masks, bfs_distances, bfs_sum
+# build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
-    BiconnectedDecomposition,
-    CycleReport,
     Edge,
-    EdgeClass,
-    SptAnalysis,
+    StrategyContext,
     _as_edge,
     all_simple_cycles,
-    build_spt,
-    choose_root,
-    classify_x_sets,
+    build_context,
     compute_s_set,
-    cycle_report,
+    cycle_directed,
     edge_subtree_size,
     global_girth,
     is_min_cycle,
-    largest_biconnected_component,
+    smallest_cycle_through_edge,
 )
 
 LEMMA_IDS = (
@@ -69,103 +57,6 @@ LEMMA_IDS = (
 
 # degree-sum is a combinatorial identity; everything else presumes equilibrium.
 _NE_GATED = frozenset(set(LEMMA_IDS) - {"degree-sum"})
-
-
-@dataclass(frozen=True)
-class StrategyContext:
-    """Everything the audits read: distances, H, the rooted tree, classes, cycles."""
-
-    profile: StrategyProfile
-    dist: DistanceMatrix
-    decomposition: BiconnectedDecomposition
-    h_vertices: frozenset[int]
-    h_edges: frozenset[Edge]
-    root: int
-    spt: SptAnalysis
-    x_classes: dict[Edge, EdgeClass]
-    cycles: CycleReport
-    girth: int | float
-
-    @property
-    def n(self) -> int:
-        return self.profile.n
-
-    @property
-    def alpha(self) -> Fraction:
-        return self.profile.alpha
-
-    @property
-    def has_cyclic_h(self) -> bool:
-        return len(self.h_vertices) >= 3
-
-    def connection(self, v: int) -> int | float:
-        return connection_cost(self.dist, v)
-
-    def x_level(self, edge: Edge) -> int | None:
-        cls = self.x_classes.get(_as_edge(*edge))
-        return cls.level if cls else None
-
-    def in_plus(self, edge: Edge) -> bool:
-        cls = self.x_classes.get(_as_edge(*edge))
-        return cls.in_plus if cls else False
-
-    def deg_h(self, v: int) -> int:
-        return sum(1 for e in self.h_edges if v in e)
-
-    def root_h_degrees(self) -> tuple[int, int]:
-        """(incoming, outgoing) H-degree of the root by edge ownership."""
-        incoming = outgoing = 0
-        for e in self.h_edges:
-            if self.root not in e:
-                continue
-            other = e[0] if e[1] == self.root else e[1]
-            if self.profile.buys(self.root, other):
-                outgoing += 1
-            if self.profile.buys(other, self.root):
-                incoming += 1
-        return incoming, outgoing
-
-    def sellable_edges(self, v: int, include_up: bool) -> list[tuple[Edge, int]]:
-        """H-edges bought by v with minimal level <= 2; optionally v's up-edge."""
-        out = []
-        for e in sorted(self.h_edges):
-            if v not in e or not self.profile.buys(v, e[0] if e[1] == v else e[1]):
-                continue
-            other = e[0] if e[1] == v else e[1]
-            lv = self.x_level(e)
-            if lv is not None and lv <= 2:
-                out.append((e, other))
-            elif include_up and self.spt.orientation(*e) == "up" and self.spt.parent[v] == other:
-                out.append((e, other))
-        return sorted(out, key=lambda item: item[1])
-
-
-def build_context(profile: StrategyProfile) -> StrategyContext:
-    """Compute the full structural bundle for a connected profile."""
-    if not is_connected(profile):
-        raise ValueError("audit context requires a connected profile")
-    dist = all_pairs_distances(profile)
-    decomposition = largest_biconnected_component(profile)
-    h_vertices = decomposition.largest_vertices()
-    h_edges = decomposition.largest_edges()
-    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
-    spt = build_spt(profile, dist, root)
-    x_classes = {
-        c.edge: c for c in classify_x_sets(profile, spt, decomposition)
-    }
-    cycles = cycle_report(profile, decomposition, dist)
-    return StrategyContext(
-        profile=profile,
-        dist=dist,
-        decomposition=decomposition,
-        h_vertices=h_vertices,
-        h_edges=h_edges,
-        root=root,
-        spt=spt,
-        x_classes=x_classes,
-        cycles=cycles,
-        girth=global_girth(profile),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +269,9 @@ def audit_structural(
         witness = None
         if not holds:
             # girth may be realised outside H; scan every edge for a witness
-            from .structure import smallest_cycle_through_edge
-
+            adj = adjacency_masks(ctx.profile)
             for a, b in ctx.profile.undirected_edges():
-                cyc = smallest_cycle_through_edge(ctx.profile, a, b)
+                cyc = smallest_cycle_through_edge(ctx.profile, a, b, adj)
                 if cyc is not None and len(cyc) == ctx.girth:
                     witness = cyc
                     break
@@ -567,24 +457,13 @@ def _edge_subtree_vertices(ctx: StrategyContext, edge: Edge) -> frozenset[int]:
 
 def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
     """Do the edges form a spanning tree of the vertex set?"""
-    if not vertices:
+    if not vertices or len(edges) != len(vertices) - 1:
         return False
-    if len(edges) != len(vertices) - 1:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    adj = [0] * (max(vertices) + 1)
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    start = next(iter(vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == vertices
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return bfs_sum(adj, min(vertices), sum(1 << v for v in vertices)) is not None
 
 
 def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
@@ -594,8 +473,6 @@ def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
     except BudgetExceededError:
         coverage = "smallest-per-edge-only"
         cycles = sorted(set(ctx.cycles.per_edge_cycle.values()))
-    from .structure import cycle_directed
-
     min_cycles = [c for c in cycles if is_min_cycle(c, ctx.dist)]
     bad = [c for c in min_cycles if not cycle_directed(ctx.profile, c)]
     return _finding(
@@ -666,7 +543,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
 
     margins = {}
     holds = True
-    detour = _distances_avoiding(ctx.profile, ctx.root, u)
+    detour = bfs_distances(adjacency_masks(ctx.profile), ctx.root, blocked=1 << u)
     for w in sorted(subtree):
         allowed = ctx.spt.depth[w] + 2 * level
         actual = detour[w]
@@ -695,24 +572,6 @@ def _audit_altpath_all(ctx, informational) -> AuditFinding:
                     {"vertex": u, "edge": edge, "level": cls.level, "holds": sub.holds}
                 )
     return _finding("altpath", applicable, ok, informational, checked=per_edge)
-
-
-def _distances_avoiding(profile: StrategyProfile, source: int, removed: int) -> list[int | float]:
-    """BFS distances from source in the graph with one vertex deleted."""
-    adj = profile.adjacency()
-    dist: list[int | float] = [inf] * profile.n
-    if source == removed:
-        return dist
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w == removed or dist[w] != inf:
-                continue
-            dist[w] = dist[v] + 1
-            queue.append(w)
-    return dist
 
 
 # ---------------------------------------------------------------------------

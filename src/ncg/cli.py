@@ -33,10 +33,10 @@ from .harness import (
     SCHEMA_VERSION,
     SweepSpec,
     build_report_row,
+    cell_alpha,
     enumerate_cell,
     format_fraction,
     load_profile,
-    parse_alpha_expression,
     profile_to_document,
     rows_to_csv,
     run_sweep,
@@ -148,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--class", dest="dev_class", default="exact",
                        help="deviation class spec (default: exact)")
         p.add_argument("--budget", type=int, default=1 << 22)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="check one profile for equilibrium")
     common(p, input_=True)
@@ -164,6 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, input_=True)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--order", choices=("round-robin", "random"), default="round-robin")
+    p.add_argument("--seed", type=int, default=0, help="shuffle seed for --order random")
 
     p = sub.add_parser("audit", help="run every structural rule and bound check")
     common(p, input_=True)
@@ -201,7 +201,7 @@ def cmd_run(argv=None) -> int:
             rows = []
             for n in n_values:
                 for expr in alpha_exprs:
-                    alpha = parse_alpha_expression(expr)(n)
+                    alpha = cell_alpha(expr, n)
                     result = enumerate_cell(n, alpha, dev_class, args.cap, args.budget, args.jobs)
                     rows.append(build_report_row(result))
                     if args.dump_dir:
@@ -240,7 +240,6 @@ def cmd_run(argv=None) -> int:
                 n_values=tuple(int(x) for x in args.n.split(",") if x.strip()),
                 alpha_expressions=tuple(x for x in args.alpha.split(",") if x.strip()),
                 dev_class=dev_class,
-                seed=args.seed,
                 cap=args.cap,
                 budget=args.budget,
                 jobs=args.jobs,

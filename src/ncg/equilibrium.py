@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from .errors import BudgetExceededError, EnumerationCapError
-from .game import BoughtEdge, StrategyProfile, is_connected
+from .errors import BudgetExceededError
+from .game import BoughtEdge, StrategyProfile, bfs_sum, is_connected
+from .structure import build_context
 
 KINDS = (
     "exact-all-subsets",
@@ -125,34 +126,6 @@ def profile_hash(profile: StrategyProfile) -> str:
 # bitmask internals
 
 
-def _masks(profile: StrategyProfile) -> list[int]:
-    adj = [0] * profile.n
-    for a, b in profile.undirected_edges():
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
-def _bfs_sum(adj: list[int], source: int, full: int) -> int | None:
-    """Sum of BFS distances from source; None when the graph is not covered."""
-    seen = 1 << source
-    frontier = seen
-    total = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        total += d * frontier.bit_count()
-    return total if seen == full else None
-
-
 def _stripped_adjacency(profile: StrategyProfile, v: int) -> list[int]:
     """Adjacency with v's own purchases removed (edges others bought stay)."""
     adj = [0] * profile.n
@@ -212,8 +185,8 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     full = (1 << profile.n) - 1
     stripped = _stripped_adjacency(profile, v)
     old_targets = profile.targets_of(v)
-    old_sum = _bfs_sum(_apply_targets(stripped, v, _mask_from_set(old_targets)), v, full)
-    new_sum = _bfs_sum(_apply_targets(stripped, v, _mask_from_set(new_targets)), v, full)
+    old_sum = bfs_sum(_apply_targets(stripped, v, _mask_from_set(old_targets)), v, full)
+    new_sum = bfs_sum(_apply_targets(stripped, v, _mask_from_set(new_targets)), v, full)
 
     if new_sum is None:
         return inf
@@ -251,7 +224,7 @@ def best_response_exact(
             low = s & -s
             targets_mask |= 1 << others[low.bit_length() - 1]
             s ^= low
-        dsum = _bfs_sum(_apply_targets(stripped, v, targets_mask), v, full)
+        dsum = bfs_sum(_apply_targets(stripped, v, targets_mask), v, full)
         if dsum is None:
             continue
         size = targets_mask.bit_count()
@@ -369,8 +342,6 @@ def verify_equilibrium(
 
     ctx = None
     if _needs_context(dev_class):
-        from .audit import build_context
-
         ctx = build_context(profile)
 
     checked = 0
@@ -397,7 +368,7 @@ def _verify_exact_fast(profile: StrategyProfile, digest: str) -> VerificationRep
     for v in range(n):
         stripped = _stripped_adjacency(profile, v)
         cur_mask = _mask_from_set(profile.targets_of(v))
-        cur_sum = _bfs_sum(_apply_targets(stripped, v, cur_mask), v, full)
+        cur_sum = bfs_sum(_apply_targets(stripped, v, cur_mask), v, full)
         cur_scaled = p * cur_mask.bit_count() + q * cur_sum
         others = [u for u in range(n) if u != v]
         for sub in range(1 << (n - 1)):
@@ -410,13 +381,14 @@ def _verify_exact_fast(profile: StrategyProfile, digest: str) -> VerificationRep
             if targets_mask == cur_mask:
                 continue
             checked += 1
-            dsum = _bfs_sum(_apply_targets(stripped, v, targets_mask), v, full)
+            dsum = bfs_sum(_apply_targets(stripped, v, targets_mask), v, full)
             if dsum is None:
                 continue
             if p * targets_mask.bit_count() + q * dsum < cur_scaled:
                 targets = _set_from_mask(targets_mask)
                 delta = delta_cost(profile, v, targets)
-                assert delta < 0
+                if delta >= 0:  # cannot happen: the oracle re-checks the bitmask verdict
+                    raise AssertionError("exact witness does not improve under the oracle")
                 return VerificationReport(
                     digest, "exact-all-subsets", False, (Deviation(v, targets), delta), checked
                 )
@@ -474,8 +446,6 @@ def _best_class_move(
         return (targets, delta) if delta < 0 else None
     ctx = None
     if _needs_context(cls):
-        from .audit import build_context
-
         ctx = build_context(profile)
     best = None
     for targets in _class_deviations(profile, v, cls, ctx):
@@ -545,59 +515,6 @@ def scan_profile_range(
         if report.is_equilibrium:
             found.append((index, report))
     return connected, found
-
-
-def enumerate_equilibria(
-    n: int,
-    alpha: Fraction,
-    dev_class: DeviationClass = EXACT,
-    cap: int = 5,
-    budget: int = DEFAULT_BUDGET,
-) -> EnumerationResult:
-    """All equilibria among the 3^(n(n-1)/2) buyer-annotated profiles.
-
-    Profiles with a disconnected underlying graph are skipped (they are
-    never equilibria).  Deterministic: results ordered by profile index.
-    """
-    if n > cap:
-        raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
-    total = 3 ** (n * (n - 1) // 2)
-    connected, found = scan_profile_range(n, alpha, dev_class, 0, total, budget)
-    equilibria = tuple(
-        (profile_from_index(n, alpha, idx), report) for idx, report in found
-    )
-    return EnumerationResult(n, Fraction(alpha), total, connected, equilibria)
-
-
-def canonical_profile_key(profile: StrategyProfile) -> tuple:
-    """Relabeling-invariant key for cosmetic deduplication in reports.
-
-    Minimises the sorted bought-edge list over all vertex permutations;
-    enumeration itself always stays labeled (correctness first, dedup is a
-    reporting convenience).  Factorial in n, intended for n <= 7.
-    """
-    from itertools import permutations
-
-    n = profile.n
-    base = [(e.buyer, e.other) for e in profile.edges]
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = tuple(sorted((perm[a], perm[b]) for a, b in base))
-        if best is None or relabeled < best:
-            best = relabeled
-    return (n, profile.alpha, best)
-
-
-def distinct_up_to_relabeling(profiles) -> list[StrategyProfile]:
-    """One representative per relabeling class, in first-seen order."""
-    seen = set()
-    out = []
-    for p in profiles:
-        key = canonical_profile_key(p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
 
 
 def random_profile(

@@ -12,7 +12,6 @@ ever enters comparisons, never finite arithmetic).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -114,15 +113,6 @@ class DistanceMatrix:
     def __getitem__(self, v: int) -> tuple[int | float, ...]:
         return self.rows[v]
 
-    def validate(self) -> None:
-        """Check the defining invariants; meant for tests, O(n^3)."""
-        for v in range(self.n):
-            assert self.rows[v][v] == 0
-            for u in range(self.n):
-                assert self.rows[v][u] == self.rows[u][v]
-                for w in range(self.n):
-                    assert self.rows[v][w] <= self.rows[v][u] + self.rows[u][w]
-
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -134,17 +124,64 @@ class CostBreakdown:
     total: Fraction | float
 
 
-def _bfs_distances(adj: list[list[int]], source: int, n: int) -> list[int | float]:
-    dist: list[int | float] = [inf] * n
+# ---------------------------------------------------------------------------
+# bitmask graph kernel: adjacency row v has bit u set iff {v, u} is an edge
+
+
+def adjacency_masks(profile: StrategyProfile) -> list[int]:
+    """Bitmask adjacency rows of the underlying undirected graph."""
+    adj = [0] * profile.n
+    for e in profile.edges:
+        adj[e.buyer] |= 1 << e.other
+        adj[e.other] |= 1 << e.buyer
+    return adj
+
+
+def bfs_distances(adj: list[int], source: int, blocked: int = 0) -> list[int | float]:
+    """Distances from ``source``; vertices in the ``blocked`` mask are deleted."""
+    dist: list[int | float] = [inf] * len(adj)
+    if blocked >> source & 1:
+        return dist
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if dist[w] == inf:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    frontier = 1 << source
+    seen = frontier | blocked
+    d = 0
+    while frontier:
+        d += 1
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+        f = frontier
+        while f:
+            low = f & -f
+            dist[low.bit_length() - 1] = d
+            f ^= low
     return dist
+
+
+def bfs_sum(adj: list[int], source: int, full: int) -> int | None:
+    """Sum of BFS distances from source; None when the graph is not covered."""
+    seen = 1 << source
+    frontier = seen
+    total = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+        total += d * frontier.bit_count()
+    return total if seen == full else None
 
 
 def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
@@ -153,8 +190,8 @@ def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
     Edge ownership is irrelevant for traversal; a bought edge can be walked
     in either direction.
     """
-    adj = profile.adjacency()
-    rows = tuple(tuple(_bfs_distances(adj, s, profile.n)) for s in range(profile.n))
+    adj = adjacency_masks(profile)
+    rows = tuple(tuple(bfs_distances(adj, s)) for s in range(profile.n))
     return DistanceMatrix(profile.n, rows)
 
 
@@ -176,7 +213,4 @@ def vertex_cost(profile: StrategyProfile, dist: DistanceMatrix, v: int) -> CostB
 
 def is_connected(profile: StrategyProfile) -> bool:
     """True iff every pair of vertices is at finite distance."""
-    if profile.n == 1:
-        return True
-    reached = _bfs_distances(profile.adjacency(), 0, profile.n)
-    return all(d != inf for d in reached)
+    return bfs_sum(adjacency_masks(profile), 0, (1 << profile.n) - 1) is not None

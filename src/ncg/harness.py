@@ -3,13 +3,14 @@
 Profile documents are plain JSON: ``{"n": int, "alpha": "p/q" | int,
 "edges": [{"buyer": int, "other": int}, ...]}``.  Reports are CSV rows with
 a versioned header comment; a sweep runs one exhaustive enumeration per
-(n, alpha) cell.  Everything is deterministic for a fixed argv and seed,
+(n, alpha) cell.  Everything is deterministic for a fixed argv,
 including under worker sharding.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import inf
 from pathlib import Path
 
-from .audit import audit_full, build_context
+from .audit import audit_full
 from .equilibrium import (
     DeviationClass,
     EnumerationResult,
@@ -26,9 +27,9 @@ from .equilibrium import (
     profile_from_index,
     scan_profile_range,
 )
-from .errors import ProfileFormatError, TreeConjectureViolation
-from .game import BoughtEdge
-from .structure import global_girth
+from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
+from .game import BoughtEdge, is_connected
+from .structure import build_context, global_girth
 
 SCHEMA_VERSION = 1
 CSV_HEADER_COMMENT = "# ncg report v1"
@@ -55,11 +56,11 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         m = re.fullmatch(r"\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?", text)
-        if m:
+        if m and int(m.group(2) or 1) != 0:
             return Fraction(int(m.group(1)), int(m.group(2) or 1))
     raise ProfileFormatError("bad-alpha", f"cannot parse rational {text!r}")
 
@@ -81,7 +82,7 @@ def profile_from_document(doc: dict) -> StrategyProfile:
         if key not in doc:
             raise ProfileFormatError("missing-field", f"missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProfileFormatError("bad-n", f"n must be a positive integer, got {n!r}")
     alpha = parse_fraction(doc["alpha"])
     edges = []
@@ -144,6 +145,7 @@ def parse_alpha_expression(text: str):
 
     Supported forms: a constant ``p`` or ``p/q``, and the linear families
     ``a*n + b`` written ``an+b`` / ``an-b`` and ``a*n/b`` written ``an/b``.
+    A zero denominator is rejected here, not when the function is called.
     """
     expr = text.strip().replace(" ", "")
     m = re.fullmatch(r"(-?\d*)n(?:([+-])(\d+))?", expr)
@@ -153,6 +155,8 @@ def parse_alpha_expression(text: str):
         if m.group(2) == "-":
             b = -b
         return lambda n: Fraction(a * n + b)
+    if re.search(r"/0+$", expr):
+        raise ValueError(f"alpha expression {text!r} divides by zero")
     m = re.fullmatch(r"(-?\d*)n/(\d+)", expr)
     if m:
         a = int(m.group(1)) if m.group(1) not in ("", "-") else (-1 if m.group(1) == "-" else 1)
@@ -163,6 +167,14 @@ def parse_alpha_expression(text: str):
         value = Fraction(int(m.group(1)), int(m.group(2) or 1))
         return lambda n: value
     raise ValueError(f"unsupported alpha expression {text!r}")
+
+
+def cell_alpha(expr: str, n: int) -> Fraction:
+    """The alpha of one (n, expression) cell; it must be positive."""
+    alpha = parse_alpha_expression(expr)(n)
+    if alpha <= 0:
+        raise ValueError(f"alpha expression {expr!r} is not positive at n={n}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +188,6 @@ class SweepSpec:
     n_values: tuple[int, ...]
     alpha_expressions: tuple[str, ...]
     dev_class: DeviationClass
-    seed: int = 0
     cap: int = 5
     budget: int = 1 << 22
     jobs: int = 1
@@ -209,6 +220,13 @@ class ReportRow:
         )
 
 
+def worker_count(jobs: int) -> int:
+    """``jobs`` capped at the CPU count; below 1 is an error."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _scan_shard(args) -> tuple[int, list[tuple[int, VerificationReport]]]:
     n, p, q, class_spec, start, stop, budget = args
     dev_class = DeviationClass.parse(class_spec)
@@ -227,15 +245,16 @@ def enumerate_cell(
     """Exhaustively scan one (n, alpha) cell, optionally sharded over workers.
 
     Shard results are merged in index order, so parallel and serial runs
-    produce identical output.  Cells below ``pool_threshold`` profiles stay
-    serial regardless of ``jobs``.
+    produce identical output.  Profiles with a disconnected underlying graph
+    are skipped (they are never equilibria).  ``jobs`` is capped by
+    ``worker_count``, and cells below ``pool_threshold`` profiles stay serial
+    regardless of it.
     """
-    from .errors import EnumerationCapError
-
+    jobs = worker_count(jobs)
     if n > cap:
         raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
     total = 3 ** (n * (n - 1) // 2)
-    if jobs <= 1 or total < pool_threshold:
+    if jobs == 1 or total < pool_threshold:
         connected, found = scan_profile_range(n, alpha, dev_class, 0, total, budget)
     else:
         shard_count = jobs * 4
@@ -258,8 +277,6 @@ def enumerate_cell(
 
 def is_spanning_tree(profile: StrategyProfile) -> bool:
     """Connected with exactly n-1 underlying edges."""
-    from .game import is_connected
-
     return is_connected(profile) and len(profile.undirected_edges()) == profile.n - 1
 
 
@@ -306,9 +323,7 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     rows = []
     for n in spec.n_values:
         for expr in spec.alpha_expressions:
-            alpha = parse_alpha_expression(expr)(n)
-            if alpha <= 0:
-                raise ValueError(f"alpha expression {expr!r} is not positive at n={n}")
+            alpha = cell_alpha(expr, n)
             result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget, spec.jobs)
             rows.append(build_report_row(result))
     return rows

@@ -5,17 +5,26 @@ decomposition and its largest piece H, a root r of minimum connection cost
 inside H, a shortest path tree T rooted at r with edge orientations and
 subtree sizes, the ladder of edge classes built from out-edges (X-levels),
 smallest cycles through vertices and edges, and shortest-path funnels
-(S-sets).
+(S-sets).  ``build_context`` bundles all of them into one
+``StrategyContext``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from math import inf
 
 from .errors import BudgetExceededError
-from .game import DistanceMatrix, StrategyProfile, connection_cost, is_connected
+from .game import (
+    DistanceMatrix,
+    StrategyProfile,
+    adjacency_masks,
+    all_pairs_distances,
+    bfs_distances,
+    connection_cost,
+    is_connected,
+)
 
 Edge = tuple[int, int]  # always stored as (low, high)
 
@@ -326,38 +335,30 @@ class CycleReport:
 
 
 def smallest_cycle_through_edge(
-    profile: StrategyProfile, a: int, b: int, adj: list[list[int]] | None = None
+    profile: StrategyProfile, a: int, b: int, adj: list[int] | None = None
 ) -> tuple[int, ...] | None:
     """Lexicographically smallest among the shortest cycles using edge {a, b}.
 
     Returned as a vertex sequence starting at ``a`` and ending at ``b`` (the
-    closing edge is b-a); None when the edge lies on no cycle.
+    closing edge is b-a); None when the edge lies on no cycle.  ``adj`` is
+    the profile's ``adjacency_masks``, passed in when the caller reuses it.
     """
-    if adj is None:
-        adj = profile.adjacency()
-    n = profile.n
-    # BFS from b with edge a-b removed.
-    dist: list[int | float] = [inf] * n
-    dist[b] = 0
-    queue = deque([b])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if (v, w) in ((a, b), (b, a)):
-                continue
-            if dist[w] == inf:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    cut = list(adjacency_masks(profile) if adj is None else adj)
+    cut[a] &= ~(1 << b)
+    cut[b] &= ~(1 << a)
+    dist = bfs_distances(cut, b)
     if dist[a] == inf:
         return None
     # Greedy min-id descent gives the lexicographically smallest shortest path.
     path = [a]
     while path[-1] != b:
         v = path[-1]
-        step = min(
-            w for w in adj[v] if dist[w] == dist[v] - 1 and (v, w) not in ((a, b), (b, a))
-        )
-        path.append(step)
+        rest = cut[v]
+        w = (rest & -rest).bit_length() - 1
+        while dist[w] != dist[v] - 1:
+            rest ^= 1 << w
+            w = (rest & -rest).bit_length() - 1
+        path.append(w)
     return tuple(path)
 
 
@@ -404,10 +405,8 @@ def cycle_report(
     if len(h_vertices) < 3:
         return CycleReport(inf, {}, {}, {}, {})
     if dist is None:
-        from .game import all_pairs_distances
-
         dist = all_pairs_distances(profile)
-    adj = profile.adjacency()
+    adj = adjacency_masks(profile)
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
     girth: int | float = inf
@@ -444,7 +443,7 @@ def cycle_report(
 
 def global_girth(profile: StrategyProfile) -> int | float:
     """Length of the shortest cycle anywhere in the graph; inf when acyclic."""
-    adj = profile.adjacency()
+    adj = adjacency_masks(profile)
     best: int | float = inf
     for a, b in profile.undirected_edges():
         cyc = smallest_cycle_through_edge(profile, a, b, adj)
@@ -535,22 +534,8 @@ def compute_s_set(
                         break
     else:
         # Distances with `via` deleted, one BFS per anchor vertex.
-        adj = profile.adjacency()
-        cut: dict[int, list[int | float]] = {}
-        for w in anchor:
-            if w == via:
-                continue
-            d: list[int | float] = [inf] * n
-            d[w] = 0
-            queue = deque([w])
-            while queue:
-                v = queue.popleft()
-                for x in adj[v]:
-                    if x == via or d[x] != inf:
-                        continue
-                    d[x] = d[v] + 1
-                    queue.append(x)
-            cut[w] = d
+        adj = adjacency_masks(profile)
+        cut = {w: bfs_distances(adj, w, blocked=1 << via) for w in anchor}
         for x in range(n):
             if x == via or x in anchor:
                 continue
@@ -561,3 +546,104 @@ def compute_s_set(
                 members.add(x)
 
     return SSet(anchor=anchor, via=via, members=frozenset(members), variant=variant)
+
+
+# ---------------------------------------------------------------------------
+# the full structural bundle
+
+
+@dataclass(frozen=True)
+class StrategyContext:
+    """Everything the audits read: distances, H, the rooted tree, classes, cycles."""
+
+    profile: StrategyProfile
+    dist: DistanceMatrix
+    decomposition: BiconnectedDecomposition
+    h_vertices: frozenset[int]
+    h_edges: frozenset[Edge]
+    root: int
+    spt: SptAnalysis
+    x_classes: dict[Edge, EdgeClass]
+    cycles: CycleReport
+    girth: int | float
+
+    @property
+    def n(self) -> int:
+        return self.profile.n
+
+    @property
+    def alpha(self) -> Fraction:
+        return self.profile.alpha
+
+    @property
+    def has_cyclic_h(self) -> bool:
+        return len(self.h_vertices) >= 3
+
+    def connection(self, v: int) -> int | float:
+        return connection_cost(self.dist, v)
+
+    def x_level(self, edge: Edge) -> int | None:
+        cls = self.x_classes.get(_as_edge(*edge))
+        return cls.level if cls else None
+
+    def in_plus(self, edge: Edge) -> bool:
+        cls = self.x_classes.get(_as_edge(*edge))
+        return cls.in_plus if cls else False
+
+    def deg_h(self, v: int) -> int:
+        return sum(1 for e in self.h_edges if v in e)
+
+    def root_h_degrees(self) -> tuple[int, int]:
+        """(incoming, outgoing) H-degree of the root by edge ownership."""
+        incoming = outgoing = 0
+        for e in self.h_edges:
+            if self.root not in e:
+                continue
+            other = e[0] if e[1] == self.root else e[1]
+            if self.profile.buys(self.root, other):
+                outgoing += 1
+            if self.profile.buys(other, self.root):
+                incoming += 1
+        return incoming, outgoing
+
+    def sellable_edges(self, v: int, include_up: bool) -> list[tuple[Edge, int]]:
+        """H-edges bought by v with minimal level <= 2; optionally v's up-edge."""
+        out = []
+        for e in sorted(self.h_edges):
+            if v not in e or not self.profile.buys(v, e[0] if e[1] == v else e[1]):
+                continue
+            other = e[0] if e[1] == v else e[1]
+            lv = self.x_level(e)
+            if lv is not None and lv <= 2:
+                out.append((e, other))
+            elif include_up and self.spt.orientation(*e) == "up" and self.spt.parent[v] == other:
+                out.append((e, other))
+        return sorted(out, key=lambda item: item[1])
+
+
+def build_context(profile: StrategyProfile) -> StrategyContext:
+    """Compute the full structural bundle for a connected profile."""
+    if not is_connected(profile):
+        raise ValueError("audit context requires a connected profile")
+    dist = all_pairs_distances(profile)
+    decomposition = largest_biconnected_component(profile)
+    h_vertices = decomposition.largest_vertices()
+    h_edges = decomposition.largest_edges()
+    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
+    spt = build_spt(profile, dist, root)
+    x_classes = {
+        c.edge: c for c in classify_x_sets(profile, spt, decomposition)
+    }
+    cycles = cycle_report(profile, decomposition, dist)
+    return StrategyContext(
+        profile=profile,
+        dist=dist,
+        decomposition=decomposition,
+        h_vertices=h_vertices,
+        h_edges=h_edges,
+        root=root,
+        spt=spt,
+        x_classes=x_classes,
+        cycles=cycles,
+        girth=global_girth(profile),
+    )

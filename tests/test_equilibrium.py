@@ -16,12 +16,12 @@ from ncg import (
     best_response_dynamics,
     best_response_exact,
     delta_cost,
-    enumerate_equilibria,
     is_connected,
     profile_hash,
     random_profile,
     verify_equilibrium,
 )
+from ncg.harness import enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
 
@@ -237,18 +237,18 @@ def test_best_response_delta_never_positive(p):
 
 
 def test_enumeration_counts_n3():
-    result = enumerate_equilibria(3, Fraction(7))
+    result = enumerate_cell(3, Fraction(7), EXACT)
     assert result.profiles_scanned == 27
     assert result.connected_count == 20
 
 
 def test_enumeration_counts_n4():
-    result = enumerate_equilibria(4, Fraction(9))
+    result = enumerate_cell(4, Fraction(9), EXACT)
     assert result.profiles_scanned == 729
 
 
 def test_enumeration_all_trees_above_2n():
-    result = enumerate_equilibria(3, Fraction(7))
+    result = enumerate_cell(3, Fraction(7), EXACT)
     assert len(result.equilibria) >= 1
     for p, report in result.equilibria:
         assert report.is_equilibrium
@@ -256,7 +256,7 @@ def test_enumeration_all_trees_above_2n():
 
 
 def test_enumeration_n2_small_alpha():
-    result = enumerate_equilibria(2, Fraction(1, 2))
+    result = enumerate_cell(2, Fraction(1, 2), EXACT)
     assert len(result.equilibria) == 2
     bought = sorted(tuple((e.buyer, e.other) for e in p.edges) for p, _ in result.equilibria)
     assert bought == [((0, 1),), ((1, 0),)]
@@ -264,7 +264,7 @@ def test_enumeration_n2_small_alpha():
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
-        enumerate_equilibria(6, Fraction(1))
+        enumerate_cell(6, Fraction(1), EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +302,3 @@ def test_fast_exact_path_agrees_with_generator_path(p):
     slow = verify_equilibrium(p, DeviationClass.parse("exact-all-subsets,single-add"))
     assert fast.is_equilibrium == slow.is_equilibrium
 
-
-def test_distinct_up_to_relabeling():
-    from ncg.equilibrium import distinct_up_to_relabeling
-
-    result = enumerate_equilibria(3, Fraction(7))
-    labeled = [p for p, _ in result.equilibria]
-    distinct = distinct_up_to_relabeling(labeled)
-    # 12 labeled path equilibria collapse to the three ownership patterns:
-    # both edges bought by the center, both by the leaves, or one of each
-    assert len(labeled) == 12
-    assert len(distinct) == 3

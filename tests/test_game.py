@@ -17,6 +17,17 @@ from ncg import (
     is_connected,
     vertex_cost,
 )
+from ncg.game import adjacency_masks, bfs_distances
+
+
+def assert_metric(d):
+    """The defining invariants of a distance matrix, O(n^3)."""
+    for v in range(d.n):
+        assert d[v][v] == 0
+        for u in range(d.n):
+            assert d[v][u] == d[u][v]
+            for w in range(d.n):
+                assert d[v][w] <= d[v][u] + d[u][w]
 
 
 def test_distances_on_path():
@@ -104,7 +115,33 @@ def test_distances_match_oracle_and_invariants(p):
     d = all_pairs_distances(p)
     expected = oracle_distances(p.n, {e.endpoints() for e in p.edges})
     assert [list(row) for row in d.rows] == expected
-    d.validate()
+    assert_metric(d)
+    assert is_connected(p) == (inf not in expected[0])
+
+
+@given(profiles(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_bfs_distances_with_blocked_vertex_match_oracle(p):
+    pairs = {e.endpoints() for e in p.edges}
+    adj = adjacency_masks(p)
+    for x in range(p.n):
+        expected = oracle_distances(p.n, {e for e in pairs if x not in e})
+        assert bfs_distances(adj, x, blocked=1 << x) == [inf] * p.n
+        for s in range(p.n):
+            if s != x:
+                assert bfs_distances(adj, s, blocked=1 << x) == expected[s]
+
+
+@given(profiles(max_n=8).filter(lambda p: len(p.edges) > 0))
+@settings(max_examples=60, deadline=None)
+def test_bfs_distances_with_cleared_edge_match_oracle(p):
+    pairs = {e.endpoints() for e in p.edges}
+    for a, b in pairs:
+        cut = adjacency_masks(p)
+        cut[a] &= ~(1 << b)
+        cut[b] &= ~(1 << a)
+        expected = oracle_distances(p.n, pairs - {(a, b)})
+        assert [bfs_distances(cut, s) for s in range(p.n)] == expected
 
 
 @given(connected_profiles(max_n=8))

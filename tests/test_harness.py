@@ -1,6 +1,7 @@
 """Serialization, alpha expressions, report rows, and the CLI driver."""
 
 import json
+import os
 from fractions import Fraction
 from math import inf
 
@@ -25,6 +26,7 @@ from ncg.harness import (
     profile_to_document,
     rows_to_csv,
     save_profile,
+    worker_count,
 )
 from ncg.equilibrium import DeviationClass
 
@@ -65,6 +67,9 @@ def test_document_examples():
             "duplicate-edge",
         ),
         ({"n": 2, "alpha": "1", "edges": [{"buyer": 0}]}, "bad-type"),
+        ({"n": True, "alpha": "1", "edges": []}, "bad-n"),
+        ({"n": 2, "alpha": "1/0", "edges": []}, "bad-alpha"),
+        ({"n": 2, "alpha": True, "edges": []}, "bad-alpha"),
     ],
 )
 def test_document_error_codes(doc, code):
@@ -131,7 +136,7 @@ def test_alpha_expressions(expr, n, value):
 
 
 def test_alpha_expression_rejects_garbage():
-    for expr in ("2(n-1)", "n^2", "alpha", ""):
+    for expr in ("2(n-1)", "n^2", "alpha", "", "1/0", "n/0", "3n/00"):
         with pytest.raises(ValueError):
             parse_alpha_expression(expr)
 
@@ -180,6 +185,13 @@ def test_csv_shape():
     assert lines[1].split(",")[0] == "n"
     assert lines[2].split(",")[:2] == ["3", "7"]
     assert text.endswith("\n") and "\r" not in text
+
+
+def test_worker_count_is_validated_and_capped():
+    assert worker_count(1) == 1
+    assert worker_count((os.cpu_count() or 1) + 1) == (os.cpu_count() or 1)
+    with pytest.raises(ValueError):
+        worker_count(0)
 
 
 def test_parallel_and_serial_cells_agree():
@@ -276,3 +288,41 @@ def test_cli_budget_error(tmp_path, capsys):
 
 def test_cli_unknown_flag_rejected(capsys):
     assert cmd_run(["verify", "--input", "x.json", "--frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["enumerate", "--n", "3", "--alpha", "1/0"], None),
+        (["enumerate", "--n", "3", "--alpha", "2n/0"], None),
+        (["enumerate", "--n", "3", "--alpha", "0"], None),
+        (["enumerate", "--n", "3", "--alpha", "n-5"], None),
+        (["sweep", "--n", "3", "--alpha", "1/0"], None),
+        (["enumerate", "--n", "3", "--alpha", "7", "--jobs", "0"], None),
+        (["sweep", "--n", "3", "--alpha", "7", "--jobs", "-1"], None),
+        (["verify", "--input"], {"n": 3, "alpha": "1/0", "edges": []}),
+        (["audit", "--input"], {"n": True, "alpha": "1", "edges": []}),
+    ],
+)
+def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    assert cmd_run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_seed_only_on_dynamics(tmp_path, capsys):
+    path = _write_profile(tmp_path, directed_ring(3, 5))
+    assert cmd_run(["dynamics", "--input", path, "--order", "random", "--seed", "3"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["verify", "--input", path],
+        ["audit", "--input", path],
+        ["enumerate", "--n", "3", "--alpha", "7"],
+        ["sweep", "--n", "3", "--alpha", "7"],
+    ):
+        assert cmd_run(argv + ["--seed", "3"]) == 2

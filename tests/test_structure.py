@@ -29,7 +29,7 @@ from ncg import (
     global_girth,
     largest_biconnected_component,
 )
-from ncg.structure import all_simple_cycles, is_min_cycle
+from ncg.structure import all_simple_cycles, is_min_cycle, smallest_cycle_through_edge
 
 
 def _decomp_and_dist(p):
@@ -339,6 +339,20 @@ def test_smallest_cycles_through_edges_are_min_cycles(p):
     report = cycle_report(p, decomp, dist)  # raises internally if violated
     for cyc in report.per_edge_cycle.values():
         assert is_min_cycle(cyc, dist)
+
+
+@given(connected_profiles(max_n=9))
+@settings(max_examples=40, deadline=None)
+def test_smallest_cycle_through_edge_length_matches_oracle(p):
+    pairs = {e.endpoints() for e in p.edges}
+    for a, b in pairs:
+        detour = oracle_distances(p.n, pairs - {(a, b)})[a][b]
+        cyc = smallest_cycle_through_edge(p, a, b)
+        if detour == inf:
+            assert cyc is None
+        else:
+            assert len(cyc) == 1 + detour
+            assert (cyc[0], cyc[-1]) == (a, b)
 
 
 @given(connected_profiles(max_n=9))
