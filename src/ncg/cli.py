@@ -1,7 +1,8 @@
 """Command line driver: ``ncg {verify|enumerate|dynamics|audit|sweep}``.
 
 Exit codes: 0 success, 1 assertion failure (a non-tree equilibrium above
-2n), 2 usage, IO, or budget errors.
+2n), 2 usage, IO, budget errors and malformed input, 3 internal error (any
+other exception; one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def cmd_run(argv=None) -> int:
     except NcgError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # exit 1 is reserved for the tree-conjecture gate
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return 3
 
 
 def main() -> None:

@@ -14,11 +14,11 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import inf
 
 from .errors import BudgetExceededError
-from .game import BoughtEdge, StrategyProfile, bfs_sum, is_connected
+from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum, is_connected
 from .structure import build_context
 
 KINDS = (
@@ -492,7 +492,43 @@ def profile_from_index(n: int, alpha: Fraction, index: int) -> StrategyProfile:
     return StrategyProfile(n, alpha, tuple(edges))
 
 
-def scan_profile_range(
+def greedy_owner_options(
+    adj: list[int], edges: list[tuple[int, int]], alpha: Fraction
+) -> list[tuple[int, ...]] | None:
+    """Owner trits of each edge ``(a, b)``, ``a < b``, that pass the greedy tests.
+
+    ``adj`` is a connected graph.  Trit 1 means ``a`` buys, 2 means ``b``
+    buys.  An owner is kept when selling the edge raises its distance sum by
+    at least alpha, or when the edge is a bridge.  Returns None when some
+    vertex strictly gains by buying one more edge, or when some edge keeps no
+    owner.  Distances do not depend on ownership, so every Nash equilibrium
+    on this graph survives: the tests are its single-add and single-delete
+    deviations.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    p, q = alpha.numerator, alpha.denominator
+    dist = [bfs_distances(adj, s) for s in range(n)]
+    for v, w in permutations(range(n), 2):
+        gain = sum(max(0, x - 1 - y) for x, y in zip(dist[v], dist[w]))
+        if q * gain > p and not adj[v] >> w & 1:
+            return None
+    options = []
+    for a, b in edges:
+        cut = list(adj)
+        cut[a] ^= 1 << b
+        cut[b] ^= 1 << a
+        owners = tuple(
+            trit for trit, x in ((1, a), (2, b))
+            if (after := bfs_sum(cut, x, full)) is None or q * (after - sum(dist[x])) >= p
+        )
+        if not owners:
+            return None
+        options.append(owners)
+    return options
+
+
+def scan_graph_range(
     n: int,
     alpha: Fraction,
     dev_class: DeviationClass,
@@ -500,20 +536,36 @@ def scan_profile_range(
     stop: int,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, list[tuple[int, VerificationReport]]]:
-    """Verify every profile index in [start, stop); pure function of its inputs.
+    """Verify every profile whose underlying graph index lies in [start, stop).
 
-    Returns (connected-profile count, [(index, report)] for equilibria found).
+    Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
+    class ``greedy_owner_options`` drops ownerships that cannot be equilibria;
+    restricted classes may lack single adds and sells, so they verify every
+    ownership.  Returns (connected-profile count, [(profile index, report)]
+    for equilibria found); a pure function of its inputs.
     """
-    found = []
+    exact = dev_class.kind == "exact-all-subsets"
+    pairs = pair_list(n)
     connected = 0
-    for index in range(start, stop):
-        profile = profile_from_index(n, alpha, index)
-        if profile.n > 1 and not is_connected(profile):
+    found = []
+    for graph in range(start, stop):
+        ks = [k for k in range(len(pairs)) if graph >> k & 1]
+        edges = [pairs[k] for k in ks]
+        adj = [0] * n
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        if bfs_sum(adj, 0, (1 << n) - 1) is None:
             continue
-        connected += 1
-        report = verify_equilibrium(profile, dev_class, budget)
-        if report.is_equilibrium:
-            found.append((index, report))
+        connected += 1 << len(edges)
+        options = greedy_owner_options(adj, edges, alpha) if exact else [(1, 2)] * len(edges)
+        if options is None:
+            continue
+        for owners in product(*options):
+            index = sum(trit * 3**k for trit, k in zip(owners, ks))
+            report = verify_equilibrium(profile_from_index(n, alpha, index), dev_class, budget)
+            if report.is_equilibrium:
+                found.append((index, report))
     return connected, found
 
 

@@ -25,7 +25,7 @@ from .equilibrium import (
     StrategyProfile,
     VerificationReport,
     profile_from_index,
-    scan_profile_range,
+    scan_graph_range,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
 from .game import BoughtEdge, is_connected
@@ -85,13 +85,15 @@ def profile_from_document(doc: dict) -> StrategyProfile:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProfileFormatError("bad-n", f"n must be a positive integer, got {n!r}")
     alpha = parse_fraction(doc["alpha"])
+    if not isinstance(doc["edges"], list):
+        raise ProfileFormatError("bad-type", f"edges must be a list, got {doc['edges']!r}")
     edges = []
     seen = set()
     for item in doc["edges"]:
         if not isinstance(item, dict) or "buyer" not in item or "other" not in item:
             raise ProfileFormatError("bad-type", f"malformed edge entry {item!r}")
         buyer, other = item["buyer"], item["other"]
-        if not (isinstance(buyer, int) and isinstance(other, int)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (buyer, other)):
             raise ProfileFormatError("bad-type", f"edge ids must be integers: {item!r}")
         if not (0 <= buyer < n and 0 <= other < n):
             raise ProfileFormatError(
@@ -230,7 +232,7 @@ def worker_count(jobs: int) -> int:
 def _scan_shard(args) -> tuple[int, list[tuple[int, VerificationReport]]]:
     n, p, q, class_spec, start, stop, budget = args
     dev_class = DeviationClass.parse(class_spec)
-    return scan_profile_range(n, Fraction(p, q), dev_class, start, stop, budget)
+    return scan_graph_range(n, Fraction(p, q), dev_class, start, stop, budget)
 
 
 def enumerate_cell(
@@ -244,24 +246,28 @@ def enumerate_cell(
 ) -> EnumerationResult:
     """Exhaustively scan one (n, alpha) cell, optionally sharded over workers.
 
-    Shard results are merged in index order, so parallel and serial runs
-    produce identical output.  Profiles with a disconnected underlying graph
-    are skipped (they are never equilibria).  ``jobs`` is capped by
-    ``worker_count``, and cells below ``pool_threshold`` profiles stay serial
-    regardless of it.
+    The scan walks the 2^(n(n-1)/2) underlying graphs (``scan_graph_range``)
+    and verifies the ownerships of each connected one; under the exact class
+    the greedy add and sell tests, which no equilibrium fails, go first.
+    ``profiles_scanned`` counts the profiles covered, 3^(n(n-1)/2), not those
+    verified.  Shards split the graph indices and equilibria are sorted by
+    profile index, so parallel and serial runs produce identical output.
+    ``jobs`` is capped by ``worker_count``; cells below ``pool_threshold``
+    profiles stay serial.
     """
     jobs = worker_count(jobs)
     if n > cap:
         raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
     total = 3 ** (n * (n - 1) // 2)
+    graphs = 1 << (n * (n - 1) // 2)
     if jobs == 1 or total < pool_threshold:
-        connected, found = scan_profile_range(n, alpha, dev_class, 0, total, budget)
+        connected, found = scan_graph_range(n, alpha, dev_class, 0, graphs, budget)
     else:
         shard_count = jobs * 4
-        step = (total + shard_count - 1) // shard_count
+        step = (graphs + shard_count - 1) // shard_count
         shards = [
-            (n, alpha.numerator, alpha.denominator, dev_class.spec(), lo, min(lo + step, total), budget)
-            for lo in range(0, total, step)
+            (n, alpha.numerator, alpha.denominator, dev_class.spec(), lo, min(lo + step, graphs), budget)
+            for lo in range(0, graphs, step)
         ]
         connected = 0
         found = []
@@ -269,6 +275,7 @@ def enumerate_cell(
             for shard_connected, shard_found in pool.map(_scan_shard, shards):
                 connected += shard_connected
                 found.extend(shard_found)
+    found.sort(key=lambda item: item[0])
     equilibria = tuple(
         (profile_from_index(n, alpha, idx), report) for idx, report in found
     )

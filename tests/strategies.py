@@ -27,3 +27,15 @@ def profiles(draw, min_n=2, max_n=9, alpha=None):
 
 def connected_profiles(min_n=2, max_n=9, alpha=None):
     return profiles(min_n=min_n, max_n=max_n, alpha=alpha).filter(is_connected)
+
+
+@st.composite
+def sparse_connected_profiles(draw, min_n=2, max_n=8):
+    """A random spanning tree plus a few chords, each edge with a random buyer."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] < t[1])
+    pairs |= set(draw(st.lists(chords, max_size=n)))
+    edges = [BoughtEdge(u, v) if draw(st.booleans()) else BoughtEdge(v, u) for u, v in sorted(pairs)]
+    alpha = Fraction(draw(st.integers(1, 120)), draw(st.integers(1, 4)))
+    return StrategyProfile(n, alpha, tuple(edges))

@@ -4,10 +4,12 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gadgets import directed_ring, oracle_delta, path3, profile, star
-from strategies import connected_profiles
+from oracle import oracle_cell
+from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
     BudgetExceededError,
@@ -21,6 +23,8 @@ from ncg import (
     random_profile,
     verify_equilibrium,
 )
+from ncg.equilibrium import greedy_owner_options
+from ncg.game import StrategyProfile, adjacency_masks
 from ncg.harness import enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
@@ -265,6 +269,51 @@ def test_enumeration_n2_small_alpha():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_cell(6, Fraction(1), EXACT)
+
+
+ORACLE_ALPHAS = [Fraction(a) for a in ("1/2", "1", "3/2", "2", "5/2", "3", "4", "9", "20")]
+
+
+@pytest.mark.parametrize("spec", ["exact", "single-add", "single-delete", "k-subset:2"])
+def test_graph_first_scan_matches_index_oracle(spec):
+    # whole results: totals, connected counts, equilibria order, witnesses and
+    # deviations_checked of every report
+    cls = DeviationClass.parse(spec)
+    for n in range(1, 5):
+        for alpha in ORACLE_ALPHAS:
+            assert enumerate_cell(n, alpha, cls) == oracle_cell(n, alpha, cls), (n, alpha)
+
+
+def test_graph_first_scan_matches_index_oracle_n5():
+    assert enumerate_cell(5, Fraction(3), EXACT) == oracle_cell(5, Fraction(3), EXACT)
+
+
+def test_exact_enumeration_respects_budget():
+    with pytest.raises(BudgetExceededError):
+        enumerate_cell(4, Fraction(9), EXACT, budget=27)
+    assert enumerate_cell(4, Fraction(9), EXACT, budget=28) == enumerate_cell(4, Fraction(9), EXACT)
+
+
+# A triangle 2-3-4 with pendants 0 on 3 and 1 on 4 at alpha 2: selling edge
+# 2-3 costs vertex 2 two hops but vertex 3 one, so only vertex 2 may own it.
+@example(profile(5, 2, [(3, 0), (4, 1), (3, 2), (2, 4), (3, 4)]), 2, 1)
+@example(profile(5, 2, [(3, 0), (4, 1), (2, 3), (2, 4), (3, 4)]), 2, 1)
+@given(
+    st.one_of(connected_profiles(min_n=2, max_n=8), sparse_connected_profiles(max_n=8)),
+    st.integers(1, 40),
+    st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_greedy_filter_is_exactly_single_add_and_delete(p, num, den):
+    # The filter rejects the graph, or drops the actual buyer of some edge,
+    # exactly when a single add or a single sale strictly improves.
+    p = StrategyProfile(p.n, Fraction(num, den), p.edges)
+    edges = list(p.undirected_edges())
+    options = greedy_owner_options(adjacency_masks(p), edges, p.alpha)
+    buyer_trits = [1 if p.buys(a, b) else 2 for a, b in edges]
+    filtered = options is None or any(t not in kept for t, kept in zip(buyer_trits, options))
+    report = verify_equilibrium(p, DeviationClass.parse("single-add,single-delete"))
+    assert filtered == (report.witness is not None)
 
 
 # ---------------------------------------------------------------------------

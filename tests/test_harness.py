@@ -6,11 +6,16 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
 
 from gadgets import directed_ring, path3, profile
+from strategies import profiles
 
 from ncg import (
+    BudgetExceededError,
+    EnumerationCapError,
     EnumerationResult,
+    NcgError,
     ProfileFormatError,
     TreeConjectureViolation,
     verify_equilibrium,
@@ -70,12 +75,25 @@ def test_document_examples():
         ({"n": True, "alpha": "1", "edges": []}, "bad-n"),
         ({"n": 2, "alpha": "1/0", "edges": []}, "bad-alpha"),
         ({"n": 2, "alpha": True, "edges": []}, "bad-alpha"),
+        ({"n": 3, "alpha": "2", "edges": 5}, "bad-type"),
+        ({"n": 3, "alpha": "2", "edges": None}, "bad-type"),
+        ({"n": 3, "alpha": "2", "edges": [{"buyer": True, "other": 2}]}, "bad-type"),
+        ({"n": 3, "alpha": "2", "edges": [{"buyer": 0, "other": False}]}, "bad-type"),
     ],
 )
 def test_document_error_codes(doc, code):
     with pytest.raises(ProfileFormatError) as err:
         profile_from_document(doc)
     assert err.value.code == code
+
+
+@given(profiles(min_n=1, max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_profile_json_round_trips(tmp_path_factory, p):
+    assert profile_from_document(profile_to_document(p)) == p
+    path = tmp_path_factory.mktemp("round-trip") / "p.json"
+    save_profile(p, path)
+    assert load_profile(path) == p
 
 
 def test_load_malformed_json(tmp_path):
@@ -195,11 +213,12 @@ def test_worker_count_is_validated_and_capped():
 
 
 def test_parallel_and_serial_cells_agree():
-    serial = enumerate_cell(3, Fraction(7), DeviationClass.parse("exact"), jobs=1)
-    parallel = enumerate_cell(
-        3, Fraction(7), DeviationClass.parse("exact"), jobs=2, pool_threshold=1
-    )
-    assert serial == parallel
+    for n, alpha in ((3, Fraction(7)), (4, Fraction(3))):
+        serial = enumerate_cell(n, alpha, DeviationClass.parse("exact"), jobs=1)
+        parallel = enumerate_cell(
+            n, alpha, DeviationClass.parse("exact"), jobs=2, pool_threshold=1
+        )
+        assert serial == parallel
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +321,9 @@ def test_cli_unknown_flag_rejected(capsys):
         (["sweep", "--n", "3", "--alpha", "7", "--jobs", "-1"], None),
         (["verify", "--input"], {"n": 3, "alpha": "1/0", "edges": []}),
         (["audit", "--input"], {"n": True, "alpha": "1", "edges": []}),
+        (["verify", "--input"], {"n": 3, "alpha": "2", "edges": 5}),
+        (["verify", "--input"], {"n": 3, "alpha": "2", "edges": None}),
+        (["dynamics", "--input"], {"n": 3, "alpha": "2", "edges": [{"buyer": True, "other": 2}]}),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
@@ -326,3 +348,32 @@ def test_cli_seed_only_on_dynamics(tmp_path, capsys):
         ["sweep", "--n", "3", "--alpha", "7"],
     ):
         assert cmd_run(argv + ["--seed", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (TreeConjectureViolation("non-tree"), 1),
+        (BudgetExceededError("budget"), 2),
+        (EnumerationCapError("cap"), 2),
+        (ProfileFormatError("bad-n", "format"), 2),
+        (NcgError("ncg"), 2),
+        (ValueError("value"), 2),
+        (OSError("os"), 2),
+        (AssertionError("witness\nre-check"), 3),
+        (TypeError("type"), 3),
+        (KeyError("key"), 3),
+        (ZeroDivisionError("zero"), 3),
+        (RuntimeError("runtime"), 3),
+    ],
+)
+def test_cli_exit_code_contract(monkeypatch, capsys, error, code):
+    # only a tree-conjecture violation may exit 1; anything unmapped exits 3
+    def fail(spec):
+        raise error
+
+    monkeypatch.setattr("ncg.cli.run_sweep", fail)
+    assert cmd_run(["sweep", "--n", "3", "--alpha", "7"]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ") == (code == 3)
