@@ -14,11 +14,11 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import inf
 
 from .errors import BudgetExceededError
-from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum, is_connected
+from .game import BoughtEdge, StrategyProfile, adjacency_masks, bfs_distances, bfs_sum, is_connected
 from .structure import build_context
 
 KINDS = (
@@ -126,28 +126,6 @@ def profile_hash(profile: StrategyProfile) -> str:
 # bitmask internals
 
 
-def _stripped_adjacency(profile: StrategyProfile, v: int) -> list[int]:
-    """Adjacency with v's own purchases removed (edges others bought stay)."""
-    adj = [0] * profile.n
-    for e in profile.edges:
-        if e.buyer == v:
-            continue
-        adj[e.buyer] |= 1 << e.other
-        adj[e.other] |= 1 << e.buyer
-    return adj
-
-
-def _apply_targets(base: list[int], v: int, targets_mask: int) -> list[int]:
-    adj = list(base)
-    adj[v] |= targets_mask
-    t = targets_mask
-    while t:
-        low = t & -t
-        adj[low.bit_length() - 1] |= 1 << v
-        t ^= low
-    return adj
-
-
 def _set_from_mask(mask: int) -> frozenset[int]:
     out = []
     while mask:
@@ -162,6 +140,33 @@ def _mask_from_set(targets) -> int:
     for t in targets:
         m |= 1 << t
     return m
+
+
+def _subset_masks(n: int, v: int):
+    """Every target mask of ``v`` in subset-index order.
+
+    Bit i of the index is the i-th vertex other than v, so vertices below v
+    keep their bit and the rest move up one.  This order fixes every exact
+    witness and ``deviations_checked``.
+    """
+    low = (1 << v) - 1
+    return ((sub & low) | (sub >> v << (v + 1)) for sub in range(1 << (n - 1)))
+
+
+def _distance_sums(profile: StrategyProfile, v: int, masks):
+    """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
+
+    The sum is None when v is cut off from some vertex.  Only row v is
+    rewritten, to the edges others bought to v plus the mask: a BFS from v
+    never follows an edge back into v, so the other rows may keep v's
+    current purchases.
+    """
+    adj = adjacency_masks(profile)
+    bought_to_v = _mask_from_set(e.buyer for e in profile.edges if e.other == v)
+    full = (1 << profile.n) - 1
+    for mask in masks:
+        adj[v] = bought_to_v | mask
+        yield mask, bfs_sum(adj, v, full)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +187,9 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     if not all(0 <= t < profile.n for t in new_targets):
         raise ValueError("deviation target outside the vertex range")
 
-    full = (1 << profile.n) - 1
-    stripped = _stripped_adjacency(profile, v)
     old_targets = profile.targets_of(v)
-    old_sum = bfs_sum(_apply_targets(stripped, v, _mask_from_set(old_targets)), v, full)
-    new_sum = bfs_sum(_apply_targets(stripped, v, _mask_from_set(new_targets)), v, full)
+    masks = (_mask_from_set(old_targets), _mask_from_set(new_targets))
+    (_, old_sum), (_, new_sum) = _distance_sums(profile, v, masks)
 
     if new_sum is None:
         return inf
@@ -210,31 +213,22 @@ def best_response_exact(
             f"best response needs {required} evaluations (budget {budget})",
             required=required,
         )
-    others = [u for u in range(n) if u != v]
-    stripped = _stripped_adjacency(profile, v)
-    full = (1 << n) - 1
     p, q = profile.alpha.numerator, profile.alpha.denominator
-
-    best_key = None
-    best_set: frozenset[int] = frozenset()
-    for sub in range(required):
-        targets_mask = 0
-        s = sub
-        while s:
-            low = s & -s
-            targets_mask |= 1 << others[low.bit_length() - 1]
-            s ^= low
-        dsum = bfs_sum(_apply_targets(stripped, v, targets_mask), v, full)
+    best_key = best = None
+    for mask, dsum in _distance_sums(profile, v, _subset_masks(n, v)):
         if dsum is None:
             continue
-        size = targets_mask.bit_count()
-        key = (p * size + q * dsum, size, tuple(sorted(_set_from_mask(targets_mask))))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_set = _set_from_mask(targets_mask)
+        size = mask.bit_count()
+        key = (p * size + q * dsum, size)
+        # Of two sets of one size, the one holding the lowest vertex of their
+        # symmetric difference has the smaller sorted tuple.
+        if best_key is None or key < best_key or (
+            key == best_key and mask & (diff := mask ^ best) & -diff
+        ):
+            best_key, best = key, mask
 
-    if best_key is None:  # every strategy leaves v separated (n == 1 handled upstream)
-        return profile.targets_of(v), Fraction(0)
+    # Buying an edge to everyone reaches every vertex, so best is never None.
+    best_set = _set_from_mask(best)
     delta = delta_cost(profile, v, best_set)
     if delta > 0:  # cannot happen: current strategy is in the search space
         raise AssertionError("best response worse than current strategy")
@@ -251,8 +245,8 @@ def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, ctx
     others = [u for u in range(profile.n) if u != v]
 
     if cls.kind == "exact-all-subsets":
-        for sub in range(1 << len(others)):
-            s = frozenset(others[i] for i in range(len(others)) if sub >> i & 1)
+        for mask in _subset_masks(profile.n, v):
+            s = _set_from_mask(mask)
             if s != current:
                 yield s
     elif cls.kind == "single-add":
@@ -323,7 +317,8 @@ def verify_equilibrium(
     Sound for every class (a witness always beats exact recomputation);
     complete only for exact-all-subsets.  Disconnected profiles are rejected
     outright: buying edges to everyone is a finite-cost improvement over an
-    infinite one.
+    infinite one.  Candidates are compared by integer cross-multiplication;
+    the witness is then re-priced by ``delta_cost``.
     """
     digest = profile_hash(profile)
     if profile.n > 1 and not is_connected(profile):
@@ -331,68 +326,45 @@ def verify_equilibrium(
         dev = Deviation(v, frozenset(range(1, profile.n)))
         return VerificationReport(digest, dev_class.spec(), False, (dev, -inf), 1)
 
-    if dev_class.kind == "exact-all-subsets":
+    exact = dev_class.kind == "exact-all-subsets"
+    if exact:
         required = profile.n * ((1 << (profile.n - 1)) - 1)
         if required > budget:
             raise BudgetExceededError(
                 f"exact verification needs {required} deviation checks (budget {budget})",
                 required=required,
             )
-        return _verify_exact_fast(profile, digest)
-
     ctx = None
     if _needs_context(dev_class):
         ctx = build_context(profile)
 
+    p, q = profile.alpha.numerator, profile.alpha.denominator
     checked = 0
     for v in range(profile.n):
-        for targets in _class_deviations(profile, v, dev_class, ctx):
+        current = _mask_from_set(profile.targets_of(v))
+        if exact:
+            candidates = _subset_masks(profile.n, v)
+        else:
+            candidates = map(_mask_from_set, _class_deviations(profile, v, dev_class, ctx))
+        priced = _distance_sums(profile, v, chain([current], candidates))
+        _, current_sum = next(priced)
+        current_cost = p * current.bit_count() + q * current_sum
+        for mask, dsum in priced:
+            if mask == current:
+                continue
             checked += 1
             if checked > budget:
                 raise BudgetExceededError(
                     f"verification exceeded budget {budget}", required=checked
                 )
-            delta = delta_cost(profile, v, targets)
-            if delta < 0:
-                dev = Deviation(v, frozenset(targets))
+            if dsum is not None and p * mask.bit_count() + q * dsum < current_cost:
+                targets = _set_from_mask(mask)
+                delta = delta_cost(profile, v, targets)
+                if delta >= 0:  # cannot happen: the oracle re-checks the integer verdict
+                    raise AssertionError("witness does not improve under the oracle")
+                dev = Deviation(v, targets)
                 return VerificationReport(digest, dev_class.spec(), False, (dev, delta), checked)
     return VerificationReport(digest, dev_class.spec(), True, None, checked)
-
-
-def _verify_exact_fast(profile: StrategyProfile, digest: str) -> VerificationReport:
-    """Bitmask inner loop for the exact class; integer arithmetic only."""
-    n = profile.n
-    full = (1 << n) - 1
-    p, q = profile.alpha.numerator, profile.alpha.denominator
-    checked = 0
-    for v in range(n):
-        stripped = _stripped_adjacency(profile, v)
-        cur_mask = _mask_from_set(profile.targets_of(v))
-        cur_sum = bfs_sum(_apply_targets(stripped, v, cur_mask), v, full)
-        cur_scaled = p * cur_mask.bit_count() + q * cur_sum
-        others = [u for u in range(n) if u != v]
-        for sub in range(1 << (n - 1)):
-            targets_mask = 0
-            s = sub
-            while s:
-                low = s & -s
-                targets_mask |= 1 << others[low.bit_length() - 1]
-                s ^= low
-            if targets_mask == cur_mask:
-                continue
-            checked += 1
-            dsum = bfs_sum(_apply_targets(stripped, v, targets_mask), v, full)
-            if dsum is None:
-                continue
-            if p * targets_mask.bit_count() + q * dsum < cur_scaled:
-                targets = _set_from_mask(targets_mask)
-                delta = delta_cost(profile, v, targets)
-                if delta >= 0:  # cannot happen: the oracle re-checks the bitmask verdict
-                    raise AssertionError("exact witness does not improve under the oracle")
-                return VerificationReport(
-                    digest, "exact-all-subsets", False, (Deviation(v, targets), delta), checked
-                )
-    return VerificationReport(digest, "exact-all-subsets", True, None, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import inf
 
 # n is capped so distance sums stay small and exhaustive operations stay sane.
-DEFAULT_MAX_N = 64
+MAX_N = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -45,7 +45,6 @@ class StrategyProfile:
     n: int
     alpha: Fraction
     edges: tuple[BoughtEdge, ...]
-    max_n: int = DEFAULT_MAX_N
 
     def __post_init__(self):
         if not isinstance(self.alpha, Fraction):
@@ -53,8 +52,8 @@ class StrategyProfile:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         if self.n < 1:
             raise ValueError("profile needs at least one vertex")
-        if self.n > self.max_n:
-            raise ValueError(f"n={self.n} exceeds the configured cap {self.max_n}")
+        if self.n > MAX_N:
+            raise ValueError(f"n={self.n} exceeds the cap {MAX_N}")
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
             if not (0 <= e.buyer < self.n and 0 <= e.other < self.n):
@@ -100,7 +99,7 @@ class StrategyProfile:
             raise ValueError(f"vertex {v} cannot buy an edge to itself")
         kept = [e for e in self.edges if e.buyer != v]
         kept.extend(BoughtEdge(v, u) for u in sorted(targets))
-        return StrategyProfile(self.n, self.alpha, tuple(kept), self.max_n)
+        return StrategyProfile(self.n, self.alpha, tuple(kept))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import inf
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .equilibrium import (
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
-    VerificationReport,
     profile_from_index,
     scan_graph_range,
 )
@@ -85,6 +85,8 @@ def profile_from_document(doc: dict) -> StrategyProfile:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProfileFormatError("bad-n", f"n must be a positive integer, got {n!r}")
     alpha = parse_fraction(doc["alpha"])
+    if alpha <= 0:
+        raise ProfileFormatError("bad-alpha", f"alpha must be positive, got {doc['alpha']!r}")
     if not isinstance(doc["edges"], list):
         raise ProfileFormatError("bad-type", f"edges must be a list, got {doc['edges']!r}")
     edges = []
@@ -229,12 +231,6 @@ def worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _scan_shard(args) -> tuple[int, list[tuple[int, VerificationReport]]]:
-    n, p, q, class_spec, start, stop, budget = args
-    dev_class = DeviationClass.parse(class_spec)
-    return scan_graph_range(n, Fraction(p, q), dev_class, start, stop, budget)
-
-
 def enumerate_cell(
     n: int,
     alpha: Fraction,
@@ -265,14 +261,13 @@ def enumerate_cell(
     else:
         shard_count = jobs * 4
         step = (graphs + shard_count - 1) // shard_count
-        shards = [
-            (n, alpha.numerator, alpha.denominator, dev_class.spec(), lo, min(lo + step, graphs), budget)
-            for lo in range(0, graphs, step)
-        ]
+        starts = range(0, graphs, step)
+        stops = [min(lo + step, graphs) for lo in starts]
         connected = 0
         found = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for shard_connected, shard_found in pool.map(_scan_shard, shards):
+            args = (repeat(n), repeat(alpha), repeat(dev_class), starts, stops, repeat(budget))
+            for shard_connected, shard_found in pool.map(scan_graph_range, *args):
                 connected += shard_connected
                 found.extend(shard_found)
     found.sort(key=lambda item: item[0])

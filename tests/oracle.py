@@ -1,22 +1,34 @@
-"""The index scan the graph-first enumeration replaced, kept as its oracle.
+"""Slow reference paths the fast ones are compared against.
 
-It decodes, connectivity-checks and verifies every one of the
-3^(n(n-1)/2) profile indices in order, with no filter.
+``scan_profile_range`` is the index scan the graph-first enumeration
+replaced: it decodes, connectivity-checks and verifies every one of the
+3^(n(n-1)/2) profile indices in order, with no filter.  ``oracle_verify``
+is the per-candidate verification loop the shared strategy-pricing loop
+replaced: every candidate is priced from raw edge lists by
+``gadgets.oracle_delta``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
+
+from gadgets import oracle_delta
 
 from ncg.equilibrium import (
     DEFAULT_BUDGET,
+    Deviation,
     DeviationClass,
     EnumerationResult,
     VerificationReport,
+    _class_deviations,
+    _needs_context,
     profile_from_index,
+    profile_hash,
     verify_equilibrium,
 )
-from ncg.game import is_connected
+from ncg.game import StrategyProfile, is_connected
+from ncg.structure import build_context
 
 
 def scan_profile_range(
@@ -50,3 +62,46 @@ def oracle_cell(n: int, alpha: Fraction, dev_class: DeviationClass) -> Enumerati
     connected, found = scan_profile_range(n, alpha, dev_class, 0, total)
     equilibria = tuple((profile_from_index(n, alpha, idx), report) for idx, report in found)
     return EnumerationResult(n, alpha, total, connected, equilibria)
+
+
+def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
+    """``_class_deviations``, with the exact class enumerated independently.
+
+    Exact candidates come in subset-index order: bit i of the index is the
+    i-th vertex other than v.  Composites drop repeats, first part first.
+    """
+    if cls.kind == "exact-all-subsets":
+        others = [u for u in range(profile.n) if u != v]
+        current = profile.targets_of(v)
+        for sub in range(1 << len(others)):
+            s = frozenset(u for i, u in enumerate(others) if sub >> i & 1)
+            if s != current:
+                yield s
+    elif cls.kind == "composite":
+        seen = set()
+        for part in cls.parts:
+            for s in _oracle_candidates(profile, v, part, ctx):
+                if s not in seen:
+                    seen.add(s)
+                    yield s
+    else:
+        yield from _class_deviations(profile, v, cls, ctx)
+
+
+def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> VerificationReport:
+    """The report ``verify_equilibrium`` must give: first strict improvement wins."""
+    digest = profile_hash(profile)
+    spec = dev_class.spec()
+    if profile.n > 1 and not is_connected(profile):
+        dev = Deviation(0, frozenset(range(1, profile.n)))
+        return VerificationReport(digest, spec, False, (dev, -inf), 1)
+    ctx = build_context(profile) if _needs_context(dev_class) else None
+    checked = 0
+    for v in range(profile.n):
+        for targets in _oracle_candidates(profile, v, dev_class, ctx):
+            checked += 1
+            delta = oracle_delta(profile, v, targets)
+            if delta < 0:
+                dev = Deviation(v, targets)
+                return VerificationReport(digest, spec, False, (dev, delta), checked)
+    return VerificationReport(digest, spec, True, None, checked)

@@ -1,15 +1,26 @@
 """Deviations, exact verification, dynamics, enumeration."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gadgets import directed_ring, oracle_delta, path3, profile, star
-from oracle import oracle_cell
-from strategies import connected_profiles, sparse_connected_profiles
+from gadgets import (
+    directed_ring,
+    figure_gadget,
+    oracle_cost,
+    oracle_delta,
+    path3,
+    profile,
+    ring_with_pendant,
+    star,
+    two_triangles,
+)
+from oracle import oracle_cell, oracle_verify
+from strategies import connected_profiles, profiles, sparse_connected_profiles
 
 from ncg import (
     BudgetExceededError,
@@ -143,6 +154,41 @@ def test_verify_paper_strategy_class_on_directed_ring():
     assert delta < 0
 
 
+VERIFY_SPECS = [
+    "exact",
+    "single-add",
+    "single-delete",
+    "single-swap",
+    "k-subset:2",
+    "paper-strategy-1",
+    "paper-strategy-2",
+    "paper-strategy-3",
+    "single-delete,exact",
+    "exact-all-subsets,single-add",
+]
+
+
+@pytest.mark.parametrize("spec", VERIFY_SPECS)
+@example(two_triangles(1))
+@example(ring_with_pendant(1))
+@example(directed_ring(7, 5))
+@example(directed_ring(7, 29))
+@example(figure_gadget())
+@given(st.one_of(profiles(max_n=6), sparse_connected_profiles(max_n=6)))
+@settings(max_examples=30, deadline=None)
+def test_verification_matches_oracle(spec, p):
+    # whole reports: verdict, witness, exact delta and deviations_checked
+    cls = DeviationClass.parse(spec)
+    assert verify_equilibrium(p, cls) == oracle_verify(p, cls)
+
+
+def test_witness_recheck_raises(monkeypatch):
+    monkeypatch.setattr("ncg.equilibrium.delta_cost", lambda profile, v, targets: Fraction(0))
+    for spec in ("exact", "single-delete"):
+        with pytest.raises(AssertionError, match="witness"):
+            verify_equilibrium(directed_ring(3, 5), DeviationClass.parse(spec))
+
+
 def test_verify_budget_error():
     with pytest.raises(BudgetExceededError):
         verify_equilibrium(star(12, alpha=9), budget=100)
@@ -222,6 +268,23 @@ def test_dynamics_agent_costs_strictly_decrease_at_own_steps(p):
     assert current == trace.final_profile
     if trace.converged:
         assert verify_equilibrium(trace.final_profile).is_equilibrium
+
+
+@given(profiles(min_n=1, max_n=6), st.integers(1, 6), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_best_response_matches_brute_force(p, num, den):
+    # small alphas make equal-cost strategies common, so the tie-break runs
+    p = StrategyProfile(p.n, Fraction(num, den), p.edges)
+    for v in range(p.n):
+        others = [u for u in range(p.n) if u != v]
+        subsets = [frozenset(c) for k in range(p.n) for c in combinations(others, k)]
+        expected = min(
+            subsets,
+            key=lambda s: (oracle_cost(p.with_strategy(v, s), v), len(s), tuple(sorted(s))),
+        )
+        best, delta = best_response_exact(p, v)
+        assert best == expected
+        assert delta == oracle_delta(p, v, best)
 
 
 @given(connected_profiles(min_n=2, max_n=6))
@@ -341,13 +404,3 @@ def test_composite_class_parses_and_runs():
     assert cls.spec() == "single-add,single-delete"
     report = verify_equilibrium(directed_ring(3, 5), cls)
     assert not report.is_equilibrium
-
-
-@given(connected_profiles(min_n=2, max_n=5))
-@settings(max_examples=40, deadline=None)
-def test_fast_exact_path_agrees_with_generator_path(p):
-    # composite wrapping forces the generator + oracle route for the same class
-    fast = verify_equilibrium(p, EXACT)
-    slow = verify_equilibrium(p, DeviationClass.parse("exact-all-subsets,single-add"))
-    assert fast.is_equilibrium == slow.is_equilibrium
-

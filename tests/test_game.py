@@ -106,7 +106,6 @@ def test_double_bought_edge_is_legal_and_traversed_once():
 def test_vertex_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         StrategyProfile(65, Fraction(1), ())
-    StrategyProfile(65, Fraction(1), (), max_n=128)  # configurable
 
 
 @given(profiles(max_n=8))

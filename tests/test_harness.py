@@ -79,6 +79,9 @@ def test_document_examples():
         ({"n": 3, "alpha": "2", "edges": None}, "bad-type"),
         ({"n": 3, "alpha": "2", "edges": [{"buyer": True, "other": 2}]}, "bad-type"),
         ({"n": 3, "alpha": "2", "edges": [{"buyer": 0, "other": False}]}, "bad-type"),
+        ({"n": 2, "alpha": "0", "edges": []}, "bad-alpha"),
+        ({"n": 2, "alpha": "-1", "edges": []}, "bad-alpha"),
+        ({"n": 2, "alpha": -3, "edges": []}, "bad-alpha"),
     ],
 )
 def test_document_error_codes(doc, code):
@@ -213,10 +216,11 @@ def test_worker_count_is_validated_and_capped():
 
 
 def test_parallel_and_serial_cells_agree():
-    for n, alpha in ((3, Fraction(7)), (4, Fraction(3))):
-        serial = enumerate_cell(n, alpha, DeviationClass.parse("exact"), jobs=1)
+    cells = ((3, Fraction(7), "exact"), (4, Fraction(3), "exact"), (4, Fraction(2), "k-subset:2"))
+    for n, alpha, spec in cells:
+        serial = enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=1)
         parallel = enumerate_cell(
-            n, alpha, DeviationClass.parse("exact"), jobs=2, pool_threshold=1
+            n, alpha, DeviationClass.parse(spec), jobs=2, pool_threshold=1
         )
         assert serial == parallel
 
@@ -324,6 +328,9 @@ def test_cli_unknown_flag_rejected(capsys):
         (["verify", "--input"], {"n": 3, "alpha": "2", "edges": 5}),
         (["verify", "--input"], {"n": 3, "alpha": "2", "edges": None}),
         (["dynamics", "--input"], {"n": 3, "alpha": "2", "edges": [{"buyer": True, "other": 2}]}),
+        (["verify", "--input"], {"n": 3, "alpha": "-1", "edges": [{"buyer": 0, "other": 1}]}),
+        (["audit", "--input"], {"n": 2, "alpha": "0", "edges": [{"buyer": 0, "other": 1}]}),
+        (["dynamics", "--input"], {"n": 3, "alpha": "-1/2", "edges": []}),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):
