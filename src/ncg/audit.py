@@ -58,6 +58,9 @@ LEMMA_IDS = (
 # degree-sum is a combinatorial identity; everything else presumes equilibrium.
 _NE_GATED = frozenset(set(LEMMA_IDS) - {"degree-sum"})
 
+# Bound audits price every sell-set of at most this many eligible edges.
+MAX_SELL = 2
+
 
 # ---------------------------------------------------------------------------
 # deviation-cost bounds
@@ -167,18 +170,9 @@ def audit_deviation_bound(
             notes.append(f"edge {edge} is not bought by {u}")
         if edge not in ctx.h_edges:
             notes.append(f"edge {edge} lies outside H")
-        is_up = (
-            ctx.spt.orientation(*edge) == "up" and ctx.spt.parent[u] == t
-            if edge in ctx.spt.tree_edges
-            else False
-        )
-        if level is not None and level <= 2:
-            sold.append((edge, level))
-        elif include_up and is_up:
-            sold.append((edge, 0))  # up-edges sit in every + class; subtree weight is 0
-        else:
+        if not ctx.is_low_level(u, t, include_up):
             notes.append(f"edge {edge} has no eligible level for {strategy_kind}")
-            sold.append((edge, level if level is not None else 0))
+        sold.append((edge, level or 0))  # an up-edge has no level and no subtree weight
 
     if not sold_targets:
         notes.append("no edges sold")
@@ -304,7 +298,7 @@ def audit_structural(
         return _audit_altpath_all(ctx, informational)
 
     if lemma_id == "x2position":
-        applicable = ctx.has_cyclic_h and alpha > 2 * n and ctx.girth >= 7
+        applicable = ctx.in_regime
         rows = []
         ok = True
         for (edge, cls) in sorted(ctx.x_classes.items()):
@@ -327,26 +321,23 @@ def audit_structural(
         return _audit_deg2(ctx, informational)
 
     if lemma_id == "obs-x1":
-        applicable = ctx.has_cyclic_h and alpha > 2 * n and ctx.girth >= 7
+        applicable = ctx.in_regime
         offenders = []
         for u in sorted(ctx.h_vertices):
-            bought = [
-                e for e in ctx.x_classes
-                if _buys_edge(ctx, u, e) and _in_plus_level(ctx, e) <= 1
-            ]
+            bought = [e for e, _ in ctx.sellable_edges(u, include_up=True, cap=1)]
             if len(bought) >= 2:
-                offenders.append({"vertex": u, "edges": sorted(bought)})
+                offenders.append({"vertex": u, "edges": bought})
         return _finding(lemma_id, applicable, not offenders, informational, offenders=offenders)
 
     if lemma_id == "obs-x2":
-        applicable = ctx.has_cyclic_h and alpha > 2 * n and ctx.girth >= 7
+        applicable = ctx.in_regime
         triples = []
         thin_pairs = []
         for u in sorted(ctx.h_vertices):
-            bought = [e for e in ctx.x_classes if _buys_edge(ctx, u, e) and _in_plus_level(ctx, e) <= 2]
+            bought = [e for e, _ in ctx.sellable_edges(u, include_up=True)]
             if len(bought) >= 3:
-                triples.append({"vertex": u, "edges": sorted(bought)})
-            for e1, e2 in combinations(sorted(bought), 2):
+                triples.append({"vertex": u, "edges": bought})
+            for e1, e2 in combinations(bought, 2):
                 union = _edge_subtree_vertices(ctx, e1) | _edge_subtree_vertices(ctx, e2)
                 if not 4 * len(union) > n:
                     thin_pairs.append({"vertex": u, "edges": [e1, e2], "union": len(union)})
@@ -357,28 +348,25 @@ def audit_structural(
         )
 
     if lemma_id == "obs-x2depth":
-        applicable = ctx.has_cyclic_h and alpha > 2 * n and ctx.girth >= 7
+        applicable = ctx.in_regime
         rows = []
         ok = True
         for u in sorted(ctx.h_vertices):
-            bought = [
-                e for e, c in ctx.x_classes.items()
-                if c.level is not None and c.level <= 2 and _buys_edge(ctx, u, e)
-            ]
+            bought = [e for e, _ in ctx.sellable_edges(u, include_up=False)]
             if len(bought) < 2:
                 continue
             depth = ctx.spt.depth[u]
             fat_pair = any(
                 4 * len(_edge_subtree_vertices(ctx, e1) | _edge_subtree_vertices(ctx, e2)) > n
-                for e1, e2 in combinations(sorted(bought), 2)
+                for e1, e2 in combinations(bought, 2)
             )
             good = depth >= 3 and (not fat_pair or depth == 3)
             ok = ok and good
-            rows.append({"vertex": u, "depth": depth, "edges": sorted(bought), "holds": good})
+            rows.append({"vertex": u, "depth": depth, "edges": bought, "holds": good})
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "mainlemma1":
-        applicable = ctx.has_cyclic_h and alpha > 2 * n and ctx.girth >= 7
+        applicable = ctx.in_regime
         rows = []
         ok = True
         for edge, cls in sorted(ctx.x_classes.items()):
@@ -396,15 +384,11 @@ def audit_structural(
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "mainlemma2":
-        applicable = ctx.has_cyclic_h and alpha > 2 * n and ctx.girth >= 7
-        buyers = []
-        for u in sorted(ctx.h_vertices):
-            count = sum(
-                1 for e, c in ctx.x_classes.items()
-                if c.level is not None and c.level <= 2 and _buys_edge(ctx, u, e)
-            )
-            if count >= 2:
-                buyers.append(u)
+        applicable = ctx.in_regime
+        buyers = [
+            u for u in sorted(ctx.h_vertices)
+            if len(ctx.sellable_edges(u, include_up=False)) >= 2
+        ]
         deg_r = ctx.deg_h(ctx.root) if ctx.has_cyclic_h else 0
         holds = len(buyers) < deg_r
         return _finding(
@@ -428,31 +412,9 @@ def audit_structural(
     raise AssertionError(f"unhandled lemma id {lemma_id}")
 
 
-def _buys_edge(ctx: StrategyContext, v: int, edge: Edge) -> bool:
-    if v not in edge:
-        return False
-    other = edge[0] if edge[1] == v else edge[1]
-    return ctx.profile.buys(v, other)
-
-
-def _in_plus_level(ctx: StrategyContext, edge: Edge) -> int | float:
-    """Minimal i with the edge in the + class ladder; up-edges enter at 0."""
-    cls = ctx.x_classes.get(edge)
-    if cls is None:
-        return inf
-    if cls.level is not None:
-        return cls.level
-    return 0 if cls.in_plus else inf
-
-
 def _edge_subtree_vertices(ctx: StrategyContext, edge: Edge) -> frozenset[int]:
-    if edge not in ctx.spt.tree_edges:
-        return frozenset()
-    a, b = edge
-    p, c = (a, b) if ctx.spt.parent[b] == a else (b, a)
-    if (p, c) in ctx.spt.down_pairs:
-        return ctx.spt.subtree_vertices(c)
-    return frozenset()
+    child = ctx.spt.down_child(*edge)
+    return frozenset() if child is None else ctx.spt.subtree_vertices(child)
 
 
 def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
@@ -529,18 +491,11 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
     edge = _as_edge(*edge)
     informational = not _certified(ne_certificate, ctx)
     level = ctx.x_level(edge)
-    applicable = (
-        ctx.has_cyclic_h
-        and ctx.alpha > 2 * ctx.n
-        and ctx.girth >= 7
-        and _buys_edge(ctx, u, edge)
-        and level is not None
-        and level <= 2
-    )
-    subtree = _edge_subtree_vertices(ctx, edge) if _buys_edge(ctx, u, edge) else frozenset()
-    if not applicable:
+    bought = u in edge and ctx.profile.buys(u, edge[0] if edge[1] == u else edge[1])
+    if not (ctx.in_regime and bought and level is not None and level <= 2):
         return _finding("altpath", False, None, informational, vertex=u, edge=edge)
 
+    subtree = _edge_subtree_vertices(ctx, edge)
     margins = {}
     holds = True
     detour = bfs_distances(adjacency_masks(ctx.profile), ctx.root, blocked=1 << u)
@@ -558,7 +513,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
 
 
 def _audit_altpath_all(ctx, informational) -> AuditFinding:
-    applicable = ctx.has_cyclic_h and ctx.alpha > 2 * ctx.n and ctx.girth >= 7
+    applicable = ctx.in_regime
     per_edge = []
     ok = True
     for edge, cls in sorted(ctx.x_classes.items()):
@@ -588,9 +543,7 @@ class AuditReport:
     summary: dict = field(compare=False, default_factory=dict)
 
 
-def eligible_sold_selections(
-    ctx: StrategyContext, strategy_kind: str, max_sell: int = 2
-):
+def eligible_sold_selections(ctx: StrategyContext, strategy_kind: str):
     """All (vertex, sold-target-tuple) pairs a strategy audit can price."""
     include_up = strategy_kind == "strategy3"
     if not ctx.has_cyclic_h:
@@ -600,7 +553,7 @@ def eligible_sold_selections(
             continue
         eligible = ctx.sellable_edges(u, include_up)
         targets = [other for (_, other) in eligible]
-        for size in range(1, min(len(targets), max_sell) + 1):
+        for size in range(1, min(len(targets), MAX_SELL) + 1):
             for combo in combinations(targets, size):
                 yield u, combo
 

@@ -29,7 +29,7 @@ from .equilibrium import (
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
 from .game import BoughtEdge, is_connected
-from .structure import build_context, global_girth
+from .structure import build_context
 
 SCHEMA_VERSION = 1
 CSV_HEADER_COMMENT = "# ncg report v1"
@@ -252,6 +252,8 @@ def enumerate_cell(
     profiles stay serial.
     """
     jobs = worker_count(jobs)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if n > cap:
         raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
     total = 3 ** (n * (n - 1) // 2)
@@ -282,28 +284,28 @@ def is_spanning_tree(profile: StrategyProfile) -> bool:
     return is_connected(profile) and len(profile.undirected_edges()) == profile.n - 1
 
 
-def build_report_row(result: EnumerationResult, run_audits: bool = True) -> ReportRow:
+def build_report_row(result: EnumerationResult) -> ReportRow:
     """Fold one enumeration into a row; enforces the tree-only rule above 2n.
 
-    A non-tree equilibrium at alpha > 2n is a hard failure, never a data
-    point.  In the open band [n, 2n) non-tree counts are reported as
-    exploratory data only.
+    Every equilibrium is audited on its one ``StrategyContext``; being
+    connected, it is a tree iff its girth is infinite.  A non-tree
+    equilibrium at alpha > 2n is a hard failure, never a data point.  In the
+    open band [n, 2n) non-tree counts are reported as exploratory data only.
     """
     tree = 0
     non_tree = 0
     min_girth: int | float = inf
     audit_failures = 0
     for profile, report in result.equilibria:
-        if is_spanning_tree(profile):
+        ctx = build_context(profile)
+        if ctx.girth == inf:
             tree += 1
         else:
             non_tree += 1
-        girth = global_girth(profile)
-        min_girth = min(min_girth, girth)
-        if run_audits:
-            audit = audit_full(build_context(profile), ne_certificate=report)
-            audit_failures += audit.summary["findings_failing"]
-            audit_failures += audit.summary["bound_violations"]
+        min_girth = min(min_girth, ctx.girth)
+        audit = audit_full(ctx, ne_certificate=report)
+        audit_failures += audit.summary["findings_failing"]
+        audit_failures += audit.summary["bound_violations"]
     if result.alpha > 2 * result.n and non_tree > 0:
         raise TreeConjectureViolation(
             f"non-tree equilibrium at n={result.n}, alpha={result.alpha}"

@@ -152,15 +152,19 @@ class SptAnalysis:
     graph_edges: frozenset[Edge]
     warnings: tuple[str, ...]
 
-    def is_tree_edge(self, a: int, b: int) -> bool:
-        return _as_edge(a, b) in self.tree_edges
+    def down_child(self, a: int, b: int) -> int | None:
+        """The child endpoint of {a, b} when it is a down-edge, else None."""
+        if (a, b) in self.down_pairs:
+            return b
+        if (b, a) in self.down_pairs:
+            return a
+        return None
 
     def orientation(self, a: int, b: int) -> str | None:
         """'down' or 'up' for a tree edge, None for a non-tree edge."""
-        if not self.is_tree_edge(a, b):
-            return None
-        p, c = (a, b) if self.parent[b] == a else (b, a)
-        return "down" if (p, c) in self.down_pairs else "up"
+        if self.down_child(a, b) is not None:
+            return "down"
+        return "up" if _as_edge(a, b) in self.tree_edges else None
 
     def path_to_root(self, v: int) -> list[int]:
         """Tree path [v, parent(v), ..., root]."""
@@ -244,12 +248,8 @@ def edge_subtree_size(spt: SptAnalysis, a: int, b: int) -> int:
     edge = _as_edge(a, b)
     if edge not in spt.graph_edges:
         raise ValueError(f"{edge} is not an edge of the profile")
-    if edge not in spt.tree_edges:
-        return 0
-    p, c = (a, b) if spt.parent[b] == a else (b, a)
-    if (p, c) in spt.down_pairs:
-        return spt.subtree_size[c]
-    return 0
+    child = spt.down_child(a, b)
+    return 0 if child is None else spt.subtree_size[child]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def classify_x_sets(
     out = []
     for e in sorted(h_edges):
         lv = level.get(e)
-        is_up = e in spt.tree_edges and spt.orientation(*e) == "up"
+        is_up = spt.orientation(*e) == "up"
         out.append(EdgeClass(edge=e, level=lv, in_plus=lv is not None or is_up))
     return out
 
@@ -322,16 +322,12 @@ class CycleReport:
     """Smallest cycles of H: girth, one witness per vertex and per edge.
 
     Every reported per-edge cycle is checked to realise all pairwise graph
-    distances between its vertices (the min-cycle property).  A cycle is
-    *directed* when each of its vertices buys exactly one of its two cycle
-    edges.
+    distances between its vertices (the min-cycle property).
     """
 
     girth: int | float
     per_vertex_cycle: dict[int, tuple[int, ...]]
     per_edge_cycle: dict[Edge, tuple[int, ...]]
-    per_vertex_directed: dict[int, bool]
-    per_edge_directed: dict[Edge, bool]
 
 
 def smallest_cycle_through_edge(
@@ -403,7 +399,7 @@ def cycle_report(
     h_vertices = decomposition.largest_vertices()
     h_edges = decomposition.largest_edges()
     if len(h_vertices) < 3:
-        return CycleReport(inf, {}, {}, {}, {})
+        return CycleReport(inf, {}, {})
     if dist is None:
         dist = all_pairs_distances(profile)
     adj = adjacency_masks(profile)
@@ -432,13 +428,7 @@ def cycle_report(
         if best is not None:
             per_vertex[v] = best[1]
 
-    return CycleReport(
-        girth=girth,
-        per_vertex_cycle=per_vertex,
-        per_edge_cycle=per_edge,
-        per_vertex_directed={v: cycle_directed(profile, c) for v, c in per_vertex.items()},
-        per_edge_directed={e: cycle_directed(profile, c) for e, c in per_edge.items()},
-    )
+    return CycleReport(girth=girth, per_vertex_cycle=per_vertex, per_edge_cycle=per_edge)
 
 
 def global_girth(profile: StrategyProfile) -> int | float:
@@ -533,16 +523,15 @@ def compute_s_set(
                         members.add(x)
                         break
     else:
-        # Distances with `via` deleted, one BFS per anchor vertex.
-        adj = adjacency_masks(profile)
-        cut = {w: bfs_distances(adj, w, blocked=1 << via) for w in anchor}
-        for x in range(n):
-            if x == via or x in anchor:
-                continue
-            nearest = min((dist[x][w] for w in anchor), default=inf)
-            if nearest == inf:
-                continue
-            if all(cut[w][x] > dist[x][w] for w in anchor if dist[x][w] == nearest):
+        # The shortest routes to the nearest anchor vertices are exactly the
+        # walks that step one nearer to the anchor each time, so x funnels iff
+        # every neighbour one step nearer is via or funnels itself.
+        near = [min(dist[x][w] for w in anchor) for x in range(n)]
+        adj = profile.adjacency()
+        for x in sorted(range(n), key=near.__getitem__):
+            if x != via and 0 < near[x] < inf and all(
+                y in members for y in adj[x] if near[y] == near[x] - 1
+            ):
                 members.add(x)
 
     return SSet(anchor=anchor, via=via, members=frozenset(members), variant=variant)
@@ -579,6 +568,11 @@ class StrategyContext:
     def has_cyclic_h(self) -> bool:
         return len(self.h_vertices) >= 3
 
+    @property
+    def in_regime(self) -> bool:
+        """The paper's regime: a cyclic core, alpha > 2n and girth at least 7."""
+        return self.has_cyclic_h and self.alpha > 2 * self.n and self.girth >= 7
+
     def connection(self, v: int) -> int | float:
         return connection_cost(self.dist, v)
 
@@ -586,39 +580,25 @@ class StrategyContext:
         cls = self.x_classes.get(_as_edge(*edge))
         return cls.level if cls else None
 
-    def in_plus(self, edge: Edge) -> bool:
-        cls = self.x_classes.get(_as_edge(*edge))
-        return cls.in_plus if cls else False
-
     def deg_h(self, v: int) -> int:
         return sum(1 for e in self.h_edges if v in e)
 
-    def root_h_degrees(self) -> tuple[int, int]:
-        """(incoming, outgoing) H-degree of the root by edge ownership."""
-        incoming = outgoing = 0
-        for e in self.h_edges:
-            if self.root not in e:
-                continue
-            other = e[0] if e[1] == self.root else e[1]
-            if self.profile.buys(self.root, other):
-                outgoing += 1
-            if self.profile.buys(other, self.root):
-                incoming += 1
-        return incoming, outgoing
+    def is_low_level(self, v: int, t: int, include_up: bool, cap: int = 2) -> bool:
+        """Is {v, t} a low-level edge for v: minimal level <= cap, or, with
+        ``include_up``, v's up-edge (the tree edge to v's parent that the
+        parent did not buy)?"""
+        level = self.x_level((v, t))
+        if level is not None and level <= cap:
+            return True
+        return include_up and t == self.spt.parent[v] and self.spt.down_child(v, t) is None
 
-    def sellable_edges(self, v: int, include_up: bool) -> list[tuple[Edge, int]]:
-        """H-edges bought by v with minimal level <= 2; optionally v's up-edge."""
-        out = []
-        for e in sorted(self.h_edges):
-            if v not in e or not self.profile.buys(v, e[0] if e[1] == v else e[1]):
-                continue
-            other = e[0] if e[1] == v else e[1]
-            lv = self.x_level(e)
-            if lv is not None and lv <= 2:
-                out.append((e, other))
-            elif include_up and self.spt.orientation(*e) == "up" and self.spt.parent[v] == other:
-                out.append((e, other))
-        return sorted(out, key=lambda item: item[1])
+    def sellable_edges(self, v: int, include_up: bool, cap: int = 2) -> list[tuple[Edge, int]]:
+        """(edge, other endpoint) for v's bought low-level ladder edges, by endpoint."""
+        return [
+            (_as_edge(v, t), t)
+            for t in sorted(self.profile.targets_of(v))
+            if _as_edge(v, t) in self.x_classes and self.is_low_level(v, t, include_up, cap)
+        ]
 
 
 def build_context(profile: StrategyProfile) -> StrategyContext:

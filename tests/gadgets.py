@@ -54,6 +54,14 @@ def figure_gadget(alpha=23) -> StrategyProfile:
     return profile(11, alpha, pairs)
 
 
+def up_and_out_seller(alpha=21):
+    """n=10 triangle {0,1,5}: vertex 1 buys its up-edge and the doubly-bought
+    out-edge (1, 5); vertex 5 owns the antiparallel copy."""
+    pairs = [(1, 0), (0, 5), (1, 5), (5, 1), (2, 1), (3, 1), (4, 1),
+             (0, 6), (0, 7), (0, 8), (0, 9)]
+    return profile(10, alpha, pairs)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 

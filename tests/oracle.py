@@ -5,7 +5,10 @@ replaced: it decodes, connectivity-checks and verifies every one of the
 3^(n(n-1)/2) profile indices in order, with no filter.  ``oracle_verify``
 is the per-candidate verification loop the shared strategy-pricing loop
 replaced: every candidate is priced from raw edge lists by
-``gadgets.oracle_delta``.
+``gadgets.oracle_delta``.  ``oracle_s_set_all_paths`` is the all-paths
+funnel by one via-deleted BFS per anchor vertex.  The ``oracle_*`` ladder
+queries restate the edge-class rules straight from ``x_classes``,
+``spt.parent``, ``spt.down_pairs`` and ``profile.buys``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,14 @@ from ncg.equilibrium import (
     profile_hash,
     verify_equilibrium,
 )
-from ncg.game import StrategyProfile, is_connected
-from ncg.structure import build_context
+from ncg.game import (
+    DistanceMatrix,
+    StrategyProfile,
+    adjacency_masks,
+    bfs_distances,
+    is_connected,
+)
+from ncg.structure import SptAnalysis, StrategyContext, build_context
 
 
 def scan_profile_range(
@@ -105,3 +114,54 @@ def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> Verifi
                 dev = Deviation(v, targets)
                 return VerificationReport(digest, spec, False, (dev, delta), checked)
     return VerificationReport(digest, spec, True, None, checked)
+
+
+def oracle_s_set_all_paths(
+    profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int
+) -> frozenset[int]:
+    """via, plus every x all of whose shortest routes to its nearest anchor
+    vertices pass via: deleting via lengthens each of those distances."""
+    adj = adjacency_masks(profile)
+    cut = {w: bfs_distances(adj, w, blocked=1 << via) for w in anchor}
+    members = {via}
+    for x in range(profile.n):
+        if x == via or x in anchor:
+            continue
+        nearest = min(dist[x][w] for w in anchor)
+        if nearest == inf:
+            continue
+        if all(cut[w][x] > dist[x][w] for w in anchor if dist[x][w] == nearest):
+            members.add(x)
+    return frozenset(members)
+
+
+def oracle_down_child(spt: SptAnalysis, a: int, b: int) -> int | None:
+    """The endpoint whose tree parent is the other one and bought the edge."""
+    for p, c in ((a, b), (b, a)):
+        if spt.parent[c] == p and (p, c) in spt.down_pairs:
+            return c
+    return None
+
+
+def oracle_is_low_level(
+    ctx: StrategyContext, v: int, t: int, include_up: bool, cap: int
+) -> bool:
+    """Level at most cap, or (include_up) t is v's parent and did not buy {v, t}."""
+    cls = ctx.x_classes.get((min(v, t), max(v, t)))
+    if cls is not None and cls.level is not None and cls.level <= cap:
+        return True
+    return include_up and ctx.spt.parent[v] == t and (t, v) not in ctx.spt.down_pairs
+
+
+def oracle_sellable_edges(
+    ctx: StrategyContext, v: int, include_up: bool, cap: int
+) -> list[tuple[tuple[int, int], int]]:
+    """(edge, other endpoint) for each ladder edge v bought that is low-level for v."""
+    out = []
+    for edge in ctx.x_classes:
+        if v not in edge:
+            continue
+        t = edge[0] + edge[1] - v
+        if ctx.profile.buys(v, t) and oracle_is_low_level(ctx, v, t, include_up, cap):
+            out.append((edge, t))
+    return sorted(out, key=lambda item: item[1])

@@ -144,7 +144,7 @@ def test_criterion_4_bound_domination():
     while min(counts.values()) < 500 and seed < 3000:
         ctx = build_context(scaffold_profile(seed))
         for kind in counts:
-            for u, combo in eligible_sold_selections(ctx, kind, max_sell=2):
+            for u, combo in eligible_sold_selections(ctx, kind):
                 cmp = audit_deviation_bound(ctx, u, kind, combo)
                 if not cmp.preconditions_met:
                     continue

@@ -168,7 +168,7 @@ def test_alpha_expression_rejects_garbage():
 
 def test_report_row_counts_trees():
     result = enumerate_cell(3, Fraction(7), DeviationClass.parse("exact"))
-    row = build_report_row(result, run_audits=False)
+    row = build_report_row(result)
     assert row.ne_count == row.tree_ne_count >= 1
     assert row.non_tree_ne_count == 0
     assert row.min_girth_among_ne == inf
@@ -183,7 +183,7 @@ def test_report_row_rejects_non_tree_above_2n():
         equilibria=((ring, verify_equilibrium(ring, DeviationClass.parse("single-add"))),),
     )
     with pytest.raises(TreeConjectureViolation):
-        build_report_row(fake, run_audits=False)
+        build_report_row(fake)
 
 
 def test_report_row_open_band_is_exploratory():
@@ -193,14 +193,14 @@ def test_report_row_open_band_is_exploratory():
         n=3, alpha=Fraction(4), profiles_scanned=1, connected_count=1,
         equilibria=((ring, verify_equilibrium(ring, DeviationClass.parse("single-add"))),),
     )
-    row = build_report_row(fake, run_audits=False)
+    row = build_report_row(fake)
     assert row.non_tree_ne_count == 1
     assert row.min_girth_among_ne == 3
 
 
 def test_csv_shape():
     result = enumerate_cell(3, Fraction(7), DeviationClass.parse("exact"))
-    text = rows_to_csv([build_report_row(result, run_audits=False)])
+    text = rows_to_csv([build_report_row(result)])
     lines = text.splitlines()
     assert lines[0].startswith("#")
     assert lines[1].split(",")[0] == "n"
@@ -331,6 +331,8 @@ def test_cli_unknown_flag_rejected(capsys):
         (["verify", "--input"], {"n": 3, "alpha": "-1", "edges": [{"buyer": 0, "other": 1}]}),
         (["audit", "--input"], {"n": 2, "alpha": "0", "edges": [{"buyer": 0, "other": 1}]}),
         (["dynamics", "--input"], {"n": 3, "alpha": "-1/2", "edges": []}),
+        (["enumerate", "--n", "0", "--alpha", "1"], None),
+        (["sweep", "--n", "-1", "--alpha", "7"], None),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):

@@ -3,7 +3,8 @@
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gadgets import (
     directed_ring,
@@ -15,11 +16,19 @@ from gadgets import (
     ring_with_pendant,
     star,
     two_triangles,
+    up_and_out_seller,
 )
-from strategies import connected_profiles
+from oracle import (
+    oracle_down_child,
+    oracle_is_low_level,
+    oracle_s_set_all_paths,
+    oracle_sellable_edges,
+)
+from strategies import connected_profiles, profiles, sparse_connected_profiles
 
 from ncg import (
     all_pairs_distances,
+    build_context,
     build_spt,
     choose_root,
     classify_x_sets,
@@ -29,7 +38,12 @@ from ncg import (
     global_girth,
     largest_biconnected_component,
 )
-from ncg.structure import all_simple_cycles, is_min_cycle, smallest_cycle_through_edge
+from ncg.structure import (
+    all_simple_cycles,
+    cycle_directed,
+    is_min_cycle,
+    smallest_cycle_through_edge,
+)
 
 
 def _decomp_and_dist(p):
@@ -217,8 +231,8 @@ def test_cycle_report_directed_five_ring():
     report = cycle_report(p, largest_biconnected_component(p))
     assert report.girth == 5
     assert all(len(c) == 5 for c in report.per_vertex_cycle.values())
-    assert all(report.per_vertex_directed.values())
-    assert all(report.per_edge_directed.values())
+    assert all(cycle_directed(p, c) for c in report.per_vertex_cycle.values())
+    assert all(cycle_directed(p, c) for c in report.per_edge_cycle.values())
 
 
 def test_cycle_report_flags_double_buyer():
@@ -226,7 +240,7 @@ def test_cycle_report_flags_double_buyer():
     p = profile(5, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     report = cycle_report(p, largest_biconnected_component(p))
     assert report.girth == 5
-    assert not any(report.per_vertex_directed.values())
+    assert not any(cycle_directed(p, c) for c in report.per_vertex_cycle.values())
 
 
 def test_global_girth_sees_smaller_far_component():
@@ -382,3 +396,34 @@ def test_all_paths_subset_of_some_path(p):
         strict = compute_s_set(p, dist, anchor, via, "all-paths").members
         loose = compute_s_set(p, dist, anchor, via, "some-path").members
         assert strict <= loose
+
+
+@given(st.one_of(profiles(max_n=8), sparse_connected_profiles(max_n=9)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_all_paths_s_set_matches_blocked_bfs_oracle(p, data):
+    dist = all_pairs_distances(p)
+    via = data.draw(st.integers(0, p.n - 1))
+    rest = [x for x in range(p.n) if x != via]
+    anchor = data.draw(st.frozensets(st.sampled_from(rest), min_size=1))
+    s = compute_s_set(p, dist, anchor, via, "all-paths")
+    assert s.members == oracle_s_set_all_paths(p, dist, anchor, via)
+
+
+@given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
+@example(figure_gadget())
+@example(up_and_out_seller())
+@settings(max_examples=60, deadline=None)
+def test_ladder_queries_match_oracle(p):
+    ctx = build_context(p)
+    for v in range(p.n):
+        for t in range(p.n):
+            if t != v:
+                assert ctx.spt.down_child(v, t) == oracle_down_child(ctx.spt, v, t)
+        for include_up in (False, True):
+            for cap in (1, 2):
+                for t in range(p.n):
+                    if t != v:
+                        want = oracle_is_low_level(ctx, v, t, include_up, cap)
+                        assert ctx.is_low_level(v, t, include_up, cap) == want
+                want = oracle_sellable_edges(ctx, v, include_up, cap)
+                assert ctx.sellable_edges(v, include_up, cap) == want
