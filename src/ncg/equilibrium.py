@@ -18,7 +18,15 @@ from itertools import chain, combinations, permutations, product
 from math import inf
 
 from .errors import BudgetExceededError
-from .game import BoughtEdge, StrategyProfile, adjacency_masks, bfs_distances, bfs_sum, is_connected
+from .game import (
+    BoughtEdge,
+    StrategyProfile,
+    adjacency_masks,
+    ball_levels,
+    bfs_distances,
+    bfs_sum,
+    is_connected,
+)
 from .structure import build_context
 
 KINDS = (
@@ -156,6 +164,9 @@ def _subset_masks(n: int, v: int):
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
+    This prices restricted classes and ``delta_cost``; exact scans use
+    ``_exact_sums``, which ``delta_cost`` then re-checks.
+
     The sum is None when v is cut off from some vertex.  Only row v is
     rewritten, to the edges others bought to v plus the mask: a BFS from v
     never follows an edge back into v, so the other rows may keep v's
@@ -167,6 +178,41 @@ def _distance_sums(profile: StrategyProfile, v: int, masks):
     for mask in masks:
         adj[v] = bought_to_v | mask
         yield mask, bfs_sum(adj, v, full)
+
+
+# Each list ``_exact_sums`` yields holds at most 2^12 unions, so an exact
+# scan keeps O(2^12) big ints alive at any n.
+_TABLE_BITS = 12
+
+
+def _exact_sums(profile: StrategyProfile, v: int):
+    """Yield v's distance sums over ``_subset_masks(n, v)`` as lists, in order.
+
+    With P[t] the ball levels of t in G - v and ``base`` those of the
+    vertices that bought an edge to v, target mask T puts u within distance
+    d + 1 of v iff u lies in block d of x = base | OR of P[t] over t in T.
+    So v's distance sum is (n-1)n - popcount(x), or None when the top block
+    misses a vertex, as ``_distance_sums`` gives.  Each list ORs one union
+    over the high-half targets into the doubling-built unions of the low half.
+    """
+    n = profile.n
+    adj = adjacency_masks(profile)
+    blocked = 1 << v
+    bought_to_v = _mask_from_set(e.buyer for e in profile.edges if e.other == v)
+    levels = [ball_levels(adj, 1 << t, blocked) for t in range(n) if t != v]
+    low, high = levels[:_TABLE_BITS], levels[_TABLE_BITS:]
+    table = [ball_levels(adj, bought_to_v, blocked)]
+    for lv in low:
+        table += [x | lv for x in table]
+    total = (n - 1) * n
+    # The top block never holds v, so x >= reached iff it holds every other vertex.
+    reached = (((1 << n) - 1) ^ blocked) << (max(n - 2, 0) * n)
+    for sub in range(1 << len(high)):
+        hx = 0
+        for i, lv in enumerate(high):
+            if sub >> i & 1:
+                hx |= lv
+        yield [total - y.bit_count() if (y := x | hx) >= reached else None for x in table]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +261,8 @@ def best_response_exact(
         )
     p, q = profile.alpha.numerator, profile.alpha.denominator
     best_key = best = None
-    for mask, dsum in _distance_sums(profile, v, _subset_masks(n, v)):
+    sums = chain.from_iterable(_exact_sums(profile, v))
+    for mask, dsum in zip(_subset_masks(n, v), sums):
         if dsum is None:
             continue
         size = mask.bit_count()
@@ -343,11 +390,18 @@ def verify_equilibrium(
     for v in range(profile.n):
         current = _mask_from_set(profile.targets_of(v))
         if exact:
-            candidates = _subset_masks(profile.n, v)
+            blocks = _exact_sums(profile, v)
+            head = next(blocks)
+            index = (current & ((1 << v) - 1)) | (current >> (v + 1) << v)
+            if index < len(head):
+                current_sum = head[index]
+            else:  # past the first 2^12 target sets: one BFS beats waiting for its list
+                [(_, current_sum)] = _distance_sums(profile, v, [current])
+            priced = zip(_subset_masks(profile.n, v), chain(head, chain.from_iterable(blocks)))
         else:
             candidates = map(_mask_from_set, _class_deviations(profile, v, dev_class, ctx))
-        priced = _distance_sums(profile, v, chain([current], candidates))
-        _, current_sum = next(priced)
+            priced = _distance_sums(profile, v, chain([current], candidates))
+            _, current_sum = next(priced)
         current_cost = p * current.bit_count() + q * current_sum
         for mask, dsum in priced:
             if mask == current:
@@ -504,11 +558,10 @@ def scan_graph_range(
     n: int,
     alpha: Fraction,
     dev_class: DeviationClass,
-    start: int,
-    stop: int,
+    graphs: range,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, list[tuple[int, VerificationReport]]]:
-    """Verify every profile whose underlying graph index lies in [start, stop).
+    """Verify every profile whose underlying graph index lies in ``graphs``.
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
     class ``greedy_owner_options`` drops ownerships that cannot be equilibria;
@@ -520,7 +573,7 @@ def scan_graph_range(
     pairs = pair_list(n)
     connected = 0
     found = []
-    for graph in range(start, stop):
+    for graph in graphs:
         ks = [k for k in range(len(pairs)) if graph >> k & 1]
         edges = [pairs[k] for k in ks]
         adj = [0] * n

@@ -183,6 +183,31 @@ def bfs_sum(adj: list[int], source: int, full: int) -> int | None:
     return total if seen == full else None
 
 
+def ball_levels(adj: list[int], sources: int, blocked: int) -> int:
+    """Bit-packed balls around the ``sources`` mask, ``blocked`` vertices deleted.
+
+    Bit block ``d`` (bits ``[d*n, (d+1)*n)``) is the set of vertices within
+    distance ``d`` of some source, for ``d = 0..n-2``; once the frontier
+    empties, the remaining blocks repeat the last ball.  The union of two
+    results is the result for the union of their sources.
+    """
+    n = len(adj)
+    ball = frontier = sources & ~blocked
+    levels = 0
+    for d in range(n - 1):
+        if d and frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                nxt |= adj[low.bit_length() - 1]
+                f ^= low
+            frontier = nxt & ~(ball | blocked)
+            ball |= frontier
+        levels |= ball << (d * n)
+    return levels
+
+
 def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
     """Exact distances on the underlying undirected graph, one BFS per source.
 

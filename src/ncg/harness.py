@@ -246,7 +246,7 @@ def enumerate_cell(
     and verifies the ownerships of each connected one; under the exact class
     the greedy add and sell tests, which no equilibrium fails, go first.
     ``profiles_scanned`` counts the profiles covered, 3^(n(n-1)/2), not those
-    verified.  Shards split the graph indices and equilibria are sorted by
+    verified.  Shards interleave the graph indices and equilibria are sorted by
     profile index, so parallel and serial runs produce identical output.
     ``jobs`` is capped by ``worker_count``; cells below ``pool_threshold``
     profiles stay serial.
@@ -259,16 +259,16 @@ def enumerate_cell(
     total = 3 ** (n * (n - 1) // 2)
     graphs = 1 << (n * (n - 1) // 2)
     if jobs == 1 or total < pool_threshold:
-        connected, found = scan_graph_range(n, alpha, dev_class, 0, graphs, budget)
+        connected, found = scan_graph_range(n, alpha, dev_class, range(graphs), budget)
     else:
+        # Dense graphs, with the most ownerships to verify, sit at high
+        # indices, so shards interleave indices rather than cut contiguous runs.
         shard_count = jobs * 4
-        step = (graphs + shard_count - 1) // shard_count
-        starts = range(0, graphs, step)
-        stops = [min(lo + step, graphs) for lo in starts]
+        shards = [range(i, graphs, shard_count) for i in range(shard_count)]
         connected = 0
         found = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = (repeat(n), repeat(alpha), repeat(dev_class), starts, stops, repeat(budget))
+            args = (repeat(n), repeat(alpha), repeat(dev_class), shards, repeat(budget))
             for shard_connected, shard_found in pool.map(scan_graph_range, *args):
                 connected += shard_connected
                 found.extend(shard_found)

@@ -12,6 +12,7 @@ smallest cycles through vertices and edges, and shortest-path funnels
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import inf
 
@@ -526,7 +527,7 @@ def compute_s_set(
         # The shortest routes to the nearest anchor vertices are exactly the
         # walks that step one nearer to the anchor each time, so x funnels iff
         # every neighbour one step nearer is via or funnels itself.
-        near = [min(dist[x][w] for w in anchor) for x in range(n)]
+        near = list(map(min, zip(*(dist[w] for w in anchor))))  # dist is symmetric
         adj = profile.adjacency()
         for x in sorted(range(n), key=near.__getitem__):
             if x != via and 0 < near[x] < inf and all(
@@ -573,8 +574,13 @@ class StrategyContext:
         """The paper's regime: a cyclic core, alpha > 2n and girth at least 7."""
         return self.has_cyclic_h and self.alpha > 2 * self.n and self.girth >= 7
 
+    @cached_property
+    def connections(self) -> tuple[int | float, ...]:
+        """Every vertex's connection cost, summed once per context."""
+        return tuple(connection_cost(self.dist, v) for v in range(self.n))
+
     def connection(self, v: int) -> int | float:
-        return connection_cost(self.dist, v)
+        return self.connections[v]
 
     def x_level(self, edge: Edge) -> int | None:
         cls = self.x_classes.get(_as_edge(*edge))

@@ -39,3 +39,11 @@ def sparse_connected_profiles(draw, min_n=2, max_n=8):
     edges = [BoughtEdge(u, v) if draw(st.booleans()) else BoughtEdge(v, u) for u, v in sorted(pairs)]
     alpha = Fraction(draw(st.integers(1, 120)), draw(st.integers(1, 4)))
     return StrategyProfile(n, alpha, tuple(edges))
+
+
+@st.composite
+def doubled_profiles(draw, min_n=1, max_n=9):
+    """``profiles`` in which some edges are also bought by their other endpoint."""
+    p = draw(profiles(min_n=min_n, max_n=max_n))
+    back = [BoughtEdge(e.other, e.buyer) for e in p.edges if draw(st.booleans())]
+    return StrategyProfile(p.n, p.alpha, p.edges + tuple(back))

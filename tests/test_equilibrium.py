@@ -20,7 +20,7 @@ from gadgets import (
     two_triangles,
 )
 from oracle import oracle_cell, oracle_verify
-from strategies import connected_profiles, profiles, sparse_connected_profiles
+from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
 
 from ncg import (
     BudgetExceededError,
@@ -34,7 +34,7 @@ from ncg import (
     random_profile,
     verify_equilibrium,
 )
-from ncg.equilibrium import greedy_owner_options
+from ncg.equilibrium import _distance_sums, _exact_sums, _subset_masks, greedy_owner_options
 from ncg.game import StrategyProfile, adjacency_masks
 from ncg.harness import enumerate_cell
 
@@ -187,6 +187,39 @@ def test_witness_recheck_raises(monkeypatch):
     for spec in ("exact", "single-delete"):
         with pytest.raises(AssertionError, match="witness"):
             verify_equilibrium(directed_ring(3, 5), DeviationClass.parse(spec))
+
+
+def _bfs_sums(p, v):
+    return [s for _, s in _distance_sums(p, v, _subset_masks(p.n, v))]
+
+
+@example(profile(4, 1, [(0, 1), (1, 0), (2, 0)]))  # 0-1 bought twice, 3 isolated
+@example(profile(1, 1, []))
+@given(st.one_of(doubled_profiles(max_n=9), sparse_connected_profiles(max_n=9)))
+@settings(max_examples=60, deadline=None)
+def test_exact_sums_match_bfs_pricing(p):
+    for v in range(p.n):
+        assert [s for block in _exact_sums(p, v) for s in block] == _bfs_sums(p, v)
+
+
+@pytest.mark.parametrize("n, connected", [(14, True), (14, False), (15, True)])
+def test_exact_sums_cross_the_table_block_boundary(n, connected):
+    p = random_profile(n, 0.25 if connected else 0.1, seed=4, alpha=3, require_connected=connected)
+    assert is_connected(p) == connected
+    for v in (0, 6, n - 1):
+        blocks = list(_exact_sums(p, v))
+        assert [len(block) for block in blocks] == [1 << 12] * (1 << (n - 13))
+        assert [s for block in blocks for s in block] == _bfs_sums(p, v)
+
+
+def test_exact_verification_prices_current_strategy_past_the_first_table():
+    # Each leaf buys its edge to centre 13, target-set index 2^12 for every leaf.
+    leaves_buy = [(v, 13) for v in range(13)]
+    report = verify_equilibrium(profile(14, 2, leaves_buy))
+    assert report.is_equilibrium
+    assert report.deviations_checked == 14 * ((1 << 13) - 1)
+    cheap = profile(14, Fraction(1, 2), leaves_buy)
+    assert verify_equilibrium(cheap) == oracle_verify(cheap, EXACT)
 
 
 def test_verify_budget_error():

@@ -5,6 +5,7 @@ from math import inf
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadgets import oracle_connection, oracle_distances, path3, profile, star
 from strategies import connected_profiles, profiles
@@ -17,7 +18,7 @@ from ncg import (
     is_connected,
     vertex_cost,
 )
-from ncg.game import adjacency_masks, bfs_distances
+from ncg.game import adjacency_masks, ball_levels, bfs_distances
 
 
 def assert_metric(d):
@@ -129,6 +130,22 @@ def test_bfs_distances_with_blocked_vertex_match_oracle(p):
         for s in range(p.n):
             if s != x:
                 assert bfs_distances(adj, s, blocked=1 << x) == expected[s]
+
+
+@given(profiles(min_n=1, max_n=8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ball_levels_match_bfs_distances(p, data):
+    n = p.n
+    sources = data.draw(st.integers(0, (1 << n) - 1), label="sources")
+    blocked = data.draw(st.integers(0, (1 << n) - 1), label="blocked")
+    adj = adjacency_masks(p)
+    rows = [bfs_distances(adj, s, blocked) for s in range(n) if sources >> s & 1]
+    near = [min((row[u] for row in rows), default=inf) for u in range(n)]
+    levels = ball_levels(adj, sources, blocked)
+    assert levels >> (n * max(n - 1, 0)) == 0
+    for d in range(n - 1):
+        ball = sum(1 << u for u in range(n) if near[u] <= d)
+        assert levels >> (d * n) & ((1 << n) - 1) == ball
 
 
 @given(profiles(max_n=8).filter(lambda p: len(p.edges) > 0))

@@ -10,6 +10,7 @@ from gadgets import (
     directed_ring,
     figure_gadget,
     oracle_distances,
+    oracle_connection,
     oracle_is_two_connected,
     path3,
     profile,
@@ -427,3 +428,13 @@ def test_ladder_queries_match_oracle(p):
                         assert ctx.is_low_level(v, t, include_up, cap) == want
                 want = oracle_sellable_edges(ctx, v, include_up, cap)
                 assert ctx.sellable_edges(v, include_up, cap) == want
+
+
+@given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
+@settings(max_examples=40, deadline=None)
+def test_context_connections_match_oracle(p):
+    ctx = build_context(p)
+    costs = [oracle_connection(p, v) for v in range(p.n)]
+    assert [ctx.connection(v) for v in range(p.n)] == costs
+    if ctx.has_cyclic_h:
+        assert ctx.root == min(ctx.h_vertices, key=lambda v: (costs[v], v))
