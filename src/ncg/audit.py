@@ -22,7 +22,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import BudgetExceededError
-from .equilibrium import VerificationReport, delta_cost, profile_hash
+from .equilibrium import VerificationReport, delta_cost
 from .game import BoughtEdge, StrategyProfile, adjacency_masks, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
@@ -200,7 +200,7 @@ def audit_deviation_bound(
     exact = delta_cost(ctx.profile, u, new_targets)
 
     if ne_certificate is not None and ne_certificate.is_equilibrium:
-        if ne_certificate.profile_hash != profile_hash(ctx.profile):
+        if ne_certificate.profile_hash != ctx.profile_hash:
             notes.append("certificate hash mismatch; ignored")
         elif not (exact == inf or exact >= 0):
             notes.append("certified equilibrium admits an improving rewrite")
@@ -237,7 +237,7 @@ def _certified(ne_certificate: VerificationReport | None, ctx: StrategyContext) 
     return (
         ne_certificate is not None
         and ne_certificate.is_equilibrium
-        and ne_certificate.profile_hash == profile_hash(ctx.profile)
+        and ne_certificate.profile_hash == ctx.profile_hash
     )
 
 

@@ -10,11 +10,10 @@ is exact.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product, repeat
 from math import inf
 
 from .errors import BudgetExceededError
@@ -23,9 +22,9 @@ from .game import (
     StrategyProfile,
     adjacency_masks,
     ball_levels,
-    bfs_distances,
     bfs_sum,
     is_connected,
+    profile_hash,
 )
 from .structure import build_context
 
@@ -122,14 +121,6 @@ class DynamicsTrace:
     final_profile: StrategyProfile
 
 
-def profile_hash(profile: StrategyProfile) -> str:
-    """Stable digest of (n, alpha, sorted bought edges)."""
-    payload = f"{profile.n};{profile.alpha};" + ";".join(
-        f"{e.buyer},{e.other}" for e in sorted(profile.edges)
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # bitmask internals
 
@@ -157,8 +148,17 @@ def _subset_masks(n: int, v: int):
     keep their bit and the rest move up one.  This order fixes every exact
     witness and ``deviations_checked``.
     """
-    low = (1 << v) - 1
-    return ((sub & low) | (sub >> v << (v + 1)) for sub in range(1 << (n - 1)))
+    return map(_subset_mask, range(1 << (n - 1)), repeat(v))
+
+
+def _subset_mask(index: int, v: int) -> int:
+    """The target mask at position ``index`` of v's subset-index order."""
+    return (index & ((1 << v) - 1)) | (index >> v << (v + 1))
+
+
+def _subset_index(mask: int, v: int) -> int:
+    """Position of target mask ``mask`` in v's subset-index order."""
+    return (mask & ((1 << v) - 1)) | (mask >> (v + 1) << v)
 
 
 def _distance_sums(profile: StrategyProfile, v: int, masks):
@@ -188,20 +188,28 @@ _TABLE_BITS = 12
 def _exact_sums(profile: StrategyProfile, v: int):
     """Yield v's distance sums over ``_subset_masks(n, v)`` as lists, in order.
 
-    With P[t] the ball levels of t in G - v and ``base`` those of the
-    vertices that bought an edge to v, target mask T puts u within distance
-    d + 1 of v iff u lies in block d of x = base | OR of P[t] over t in T.
-    So v's distance sum is (n-1)n - popcount(x), or None when the top block
-    misses a vertex, as ``_distance_sums`` gives.  Each list ORs one union
-    over the high-half targets into the doubling-built unions of the low half.
+    Row v is the edges others bought to v plus each target mask, as
+    ``_distance_sums`` prices it.
     """
-    n = profile.n
-    adj = adjacency_masks(profile)
-    blocked = 1 << v
     bought_to_v = _mask_from_set(e.buyer for e in profile.edges if e.other == v)
+    return _row_sums(adjacency_masks(profile), v, bought_to_v)
+
+
+def _row_sums(adj: list[int], v: int, base: int):
+    """Yield v's distance sums when row v is ``base`` plus each target mask.
+
+    Masks come in ``_subset_masks`` order, as lists.  With P[t] the ball
+    levels of t in G - v, target mask T puts u within distance d + 1 of v iff
+    u lies in block d of x = P[base] | OR of P[t] over t in T.  So v's
+    distance sum is (n-1)n - popcount(x), or None when the top block misses a
+    vertex.  Each list ORs one union over the high-half targets into the
+    doubling-built unions of the low half.
+    """
+    n = len(adj)
+    blocked = 1 << v
     levels = [ball_levels(adj, 1 << t, blocked) for t in range(n) if t != v]
     low, high = levels[:_TABLE_BITS], levels[_TABLE_BITS:]
-    table = [ball_levels(adj, bought_to_v, blocked)]
+    table = [ball_levels(adj, base, blocked)]
     for lv in low:
         table += [x | lv for x in table]
     total = (n - 1) * n
@@ -260,19 +268,29 @@ def best_response_exact(
             required=required,
         )
     p, q = profile.alpha.numerator, profile.alpha.denominator
+    # Integer key (p*size + q*dsum)*n + size orders by cost, then size (< n).
+    weight, scale = p * n + 1, q * n
     best_key = best = None
-    sums = chain.from_iterable(_exact_sums(profile, v))
-    for mask, dsum in zip(_subset_masks(n, v), sums):
-        if dsum is None:
+    for block, sums in enumerate(_exact_sums(profile, v)):
+        if block == 0:
+            weights = [weight * i.bit_count() for i in range(len(sums))]
+        keys = [scale * d + w if d is not None else inf for d, w in zip(sums, weights)]
+        low = min(keys)
+        key = low + weight * block.bit_count()
+        if key == inf or (best_key is not None and key > best_key):
             continue
-        size = mask.bit_count()
-        key = (p * size + q * dsum, size)
-        # Of two sets of one size, the one holding the lowest vertex of their
-        # symmetric difference has the smaller sorted tuple.
-        if best_key is None or key < best_key or (
-            key == best_key and mask & (diff := mask ^ best) & -diff
-        ):
-            best_key, best = key, mask
+        first = block * len(sums)
+        i = keys.index(low)
+        while True:
+            mask = _subset_mask(first + i, v)
+            # Of two sets of one size, the one holding the lowest vertex of
+            # their symmetric difference has the smaller sorted tuple.
+            if best_key is None or key < best_key or mask & (diff := mask ^ best) & -diff:
+                best_key, best = key, mask
+            try:
+                i = keys.index(low, i + 1)
+            except ValueError:
+                break
 
     # Buying an edge to everyone reaches every vertex, so best is never None.
     best_set = _set_from_mask(best)
@@ -392,7 +410,7 @@ def verify_equilibrium(
         if exact:
             blocks = _exact_sums(profile, v)
             head = next(blocks)
-            index = (current & ((1 << v) - 1)) | (current >> (v + 1) << v)
+            index = _subset_index(current, v)
             if index < len(head):
                 current_sum = head[index]
             else:  # past the first 2^12 target sets: one BFS beats waiting for its list
@@ -518,40 +536,117 @@ def profile_from_index(n: int, alpha: Fraction, index: int) -> StrategyProfile:
     return StrategyProfile(n, alpha, tuple(edges))
 
 
-def greedy_owner_options(
+def _greedy_tables(
     adj: list[int], edges: list[tuple[int, int]], alpha: Fraction
-) -> list[tuple[int, ...]] | None:
-    """Owner trits of each edge ``(a, b)``, ``a < b``, that pass the greedy tests.
+) -> tuple[list[list[int | None]], list[tuple[int, ...]]] | None:
+    """Per-vertex cost tables of a connected graph, and its greedy owner trits.
 
-    ``adj`` is a connected graph.  Trit 1 means ``a`` buys, 2 means ``b``
-    buys.  An owner is kept when selling the edge raises its distance sum by
-    at least alpha, or when the edge is a bridge.  Returns None when some
-    vertex strictly gains by buying one more edge, or when some edge keeps no
-    owner.  Distances do not depend on ownership, so every Nash equilibrium
-    on this graph survives: the tests are its single-add and single-delete
-    deviations.
+    Table v holds q*f_v(S) + p*|S| for every row S of v in subset-index
+    order, where alpha = p/q and f_v(S) is v's distance sum when its
+    neighbours are exactly S (None when S cuts v off).  Owner trit 1 of edge
+    ``(a, b)``, ``a < b``, means ``a`` buys, 2 that ``b`` buys; an owner is
+    kept when selling the edge does not lower its table entry.  Returns None
+    when some vertex strictly gains by buying one more edge, or when some
+    edge keeps no owner.  Distances do not depend on ownership, so every Nash
+    equilibrium on this graph survives: these are its single-add and
+    single-delete deviations, one table lookup each.
     """
     n = len(adj)
-    full = (1 << n) - 1
     p, q = alpha.numerator, alpha.denominator
-    dist = [bfs_distances(adj, s) for s in range(n)]
-    for v, w in permutations(range(n), 2):
-        gain = sum(max(0, x - 1 - y) for x, y in zip(dist[v], dist[w]))
-        if q * gain > p and not adj[v] >> w & 1:
-            return None
-    options = []
-    for a, b in edges:
-        cut = list(adj)
-        cut[a] ^= 1 << b
-        cut[b] ^= 1 << a
-        owners = tuple(
-            trit for trit, x in ((1, a), (2, b))
-            if (after := bfs_sum(cut, x, full)) is None or q * (after - sum(dist[x])) >= p
-        )
-        if not owners:
-            return None
-        options.append(owners)
-    return options
+    weights = [0]
+    for _ in range(n - 1):
+        weights += [w + p for w in weights]
+    everyone = len(weights) - 1
+    rows = [_subset_index(adj[v], v) for v in range(n)]
+    tables = []
+    options = [()] * len(edges)
+    for v in range(n):
+        sums = chain.from_iterable(_row_sums(adj, v, 0))
+        tables.append(h := [q * d + w if d is not None else None for d, w in zip(sums, weights)])
+        now = h[rows[v]]
+        missing = everyone ^ rows[v]
+        while missing:
+            bit = missing & -missing
+            if h[rows[v] | bit] < now:
+                return None
+            missing ^= bit
+        # Edges to lower vertices now have both tables, so a graph that an
+        # unowned edge rules out stops before building the rest.
+        for i, (a, b) in enumerate(edges):
+            if b != v:
+                continue
+            options[i] = tuple(
+                trit for trit, x, y in ((1, a, b), (2, b, a))
+                if (sold := tables[x][rows[x] ^ _subset_index(1 << y, x)]) is None
+                or sold >= tables[x][rows[x]]
+            )
+            if not options[i]:
+                return None
+    return tables, options
+
+
+def _superset_min(table: list[int | None]) -> list[int | float]:
+    """g[I] = min of ``table`` over every index S that contains I; None is inf."""
+    g = [inf if h is None else h for h in table]
+    half = 1
+    while half < len(g):
+        for lo in range(0, len(g), 2 * half):
+            mid, hi = lo + half, lo + 2 * half
+            g[lo:mid] = map(min, g[lo:mid], g[mid:hi])
+        half *= 2
+    return g
+
+
+def _table_equilibria(
+    adj: list[int], edges: list[tuple[int, int]], alpha: Fraction
+) -> list[tuple[int, ...]]:
+    """Owner trits of every exact Nash equilibrium on connected graph ``adj``.
+
+    Trits are those of ``_greedy_tables``, one per edge.  Whatever vertex v
+    deviates to, it keeps the edges others bought to it, I_v, and pays for
+    the rest of its row.  So v is stable iff no row S containing I_v has a
+    smaller table entry h_v[S] than its own row N(v): g_v[I_v] >= h_v[N(v)],
+    with g_v the ``_superset_min`` of its table, an exact integer comparison.
+    Ownerships are walked in ``product`` order over the greedy owner trits,
+    and a branch is cut once a vertex whose edges are all owned is unstable.
+    """
+    greedy = _greedy_tables(adj, edges, alpha)
+    if greedy is None:
+        return []
+    tables, options = greedy
+    now = [h[_subset_index(adj[v], v)] for v, h in enumerate(tables)]
+    best = [_superset_min(h) for h in tables]
+    # Every vertex of a connected graph on n >= 2 vertices has an edge, and
+    # the lone vertex at n = 1 has nothing to buy, so checking each vertex
+    # at its last edge checks them all.
+    last = {}
+    for i, (a, b) in enumerate(edges):
+        last[a] = last[b] = i
+    settled = [[v for v, i in last.items() if i == k] for k in range(len(edges))]
+    # Trit 1: a buys, so the edge is in I_b; trit 2: b buys, so it is in I_a.
+    moves = [
+        [(trit, b, _subset_index(1 << a, b)) if trit == 1 else (trit, a, _subset_index(1 << b, a))
+         for trit in owners]
+        for (a, b), owners in zip(edges, options)
+    ]
+    kept = [0] * len(adj)
+    owners = []
+    found = []
+
+    def walk(i: int) -> None:
+        if i == len(edges):
+            found.append(tuple(owners))
+            return
+        for trit, x, bit in moves[i]:
+            kept[x] |= bit
+            if all(best[u][kept[u]] >= now[u] for u in settled[i]):
+                owners.append(trit)
+                walk(i + 1)
+                owners.pop()
+            kept[x] ^= bit
+
+    walk(0)
+    return found
 
 
 def scan_graph_range(
@@ -561,15 +656,25 @@ def scan_graph_range(
     graphs: range,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, list[tuple[int, VerificationReport]]]:
-    """Verify every profile whose underlying graph index lies in ``graphs``.
+    """Decide every profile whose underlying graph index lies in ``graphs``.
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
-    class ``greedy_owner_options`` drops ownerships that cannot be equilibria;
-    restricted classes may lack single adds and sells, so they verify every
-    ownership.  Returns (connected-profile count, [(profile index, report)]
-    for equilibria found); a pure function of its inputs.
+    class each connected graph is decided from per-vertex cost tables
+    (``_table_equilibria``): the greedy add and sell tests are table lookups,
+    and one superset-min pass per vertex gives every ownership's verdict, so
+    only equilibria are decoded, each with the report ``verify_equilibrium``
+    gives it.  Restricted classes may lack single adds and sells and the
+    tables prove only exact stability, so they verify every ownership.
+    Returns (connected-profile count, [(profile index, report)] for
+    equilibria found); a pure function of its inputs.
     """
     exact = dev_class.kind == "exact-all-subsets"
+    checks = n * ((1 << (n - 1)) - 1)
+    if exact and checks > budget:
+        raise BudgetExceededError(
+            f"exact verification needs {checks} deviation checks (budget {budget})",
+            required=checks,
+        )
     pairs = pair_list(n)
     connected = 0
     found = []
@@ -583,12 +688,18 @@ def scan_graph_range(
         if bfs_sum(adj, 0, (1 << n) - 1) is None:
             continue
         connected += 1 << len(edges)
-        options = greedy_owner_options(adj, edges, alpha) if exact else [(1, 2)] * len(edges)
-        if options is None:
-            continue
-        for owners in product(*options):
+        if exact:
+            ownerships = _table_equilibria(adj, edges, alpha)
+        else:
+            ownerships = product((1, 2), repeat=len(edges))
+        for owners in ownerships:
             index = sum(trit * 3**k for trit, k in zip(owners, ks))
-            report = verify_equilibrium(profile_from_index(n, alpha, index), dev_class, budget)
+            profile = profile_from_index(n, alpha, index)
+            if exact:
+                digest = profile_hash(profile)
+                report = VerificationReport(digest, dev_class.spec(), True, None, checks)
+            else:
+                report = verify_equilibrium(profile, dev_class, budget)
             if report.is_equilibrium:
                 found.append((index, report))
     return connected, found

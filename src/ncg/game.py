@@ -12,6 +12,7 @@ ever enters comparisons, never finite arithmetic).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -100,6 +101,14 @@ class StrategyProfile:
         kept = [e for e in self.edges if e.buyer != v]
         kept.extend(BoughtEdge(v, u) for u in sorted(targets))
         return StrategyProfile(self.n, self.alpha, tuple(kept))
+
+
+def profile_hash(profile: StrategyProfile) -> str:
+    """Stable digest of (n, alpha, sorted bought edges)."""
+    payload = f"{profile.n};{profile.alpha};" + ";".join(
+        f"{e.buyer},{e.other}" for e in sorted(profile.edges)
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -243,8 +243,9 @@ def enumerate_cell(
     """Exhaustively scan one (n, alpha) cell, optionally sharded over workers.
 
     The scan walks the 2^(n(n-1)/2) underlying graphs (``scan_graph_range``)
-    and verifies the ownerships of each connected one; under the exact class
-    the greedy add and sell tests, which no equilibrium fails, go first.
+    and decides the ownerships of each connected one.  Under the exact class
+    per-vertex cost tables answer the greedy add and sell tests and every
+    ownership's verdict; restricted classes verify each ownership.
     ``profiles_scanned`` counts the profiles covered, 3^(n(n-1)/2), not those
     verified.  Shards interleave the graph indices and equilibria are sorted by
     profile index, so parallel and serial runs produce identical output.

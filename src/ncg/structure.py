@@ -25,6 +25,7 @@ from .game import (
     bfs_distances,
     connection_cost,
     is_connected,
+    profile_hash,
 )
 
 Edge = tuple[int, int]  # always stored as (low, high)
@@ -581,6 +582,11 @@ class StrategyContext:
 
     def connection(self, v: int) -> int | float:
         return self.connections[v]
+
+    @cached_property
+    def profile_hash(self) -> str:
+        """``profile_hash(profile)``, hashed once per context."""
+        return profile_hash(self.profile)
 
     def x_level(self, edge: Edge) -> int | None:
         cls = self.x_classes.get(_as_edge(*edge))

@@ -1,7 +1,7 @@
 """Deviations, exact verification, dynamics, enumeration."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
 
 import pytest
@@ -34,8 +34,15 @@ from ncg import (
     random_profile,
     verify_equilibrium,
 )
-from ncg.equilibrium import _distance_sums, _exact_sums, _subset_masks, greedy_owner_options
-from ncg.game import StrategyProfile, adjacency_masks
+from ncg.equilibrium import (
+    _distance_sums,
+    _exact_sums,
+    _greedy_tables,
+    _subset_masks,
+    _table_equilibria,
+    pair_list,
+)
+from ncg.game import BoughtEdge, StrategyProfile, adjacency_masks
 from ncg.harness import enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
@@ -381,7 +388,26 @@ def test_graph_first_scan_matches_index_oracle(spec):
 
 
 def test_graph_first_scan_matches_index_oracle_n5():
-    assert enumerate_cell(5, Fraction(3), EXACT) == oracle_cell(5, Fraction(3), EXACT)
+    for alpha in (Fraction(2), Fraction(3), Fraction(11)):
+        assert enumerate_cell(5, alpha, EXACT) == oracle_cell(5, alpha, EXACT), alpha
+
+
+def test_exact_scan_never_verifies(monkeypatch):
+    expected = oracle_cell(4, Fraction(2), EXACT)
+
+    def refuse(*args):
+        raise AssertionError("the exact scan verified an ownership")
+
+    monkeypatch.setattr("ncg.equilibrium.verify_equilibrium", refuse)
+    assert enumerate_cell(4, Fraction(2), EXACT) == expected
+
+
+def test_labelled_n6_cell_counts():
+    # the counts the index oracle gave for this cell
+    result = enumerate_cell(6, Fraction(13), EXACT, cap=6)
+    assert result.connected_count == 13_982_208
+    assert len(result.equilibria) == 5532
+    assert all(len(p.undirected_edges()) == 5 for p, _ in result.equilibria)
 
 
 def test_exact_enumeration_respects_budget():
@@ -405,11 +431,38 @@ def test_greedy_filter_is_exactly_single_add_and_delete(p, num, den):
     # exactly when a single add or a single sale strictly improves.
     p = StrategyProfile(p.n, Fraction(num, den), p.edges)
     edges = list(p.undirected_edges())
-    options = greedy_owner_options(adjacency_masks(p), edges, p.alpha)
+    greedy = _greedy_tables(adjacency_masks(p), edges, p.alpha)
+    options = None if greedy is None else greedy[1]
     buyer_trits = [1 if p.buys(a, b) else 2 for a, b in edges]
     filtered = options is None or any(t not in kept for t, kept in zip(buyer_trits, options))
     report = verify_equilibrium(p, DeviationClass.parse("single-add,single-delete"))
     assert filtered == (report.witness is not None)
+
+
+# At alpha 1 every ownership of K5 ties its sales and is an equilibrium; the
+# 5-cycle at alpha 3 and two triangles at alpha 1 mix equilibria with others.
+@example(profile(5, 1, pair_list(5)), 1, 1)
+@example(directed_ring(5, 3), 3, 1)
+@example(two_triangles(1), 1, 1)
+@given(
+    st.one_of(connected_profiles(min_n=2, max_n=7), sparse_connected_profiles(max_n=7)),
+    st.integers(1, 40),
+    st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_verdict_matches_exact_verification(p, num, den):
+    # Every ownership of the first ten edges, the rest owned as drawn: at most
+    # 2^10 profiles on one graph, each decided by the tables and re-verified.
+    alpha = Fraction(num, den)
+    edges = list(p.undirected_edges())
+    tabled = set(_table_equilibria(adjacency_masks(p), edges, alpha))
+    drawn = tuple(1 if p.buys(a, b) else 2 for a, b in edges)
+    free = min(len(edges), 10)
+    for head in product((1, 2), repeat=free):
+        owners = head + drawn[free:]
+        bought = [BoughtEdge(*e) if t == 1 else BoughtEdge(*e[::-1]) for t, e in zip(owners, edges)]
+        profile = StrategyProfile(p.n, alpha, tuple(bought))
+        assert (owners in tabled) == verify_equilibrium(profile).is_equilibrium, owners
 
 
 # ---------------------------------------------------------------------------
