@@ -23,7 +23,7 @@ from math import inf
 
 from .errors import BudgetExceededError
 from .equilibrium import VerificationReport, delta_cost
-from .game import BoughtEdge, StrategyProfile, adjacency_masks, bfs_distances, bfs_sum
+from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
     Edge,
@@ -71,17 +71,15 @@ def strategy1_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) 
 
     sold is a list of (edge, level) pairs; levels must come in as the
     minimal class levels (the nested classes make the minimal level the
-    tightest valid choice).
+    tightest valid choice).  Each bound sums its integer terms first and
+    subtracts its multiple of alpha once, so the value is an exact Fraction.
     """
     d = ctx.spt.depth[u]
     path = ctx.spt.path_to_root(u)
-    j = len(sold)
-    value = Fraction(d * ctx.n)
-    value -= 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(d))
-    value -= j * ctx.alpha
+    value = d * ctx.n - 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(d))
     for edge, level in sold:
         value += (2 * level + 2 * d) * edge_subtree_size(ctx.spt, *edge)
-    return value
+    return value - len(sold) * ctx.alpha
 
 
 def strategy2_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
@@ -92,15 +90,13 @@ def strategy2_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) 
     """
     d = ctx.spt.depth[u]
     path = ctx.spt.path_to_root(u)
-    j = len(sold)
-    value = Fraction(ctx.n)
+    value = ctx.n
     if d % 2 == 0 and d // 2 < len(path):
         value -= ctx.spt.subtree_size[path[d // 2]]
     value -= 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(len(path)) if 2 * l < d)
-    value -= (j - 1) * ctx.alpha
     for edge, level in sold:
         value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
-    return value
+    return value - (len(sold) - 1) * ctx.alpha
 
 
 def strategy3_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
@@ -110,13 +106,10 @@ def strategy3_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) 
     Up-edges carry no subtree, so their level never affects the value.
     """
     d = ctx.spt.depth[u]
-    j = len(sold)
-    value = Fraction(ctx.n)
-    value -= (j - 1) * ctx.alpha
-    value -= (d + 1) * ctx.spt.subtree_size[u]
+    value = ctx.n - (d + 1) * ctx.spt.subtree_size[u]
     for edge, level in sold:
         value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
-    return value
+    return value - (len(sold) - 1) * ctx.alpha
 
 
 _BOUND_FNS = {
@@ -191,8 +184,7 @@ def audit_deviation_bound(
 
     bound = _BOUND_FNS[strategy_kind](ctx, u, sold)
 
-    current = ctx.profile.targets_of(u)
-    new_targets = current - {t for t in sold_targets}
+    new_targets = frozenset(ctx.targets[u]).difference(sold_targets)
     if buys_root and u != ctx.root:
         new_targets = new_targets | {ctx.root}
     elif buys_root:
@@ -263,9 +255,8 @@ def audit_structural(
         witness = None
         if not holds:
             # girth may be realised outside H; scan every edge for a witness
-            adj = adjacency_masks(ctx.profile)
             for a, b in ctx.profile.undirected_edges():
-                cyc = smallest_cycle_through_edge(ctx.profile, a, b, adj)
+                cyc = smallest_cycle_through_edge(ctx.profile, a, b, ctx.adj)
                 if cyc is not None and len(cyc) == ctx.girth:
                     witness = cyc
                     break
@@ -450,18 +441,15 @@ def _audit_deg2(ctx, informational) -> AuditFinding:
     for v in sorted(ctx.h_vertices):
         if ctx.deg_h(v) != 2:
             continue
-        neighbours = sorted(
-            (e[0] if e[1] == v else e[1]) for e in ctx.h_edges if v in e
-        )
-        for u, w in ((neighbours[0], neighbours[1]), (neighbours[1], neighbours[0])):
+        a, b = ctx.h_neighbours[v]
+        funnel = None  # v's S-sets do not depend on the path through v
+        for u, w in ((a, b), (b, a)):
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
-            funnel = compute_s_set(
-                ctx.profile, ctx.dist, ctx.h_vertices - {v}, v, "all-paths"
-            )
-            some = compute_s_set(
-                ctx.profile, ctx.dist, ctx.h_vertices - {v}, v, "some-path"
-            )
+            if funnel is None:
+                anchor = ctx.h_vertices - {v}
+                funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths")
+                some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
             row = {
                 "path": (u, v, w),
                 "funnel_size": len(funnel.members),
@@ -498,7 +486,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
     subtree = _edge_subtree_vertices(ctx, edge)
     margins = {}
     holds = True
-    detour = bfs_distances(adjacency_masks(ctx.profile), ctx.root, blocked=1 << u)
+    detour = bfs_distances(ctx.adj, ctx.root, blocked=1 << u)
     for w in sorted(subtree):
         allowed = ctx.spt.depth[w] + 2 * level
         actual = detour[w]

@@ -20,7 +20,6 @@ from .errors import BudgetExceededError
 from .game import (
     BoughtEdge,
     StrategyProfile,
-    adjacency_masks,
     ball_levels,
     bfs_sum,
     is_connected,
@@ -161,19 +160,34 @@ def _subset_index(mask: int, v: int) -> int:
     return (mask & ((1 << v) - 1)) | (mask >> (v + 1) << v)
 
 
+def _vertex_rows(profile: StrategyProfile, v: int) -> tuple[list[int], int, int]:
+    """Adjacency masks, the mask of vertices that bought an edge to ``v`` and
+    the mask of v's own targets, from one pass over the edges."""
+    adj = [0] * profile.n
+    bought_to_v = bought_by_v = 0
+    for e in profile.edges:
+        a, b = e.buyer, e.other
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        if b == v:
+            bought_to_v |= 1 << a
+        elif a == v:
+            bought_by_v |= 1 << b
+    return adj, bought_to_v, bought_by_v
+
+
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
-    This prices restricted classes and ``delta_cost``; exact scans use
-    ``_exact_sums``, which ``delta_cost`` then re-checks.
+    This prices restricted classes; exact scans use ``_exact_sums``, and
+    ``delta_cost`` re-checks both with two BFS of its own.
 
     The sum is None when v is cut off from some vertex.  Only row v is
     rewritten, to the edges others bought to v plus the mask: a BFS from v
     never follows an edge back into v, so the other rows may keep v's
     current purchases.
     """
-    adj = adjacency_masks(profile)
-    bought_to_v = _mask_from_set(e.buyer for e in profile.edges if e.other == v)
+    adj, bought_to_v, _ = _vertex_rows(profile, v)
     full = (1 << profile.n) - 1
     for mask in masks:
         adj[v] = bought_to_v | mask
@@ -191,8 +205,8 @@ def _exact_sums(profile: StrategyProfile, v: int):
     Row v is the edges others bought to v plus each target mask, as
     ``_distance_sums`` prices it.
     """
-    bought_to_v = _mask_from_set(e.buyer for e in profile.edges if e.other == v)
-    return _row_sums(adjacency_masks(profile), v, bought_to_v)
+    adj, bought_to_v, _ = _vertex_rows(profile, v)
+    return _row_sums(adj, v, bought_to_v)
 
 
 def _row_sums(adj: list[int], v: int, base: int):
@@ -241,15 +255,17 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     if not all(0 <= t < profile.n for t in new_targets):
         raise ValueError("deviation target outside the vertex range")
 
-    old_targets = profile.targets_of(v)
-    masks = (_mask_from_set(old_targets), _mask_from_set(new_targets))
-    (_, old_sum), (_, new_sum) = _distance_sums(profile, v, masks)
+    adj, bought_to_v, old = _vertex_rows(profile, v)
+    full = (1 << profile.n) - 1
+    old_sum = bfs_sum(adj, v, full)  # row v is still bought_to_v | old
+    adj[v] = bought_to_v | _mask_from_set(new_targets)
+    new_sum = bfs_sum(adj, v, full)
 
     if new_sum is None:
         return inf
     if old_sum is None:
         return -inf
-    return profile.alpha * (len(new_targets) - len(old_targets)) + (new_sum - old_sum)
+    return profile.alpha * (len(new_targets) - old.bit_count()) + (new_sum - old_sum)
 
 
 def best_response_exact(
@@ -655,18 +671,18 @@ def scan_graph_range(
     dev_class: DeviationClass,
     graphs: range,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[int, list[tuple[int, VerificationReport]]]:
+) -> tuple[int, list[tuple[int, StrategyProfile, VerificationReport]]]:
     """Decide every profile whose underlying graph index lies in ``graphs``.
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
     class each connected graph is decided from per-vertex cost tables
     (``_table_equilibria``): the greedy add and sell tests are table lookups,
     and one superset-min pass per vertex gives every ownership's verdict, so
-    only equilibria are decoded, each with the report ``verify_equilibrium``
-    gives it.  Restricted classes may lack single adds and sells and the
-    tables prove only exact stability, so they verify every ownership.
-    Returns (connected-profile count, [(profile index, report)] for
-    equilibria found); a pure function of its inputs.
+    only equilibria are decoded, each once, with the report
+    ``verify_equilibrium`` gives it.  Restricted classes may lack single adds
+    and sells and the tables prove only exact stability, so they verify every
+    ownership.  Returns (connected-profile count, [(profile index, profile,
+    report)] for equilibria found); a pure function of its inputs.
     """
     exact = dev_class.kind == "exact-all-subsets"
     checks = n * ((1 << (n - 1)) - 1)
@@ -701,7 +717,7 @@ def scan_graph_range(
             else:
                 report = verify_equilibrium(profile, dev_class, budget)
             if report.is_equilibrium:
-                found.append((index, report))
+                found.append((index, profile, report))
     return connected, found
 
 

@@ -24,7 +24,6 @@ from .equilibrium import (
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
-    profile_from_index,
     scan_graph_range,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
@@ -274,9 +273,7 @@ def enumerate_cell(
                 connected += shard_connected
                 found.extend(shard_found)
     found.sort(key=lambda item: item[0])
-    equilibria = tuple(
-        (profile_from_index(n, alpha, idx), report) for idx, report in found
-    )
+    equilibria = tuple((profile, report) for _, profile, report in found)
     return EnumerationResult(n, alpha, total, connected, equilibria)
 
 

@@ -372,11 +372,11 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 def is_min_cycle(cycle: tuple[int, ...], dist: DistanceMatrix) -> bool:
     """True iff the cycle realises the graph distance between all its pairs."""
     k = len(cycle)
-    for i in range(k):
-        for j in range(i + 1, k):
-            along = min(j - i, k - (j - i))
-            if dist[cycle[i]][cycle[j]] != along:
-                return False
+    along = [min(d, k - d) for d in range(k)]  # around-the-cycle distance of offset d
+    for i, v in enumerate(cycle):
+        row = dist[v]
+        if [row[w] for w in cycle[i + 1:]] != along[1:k - i]:
+            return False
     return True
 
 
@@ -407,7 +407,7 @@ def cycle_report(
     adj = adjacency_masks(profile)
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
-    girth: int | float = inf
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}  # vertex -> (length, canonical cycle)
     for e in sorted(h_edges):
         cyc = smallest_cycle_through_edge(profile, e[0], e[1], adj)
         if cyc is None:
@@ -415,26 +415,22 @@ def cycle_report(
         if not is_min_cycle(cyc, dist):
             raise AssertionError(f"smallest cycle through {e} is not a min-cycle: {cyc}")
         per_edge[e] = cyc
-        girth = min(girth, len(cyc))
+        key = (len(cyc), canonical_cycle(cyc))
+        for v in e:
+            if v not in best or key < best[v]:
+                best[v] = key
 
-    per_vertex: dict[int, tuple[int, ...]] = {}
-    for v in sorted(h_vertices):
-        best: tuple[int, tuple[int, ...]] | None = None
-        for e in sorted(h_edges):
-            if v not in e or e not in per_edge:
-                continue
-            cyc = per_edge[e]
-            key = (len(cyc), canonical_cycle(cyc))
-            if best is None or key < best:
-                best = key
-        if best is not None:
-            per_vertex[v] = best[1]
-
+    girth = min((len(c) for c in per_edge.values()), default=inf)
+    per_vertex = {v: best[v][1] for v in sorted(best)}
     return CycleReport(girth=girth, per_vertex_cycle=per_vertex, per_edge_cycle=per_edge)
 
 
 def global_girth(profile: StrategyProfile) -> int | float:
-    """Length of the shortest cycle anywhere in the graph; inf when acyclic."""
+    """Length of the shortest cycle anywhere in the graph; inf when acyclic.
+
+    One search per edge, bridges included.  ``build_context`` takes the girth
+    from the cycle report instead (``_girth``); this is its reference.
+    """
     adj = adjacency_masks(profile)
     best: int | float = inf
     for a, b in profile.undirected_edges():
@@ -516,25 +512,30 @@ def compute_s_set(
         return SSet(anchor=anchor, via=via, members=frozenset(members), variant=variant)
 
     if variant == "some-path":
+        # (w, d(via, w)) for every anchor vertex w that via reaches
+        reached = [(w, dist[via][w]) for w in anchor if dist[via][w] != inf]
         for x in range(n):
-            if x == via or x in anchor:
-                continue
-            for w in anchor:
-                if dist[x][via] != inf and dist[via][w] != inf:
-                    if dist[x][via] + dist[via][w] == dist[x][w]:
-                        members.add(x)
-                        break
+            row = dist[x]
+            to_via = row[via]
+            if x != via and x not in anchor and to_via != inf and any(
+                to_via + d == row[w] for w, d in reached
+            ):
+                members.add(x)
     else:
         # The shortest routes to the nearest anchor vertices are exactly the
         # walks that step one nearer to the anchor each time, so x funnels iff
         # every neighbour one step nearer is via or funnels itself.
         near = list(map(min, zip(*(dist[w] for w in anchor))))  # dist is symmetric
-        adj = profile.adjacency()
+        shells = [0] * n  # shells[d]: vertices at distance d from the anchor
+        for x, d in enumerate(near):
+            if d != inf:
+                shells[d] |= 1 << x
+        adj = adjacency_masks(profile)
+        funnel = 1 << via
         for x in sorted(range(n), key=near.__getitem__):
-            if x != via and 0 < near[x] < inf and all(
-                y in members for y in adj[x] if near[y] == near[x] - 1
-            ):
-                members.add(x)
+            if x != via and 0 < near[x] < inf and not adj[x] & shells[near[x] - 1] & ~funnel:
+                funnel |= 1 << x
+        members = {x for x in range(n) if funnel >> x & 1}
 
     return SSet(anchor=anchor, via=via, members=frozenset(members), variant=variant)
 
@@ -588,12 +589,34 @@ class StrategyContext:
         """``profile_hash(profile)``, hashed once per context."""
         return profile_hash(self.profile)
 
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """``adjacency_masks(profile)``, built once per context."""
+        return tuple(adjacency_masks(self.profile))
+
+    @cached_property
+    def targets(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's bought targets in increasing order."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.profile.edges:  # a profile keeps its edges sorted by buyer, then target
+            out[e.buyer].append(e.other)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def h_neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours along edges of H in increasing order."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in self.h_edges:
+            out[a].append(b)
+            out[b].append(a)
+        return tuple(tuple(sorted(row)) for row in out)
+
     def x_level(self, edge: Edge) -> int | None:
         cls = self.x_classes.get(_as_edge(*edge))
         return cls.level if cls else None
 
     def deg_h(self, v: int) -> int:
-        return sum(1 for e in self.h_edges if v in e)
+        return len(self.h_neighbours[v])
 
     def is_low_level(self, v: int, t: int, include_up: bool, cap: int = 2) -> bool:
         """Is {v, t} a low-level edge for v: minimal level <= cap, or, with
@@ -608,7 +631,7 @@ class StrategyContext:
         """(edge, other endpoint) for v's bought low-level ladder edges, by endpoint."""
         return [
             (_as_edge(v, t), t)
-            for t in sorted(self.profile.targets_of(v))
+            for t in self.targets[v]
             if _as_edge(v, t) in self.x_classes and self.is_low_level(v, t, include_up, cap)
         ]
 
@@ -637,5 +660,28 @@ def build_context(profile: StrategyProfile) -> StrategyContext:
         spt=spt,
         x_classes=x_classes,
         cycles=cycles,
-        girth=global_girth(profile),
+        girth=_girth(profile, decomposition, cycles),
     )
+
+
+def _girth(
+    profile: StrategyProfile, decomposition: BiconnectedDecomposition, cycles: CycleReport
+) -> int | float:
+    """``global_girth(profile)`` from H's cycle report plus the other cyclic blocks.
+
+    A cycle lies inside one biconnected block, so bridges lie on none, and
+    the report already holds the smallest cycle through every edge of H.
+    """
+    blocks = zip(decomposition.components, decomposition.edge_components)
+    others = [
+        edges
+        for i, (vertices, edges) in enumerate(blocks)
+        if i != decomposition.largest and len(vertices) >= 3
+    ]
+    if not others:
+        return cycles.girth
+    adj = adjacency_masks(profile)
+    lengths = (
+        len(smallest_cycle_through_edge(profile, a, b, adj)) for edges in others for a, b in edges
+    )
+    return min(cycles.girth, *lengths)

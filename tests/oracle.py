@@ -6,9 +6,15 @@ replaced: it decodes, connectivity-checks and verifies every one of the
 is the per-candidate verification loop the shared strategy-pricing loop
 replaced: every candidate is priced from raw edge lists by
 ``gadgets.oracle_delta``.  ``oracle_s_set_all_paths`` is the all-paths
-funnel by one via-deleted BFS per anchor vertex.  The ``oracle_*`` ladder
-queries restate the edge-class rules straight from ``x_classes``,
-``spt.parent``, ``spt.down_pairs`` and ``profile.buys``.
+funnel by one via-deleted BFS per anchor vertex, and
+``oracle_s_set_some_path`` the some-path funnel read pair by pair from the
+distance matrix.  The ``oracle_*`` ladder queries restate the edge-class
+rules straight from ``x_classes``, ``spt.parent``, ``spt.down_pairs`` and
+``profile.buys``.  ``oracle_per_vertex_cycle`` and ``oracle_deg_h`` are the
+per-vertex scans over H's edges that the context's tables replaced, and
+``oracle_context`` assembles a ``StrategyContext`` from the public structure
+calls with the girth from ``global_girth``, as the benchmark's traced
+re-drive does.
 """
 
 from __future__ import annotations
@@ -34,10 +40,22 @@ from ncg.game import (
     DistanceMatrix,
     StrategyProfile,
     adjacency_masks,
+    all_pairs_distances,
     bfs_distances,
     is_connected,
 )
-from ncg.structure import SptAnalysis, StrategyContext, build_context
+from ncg.structure import (
+    SptAnalysis,
+    StrategyContext,
+    build_context,
+    build_spt,
+    canonical_cycle,
+    choose_root,
+    classify_x_sets,
+    cycle_report,
+    global_girth,
+    largest_biconnected_component,
+)
 
 
 def scan_profile_range(
@@ -133,6 +151,67 @@ def oracle_s_set_all_paths(
         if all(cut[w][x] > dist[x][w] for w in anchor if dist[x][w] == nearest):
             members.add(x)
     return frozenset(members)
+
+
+def oracle_s_set_some_path(
+    profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int
+) -> frozenset[int]:
+    """via, plus every x outside the anchor with a shortest path to some
+    anchor vertex through via."""
+    members = {via}
+    for x in range(profile.n):
+        if x == via or x in anchor:
+            continue
+        for w in anchor:
+            if dist[x][via] != inf and dist[via][w] != inf:
+                if dist[x][via] + dist[via][w] == dist[x][w]:
+                    members.add(x)
+                    break
+    return frozenset(members)
+
+
+def oracle_per_vertex_cycle(per_edge_cycle, h_vertices, h_edges) -> dict:
+    """Each H vertex's shortest, then smallest canonical, cycle among those
+    through its H edges: every H edge scanned once per vertex."""
+    per_vertex = {}
+    for v in sorted(h_vertices):
+        best = None
+        for e in sorted(h_edges):
+            if v not in e or e not in per_edge_cycle:
+                continue
+            cyc = per_edge_cycle[e]
+            key = (len(cyc), canonical_cycle(cyc))
+            if best is None or key < best:
+                best = key
+        if best is not None:
+            per_vertex[v] = best[1]
+    return per_vertex
+
+
+def oracle_deg_h(ctx: StrategyContext, v: int) -> int:
+    """Number of H edges at v, by scanning every H edge."""
+    return sum(1 for e in ctx.h_edges if v in e)
+
+
+def oracle_context(profile: StrategyProfile) -> StrategyContext:
+    """``build_context`` from the public structure calls; girth by ``global_girth``."""
+    dist = all_pairs_distances(profile)
+    decomposition = largest_biconnected_component(profile)
+    h_vertices = decomposition.largest_vertices()
+    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
+    spt = build_spt(profile, dist, root)
+    return StrategyContext(
+        profile=profile,
+        dist=dist,
+        decomposition=decomposition,
+        h_vertices=h_vertices,
+        h_edges=decomposition.largest_edges(),
+        root=root,
+        spt=spt,
+        x_classes={c.edge: c for c in classify_x_sets(profile, spt, decomposition)},
+        cycles=cycle_report(profile, decomposition, dist),
+        girth=global_girth(profile),
+    )
 
 
 def oracle_down_child(spt: SptAnalysis, a: int, b: int) -> int | None:

@@ -4,8 +4,12 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gadgets import directed_ring, figure_gadget, path3, profile, up_and_out_seller
+from oracle import oracle_context
+from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
     DeviationClass,
@@ -159,6 +163,7 @@ def test_bound_domination_on_seeded_scaffolds():
         for kind in checked:
             for u, combo in eligible_sold_selections(ctx, kind):
                 cmp = audit_deviation_bound(ctx, u, kind, combo)
+                assert isinstance(cmp.bound, Fraction)
                 assert cmp.preconditions_met, cmp.precondition_notes
                 assert cmp.dominates, (seed, kind, u, combo, cmp)
                 checked[kind] += 1
@@ -332,3 +337,25 @@ def test_audit_full_reports_skipped_families_on_tiny_budget():
     ctx = build_context(scaffold_profile(3))
     report = audit_full(ctx, max_bound_checks=0)
     assert report.skipped
+
+
+@given(
+    st.one_of(
+        connected_profiles(max_n=8),
+        sparse_connected_profiles(max_n=10),
+        st.integers(0, 999).map(scaffold_profile),
+    )
+)
+@example(figure_gadget())
+@example(scaffold_profile(0))
+# H is a five-ring; a smaller triangle hangs off it by a bridge
+@example(profile(8, 40, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_public_call_context_audits_like_build_context(p):
+    # the benchmark's traced re-drive assembles contexts this way and
+    # requires the same context and the same report, details included
+    ctx, ref = oracle_context(p), build_context(p)
+    assert ctx == ref
+    got, want = audit_full(ctx), audit_full(ref)
+    assert got == want and got.summary == want.summary
+    assert [f.detail for f in got.findings] == [f.detail for f in want.findings]

@@ -225,6 +225,22 @@ def test_parallel_and_serial_cells_agree():
         assert serial == parallel
 
 
+def test_exact_cell_decodes_each_equilibrium_once(monkeypatch):
+    import ncg.equilibrium as eq
+
+    calls = []
+    decode = eq.profile_from_index
+    counted = lambda *args: calls.append(args) or decode(*args)  # noqa: E731
+    monkeypatch.setattr(eq, "profile_from_index", counted)
+    # also wherever the harness might import it by name
+    monkeypatch.setattr("ncg.harness.profile_from_index", counted, raising=False)
+    result = enumerate_cell(4, Fraction(3), DeviationClass.parse("exact"))
+    assert result.equilibria
+    assert len(calls) == len(result.equilibria)
+    calls.sort(key=lambda args: args[2])  # by profile index, the order of the result
+    assert [p for p, _ in result.equilibria] == [decode(*args) for args in calls]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

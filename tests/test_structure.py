@@ -20,9 +20,12 @@ from gadgets import (
     up_and_out_seller,
 )
 from oracle import (
+    oracle_deg_h,
     oracle_down_child,
     oracle_is_low_level,
+    oracle_per_vertex_cycle,
     oracle_s_set_all_paths,
+    oracle_s_set_some_path,
     oracle_sellable_edges,
 )
 from strategies import connected_profiles, profiles, sparse_connected_profiles
@@ -39,6 +42,7 @@ from ncg import (
     global_girth,
     largest_biconnected_component,
 )
+from ncg.game import adjacency_masks
 from ncg.structure import (
     all_simple_cycles,
     cycle_directed,
@@ -370,6 +374,28 @@ def test_smallest_cycle_through_edge_length_matches_oracle(p):
             assert (cyc[0], cyc[-1]) == (a, b)
 
 
+@given(st.one_of(connected_profiles(max_n=9), sparse_connected_profiles(max_n=10)))
+@settings(max_examples=60, deadline=None)
+def test_per_vertex_cycles_match_oracle(p):
+    decomp = largest_biconnected_component(p)
+    report = cycle_report(p, decomp)
+    want = oracle_per_vertex_cycle(
+        report.per_edge_cycle, decomp.largest_vertices(), decomp.largest_edges()
+    )
+    assert list(report.per_vertex_cycle.items()) == list(want.items())
+
+
+@given(st.one_of(connected_profiles(max_n=9), sparse_connected_profiles(max_n=10)))
+@example(two_triangles())
+# two triangles joined by the path 2-3-4: H is one triangle, the other lies outside it
+@example(profile(7, 1, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]))
+# H is a five-ring; a smaller triangle hangs off it by a bridge
+@example(profile(8, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]))
+@settings(max_examples=80, deadline=None)
+def test_context_girth_matches_global_girth(p):
+    assert build_context(p).girth == global_girth(p)
+
+
 @given(connected_profiles(max_n=9))
 @settings(max_examples=40, deadline=None)
 def test_h_edge_count_identity_when_tree_spans(p):
@@ -408,6 +434,29 @@ def test_all_paths_s_set_matches_blocked_bfs_oracle(p, data):
     anchor = data.draw(st.frozensets(st.sampled_from(rest), min_size=1))
     s = compute_s_set(p, dist, anchor, via, "all-paths")
     assert s.members == oracle_s_set_all_paths(p, dist, anchor, via)
+
+
+@given(st.one_of(profiles(max_n=8), sparse_connected_profiles(max_n=9)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_some_path_s_set_matches_oracle(p, data):
+    dist = all_pairs_distances(p)
+    via = data.draw(st.integers(0, p.n - 1))
+    rest = [x for x in range(p.n) if x != via]
+    anchor = data.draw(st.frozensets(st.sampled_from(rest), min_size=1))
+    s = compute_s_set(p, dist, anchor, via, "some-path")
+    assert s.members == oracle_s_set_some_path(p, dist, anchor, via)
+
+
+@given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
+@example(two_triangles())
+@settings(max_examples=60, deadline=None)
+def test_context_tables_match_oracle(p):
+    ctx = build_context(p)
+    assert list(ctx.adj) == adjacency_masks(p)
+    for v in range(p.n):
+        assert ctx.targets[v] == tuple(sorted(p.targets_of(v)))
+        assert ctx.deg_h(v) == oracle_deg_h(ctx, v)
+        assert ctx.h_neighbours[v] == tuple(sorted(e[0] + e[1] - v for e in ctx.h_edges if v in e))
 
 
 @given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
