@@ -442,14 +442,12 @@ def _audit_deg2(ctx, informational) -> AuditFinding:
         if ctx.deg_h(v) != 2:
             continue
         a, b = ctx.h_neighbours[v]
-        funnel = None  # v's S-sets do not depend on the path through v
+        anchor = ctx.h_vertices - {v}
         for u, w in ((a, b), (b, a)):
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
-            if funnel is None:
-                anchor = ctx.h_vertices - {v}
-                funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths")
-                some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
+            funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths", ctx.adj)
+            some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
             row = {
                 "path": (u, v, w),
                 "funnel_size": len(funnel.members),

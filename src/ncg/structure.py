@@ -396,15 +396,21 @@ def cycle_report(
     profile: StrategyProfile,
     decomposition: BiconnectedDecomposition,
     dist: DistanceMatrix | None = None,
+    adj: list[int] | None = None,
 ) -> CycleReport:
-    """Smallest-cycle survey of the largest biconnected piece."""
+    """Smallest-cycle survey of the largest biconnected piece.
+
+    ``adj`` is the profile's ``adjacency_masks``, passed in when the caller
+    reuses it.
+    """
     h_vertices = decomposition.largest_vertices()
     h_edges = decomposition.largest_edges()
     if len(h_vertices) < 3:
         return CycleReport(inf, {}, {})
     if dist is None:
         dist = all_pairs_distances(profile)
-    adj = adjacency_masks(profile)
+    if adj is None:
+        adj = adjacency_masks(profile)
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # vertex -> (length, canonical cycle)
@@ -494,8 +500,13 @@ def compute_s_set(
     anchor,
     via: int,
     variant: str = "all-paths",
+    adj: list[int] | None = None,
 ) -> SSet:
-    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``."""
+    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``.
+
+    ``adj`` is the profile's ``adjacency_masks``, read by the all-paths
+    variant and passed in when the caller reuses it.
+    """
     anchor = frozenset(anchor)
     if not anchor:
         raise ValueError("anchor set must be nonempty")
@@ -530,7 +541,8 @@ def compute_s_set(
         for x, d in enumerate(near):
             if d != inf:
                 shells[d] |= 1 << x
-        adj = adjacency_masks(profile)
+        if adj is None:
+            adj = adjacency_masks(profile)
         funnel = 1 << via
         for x in sorted(range(n), key=near.__getitem__):
             if x != via and 0 < near[x] < inf and not adj[x] & shells[near[x] - 1] & ~funnel:
@@ -591,7 +603,7 @@ class StrategyContext:
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
-        """``adjacency_masks(profile)``, built once per context."""
+        """``adjacency_masks(profile)``, built on first use and kept."""
         return tuple(adjacency_masks(self.profile))
 
     @cached_property
@@ -649,7 +661,8 @@ def build_context(profile: StrategyProfile) -> StrategyContext:
     x_classes = {
         c.edge: c for c in classify_x_sets(profile, spt, decomposition)
     }
-    cycles = cycle_report(profile, decomposition, dist)
+    adj = adjacency_masks(profile)  # shared by the cycle report and the girth
+    cycles = cycle_report(profile, decomposition, dist, adj)
     return StrategyContext(
         profile=profile,
         dist=dist,
@@ -660,12 +673,15 @@ def build_context(profile: StrategyProfile) -> StrategyContext:
         spt=spt,
         x_classes=x_classes,
         cycles=cycles,
-        girth=_girth(profile, decomposition, cycles),
+        girth=_girth(profile, decomposition, cycles, adj),
     )
 
 
 def _girth(
-    profile: StrategyProfile, decomposition: BiconnectedDecomposition, cycles: CycleReport
+    profile: StrategyProfile,
+    decomposition: BiconnectedDecomposition,
+    cycles: CycleReport,
+    adj: list[int],
 ) -> int | float:
     """``global_girth(profile)`` from H's cycle report plus the other cyclic blocks.
 
@@ -680,7 +696,6 @@ def _girth(
     ]
     if not others:
         return cycles.girth
-    adj = adjacency_masks(profile)
     lengths = (
         len(smallest_cycle_through_edge(profile, a, b, adj)) for edges in others for a, b in edges
     )

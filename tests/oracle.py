@@ -10,7 +10,7 @@ funnel by one via-deleted BFS per anchor vertex, and
 ``oracle_s_set_some_path`` the some-path funnel read pair by pair from the
 distance matrix.  The ``oracle_*`` ladder queries restate the edge-class
 rules straight from ``x_classes``, ``spt.parent``, ``spt.down_pairs`` and
-``profile.buys``.  ``oracle_per_vertex_cycle`` and ``oracle_deg_h`` are the
+``profile.buys``.  ``oracle_per_vertex_cycle`` and ``oracle_h_neighbours`` are the
 per-vertex scans over H's edges that the context's tables replaced, and
 ``oracle_context`` assembles a ``StrategyContext`` from the public structure
 calls with the girth from ``global_girth``, as the benchmark's traced
@@ -188,9 +188,9 @@ def oracle_per_vertex_cycle(per_edge_cycle, h_vertices, h_edges) -> dict:
     return per_vertex
 
 
-def oracle_deg_h(ctx: StrategyContext, v: int) -> int:
-    """Number of H edges at v, by scanning every H edge."""
-    return sum(1 for e in ctx.h_edges if v in e)
+def oracle_h_neighbours(ctx: StrategyContext, v: int) -> tuple[int, ...]:
+    """v's neighbours along H in increasing order, by scanning every H edge."""
+    return tuple(sorted((e[0] if e[1] == v else e[1]) for e in ctx.h_edges if v in e))
 
 
 def oracle_context(profile: StrategyProfile) -> StrategyContext:

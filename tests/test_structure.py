@@ -20,8 +20,8 @@ from gadgets import (
     up_and_out_seller,
 )
 from oracle import (
-    oracle_deg_h,
     oracle_down_child,
+    oracle_h_neighbours,
     oracle_is_low_level,
     oracle_per_vertex_cycle,
     oracle_s_set_all_paths,
@@ -455,8 +455,8 @@ def test_context_tables_match_oracle(p):
     assert list(ctx.adj) == adjacency_masks(p)
     for v in range(p.n):
         assert ctx.targets[v] == tuple(sorted(p.targets_of(v)))
-        assert ctx.deg_h(v) == oracle_deg_h(ctx, v)
-        assert ctx.h_neighbours[v] == tuple(sorted(e[0] + e[1] - v for e in ctx.h_edges if v in e))
+        assert ctx.h_neighbours[v] == oracle_h_neighbours(ctx, v)
+        assert ctx.deg_h(v) == len(oracle_h_neighbours(ctx, v))
 
 
 @given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
