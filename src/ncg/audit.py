@@ -256,7 +256,7 @@ def audit_structural(
         if not holds:
             # girth may be realised outside H; scan every edge for a witness
             for a, b in ctx.profile.undirected_edges():
-                cyc = smallest_cycle_through_edge(ctx.profile, a, b, ctx.adj)
+                cyc = smallest_cycle_through_edge(ctx.profile, a, b)
                 if cyc is not None and len(cyc) == ctx.girth:
                     witness = cyc
                     break
@@ -446,7 +446,7 @@ def _audit_deg2(ctx, informational) -> AuditFinding:
         for u, w in ((a, b), (b, a)):
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
-            funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths", ctx.adj)
+            funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths")
             some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
             row = {
                 "path": (u, v, w),
@@ -484,7 +484,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
     subtree = _edge_subtree_vertices(ctx, edge)
     margins = {}
     holds = True
-    detour = bfs_distances(ctx.adj, ctx.root, blocked=1 << u)
+    detour = bfs_distances(ctx.profile.adj, ctx.root, blocked=1 << u)
     for w in sorted(subtree):
         allowed = ctx.spt.depth[w] + 2 * level
         actual = detour[w]

@@ -19,6 +19,7 @@ from .audit import AuditReport, audit_full, build_context
 from .equilibrium import (
     DeviationClass,
     DynamicsTrace,
+    EnumerationResult,
     VerificationReport,
     best_response_dynamics,
     verify_equilibrium,
@@ -33,15 +34,13 @@ from .errors import (
 from .harness import (
     SCHEMA_VERSION,
     SweepSpec,
-    build_report_row,
-    cell_alpha,
-    enumerate_cell,
     format_fraction,
     load_profile,
     profile_to_document,
     rows_to_csv,
     run_sweep,
     save_profile,
+    sweep_cells,
 )
 
 
@@ -180,6 +179,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_spec(args, dev_class: DeviationClass) -> SweepSpec:
+    """The (n, alpha) grid of ``enumerate`` and ``sweep``; both lists must be nonempty."""
+    n_values = tuple(int(x) for x in args.n.split(",") if x.strip())
+    alpha_expressions = tuple(x for x in args.alpha.split(",") if x.strip())
+    if not (n_values and alpha_expressions):
+        raise ValueError("--n and --alpha each need at least one value")
+    return SweepSpec(n_values, alpha_expressions, dev_class, args.cap, args.budget, args.jobs)
+
+
+def _dump_equilibria(result: EnumerationResult, dump: Path) -> None:
+    """One profile document per equilibrium of the cell."""
+    dump.mkdir(parents=True, exist_ok=True)
+    alpha = format_fraction(result.alpha).replace("/", "_")
+    for idx, (profile, _) in enumerate(result.equilibria):
+        save_profile(profile, dump / f"n{result.n}_alpha{alpha}_{idx}.json")
+
+
 def cmd_run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -196,21 +212,15 @@ def cmd_run(argv=None) -> int:
             sys.stdout.write(json.dumps(report_to_json(report), indent=2) + "\n")
             return 0
 
-        if args.command == "enumerate":
-            n_values = [int(x) for x in args.n.split(",") if x.strip()]
-            alpha_exprs = [x for x in args.alpha.split(",") if x.strip()]
-            rows = []
-            for n in n_values:
-                for expr in alpha_exprs:
-                    alpha = cell_alpha(expr, n)
-                    result = enumerate_cell(n, alpha, dev_class, args.cap, args.budget, args.jobs)
-                    rows.append(build_report_row(result))
-                    if args.dump_dir:
-                        dump = Path(args.dump_dir)
-                        dump.mkdir(parents=True, exist_ok=True)
-                        for idx, (profile, _) in enumerate(result.equilibria):
-                            name = f"n{n}_alpha{format_fraction(alpha).replace('/', '_')}_{idx}.json"
-                            save_profile(profile, dump / name)
+        if args.command in ("enumerate", "sweep"):
+            spec = _sweep_spec(args, dev_class)
+            if args.command == "enumerate" and args.dump_dir:
+                rows = []
+                for result, row in sweep_cells(spec):
+                    rows.append(row)
+                    _dump_equilibria(result, Path(args.dump_dir))
+            else:
+                rows = run_sweep(spec)
             _emit(rows_to_csv(rows), args.out)
             return 0
 
@@ -234,19 +244,6 @@ def cmd_run(argv=None) -> int:
             sys.stdout.write(
                 json.dumps(audit_to_json(report, certified_class), indent=2) + "\n"
             )
-            return 0
-
-        if args.command == "sweep":
-            spec = SweepSpec(
-                n_values=tuple(int(x) for x in args.n.split(",") if x.strip()),
-                alpha_expressions=tuple(x for x in args.alpha.split(",") if x.strip()),
-                dev_class=dev_class,
-                cap=args.cap,
-                budget=args.budget,
-                jobs=args.jobs,
-            )
-            rows = run_sweep(spec)
-            _emit(rows_to_csv(rows), args.out)
             return 0
 
         parser.error(f"unknown command {args.command!r}")

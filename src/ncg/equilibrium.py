@@ -23,6 +23,7 @@ from .game import (
     ball_levels,
     bfs_sum,
     is_connected,
+    mask_members,
     profile_hash,
 )
 from .structure import build_context
@@ -124,15 +125,6 @@ class DynamicsTrace:
 # bitmask internals
 
 
-def _set_from_mask(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def _mask_from_set(targets) -> int:
     m = 0
     for t in targets:
@@ -161,19 +153,12 @@ def _subset_index(mask: int, v: int) -> int:
 
 
 def _vertex_rows(profile: StrategyProfile, v: int) -> tuple[list[int], int, int]:
-    """Adjacency masks, the mask of vertices that bought an edge to ``v`` and
-    the mask of v's own targets, from one pass over the edges."""
-    adj = [0] * profile.n
-    bought_to_v = bought_by_v = 0
-    for e in profile.edges:
-        a, b = e.buyer, e.other
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        if b == v:
-            bought_to_v |= 1 << a
-        elif a == v:
-            bought_by_v |= 1 << b
-    return adj, bought_to_v, bought_by_v
+    """A copy of the profile's adjacency rows (callers rewrite row v), the
+    mask of vertices that bought an edge to ``v`` and the mask of v's targets."""
+    bought_to_v = 0
+    for u, row in enumerate(profile.bought):
+        bought_to_v |= (row >> v & 1) << u
+    return list(profile.adj), bought_to_v, profile.bought[v]
 
 
 def _distance_sums(profile: StrategyProfile, v: int, masks):
@@ -309,7 +294,7 @@ def best_response_exact(
                 break
 
     # Buying an edge to everyone reaches every vertex, so best is never None.
-    best_set = _set_from_mask(best)
+    best_set = frozenset(mask_members(best))
     delta = delta_cost(profile, v, best_set)
     if delta > 0:  # cannot happen: current strategy is in the search space
         raise AssertionError("best response worse than current strategy")
@@ -327,7 +312,7 @@ def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, ctx
 
     if cls.kind == "exact-all-subsets":
         for mask in _subset_masks(profile.n, v):
-            s = _set_from_mask(mask)
+            s = frozenset(mask_members(mask))
             if s != current:
                 yield s
     elif cls.kind == "single-add":
@@ -422,7 +407,7 @@ def verify_equilibrium(
     p, q = profile.alpha.numerator, profile.alpha.denominator
     checked = 0
     for v in range(profile.n):
-        current = _mask_from_set(profile.targets_of(v))
+        current = profile.bought[v]
         if exact:
             blocks = _exact_sums(profile, v)
             head = next(blocks)
@@ -446,7 +431,7 @@ def verify_equilibrium(
                     f"verification exceeded budget {budget}", required=checked
                 )
             if dsum is not None and p * mask.bit_count() + q * dsum < current_cost:
-                targets = _set_from_mask(mask)
+                targets = frozenset(mask_members(mask))
                 delta = delta_cost(profile, v, targets)
                 if delta >= 0:  # cannot happen: the oracle re-checks the integer verdict
                     raise AssertionError("witness does not improve under the oracle")

@@ -13,7 +13,8 @@ ever enters comparisons, never finite arithmetic).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
 
@@ -46,6 +47,10 @@ class StrategyProfile:
     n: int
     alpha: Fraction
     edges: tuple[BoughtEdge, ...]
+    # Bitmask rows built once from ``edges``: bit u of adj[v] is set iff
+    # {v, u} is an edge, and bit u of bought[v] iff v bought the edge to u.
+    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bought: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.alpha, Fraction):
@@ -55,16 +60,21 @@ class StrategyProfile:
             raise ValueError("profile needs at least one vertex")
         if self.n > MAX_N:
             raise ValueError(f"n={self.n} exceeds the cap {MAX_N}")
-        seen: set[tuple[int, int]] = set()
+        adj = [0] * self.n
+        bought = [0] * self.n
         for e in self.edges:
-            if not (0 <= e.buyer < self.n and 0 <= e.other < self.n):
+            a, b = e.buyer, e.other
+            if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"edge {e} references a vertex outside [0, {self.n})")
-            if e.buyer == e.other:
-                raise ValueError(f"self-loop at vertex {e.buyer}")
-            if (e.buyer, e.other) in seen:
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            if bought[a] >> b & 1:
                 raise ValueError(f"duplicate bought edge {e}")
-            seen.add((e.buyer, e.other))
-        object.__setattr__(self, "_bought_pairs", frozenset(seen))
+            bought[a] |= 1 << b
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "bought", tuple(bought))
 
     # -- structure helpers ------------------------------------------------
 
@@ -74,21 +84,15 @@ class StrategyProfile:
 
     def adjacency(self) -> list[list[int]]:
         """Sorted adjacency lists of the underlying undirected graph."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.undirected_edges():
-            adj[a].append(b)
-            adj[b].append(a)
-        for row in adj:
-            row.sort()
-        return adj
+        return [mask_members(row) for row in self.adj]
 
     def targets_of(self, v: int) -> frozenset[int]:
         """Vertices that ``v`` currently buys edges to."""
-        return frozenset(e.other for e in self.edges if e.buyer == v)
+        return frozenset(mask_members(self.bought[v]))
 
     def buys(self, a: int, b: int) -> bool:
         """True iff ``a`` bought the edge to ``b``."""
-        return (a, b) in self._bought_pairs
+        return self.bought[a] >> b & 1 == 1
 
     def buyers_of(self, a: int, b: int) -> tuple[int, ...]:
         """Which endpoints paid for the undirected edge {a, b} (0, 1 or 2 of them)."""
@@ -136,16 +140,17 @@ class CostBreakdown:
 # bitmask graph kernel: adjacency row v has bit u set iff {v, u} is an edge
 
 
-def adjacency_masks(profile: StrategyProfile) -> list[int]:
-    """Bitmask adjacency rows of the underlying undirected graph."""
-    adj = [0] * profile.n
-    for e in profile.edges:
-        adj[e.buyer] |= 1 << e.other
-        adj[e.other] |= 1 << e.buyer
-    return adj
+def mask_members(mask: int) -> list[int]:
+    """The vertices whose bits are set in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def bfs_distances(adj: list[int], source: int, blocked: int = 0) -> list[int | float]:
+def bfs_distances(adj: Sequence[int], source: int, blocked: int = 0) -> list[int | float]:
     """Distances from ``source``; vertices in the ``blocked`` mask are deleted."""
     dist: list[int | float] = [inf] * len(adj)
     if blocked >> source & 1:
@@ -172,7 +177,7 @@ def bfs_distances(adj: list[int], source: int, blocked: int = 0) -> list[int | f
     return dist
 
 
-def bfs_sum(adj: list[int], source: int, full: int) -> int | None:
+def bfs_sum(adj: Sequence[int], source: int, full: int) -> int | None:
     """Sum of BFS distances from source; None when the graph is not covered."""
     seen = 1 << source
     frontier = seen
@@ -192,7 +197,7 @@ def bfs_sum(adj: list[int], source: int, full: int) -> int | None:
     return total if seen == full else None
 
 
-def ball_levels(adj: list[int], sources: int, blocked: int) -> int:
+def ball_levels(adj: Sequence[int], sources: int, blocked: int) -> int:
     """Bit-packed balls around the ``sources`` mask, ``blocked`` vertices deleted.
 
     Bit block ``d`` (bits ``[d*n, (d+1)*n)``) is the set of vertices within
@@ -223,8 +228,7 @@ def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
     Edge ownership is irrelevant for traversal; a bought edge can be walked
     in either direction.
     """
-    adj = adjacency_masks(profile)
-    rows = tuple(tuple(bfs_distances(adj, s)) for s in range(profile.n))
+    rows = tuple(tuple(bfs_distances(profile.adj, s)) for s in range(profile.n))
     return DistanceMatrix(profile.n, rows)
 
 
@@ -238,7 +242,7 @@ def connection_cost(dist: DistanceMatrix, v: int) -> int | float:
 
 def vertex_cost(profile: StrategyProfile, dist: DistanceMatrix, v: int) -> CostBreakdown:
     """Building plus connection cost for ``v``; total is ``inf`` when separated."""
-    building = profile.alpha * sum(1 for e in profile.edges if e.buyer == v)
+    building = profile.alpha * profile.bought[v].bit_count()
     connection = connection_cost(dist, v)
     total: Fraction | float = inf if connection == inf else building + connection
     return CostBreakdown(v, building, connection, total)
@@ -246,4 +250,4 @@ def vertex_cost(profile: StrategyProfile, dist: DistanceMatrix, v: int) -> CostB
 
 def is_connected(profile: StrategyProfile) -> bool:
     """True iff every pair of vertices is at finite distance."""
-    return bfs_sum(adjacency_masks(profile), 0, (1 << profile.n) - 1) is not None
+    return bfs_sum(profile.adj, 0, (1 << profile.n) - 1) is not None

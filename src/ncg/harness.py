@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,17 +127,6 @@ def load_profile(path) -> StrategyProfile:
 def save_profile(profile: StrategyProfile, path) -> None:
     doc = profile_to_document(profile)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def export_dot(profile: StrategyProfile, path) -> None:
-    """Graphviz digraph; one arc per purchase, oriented buyer -> other."""
-    lines = ["digraph profile {"]
-    for v in range(profile.n):
-        lines.append(f"  {v};")
-    for e in sorted(profile.edges):
-        lines.append(f"  {e.buyer} -> {e.other};")
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +310,18 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
     )
 
 
-def run_sweep(spec: SweepSpec) -> list[ReportRow]:
-    """One ReportRow per (n, alpha) cell, in grid order."""
-    rows = []
+def sweep_cells(spec: SweepSpec) -> Iterator[tuple[EnumerationResult, ReportRow]]:
+    """Enumerate and fold each (n, alpha) cell in grid order."""
     for n in spec.n_values:
         for expr in spec.alpha_expressions:
             alpha = cell_alpha(expr, n)
             result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget, spec.jobs)
-            rows.append(build_report_row(result))
-    return rows
+            yield result, build_report_row(result)
+
+
+def run_sweep(spec: SweepSpec) -> list[ReportRow]:
+    """One ReportRow per (n, alpha) cell, in grid order."""
+    return [row for _, row in sweep_cells(spec)]
 
 
 def rows_to_csv(rows) -> str:

@@ -20,11 +20,11 @@ from .errors import BudgetExceededError
 from .game import (
     DistanceMatrix,
     StrategyProfile,
-    adjacency_masks,
     all_pairs_distances,
     bfs_distances,
     connection_cost,
     is_connected,
+    mask_members,
     profile_hash,
 )
 
@@ -332,16 +332,13 @@ class CycleReport:
     per_edge_cycle: dict[Edge, tuple[int, ...]]
 
 
-def smallest_cycle_through_edge(
-    profile: StrategyProfile, a: int, b: int, adj: list[int] | None = None
-) -> tuple[int, ...] | None:
+def smallest_cycle_through_edge(profile: StrategyProfile, a: int, b: int) -> tuple[int, ...] | None:
     """Lexicographically smallest among the shortest cycles using edge {a, b}.
 
     Returned as a vertex sequence starting at ``a`` and ending at ``b`` (the
-    closing edge is b-a); None when the edge lies on no cycle.  ``adj`` is
-    the profile's ``adjacency_masks``, passed in when the caller reuses it.
+    closing edge is b-a); None when the edge lies on no cycle.
     """
-    cut = list(adjacency_masks(profile) if adj is None else adj)
+    cut = list(profile.adj)
     cut[a] &= ~(1 << b)
     cut[b] &= ~(1 << a)
     dist = bfs_distances(cut, b)
@@ -396,26 +393,19 @@ def cycle_report(
     profile: StrategyProfile,
     decomposition: BiconnectedDecomposition,
     dist: DistanceMatrix | None = None,
-    adj: list[int] | None = None,
 ) -> CycleReport:
-    """Smallest-cycle survey of the largest biconnected piece.
-
-    ``adj`` is the profile's ``adjacency_masks``, passed in when the caller
-    reuses it.
-    """
+    """Smallest-cycle survey of the largest biconnected piece."""
     h_vertices = decomposition.largest_vertices()
     h_edges = decomposition.largest_edges()
     if len(h_vertices) < 3:
         return CycleReport(inf, {}, {})
     if dist is None:
         dist = all_pairs_distances(profile)
-    if adj is None:
-        adj = adjacency_masks(profile)
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # vertex -> (length, canonical cycle)
     for e in sorted(h_edges):
-        cyc = smallest_cycle_through_edge(profile, e[0], e[1], adj)
+        cyc = smallest_cycle_through_edge(profile, e[0], e[1])
         if cyc is None:
             continue
         if not is_min_cycle(cyc, dist):
@@ -437,10 +427,9 @@ def global_girth(profile: StrategyProfile) -> int | float:
     One search per edge, bridges included.  ``build_context`` takes the girth
     from the cycle report instead (``_girth``); this is its reference.
     """
-    adj = adjacency_masks(profile)
     best: int | float = inf
     for a, b in profile.undirected_edges():
-        cyc = smallest_cycle_through_edge(profile, a, b, adj)
+        cyc = smallest_cycle_through_edge(profile, a, b)
         if cyc is not None:
             best = min(best, len(cyc))
     return best
@@ -500,13 +489,8 @@ def compute_s_set(
     anchor,
     via: int,
     variant: str = "all-paths",
-    adj: list[int] | None = None,
 ) -> SSet:
-    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``.
-
-    ``adj`` is the profile's ``adjacency_masks``, read by the all-paths
-    variant and passed in when the caller reuses it.
-    """
+    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``."""
     anchor = frozenset(anchor)
     if not anchor:
         raise ValueError("anchor set must be nonempty")
@@ -541,8 +525,7 @@ def compute_s_set(
         for x, d in enumerate(near):
             if d != inf:
                 shells[d] |= 1 << x
-        if adj is None:
-            adj = adjacency_masks(profile)
+        adj = profile.adj
         funnel = 1 << via
         for x in sorted(range(n), key=near.__getitem__):
             if x != via and 0 < near[x] < inf and not adj[x] & shells[near[x] - 1] & ~funnel:
@@ -602,17 +585,9 @@ class StrategyContext:
         return profile_hash(self.profile)
 
     @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """``adjacency_masks(profile)``, built on first use and kept."""
-        return tuple(adjacency_masks(self.profile))
-
-    @cached_property
     def targets(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's bought targets in increasing order."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.profile.edges:  # a profile keeps its edges sorted by buyer, then target
-            out[e.buyer].append(e.other)
-        return tuple(map(tuple, out))
+        return tuple(tuple(mask_members(row)) for row in self.profile.bought)
 
     @cached_property
     def h_neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -661,8 +636,7 @@ def build_context(profile: StrategyProfile) -> StrategyContext:
     x_classes = {
         c.edge: c for c in classify_x_sets(profile, spt, decomposition)
     }
-    adj = adjacency_masks(profile)  # shared by the cycle report and the girth
-    cycles = cycle_report(profile, decomposition, dist, adj)
+    cycles = cycle_report(profile, decomposition, dist)
     return StrategyContext(
         profile=profile,
         dist=dist,
@@ -673,7 +647,7 @@ def build_context(profile: StrategyProfile) -> StrategyContext:
         spt=spt,
         x_classes=x_classes,
         cycles=cycles,
-        girth=_girth(profile, decomposition, cycles, adj),
+        girth=_girth(profile, decomposition, cycles),
     )
 
 
@@ -681,7 +655,6 @@ def _girth(
     profile: StrategyProfile,
     decomposition: BiconnectedDecomposition,
     cycles: CycleReport,
-    adj: list[int],
 ) -> int | float:
     """``global_girth(profile)`` from H's cycle report plus the other cyclic blocks.
 
@@ -697,6 +670,6 @@ def _girth(
     if not others:
         return cycles.girth
     lengths = (
-        len(smallest_cycle_through_edge(profile, a, b, adj)) for edges in others for a, b in edges
+        len(smallest_cycle_through_edge(profile, a, b)) for edges in others for a, b in edges
     )
     return min(cycles.girth, *lengths)

@@ -10,8 +10,11 @@ funnel by one via-deleted BFS per anchor vertex, and
 ``oracle_s_set_some_path`` the some-path funnel read pair by pair from the
 distance matrix.  The ``oracle_*`` ladder queries restate the edge-class
 rules straight from ``x_classes``, ``spt.parent``, ``spt.down_pairs`` and
-``profile.buys``.  ``oracle_per_vertex_cycle`` and ``oracle_h_neighbours`` are the
-per-vertex scans over H's edges that the context's tables replaced, and
+``profile.buys``.  ``oracle_rows``, ``oracle_neighbours``, ``oracle_targets``
+and ``oracle_buys`` read a profile's graph facts off its bought edges one
+edge at a time, the scan its bitmask rows replaced.
+``oracle_per_vertex_cycle`` and ``oracle_h_neighbours`` are the per-vertex
+scans over H's edges that the context's tables replaced, and
 ``oracle_context`` assembles a ``StrategyContext`` from the public structure
 calls with the girth from ``global_girth``, as the benchmark's traced
 re-drive does.
@@ -39,7 +42,6 @@ from ncg.equilibrium import (
 from ncg.game import (
     DistanceMatrix,
     StrategyProfile,
-    adjacency_masks,
     all_pairs_distances,
     bfs_distances,
     is_connected,
@@ -134,12 +136,37 @@ def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> Verifi
     return VerificationReport(digest, spec, True, None, checked)
 
 
+def oracle_neighbours(profile: StrategyProfile, v: int) -> list[int]:
+    """v's neighbours in increasing order, by scanning every bought edge."""
+    return sorted(
+        {e.other if e.buyer == v else e.buyer for e in profile.edges if v in (e.buyer, e.other)}
+    )
+
+
+def oracle_targets(profile: StrategyProfile, v: int) -> frozenset[int]:
+    """The vertices v bought edges to, by scanning every bought edge."""
+    return frozenset(e.other for e in profile.edges if e.buyer == v)
+
+
+def oracle_buys(profile: StrategyProfile, a: int, b: int) -> bool:
+    """True iff the edge list holds the purchase (a, b)."""
+    return any(e.buyer == a and e.other == b for e in profile.edges)
+
+
+def oracle_rows(profile: StrategyProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(adjacency rows, bought rows) as bitmasks, from the scans above."""
+    n = profile.n
+    adj = tuple(sum(1 << u for u in oracle_neighbours(profile, v)) for v in range(n))
+    bought = tuple(sum(1 << u for u in oracle_targets(profile, v)) for v in range(n))
+    return adj, bought
+
+
 def oracle_s_set_all_paths(
     profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int
 ) -> frozenset[int]:
     """via, plus every x all of whose shortest routes to its nearest anchor
     vertices pass via: deleting via lengthens each of those distances."""
-    adj = adjacency_masks(profile)
+    adj = oracle_rows(profile)[0]
     cut = {w: bfs_distances(adj, w, blocked=1 << via) for w in anchor}
     members = {via}
     for x in range(profile.n):

@@ -1,6 +1,7 @@
 """Bound formulas vs the exact rewrite oracle, plus structural rule findings."""
 
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 import pytest
@@ -12,7 +13,9 @@ from oracle import oracle_context
 from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
+    BoughtEdge,
     DeviationClass,
+    StrategyProfile,
     audit_altpath,
     audit_deviation_bound,
     audit_full,
@@ -25,6 +28,7 @@ from ncg import (
     verify_equilibrium,
 )
 from ncg.audit import eligible_sold_selections
+from ncg.harness import enumerate_cell
 from ncg.structure import global_girth
 
 
@@ -359,3 +363,34 @@ def test_public_call_context_audits_like_build_context(p):
     got, want = audit_full(ctx), audit_full(ref)
     assert got == want and got.summary == want.summary
     assert [f.detail for f in got.findings] == [f.detail for f in want.findings]
+
+
+@cache
+def _small_cell_equilibria():
+    """(profile, certificate) for every exact NE of three small cells."""
+    exact = DeviationClass.parse("exact")
+    cells = ((4, 3), (5, 2), (5, 11))
+    return tuple(
+        item for n, alpha in cells for item in enumerate_cell(n, Fraction(alpha), exact).equilibria
+    )
+
+
+def _failures(ctx, certificate) -> int:
+    summary = audit_full(ctx, ne_certificate=certificate).summary
+    return summary["findings_failing"] + summary["bound_violations"]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_audits_do_not_depend_on_vertex_labels(data):
+    # Root and tree tie-breaks follow the labels, so the number of bound
+    # comparisons may change under relabelling; the verdicts may not.
+    p, certificate = data.draw(st.sampled_from(_small_cell_equilibria()), label="equilibrium")
+    label = data.draw(st.permutations(range(p.n)), label="relabelling")
+    edges = tuple(BoughtEdge(label[e.buyer], label[e.other]) for e in p.edges)
+    q = StrategyProfile(p.n, p.alpha, edges)
+    relabelled = verify_equilibrium(q)
+    assert relabelled.is_equilibrium
+    ctx, relabelled_ctx = build_context(p), build_context(q)
+    assert relabelled_ctx.girth == ctx.girth
+    assert _failures(relabelled_ctx, relabelled) == _failures(ctx, certificate)

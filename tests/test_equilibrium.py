@@ -42,7 +42,7 @@ from ncg.equilibrium import (
     _table_equilibria,
     pair_list,
 )
-from ncg.game import BoughtEdge, StrategyProfile, adjacency_masks
+from ncg.game import BoughtEdge, StrategyProfile
 from ncg.harness import enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
@@ -431,7 +431,7 @@ def test_greedy_filter_is_exactly_single_add_and_delete(p, num, den):
     # exactly when a single add or a single sale strictly improves.
     p = StrategyProfile(p.n, Fraction(num, den), p.edges)
     edges = list(p.undirected_edges())
-    greedy = _greedy_tables(adjacency_masks(p), edges, p.alpha)
+    greedy = _greedy_tables(p.adj, edges, p.alpha)
     options = None if greedy is None else greedy[1]
     buyer_trits = [1 if p.buys(a, b) else 2 for a, b in edges]
     filtered = options is None or any(t not in kept for t, kept in zip(buyer_trits, options))
@@ -455,7 +455,7 @@ def test_table_verdict_matches_exact_verification(p, num, den):
     # 2^10 profiles on one graph, each decided by the tables and re-verified.
     alpha = Fraction(num, den)
     edges = list(p.undirected_edges())
-    tabled = set(_table_equilibria(adjacency_masks(p), edges, alpha))
+    tabled = set(_table_equilibria(p.adj, edges, alpha))
     drawn = tuple(1 if p.buys(a, b) else 2 for a, b in edges)
     free = min(len(edges), 10)
     for head in product((1, 2), repeat=free):

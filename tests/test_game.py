@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gadgets import oracle_connection, oracle_distances, path3, profile, star
-from strategies import connected_profiles, profiles
+from oracle import oracle_buys, oracle_neighbours, oracle_rows, oracle_targets
+from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
 
 from ncg import (
     BoughtEdge,
@@ -18,7 +19,7 @@ from ncg import (
     is_connected,
     vertex_cost,
 )
-from ncg.game import adjacency_masks, ball_levels, bfs_distances
+from ncg.game import ball_levels, bfs_distances
 
 
 def assert_metric(d):
@@ -123,7 +124,7 @@ def test_distances_match_oracle_and_invariants(p):
 @settings(max_examples=60, deadline=None)
 def test_bfs_distances_with_blocked_vertex_match_oracle(p):
     pairs = {e.endpoints() for e in p.edges}
-    adj = adjacency_masks(p)
+    adj = p.adj
     for x in range(p.n):
         expected = oracle_distances(p.n, {e for e in pairs if x not in e})
         assert bfs_distances(adj, x, blocked=1 << x) == [inf] * p.n
@@ -138,7 +139,7 @@ def test_ball_levels_match_bfs_distances(p, data):
     n = p.n
     sources = data.draw(st.integers(0, (1 << n) - 1), label="sources")
     blocked = data.draw(st.integers(0, (1 << n) - 1), label="blocked")
-    adj = adjacency_masks(p)
+    adj = p.adj
     rows = [bfs_distances(adj, s, blocked) for s in range(n) if sources >> s & 1]
     near = [min((row[u] for row in rows), default=inf) for u in range(n)]
     levels = ball_levels(adj, sources, blocked)
@@ -153,7 +154,7 @@ def test_ball_levels_match_bfs_distances(p, data):
 def test_bfs_distances_with_cleared_edge_match_oracle(p):
     pairs = {e.endpoints() for e in p.edges}
     for a, b in pairs:
-        cut = adjacency_masks(p)
+        cut = list(p.adj)
         cut[a] &= ~(1 << b)
         cut[b] &= ~(1 << a)
         expected = oracle_distances(p.n, pairs - {(a, b)})
@@ -204,3 +205,19 @@ def test_connection_cost_matches_oracle(p):
     d = all_pairs_distances(p)
     for v in range(p.n):
         assert connection_cost(d, v) == oracle_connection(p, v)
+
+
+@given(st.one_of(doubled_profiles(), connected_profiles(), sparse_connected_profiles()))
+@settings(max_examples=80, deadline=None)
+def test_profile_rows_match_edge_scan(p):
+    assert (p.adj, p.bought) == oracle_rows(p)
+    assert p.adjacency() == [oracle_neighbours(p, v) for v in range(p.n)]
+    d = all_pairs_distances(p)
+    for a in range(p.n):
+        assert p.targets_of(a) == oracle_targets(p, a)
+        assert vertex_cost(p, d, a).building == p.alpha * len(oracle_targets(p, a))
+        for b in range(p.n):
+            assert p.buys(a, b) == oracle_buys(p, a, b)
+            assert p.buyers_of(a, b) == tuple(
+                x for x, y in ((a, b), (b, a)) if oracle_buys(p, x, y)
+            )

@@ -24,7 +24,6 @@ from ncg.cli import cmd_run
 from ncg.harness import (
     build_report_row,
     enumerate_cell,
-    export_dot,
     load_profile,
     parse_alpha_expression,
     profile_from_document,
@@ -105,33 +104,6 @@ def test_load_malformed_json(tmp_path):
     with pytest.raises(ProfileFormatError) as err:
         load_profile(bad)
     assert err.value.code == "malformed-json"
-
-
-# ---------------------------------------------------------------------------
-# dot export
-
-
-def test_dot_path(tmp_path):
-    out = tmp_path / "g.dot"
-    export_dot(path3(), out)
-    text = out.read_text()
-    assert "0 -> 1;" in text and "1 -> 2;" in text
-    assert text.startswith("digraph")
-
-
-def test_dot_double_bought_antiparallel(tmp_path):
-    out = tmp_path / "g.dot"
-    export_dot(profile(2, 1, [(0, 1), (1, 0)]), out)
-    text = out.read_text()
-    assert "0 -> 1;" in text and "1 -> 0;" in text
-
-
-def test_dot_empty_graph(tmp_path):
-    out = tmp_path / "g.dot"
-    export_dot(profile(3, 1, []), out)
-    text = out.read_text()
-    assert "->" not in text
-    assert "  1;" in text
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +321,10 @@ def test_cli_unknown_flag_rejected(capsys):
         (["dynamics", "--input"], {"n": 3, "alpha": "-1/2", "edges": []}),
         (["enumerate", "--n", "0", "--alpha", "1"], None),
         (["sweep", "--n", "-1", "--alpha", "7"], None),
+        (["enumerate", "--n", ",", "--alpha", "7"], None),
+        (["enumerate", "--n", "3", "--alpha", ","], None),
+        (["sweep", "--n", ",", "--alpha", "7"], None),
+        (["sweep", "--n", "3", "--alpha", ","], None),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, doc):

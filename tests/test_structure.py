@@ -24,6 +24,7 @@ from oracle import (
     oracle_h_neighbours,
     oracle_is_low_level,
     oracle_per_vertex_cycle,
+    oracle_rows,
     oracle_s_set_all_paths,
     oracle_s_set_some_path,
     oracle_sellable_edges,
@@ -42,7 +43,6 @@ from ncg import (
     global_girth,
     largest_biconnected_component,
 )
-from ncg.game import adjacency_masks
 from ncg.structure import (
     all_simple_cycles,
     cycle_directed,
@@ -452,7 +452,7 @@ def test_some_path_s_set_matches_oracle(p, data):
 @settings(max_examples=60, deadline=None)
 def test_context_tables_match_oracle(p):
     ctx = build_context(p)
-    assert list(ctx.adj) == adjacency_masks(p)
+    assert (p.adj, p.bought) == oracle_rows(p)
     for v in range(p.n):
         assert ctx.targets[v] == tuple(sorted(p.targets_of(v)))
         assert ctx.h_neighbours[v] == oracle_h_neighbours(ctx, v)
