@@ -1,11 +1,12 @@
 """Deviation generation, exact equilibrium verification, dynamics, enumeration.
 
 An equilibrium check asks, per vertex, whether any replacement edge set
-strictly lowers that vertex's total cost.  The exact class enumerates all
-2^(n-1) replacement sets and is complete; the restricted classes are sound
-witnesses only.  The hot paths run on bitmask adjacency with pure integer
-arithmetic (alpha = p/q compared by cross-multiplication), so every verdict
-is exact.
+strictly lowers that vertex's total cost.  The exact class is complete: of
+the 2^(n-1) replacement sets it prices all those of each size whose cost
+lower bound can still win, and a set of any other size cannot.  The
+restricted classes are sound witnesses only.  The hot paths run on bitmask
+adjacency with pure integer arithmetic (alpha = p/q compared by
+cross-multiplication), so every verdict is exact.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from .errors import BudgetExceededError
 from .game import (
     BoughtEdge,
     StrategyProfile,
-    ball_levels,
     bfs_sum,
+    colex_index,
     is_connected,
     mask_members,
     profile_hash,
+    row_sums,
+    sized_sums,
 )
 from .structure import build_context
 
@@ -164,7 +167,7 @@ def _vertex_rows(profile: StrategyProfile, v: int) -> tuple[list[int], int, int]
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
-    This prices restricted classes; exact scans use ``_exact_sums``, and
+    This prices restricted classes; exact scans use ``sized_sums``, and
     ``delta_cost`` re-checks both with two BFS of its own.
 
     The sum is None when v is cut off from some vertex.  Only row v is
@@ -179,47 +182,30 @@ def _distance_sums(profile: StrategyProfile, v: int, masks):
         yield mask, bfs_sum(adj, v, full)
 
 
-# Each list ``_exact_sums`` yields holds at most 2^12 unions, so an exact
-# scan keeps O(2^12) big ints alive at any n.
-_TABLE_BITS = 12
+def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
+    """v's current cost in units of 1/q (alpha = p/q), and ``sized_sums`` up
+    to the largest size whose sets can still cost at most that, less one
+    when ``strict``.
 
-
-def _exact_sums(profile: StrategyProfile, v: int):
-    """Yield v's distance sums over ``_subset_masks(n, v)`` as lists, in order.
-
-    Row v is the edges others bought to v plus each target mask, as
-    ``_distance_sums`` prices it.
+    v's neighbours are its k targets and the set I of vertices that bought
+    an edge to it, and every other vertex is at distance at least 2, so a
+    k-set costs at least L(k) = p*k + q*(2(n-1) - min(n-1, k+|I|)).  L is
+    not monotone in k when alpha < 1, so the cap is the largest admissible
+    k, not the first that fails.  There is no cap when v is cut off now.
     """
-    adj, bought_to_v, _ = _vertex_rows(profile, v)
-    return _row_sums(adj, v, bought_to_v)
-
-
-def _row_sums(adj: list[int], v: int, base: int):
-    """Yield v's distance sums when row v is ``base`` plus each target mask.
-
-    Masks come in ``_subset_masks`` order, as lists.  With P[t] the ball
-    levels of t in G - v, target mask T puts u within distance d + 1 of v iff
-    u lies in block d of x = P[base] | OR of P[t] over t in T.  So v's
-    distance sum is (n-1)n - popcount(x), or None when the top block misses a
-    vertex.  Each list ORs one union over the high-half targets into the
-    doubling-built unions of the low half.
-    """
-    n = len(adj)
-    blocked = 1 << v
-    levels = [ball_levels(adj, 1 << t, blocked) for t in range(n) if t != v]
-    low, high = levels[:_TABLE_BITS], levels[_TABLE_BITS:]
-    table = [ball_levels(adj, base, blocked)]
-    for lv in low:
-        table += [x | lv for x in table]
-    total = (n - 1) * n
-    # The top block never holds v, so x >= reached iff it holds every other vertex.
-    reached = (((1 << n) - 1) ^ blocked) << (max(n - 2, 0) * n)
-    for sub in range(1 << len(high)):
-        hx = 0
-        for i, lv in enumerate(high):
-            if sub >> i & 1:
-                hx |= lv
-        yield [total - y.bit_count() if (y := x | hx) >= reached else None for x in table]
+    adj, bought_to_v, current = _vertex_rows(profile, v)
+    m = profile.n - 1
+    p, q = profile.alpha.numerator, profile.alpha.denominator
+    current_sum = bfs_sum(adj, v, (1 << profile.n) - 1)  # row v is bought_to_v | current
+    if current_sum is None:
+        return inf, sized_sums(adj, v, bought_to_v, m)
+    cost = p * current.bit_count() + q * current_sum
+    into = bought_to_v.bit_count()
+    cap = max(
+        (k for k in range(m + 1) if p * k + q * (2 * m - min(m, k + into)) <= cost - strict),
+        default=-1,
+    )
+    return cost, sized_sums(adj, v, bought_to_v, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +245,9 @@ def best_response_exact(
     """Cost-minimising edge set for ``v`` over all subsets of the other vertices.
 
     Ties prefer fewer edges, then lexicographically smallest target set.
-    The returned delta is <= 0 since the current strategy competes.
+    The returned delta is <= 0 since the current strategy competes.  Only
+    sizes whose cost lower bound does not exceed the current cost are
+    priced (``_bounded_scan``).
     """
     n = profile.n
     required = 1 << (n - 1)
@@ -269,32 +257,21 @@ def best_response_exact(
             required=required,
         )
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    # Integer key (p*size + q*dsum)*n + size orders by cost, then size (< n).
-    weight, scale = p * n + 1, q * n
-    best_key = best = None
-    for block, sums in enumerate(_exact_sums(profile, v)):
-        if block == 0:
-            weights = [weight * i.bit_count() for i in range(len(sums))]
-        keys = [scale * d + w if d is not None else inf for d, w in zip(sums, weights)]
-        low = min(keys)
-        key = low + weight * block.bit_count()
-        if key == inf or (best_key is not None and key > best_key):
-            continue
-        first = block * len(sums)
-        i = keys.index(low)
-        while True:
-            mask = _subset_mask(first + i, v)
-            # Of two sets of one size, the one holding the lowest vertex of
-            # their symmetric difference has the smaller sorted tuple.
-            if best_key is None or key < best_key or mask & (diff := mask ^ best) & -diff:
-                best_key, best = key, mask
-            try:
-                i = keys.index(low, i + 1)
-            except ValueError:
-                break
+    # A set that ties the current cost may still win on size or order.
+    _, layers = _bounded_scan(profile, v, strict=False)
+    best_cost = best = None
+    for k, sums in enumerate(layers):
+        low = min((d for d in sums if d is not None), default=None)
+        if low is None or (best_cost is not None and p * k + q * low >= best_cost):
+            continue  # fewer edges win ties
+        best_cost = p * k + q * low
+        # Subset indices keep vertex order, so the smallest sorted tuple of
+        # one size has the smallest member list.
+        best = min((colex_index(i, k) for i, d in enumerate(sums) if d == low), key=mask_members)
 
-    # Buying an edge to everyone reaches every vertex, so best is never None.
-    best_set = frozenset(mask_members(best))
+    # The current strategy, or everyone when v is cut off now, lies within
+    # the cap, so best is never None.
+    best_set = frozenset(mask_members(_subset_mask(best, v)))
     delta = delta_cost(profile, v, best_set)
     if delta > 0:  # cannot happen: current strategy is in the search space
         raise AssertionError("best response worse than current strategy")
@@ -384,7 +361,10 @@ def verify_equilibrium(
     complete only for exact-all-subsets.  Disconnected profiles are rejected
     outright: buying edges to everyone is a finite-cost improvement over an
     infinite one.  Candidates are compared by integer cross-multiplication;
-    the witness is then re-priced by ``delta_cost``.
+    the witness is then re-priced by ``delta_cost``.  The exact class prices
+    only sizes whose cost lower bound is below the current cost
+    (``_bounded_scan``), but reports the witness and ``deviations_checked``
+    of the full scan in subset-index order.
     """
     digest = profile_hash(profile)
     if profile.n > 1 and not is_connected(profile):
@@ -409,18 +389,16 @@ def verify_equilibrium(
     for v in range(profile.n):
         current = profile.bought[v]
         if exact:
-            blocks = _exact_sums(profile, v)
-            head = next(blocks)
-            index = _subset_index(current, v)
-            if index < len(head):
-                current_sum = head[index]
-            else:  # past the first 2^12 target sets: one BFS beats waiting for its list
-                [(_, current_sum)] = _distance_sums(profile, v, [current])
-            priced = zip(_subset_masks(profile.n, v), chain(head, chain.from_iterable(blocks)))
-        else:
-            candidates = map(_mask_from_set, _class_deviations(profile, v, dev_class, ctx))
-            priced = _distance_sums(profile, v, chain([current], candidates))
-            _, current_sum = next(priced)
+            index = _first_improvement(profile, v)
+            if index is None:
+                checked += (1 << (profile.n - 1)) - 1
+                continue
+            # As if every set up to the witness were checked, but the current one.
+            checked += index + (_subset_index(current, v) > index)
+            return _witness_report(profile, digest, dev_class, v, _subset_mask(index, v), checked)
+        candidates = map(_mask_from_set, _class_deviations(profile, v, dev_class, ctx))
+        priced = _distance_sums(profile, v, chain([current], candidates))
+        _, current_sum = next(priced)
         current_cost = p * current.bit_count() + q * current_sum
         for mask, dsum in priced:
             if mask == current:
@@ -431,13 +409,41 @@ def verify_equilibrium(
                     f"verification exceeded budget {budget}", required=checked
                 )
             if dsum is not None and p * mask.bit_count() + q * dsum < current_cost:
-                targets = frozenset(mask_members(mask))
-                delta = delta_cost(profile, v, targets)
-                if delta >= 0:  # cannot happen: the oracle re-checks the integer verdict
-                    raise AssertionError("witness does not improve under the oracle")
-                dev = Deviation(v, targets)
-                return VerificationReport(digest, dev_class.spec(), False, (dev, delta), checked)
+                return _witness_report(profile, digest, dev_class, v, mask, checked)
     return VerificationReport(digest, dev_class.spec(), True, None, checked)
+
+
+def _first_improvement(profile: StrategyProfile, v: int) -> int | None:
+    """The least subset index of a target set strictly improving v, or None.
+
+    Only sizes whose cost lower bound is below v's current cost are priced
+    (``_bounded_scan``); within one size the first improving set has the
+    least index.
+    """
+    p, q = profile.alpha.numerator, profile.alpha.denominator
+    cost, layers = _bounded_scan(profile, v, strict=True)
+    best = None
+    for k, sums in enumerate(layers):
+        limit = (cost - 1 - p * k) // q  # the largest improving distance sum
+        for i, d in enumerate(sums):
+            if d is not None and d <= limit:
+                index = colex_index(i, k)
+                if best is None or index < best:
+                    best = index
+                break
+    return best
+
+
+def _witness_report(
+    profile: StrategyProfile, digest: str, cls: DeviationClass, v: int, mask: int, checked: int
+) -> VerificationReport:
+    """The report for v's improving ``mask``, re-priced by ``delta_cost``."""
+    targets = frozenset(mask_members(mask))
+    delta = delta_cost(profile, v, targets)
+    if delta >= 0:  # cannot happen: the oracle re-checks the integer verdict
+        raise AssertionError("witness does not improve under the oracle")
+    dev = Deviation(v, targets)
+    return VerificationReport(digest, cls.spec(), False, (dev, delta), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +568,7 @@ def _greedy_tables(
     tables = []
     options = [()] * len(edges)
     for v in range(n):
-        sums = chain.from_iterable(_row_sums(adj, v, 0))
+        sums = row_sums(adj, v, 0)
         tables.append(h := [q * d + w if d is not None else None for d, w in zip(sums, weights)])
         now = h[rows[v]]
         missing = everyone ^ rows[v]

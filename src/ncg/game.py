@@ -7,7 +7,7 @@ graph distances to every other agent.
 
 All arithmetic is exact: ``alpha`` and building costs are ``Fraction``s,
 distances are plain ints, and ``math.inf`` marks unreachable pairs (it only
-ever enters comparisons, never finite arithmetic).
+ever enters comparisons and sums that stay ``inf``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 
 # n is capped so distance sums stay small and exhaustive operations stay sane.
 MAX_N = 64
@@ -222,6 +222,71 @@ def ball_levels(adj: Sequence[int], sources: int, blocked: int) -> int:
     return levels
 
 
+def _ball_sums(unions: list[int], n: int, v: int) -> list[int | None]:
+    """v's distance sums from the ball-level unions of its target sets.
+
+    With P[t] the ``ball_levels`` of t in G - v, target set T puts u within
+    distance d + 1 of v iff u lies in block d of x = P[base] | OR of P[t]
+    over t in T, where base is the rest of row v.  So v's distance sum is
+    (n-1)n - popcount(x), or None when the top block misses a vertex.
+    """
+    total = (n - 1) * n
+    # The top block never holds v, so x >= reached iff it holds every other vertex.
+    reached = (((1 << n) - 1) ^ (1 << v)) << (max(n - 2, 0) * n)
+    return [total - x.bit_count() if x >= reached else None for x in unions]
+
+
+def row_sums(adj: Sequence[int], v: int, base: int) -> list[int | None]:
+    """v's distance sums when row v is ``base`` plus each target set.
+
+    Position i holds the set whose members are the j-th vertices other than
+    v for each bit j of i (its subset index); the unions are built by
+    doubling.
+    """
+    blocked = 1 << v
+    table = [ball_levels(adj, base, blocked)]
+    for t in range(len(adj)):
+        if t != v:
+            lv = ball_levels(adj, 1 << t, blocked)
+            table += [x | lv for x in table]
+    return _ball_sums(table, len(adj), v)
+
+
+def sized_sums(adj: Sequence[int], v: int, base: int, cap: int):
+    """Yield ``row_sums`` split by target-set size, for sizes 0..cap.
+
+    List k holds the k-sets in subset-index order, which within one size is
+    colex order: the k-sets whose largest member is the t-th other vertex
+    extend the first comb(t, k - 1) unions of list k - 1, so ``colex_index``
+    maps a position back to its subset index.  Only two lists are alive at
+    a time.
+    """
+    if cap < 0:
+        return
+    n = len(adj)
+    blocked = 1 << v
+    layer = [ball_levels(adj, base, blocked)]
+    yield _ball_sums(layer, n, v)
+    if cap == 0:
+        return
+    levels = [ball_levels(adj, 1 << t, blocked) for t in range(n) if t != v]
+    for k in range(1, cap + 1):
+        layer = [x | lv for t, lv in enumerate(levels) for x in layer[: comb(t, k - 1)]]
+        yield _ball_sums(layer, n, v)
+
+
+def colex_index(position: int, k: int) -> int:
+    """Subset index of the k-set at ``position`` of its ``sized_sums`` list."""
+    index = 0
+    for i in range(k, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= position:
+            c += 1
+        index |= 1 << c
+        position -= comb(c, i)
+    return index
+
+
 def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
     """Exact distances on the underlying undirected graph, one BFS per source.
 
@@ -234,10 +299,7 @@ def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
 
 def connection_cost(dist: DistanceMatrix, v: int) -> int | float:
     """Sum of distances from ``v`` to every other vertex; ``inf`` if any is."""
-    row = dist[v]
-    if any(row[u] == inf for u in range(dist.n) if u != v):
-        return inf
-    return sum(row[u] for u in range(dist.n) if u != v)
+    return sum(dist[v])  # dist[v][v] is 0, and one inf term makes the sum inf
 
 
 def vertex_cost(profile: StrategyProfile, dist: DistanceMatrix, v: int) -> CostBreakdown:

@@ -5,10 +5,12 @@ replaced: it decodes, connectivity-checks and verifies every one of the
 3^(n(n-1)/2) profile indices in order, with no filter.  ``oracle_verify``
 is the per-candidate verification loop the shared strategy-pricing loop
 replaced: every candidate is priced from raw edge lists by
-``gadgets.oracle_delta``.  ``oracle_s_set_all_paths`` is the all-paths
-funnel by one via-deleted BFS per anchor vertex, and
-``oracle_s_set_some_path`` the some-path funnel read pair by pair from the
-distance matrix.  The ``oracle_*`` ladder queries restate the edge-class
+``gadgets.oracle_delta``.  ``oracle_best_response`` is the full scan the
+size-bounded exact scan replaced: every target set is priced by
+``_distance_sums`` and the least (cost, size, sorted tuple) wins.
+``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
+per anchor vertex, and ``oracle_s_set_some_path`` the some-path funnel read
+pair by pair from the distance matrix.  The ``oracle_*`` ladder queries restate the edge-class
 rules straight from ``x_classes``, ``spt.parent``, ``spt.down_pairs`` and
 ``profile.buys``.  ``oracle_rows``, ``oracle_neighbours``, ``oracle_targets``
 and ``oracle_buys`` read a profile's graph facts off its bought edges one
@@ -34,6 +36,7 @@ from ncg.equilibrium import (
     EnumerationResult,
     VerificationReport,
     _class_deviations,
+    _distance_sums,
     _needs_context,
     profile_from_index,
     profile_hash,
@@ -45,6 +48,7 @@ from ncg.game import (
     all_pairs_distances,
     bfs_distances,
     is_connected,
+    mask_members,
 )
 from ncg.structure import (
     SptAnalysis,
@@ -134,6 +138,28 @@ def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> Verifi
                 dev = Deviation(v, targets)
                 return VerificationReport(digest, spec, False, (dev, delta), checked)
     return VerificationReport(digest, spec, True, None, checked)
+
+
+def oracle_best_response(
+    profile: StrategyProfile, v: int
+) -> tuple[frozenset[int], Fraction | float]:
+    """What ``best_response_exact`` must return: every one of v's target sets
+    priced, the least (cost, size, sorted tuple) kept, its delta by
+    ``gadgets.oracle_delta``."""
+    others = [u for u in range(profile.n) if u != v]
+    masks = [
+        sum(1 << u for i, u in enumerate(others) if sub >> i & 1)
+        for sub in range(1 << len(others))
+    ]
+
+    def key(priced):
+        mask, dsum = priced
+        size = mask.bit_count()
+        return (inf if dsum is None else profile.alpha * size + dsum), size, mask_members(mask)
+
+    mask, _ = min(_distance_sums(profile, v, masks), key=key)
+    best = frozenset(mask_members(mask))
+    return best, oracle_delta(profile, v, best)
 
 
 def oracle_neighbours(profile: StrategyProfile, v: int) -> list[int]:

@@ -19,7 +19,7 @@ from gadgets import (
     star,
     two_triangles,
 )
-from oracle import oracle_cell, oracle_verify
+from oracle import oracle_best_response, oracle_cell, oracle_verify
 from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
 
 from ncg import (
@@ -35,14 +35,16 @@ from ncg import (
     verify_equilibrium,
 )
 from ncg.equilibrium import (
+    _bounded_scan,
     _distance_sums,
-    _exact_sums,
     _greedy_tables,
     _subset_masks,
     _table_equilibria,
+    _vertex_rows,
     pair_list,
+    profile_from_index,
 )
-from ncg.game import BoughtEdge, StrategyProfile
+from ncg.game import BoughtEdge, StrategyProfile, row_sums, sized_sums
 from ncg.harness import enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
@@ -202,21 +204,20 @@ def _bfs_sums(p, v):
 
 @example(profile(4, 1, [(0, 1), (1, 0), (2, 0)]))  # 0-1 bought twice, 3 isolated
 @example(profile(1, 1, []))
+@example(random_profile(14, 0.25, seed=4, alpha=3, require_connected=True))
+@example(random_profile(14, 0.1, seed=4, alpha=3))  # disconnected
+@example(random_profile(15, 0.25, seed=4, alpha=3, require_connected=True))
 @given(st.one_of(doubled_profiles(max_n=9), sparse_connected_profiles(max_n=9)))
 @settings(max_examples=60, deadline=None)
 def test_exact_sums_match_bfs_pricing(p):
+    # The greedy filter's doubling table, and the exact scan's size lists
+    # with no cap, against one BFS per target set.
     for v in range(p.n):
-        assert [s for block in _exact_sums(p, v) for s in block] == _bfs_sums(p, v)
-
-
-@pytest.mark.parametrize("n, connected", [(14, True), (14, False), (15, True)])
-def test_exact_sums_cross_the_table_block_boundary(n, connected):
-    p = random_profile(n, 0.25 if connected else 0.1, seed=4, alpha=3, require_connected=connected)
-    assert is_connected(p) == connected
-    for v in (0, 6, n - 1):
-        blocks = list(_exact_sums(p, v))
-        assert [len(block) for block in blocks] == [1 << 12] * (1 << (n - 13))
-        assert [s for block in blocks for s in block] == _bfs_sums(p, v)
+        expected = _bfs_sums(p, v)
+        adj, base, _ = _vertex_rows(p, v)
+        assert row_sums(adj, v, base) == expected
+        by_size = [[s for i, s in enumerate(expected) if i.bit_count() == k] for k in range(p.n)]
+        assert list(sized_sums(adj, v, base, p.n - 1)) == by_size
 
 
 def test_exact_verification_prices_current_strategy_past_the_first_table():
@@ -227,6 +228,55 @@ def test_exact_verification_prices_current_strategy_past_the_first_table():
     assert report.deviations_checked == 14 * ((1 << 13) - 1)
     cheap = profile(14, Fraction(1, 2), leaves_buy)
     assert verify_equilibrium(cheap) == oracle_verify(cheap, EXACT)
+
+
+def test_size_cap_on_star_leaves():
+    # A leaf of a star whose centre bought every edge, at alpha > 1: adding
+    # k edges saves at most k hops, so no size can improve and only the
+    # empty set can tie.
+    leaf = star(6, alpha=9)
+    assert list(_bounded_scan(leaf, 1, strict=True)[1]) == []
+    assert len(list(_bounded_scan(leaf, 1, strict=False)[1])) == 1
+
+
+SMALL_ALPHAS = [Fraction(a) for a in ("1/3", "1/2", "1", "3/2", "2", "3", "9")]
+
+
+@pytest.mark.parametrize("alpha", SMALL_ALPHAS, ids=str)
+def test_exact_scans_match_full_scan_on_every_small_profile(alpha):
+    for n in range(1, 5):
+        for index in range(3 ** (n * (n - 1) // 2)):
+            p = profile_from_index(n, alpha, index)
+            assert verify_equilibrium(p, EXACT) == oracle_verify(p, EXACT), (n, index)
+            for v in range(n):
+                assert best_response_exact(p, v) == oracle_best_response(p, v), (n, index, v)
+
+
+@example(directed_ring(6, 1), 1, 3)
+@example(ring_with_pendant(1), 7, 2)
+@example(profile(5, 1, [(0, 1), (2, 3), (3, 4)]), 3, 1)  # disconnected: no cap
+@example(star(6), 9, 1)  # the leaves have cap -1
+# Vertex 4's cheapest sets include {0, 5} and {1, 3}; {0, 5} has the smaller
+# sorted tuple but the larger subset index.
+@example(
+    profile(6, 1, [(0, 5), (2, 3), (2, 5), (3, 0), (4, 0), (4, 1), (4, 2), (4, 5), (5, 1)]), 1, 1
+)
+# A 14-star whose leaves buy their edges, but for leaf 9, whose edge the
+# centre buys; at alpha 1/2 vertex 0 first improves at index 511, buying 1..9.
+@example(profile(14, 1, [(v, 13) for v in range(13) if v != 9] + [(13, 9)]), 1, 2)
+@given(
+    st.one_of(profiles(max_n=9), sparse_connected_profiles(max_n=9), doubled_profiles(max_n=9)),
+    st.integers(1, 40),
+    st.integers(1, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounded_exact_scans_match_full_scan(p, num, den):
+    # Whole reports (witness and deviations_checked too) and every vertex's
+    # best response with its delta.
+    p = StrategyProfile(p.n, Fraction(num, den), p.edges)
+    assert verify_equilibrium(p, EXACT) == oracle_verify(p, EXACT)
+    for v in range(p.n):
+        assert best_response_exact(p, v) == oracle_best_response(p, v)
 
 
 def test_verify_budget_error():
