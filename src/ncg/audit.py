@@ -2,8 +2,10 @@
 
 Each bound operation prices a specific strategy rewrite (selling low-level
 edges inside the big biconnected piece H, optionally rebuying the edge to
-the root) and is compared, with exact rational arithmetic, against the
-brute-force cost delta of actually performing the rewrite.  The structural
+the root) and is compared against the exact cost delta of actually
+performing the rewrite: the seller's new distance sum from one BFS, its
+current one from the context's connection costs, both sides in integer
+units of 1/q for alpha = p/q.  The structural
 checks evaluate quantified statements about H, the shortest path tree, edge
 classes, cycles and funnels, reporting one finding per rule.
 
@@ -22,7 +24,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import BudgetExceededError
-from .equilibrium import VerificationReport, delta_cost
+from .equilibrium import VerificationReport, _vertex_rows
 from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
@@ -66,23 +68,23 @@ MAX_SELL = 2
 # deviation-cost bounds
 
 
-def strategy1_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
+def _strategy1(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tuple[int, int]:
     """Cost-change upper bound for u selling the given bought edges.
 
     sold is a list of (edge, level) pairs; levels must come in as the
     minimal class levels (the nested classes make the minimal level the
-    tightest valid choice).  Each bound sums its integer terms first and
-    subtracts its multiple of alpha once, so the value is an exact Fraction.
+    tightest valid choice).  Each bound is returned as its integer terms
+    and the multiple of alpha it subtracts.
     """
     d = ctx.spt.depth[u]
     path = ctx.spt.path_to_root(u)
     value = d * ctx.n - 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(d))
     for edge, level in sold:
         value += (2 * level + 2 * d) * edge_subtree_size(ctx.spt, *edge)
-    return value - len(sold) * ctx.alpha
+    return value, len(sold)
 
 
-def strategy2_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
+def _strategy2(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tuple[int, int]:
     """Bound for selling the given edges while also buying the edge to the root.
 
     The midpoint subtree term only exists when the root distance is even;
@@ -96,10 +98,10 @@ def strategy2_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) 
     value -= 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(len(path)) if 2 * l < d)
     for edge, level in sold:
         value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
-    return value - (len(sold) - 1) * ctx.alpha
+    return value, len(sold) - 1
 
 
-def strategy3_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
+def _strategy3(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tuple[int, int]:
     """Bound for the root-rebuy rewrite when the sold set may include u's up-edge.
 
     Weaker than the previous bound: only u's own subtree contributes savings.
@@ -109,14 +111,28 @@ def strategy3_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) 
     value = ctx.n - (d + 1) * ctx.spt.subtree_size[u]
     for edge, level in sold:
         value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
-    return value - (len(sold) - 1) * ctx.alpha
+    return value, len(sold) - 1
 
 
-_BOUND_FNS = {
-    "strategy1": strategy1_bound,
-    "strategy2": strategy2_bound,
-    "strategy3": strategy3_bound,
-}
+_BOUND_TERMS = {"strategy1": _strategy1, "strategy2": _strategy2, "strategy3": _strategy3}
+
+
+def strategy1_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
+    """``_strategy1`` as an exact Fraction: integer terms minus their alpha multiple."""
+    value, times_alpha = _strategy1(ctx, u, sold)
+    return value - times_alpha * ctx.alpha
+
+
+def strategy2_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
+    """``_strategy2`` as an exact Fraction."""
+    value, times_alpha = _strategy2(ctx, u, sold)
+    return value - times_alpha * ctx.alpha
+
+
+def strategy3_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
+    """``_strategy3`` as an exact Fraction."""
+    value, times_alpha = _strategy3(ctx, u, sold)
+    return value - times_alpha * ctx.alpha
 
 
 @dataclass(frozen=True)
@@ -145,9 +161,11 @@ def audit_deviation_bound(
 
     ``sold_targets`` lists the other endpoints of edges u sells.  The value
     is always computed; ``preconditions_met`` records whether the bound's
-    own hypotheses held, and ``dominates`` whether exact <= bound.
+    own hypotheses held, and ``dominates`` whether exact <= bound.  Both
+    sides are priced in integer units of 1/q (alpha = p/q): the current
+    distance sum is u's connection cost, the new one comes from one BFS.
     """
-    if strategy_kind not in _BOUND_FNS:
+    if strategy_kind not in _BOUND_TERMS:
         raise ValueError(f"unknown strategy kind {strategy_kind!r}")
     include_up = strategy_kind == "strategy3"
     buys_root = strategy_kind in ("strategy2", "strategy3")
@@ -155,7 +173,9 @@ def audit_deviation_bound(
 
     sold: list[tuple[Edge, int]] = []
     recorded: list[tuple[Edge, int | None]] = []
+    sold_mask = 0
     for t in sorted(sold_targets):
+        sold_mask |= 1 << t
         edge = _as_edge(u, t)
         level = ctx.x_level(edge)
         recorded.append((edge, level))
@@ -182,19 +202,27 @@ def audit_deviation_bound(
     if ctx.has_cyclic_h and ctx.connection(ctx.root) > ctx.connection(u):
         notes.append("root connection cost exceeds seller's")  # impossible by construction
 
-    bound = _BOUND_FNS[strategy_kind](ctx, u, sold)
+    value, times_alpha = _BOUND_TERMS[strategy_kind](ctx, u, sold)
+    p, q = ctx.alpha.numerator, ctx.alpha.denominator
+    bound = q * value - p * times_alpha
 
-    new_targets = frozenset(ctx.targets[u]).difference(sold_targets)
+    adj, bought_to_u, current = _vertex_rows(ctx.profile, u)
+    new = current & ~sold_mask
     if buys_root and u != ctx.root:
-        new_targets = new_targets | {ctx.root}
+        new |= 1 << ctx.root
     elif buys_root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
-    exact = delta_cost(ctx.profile, u, new_targets)
+    adj[u] = bought_to_u | new
+    new_sum = bfs_sum(adj, u, (1 << ctx.n) - 1)
+    if new_sum is None:
+        exact = inf
+    else:
+        exact = p * (new.bit_count() - current.bit_count()) + q * (new_sum - ctx.connection(u))
 
     if ne_certificate is not None and ne_certificate.is_equilibrium:
         if ne_certificate.profile_hash != ctx.profile_hash:
             notes.append("certificate hash mismatch; ignored")
-        elif not (exact == inf or exact >= 0):
+        elif exact < 0:
             notes.append("certified equilibrium admits an improving rewrite")
 
     return BoundComparison(
@@ -202,11 +230,11 @@ def audit_deviation_bound(
         vertex=u,
         sold_edges=tuple(recorded),
         bought_r=buys_root,
-        bound=bound,
-        exact_delta=exact,
+        bound=Fraction(bound, q),
+        exact_delta=exact if exact == inf else Fraction(exact, q),
         preconditions_met=not notes,
         precondition_notes="; ".join(notes),
-        dominates=bool(exact <= bound),
+        dominates=exact <= bound,
     )
 
 

@@ -215,8 +215,9 @@ def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
 def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | float:
     """Exact cost change for ``v`` adopting ``new_edge_set``, others fixed.
 
-    Recomputes v's distance sum from scratch on the modified graph: this is
-    the brute-force oracle every bound audit compares against.  Returns +inf
+    Recomputes v's distance sums before and after from scratch, with two
+    BFS.  Exact scans re-check their witnesses with it, and the tests use it
+    as the oracle for the bound audits' integer pricing.  Returns +inf
     when the deviation separates v from some vertex, -inf when it reconnects
     a previously separated v.
     """

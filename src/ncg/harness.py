@@ -25,11 +25,12 @@ from .equilibrium import (
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
+    VerificationReport,
     scan_graph_range,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
 from .game import BoughtEdge, is_connected
-from .structure import build_context
+from .structure import StrategyContext, build_context, graph_layer
 
 SCHEMA_VERSION = 1
 CSV_HEADER_COMMENT = "# ncg report v1"
@@ -272,20 +273,35 @@ def is_spanning_tree(profile: StrategyProfile) -> bool:
     return is_connected(profile) and len(profile.undirected_edges()) == profile.n - 1
 
 
+def contexts_by_graph(equilibria) -> Iterator[tuple[StrategyContext, VerificationReport]]:
+    """``(build_context(profile), report)`` for each equilibrium, grouped by graph.
+
+    Equilibria with the same ``adj`` share one ``graph_layer``, and only one
+    graph layer is alive at a time.
+    """
+    groups: dict[tuple[int, ...], list] = {}
+    for profile, report in equilibria:
+        groups.setdefault(profile.adj, []).append((profile, report))
+    for members in groups.values():
+        graph = graph_layer(members[0][0])
+        for profile, report in members:
+            yield build_context(profile, graph), report
+
+
 def build_report_row(result: EnumerationResult) -> ReportRow:
     """Fold one enumeration into a row; enforces the tree-only rule above 2n.
 
-    Every equilibrium is audited on its one ``StrategyContext``; being
-    connected, it is a tree iff its girth is infinite.  A non-tree
-    equilibrium at alpha > 2n is a hard failure, never a data point.  In the
-    open band [n, 2n) non-tree counts are reported as exploratory data only.
+    Every equilibrium is audited on its one ``StrategyContext``
+    (``contexts_by_graph``); being connected, it is a tree iff its girth is
+    infinite.  A non-tree equilibrium at alpha > 2n is a hard failure, never
+    a data point.  In the open band [n, 2n) non-tree counts are reported as
+    exploratory data only.
     """
     tree = 0
     non_tree = 0
     min_girth: int | float = inf
     audit_failures = 0
-    for profile, report in result.equilibria:
-        ctx = build_context(profile)
+    for ctx, report in contexts_by_graph(result.equilibria):
         if ctx.girth == inf:
             tree += 1
         else:

@@ -6,12 +6,15 @@ inside H, a shortest path tree T rooted at r with edge orientations and
 subtree sizes, the ladder of edge classes built from out-edges (X-levels),
 smallest cycles through vertices and edges, and shortest-path funnels
 (S-sets).  ``build_context`` bundles all of them into one
-``StrategyContext``.
+``StrategyContext`` in two layers: ``graph_layer`` holds what depends only
+on the graph (distances, blocks with H, connection costs, root, cycles,
+girth), shared by every ownership of one graph, and the shortest path tree
+and edge classes depend on who bought which edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import inf
@@ -541,7 +544,11 @@ def compute_s_set(
 
 @dataclass(frozen=True)
 class StrategyContext:
-    """Everything the audits read: distances, H, the rooted tree, classes, cycles."""
+    """Everything the audits read: distances, H, the rooted tree, classes, cycles.
+
+    ``connections`` holds every vertex's connection cost; when it is not
+    given it is summed from ``dist``.
+    """
 
     profile: StrategyProfile
     dist: DistanceMatrix
@@ -553,6 +560,11 @@ class StrategyContext:
     x_classes: dict[Edge, EdgeClass]
     cycles: CycleReport
     girth: int | float
+    connections: tuple[int | float, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.connections is None:
+            object.__setattr__(self, "connections", tuple(map(sum, self.dist.rows)))
 
     @property
     def n(self) -> int:
@@ -566,15 +578,10 @@ class StrategyContext:
     def has_cyclic_h(self) -> bool:
         return len(self.h_vertices) >= 3
 
-    @property
+    @cached_property
     def in_regime(self) -> bool:
         """The paper's regime: a cyclic core, alpha > 2n and girth at least 7."""
         return self.has_cyclic_h and self.alpha > 2 * self.n and self.girth >= 7
-
-    @cached_property
-    def connections(self) -> tuple[int | float, ...]:
-        """Every vertex's connection cost, summed once per context."""
-        return tuple(connection_cost(self.dist, v) for v in range(self.n))
 
     def connection(self, v: int) -> int | float:
         return self.connections[v]
@@ -623,31 +630,64 @@ class StrategyContext:
         ]
 
 
-def build_context(profile: StrategyProfile) -> StrategyContext:
-    """Compute the full structural bundle for a connected profile."""
+@dataclass(frozen=True)
+class GraphLayer:
+    """The part of a context that depends only on the graph, not on ownership."""
+
+    adj: tuple[int, ...]
+    dist: DistanceMatrix
+    decomposition: BiconnectedDecomposition
+    connections: tuple[int | float, ...]
+    root: int
+    cycles: CycleReport
+    girth: int | float
+
+
+def graph_layer(profile: StrategyProfile) -> GraphLayer:
+    """The graph layer of a connected profile's context.
+
+    Distances, blocks, connection costs, root, cycles and girth; every
+    profile with the same ``adj`` shares it.
+    """
     if not is_connected(profile):
         raise ValueError("audit context requires a connected profile")
     dist = all_pairs_distances(profile)
     decomposition = largest_biconnected_component(profile)
+    connections = tuple(map(sum, dist.rows))  # connection_cost of every vertex
     h_vertices = decomposition.largest_vertices()
-    h_edges = decomposition.largest_edges()
-    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
-    spt = build_spt(profile, dist, root)
+    root = min(h_vertices, key=lambda v: (connections[v], v)) if h_vertices else 0
+    cycles = cycle_report(profile, decomposition, dist)
+    girth = _girth(profile, decomposition, cycles)
+    return GraphLayer(profile.adj, dist, decomposition, connections, root, cycles, girth)
+
+
+def build_context(profile: StrategyProfile, graph: GraphLayer | None = None) -> StrategyContext:
+    """Compute the full structural bundle for a connected profile.
+
+    ``graph`` is ``graph_layer`` of a profile with the same ``adj``; it is
+    computed from ``profile`` when not given.
+    """
+    if graph is None:
+        graph = graph_layer(profile)
+    elif graph.adj != profile.adj:
+        raise ValueError("graph layer of a different graph")
+    decomposition = graph.decomposition
+    spt = build_spt(profile, graph.dist, graph.root)
     x_classes = {
         c.edge: c for c in classify_x_sets(profile, spt, decomposition)
     }
-    cycles = cycle_report(profile, decomposition, dist)
     return StrategyContext(
         profile=profile,
-        dist=dist,
+        dist=graph.dist,
         decomposition=decomposition,
-        h_vertices=h_vertices,
-        h_edges=h_edges,
-        root=root,
+        h_vertices=decomposition.largest_vertices(),
+        h_edges=decomposition.largest_edges(),
+        root=graph.root,
         spt=spt,
         x_classes=x_classes,
-        cycles=cycles,
-        girth=_girth(profile, decomposition, cycles),
+        cycles=graph.cycles,
+        girth=graph.girth,
+        connections=graph.connections,
     )
 
 

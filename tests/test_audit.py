@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gadgets import directed_ring, figure_gadget, path3, profile, up_and_out_seller
+from gadgets import (
+    directed_ring,
+    figure_gadget,
+    path3,
+    profile,
+    ring_with_pendant,
+    two_triangles,
+    up_and_out_seller,
+)
 from oracle import oracle_context
 from strategies import connected_profiles, sparse_connected_profiles
 
@@ -21,6 +29,7 @@ from ncg import (
     audit_full,
     audit_structural,
     build_context,
+    delta_cost,
     scaffold_profile,
     strategy1_bound,
     strategy2_bound,
@@ -28,6 +37,7 @@ from ncg import (
     verify_equilibrium,
 )
 from ncg.audit import eligible_sold_selections
+from ncg.game import mask_members
 from ncg.harness import enumerate_cell
 from ncg.structure import global_girth
 
@@ -172,6 +182,61 @@ def test_bound_domination_on_seeded_scaffolds():
                 assert cmp.dominates, (seed, kind, u, combo, cmp)
                 checked[kind] += 1
     assert all(count >= 40 for count in checked.values()), checked
+
+
+_PUBLIC_BOUNDS = {
+    "strategy1": strategy1_bound,
+    "strategy2": strategy2_bound,
+    "strategy3": strategy3_bound,
+}
+
+
+@given(
+    st.one_of(
+        connected_profiles(max_n=7),
+        sparse_connected_profiles(max_n=10),
+        st.integers(0, 999).map(scaffold_profile),
+    )
+)
+@example(two_triangles(Fraction(1, 2)))  # alpha < 1
+@example(ring_with_pendant(Fraction(7, 3)))  # fractional alpha; 3 and 7 sell bridges
+@example(scaffold_profile(2))  # alpha 41/2, above 2n
+@example(directed_ring(7, 29))  # the root 0 sells under strategy2 and buys nothing
+@example(path3(alpha=5))  # every sale disconnects
+@settings(max_examples=40, deadline=None)
+def test_bound_audit_integer_pricing_matches_fractions(p):
+    # Every vertex sells every set of at most two neighbours, eligible or
+    # not: the integer pricing must give delta_cost's exact delta and the
+    # public bound formulas' value whatever the preconditions say.
+    ctx = build_context(p)
+    for u in range(p.n):
+        neighbours = mask_members(p.adj[u])
+        sales = [()] + [(t,) for t in neighbours] + [
+            (a, b) for i, a in enumerate(neighbours) for b in neighbours[i + 1:]
+        ]
+        for kind, bound_fn in _PUBLIC_BOUNDS.items():
+            for sold in sales:
+                cmp = audit_deviation_bound(ctx, u, kind, sold)
+                levels = [((min(u, t), max(u, t)), ctx.x_level((u, t)) or 0) for t in sold]
+                new_targets = p.targets_of(u) - set(sold)
+                if kind != "strategy1" and u != ctx.root:
+                    new_targets |= {ctx.root}
+                assert cmp.bound == bound_fn(ctx, u, levels)
+                assert isinstance(cmp.bound, Fraction)
+                assert cmp.exact_delta == delta_cost(p, u, new_targets), (u, kind, sold)
+                assert cmp.dominates == (cmp.exact_delta <= cmp.bound)
+
+
+def test_bound_audit_prices_a_disconnecting_rewrite_as_inf():
+    cmp = audit_deviation_bound(build_context(ring_with_pendant(Fraction(7, 3))), 3, "strategy1", [7])
+    assert cmp.exact_delta == inf and not cmp.dominates
+
+
+def test_root_seller_under_strategy2_only_sells():
+    ctx = build_context(directed_ring(7, 29))
+    cmp = audit_deviation_bound(ctx, ctx.root, "strategy2", [1])
+    assert "root cannot buy an edge to itself" in cmp.precondition_notes
+    assert cmp.exact_delta == delta_cost(ctx.profile, ctx.root, set())
 
 
 def test_scaffolds_have_high_girth_and_alpha():

@@ -20,9 +20,12 @@ from ncg import (
     TreeConjectureViolation,
     verify_equilibrium,
 )
+from ncg.audit import audit_full
 from ncg.cli import cmd_run
 from ncg.harness import (
     build_report_row,
+    cell_alpha,
+    contexts_by_graph,
     enumerate_cell,
     load_profile,
     parse_alpha_expression,
@@ -33,6 +36,7 @@ from ncg.harness import (
     worker_count,
 )
 from ncg.equilibrium import DeviationClass
+from ncg.structure import build_context
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,34 @@ def test_report_row_counts_trees():
     assert row.non_tree_ne_count == 0
     assert row.min_girth_among_ne == inf
     assert row.profiles_scanned == 27
+
+
+def _first_middle_last(equilibria):
+    """The first, middle and last equilibrium of each graph."""
+    groups = {}
+    for item in equilibria:
+        groups.setdefault(item[0].adj, []).append(item)
+    return [m[i] for m in groups.values() for i in sorted({0, len(m) // 2, len(m) - 1})]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("alpha", ["1/2", "1", "2", "3", "2n+1"])
+def test_shared_graph_contexts_audit_like_build_context(n, alpha):
+    equilibria = enumerate_cell(n, cell_alpha(alpha, n), DeviationClass.parse("exact")).equilibria
+    if (n, alpha) == (5, "1"):
+        # 43,728 equilibria on 368 graphs: three ownerships of every graph
+        equilibria = _first_middle_last(equilibria)
+    shared = list(contexts_by_graph(equilibria))
+    key = lambda item: item[0].edges
+    assert sorted(((c.profile, r) for c, r in shared), key=key) == sorted(equilibria, key=key)
+    # one graph layer per graph: its distances are one object
+    assert len({id(c.dist) for c, _ in shared}) == len({p.adj for p, _ in equilibria})
+    for ctx, report in shared:
+        ref = build_context(ctx.profile)
+        assert ctx == ref and ctx.connections == ref.connections
+        got, want = audit_full(ctx, ne_certificate=report), audit_full(ref, ne_certificate=report)
+        assert got == want and got.summary == want.summary
+        assert [f.detail for f in got.findings] == [f.detail for f in want.findings]
 
 
 def test_report_row_rejects_non_tree_above_2n():

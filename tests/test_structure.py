@@ -46,6 +46,7 @@ from ncg import (
 from ncg.structure import (
     all_simple_cycles,
     cycle_directed,
+    graph_layer,
     is_min_cycle,
     smallest_cycle_through_edge,
 )
@@ -487,3 +488,11 @@ def test_context_connections_match_oracle(p):
     assert [ctx.connection(v) for v in range(p.n)] == costs
     if ctx.has_cyclic_h:
         assert ctx.root == min(ctx.h_vertices, key=lambda v: (costs[v], v))
+
+
+def test_context_rejects_the_graph_layer_of_another_graph():
+    graph = graph_layer(directed_ring(7, 29))
+    reversed_ring = profile(7, 29, [((i + 1) % 7, i) for i in range(7)])
+    assert build_context(reversed_ring, graph) == build_context(reversed_ring)
+    with pytest.raises(ValueError, match="different graph"):
+        build_context(figure_gadget(), graph)
