@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import inf
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .game import (
@@ -630,9 +631,12 @@ class StrategyContext:
         ]
 
 
-@dataclass(frozen=True)
-class GraphLayer:
-    """The part of a context that depends only on the graph, not on ownership."""
+class GraphLayer(NamedTuple):
+    """The part of a context that depends only on the graph, not on ownership.
+
+    A named tuple rather than a dataclass: it has no methods, and a frozen
+    dataclass takes about ten times as long to define, on every import.
+    """
 
     adj: tuple[int, ...]
     dist: DistanceMatrix
