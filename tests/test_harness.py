@@ -164,7 +164,8 @@ def _first_middle_last(equilibria):
 def test_shared_graph_contexts_audit_like_build_context(n, alpha):
     equilibria = enumerate_cell(n, cell_alpha(alpha, n), DeviationClass.parse("exact")).equilibria
     if (n, alpha) == (5, "1"):
-        # 43,728 equilibria on 368 graphs: three ownerships of every graph
+        # 43,728 equilibria on 368 graphs take minutes to audit twice; check
+        # the first, middle and last ownership of every graph
         equilibria = _first_middle_last(equilibria)
     shared = list(contexts_by_graph(equilibria))
     key = lambda item: item[0].edges
