@@ -24,7 +24,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import BudgetExceededError
-from .equilibrium import VerificationReport, _vertex_rows
+from .equilibrium import VerificationReport, _distance_sums
 from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
@@ -173,9 +173,8 @@ def audit_deviation_bound(
 
     sold: list[tuple[Edge, int]] = []
     recorded: list[tuple[Edge, int | None]] = []
-    sold_mask = 0
-    for t in sorted(sold_targets):
-        sold_mask |= 1 << t
+    sold_targets = sorted(sold_targets)
+    for t in sold_targets:
         edge = _as_edge(u, t)
         level = ctx.x_level(edge)
         recorded.append((edge, level))
@@ -206,18 +205,15 @@ def audit_deviation_bound(
     p, q = ctx.alpha.numerator, ctx.alpha.denominator
     bound = q * value - p * times_alpha
 
-    adj, bought_to_u, current = _vertex_rows(ctx.profile, u)
-    new = current & ~sold_mask
-    if buys_root and u != ctx.root:
-        new |= 1 << ctx.root
-    elif buys_root:
+    if buys_root and u == ctx.root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
-    adj[u] = bought_to_u | new
-    new_sum = bfs_sum(adj, u, (1 << ctx.n) - 1)
+    new = ctx.rewrite(u, strategy_kind, sold_targets)
+    _, new_sum = next(_distance_sums(ctx.profile, u, [new]))
     if new_sum is None:
         exact = inf
     else:
-        exact = p * (new.bit_count() - current.bit_count()) + q * (new_sum - ctx.connection(u))
+        bought = new.bit_count() - ctx.profile.bought[u].bit_count()
+        exact = p * bought + q * (new_sum - ctx.connection(u))
 
     if ne_certificate is not None and ne_certificate.is_equilibrium:
         if ne_certificate.profile_hash != ctx.profile_hash:
@@ -558,18 +554,11 @@ class AuditReport:
 
 
 def eligible_sold_selections(ctx: StrategyContext, strategy_kind: str):
-    """All (vertex, sold-target-tuple) pairs a strategy audit can price."""
-    include_up = strategy_kind == "strategy3"
-    if not ctx.has_cyclic_h:
-        return
+    """All (vertex, sold-target-tuple) pairs a strategy audit can price:
+    ``sell_sets`` of every H vertex, at most ``MAX_SELL`` edges each."""
     for u in sorted(ctx.h_vertices):
-        if u == ctx.root:
-            continue
-        eligible = ctx.sellable_edges(u, include_up)
-        targets = [other for (_, other) in eligible]
-        for size in range(1, min(len(targets), MAX_SELL) + 1):
-            for combo in combinations(targets, size):
-                yield u, combo
+        for sold in ctx.sell_sets(u, strategy_kind, MAX_SELL):
+            yield u, sold
 
 
 def audit_full(

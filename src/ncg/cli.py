@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .audit import AuditReport, audit_full, build_context
 from .equilibrium import (
+    DEFAULT_BUDGET,
     DeviationClass,
     DynamicsTrace,
     EnumerationResult,
@@ -145,19 +146,19 @@ def _build_parser() -> argparse.ArgumentParser:
         if cell:
             p.add_argument("--n", required=True, help="vertex count(s), comma separated")
             p.add_argument("--alpha", required=True, help="alpha expression(s), e.g. 2n+1")
+            p.add_argument("--out", help="CSV output path (default: stdout)")
+            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--cap", type=int, default=5, help="enumeration vertex cap")
         p.add_argument("--class", dest="dev_class", default="exact",
                        help="deviation class spec (default: exact)")
-        p.add_argument("--budget", type=int, default=1 << 22)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("verify", help="check one profile for equilibrium")
     common(p, input_=True)
 
     p = sub.add_parser("enumerate", help="scan every profile at one (n, alpha) cell")
     common(p, cell=True)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--dump-dir", help="directory for per-equilibrium profile JSON dumps")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--cap", type=int, default=5, help="enumeration vertex cap")
 
     p = sub.add_parser("dynamics", help="run best-response dynamics from a profile")
     common(p, input_=True)
@@ -172,9 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="enumerate a full (n, alpha) grid")
     common(p, cell=True)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--cap", type=int, default=5, help="enumeration vertex cap")
 
     return parser
 

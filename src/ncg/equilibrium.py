@@ -128,13 +128,6 @@ class DynamicsTrace:
 # bitmask internals
 
 
-def _mask_from_set(targets) -> int:
-    m = 0
-    for t in targets:
-        m |= 1 << t
-    return m
-
-
 def _subset_masks(n: int, v: int):
     """Every target mask of ``v`` in subset-index order.
 
@@ -167,8 +160,8 @@ def _vertex_rows(profile: StrategyProfile, v: int) -> tuple[list[int], int, int]
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
-    This prices restricted classes; exact scans use ``sized_sums``, and
-    ``delta_cost`` re-checks both with two BFS of its own.
+    This prices restricted classes (``_class_costs``) and the bound audits'
+    rewrites; exact scans use ``sized_sums``.
 
     The sum is None when v is cut off from some vertex.  Only row v is
     rewritten, to the edges others bought to v plus the mask: a BFS from v
@@ -216,8 +209,9 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     """Exact cost change for ``v`` adopting ``new_edge_set``, others fixed.
 
     Recomputes v's distance sums before and after from scratch, with two
-    BFS.  Exact scans re-check their witnesses with it, and the tests use it
-    as the oracle for the bound audits' integer pricing.  Returns +inf
+    BFS.  It re-checks every verification witness and every dynamics winner,
+    which the scans pick by integer pricing, and the tests use it as the
+    oracle for the bound audits' integer pricing.  Returns +inf
     when the deviation separates v from some vertex, -inf when it reconnects
     a previously separated v.
     """
@@ -230,7 +224,7 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     adj, bought_to_v, old = _vertex_rows(profile, v)
     full = (1 << profile.n) - 1
     old_sum = bfs_sum(adj, v, full)  # row v is still bought_to_v | old
-    adj[v] = bought_to_v | _mask_from_set(new_targets)
+    adj[v] = bought_to_v | sum(1 << t for t in new_targets)
     new_sum = bfs_sum(adj, v, full)
 
     if new_sum is None:
@@ -284,61 +278,56 @@ def best_response_exact(
 
 
 def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
-    """Yield candidate target sets for ``v`` in deterministic order."""
-    current = profile.targets_of(v)
-    others = [u for u in range(profile.n) if u != v]
+    """Yield v's candidate target masks in order; paper strategies need ``ctx``."""
+    current = profile.bought[v]
+    missing = mask_members(((1 << profile.n) - 1) & ~current & ~(1 << v))
 
     if cls.kind == "exact-all-subsets":
         for mask in _subset_masks(profile.n, v):
-            s = frozenset(mask_members(mask))
-            if s != current:
-                yield s
+            if mask != current:
+                yield mask
     elif cls.kind == "single-add":
-        for u in sorted(set(others) - current):
-            yield current | {u}
+        for u in missing:
+            yield current | 1 << u
     elif cls.kind == "single-delete":
-        for u in sorted(current):
-            yield current - {u}
+        for u in mask_members(current):
+            yield current & ~(1 << u)
     elif cls.kind == "single-swap":
-        for u in sorted(current):
-            for w in sorted(set(others) - current):
-                yield (current - {u}) | {w}
+        for u in mask_members(current):
+            for w in missing:
+                yield current & ~(1 << u) | 1 << w
     elif cls.kind == "k-subset":
         # All strategies within symmetric difference k of the current one.
+        bits = [1 << u for u in range(profile.n) if u != v]
         for size in range(1, cls.k + 1):
-            for flip in combinations(others, size):
-                yield current.symmetric_difference(flip)
+            for flip in combinations(bits, size):
+                yield current ^ sum(flip)
     elif cls.kind.startswith("paper-strategy-"):
-        yield from _paper_strategy_deviations(profile, v, cls.kind[-1], ctx)
+        if ctx is None:
+            return
+        kind = "strategy" + cls.kind[-1]
+        for sold in ctx.sell_sets(v, kind):
+            mask = ctx.rewrite(v, kind, sold)
+            if mask != current:
+                yield mask
     elif cls.kind == "composite":
         seen = set()
         for part in cls.parts:
-            for s in _class_deviations(profile, v, part, ctx):
-                if s not in seen:
-                    seen.add(s)
-                    yield s
+            for mask in _class_deviations(profile, v, part, ctx):
+                if mask not in seen:
+                    seen.add(mask)
+                    yield mask
 
 
-def _paper_strategy_deviations(profile: StrategyProfile, v: int, which: str, ctx):
-    """Sell-subsets of v's low-level H-edges, optionally rebuying the root edge.
-
-    Strategy 1 sells bought edges of minimal level <= 2; strategies 2 and 3
-    also buy the edge to the root, with 3 additionally allowed to sell v's
-    bought up-edge.
-    """
-    if ctx is None or not ctx.has_cyclic_h or v not in ctx.h_vertices or v == ctx.root:
-        return
-    eligible = ctx.sellable_edges(v, include_up=(which == "3"))
-    if not eligible:
-        return
-    current = profile.targets_of(v)
-    for size in range(1, len(eligible) + 1):
-        for sold in combinations(eligible, size):
-            new = current - {other for (_, other) in sold}
-            if which in ("2", "3"):
-                new = new | {ctx.root}
-            if new != current:
-                yield new
+def _class_costs(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
+    """v's current cost and (mask, cost) per candidate, one BFS each: units of
+    1/q for alpha = p/q, inf when v is cut off from some vertex."""
+    p, q = profile.alpha.numerator, profile.alpha.denominator
+    candidates = _class_deviations(profile, v, cls, ctx)
+    priced = _distance_sums(profile, v, chain([profile.bought[v]], candidates))
+    costs = ((mask, inf if d is None else p * mask.bit_count() + q * d) for mask, d in priced)
+    _, current = next(costs)
+    return current, costs
 
 
 def _needs_context(cls: DeviationClass) -> bool:
@@ -375,43 +364,40 @@ def verify_equilibrium(
 
     exact = dev_class.kind == "exact-all-subsets"
     if exact:
-        required = profile.n * ((1 << (profile.n - 1)) - 1)
-        if required > budget:
-            raise BudgetExceededError(
-                f"exact verification needs {required} deviation checks (budget {budget})",
-                required=required,
-            )
-    ctx = None
-    if _needs_context(dev_class):
-        ctx = build_context(profile)
+        _exact_checks(profile.n, budget)
+    ctx = build_context(profile) if _needs_context(dev_class) else None
 
-    p, q = profile.alpha.numerator, profile.alpha.denominator
     checked = 0
     for v in range(profile.n):
-        current = profile.bought[v]
         if exact:
             index = _first_improvement(profile, v)
             if index is None:
                 checked += (1 << (profile.n - 1)) - 1
                 continue
             # As if every set up to the witness were checked, but the current one.
-            checked += index + (_subset_index(current, v) > index)
+            checked += index + (_subset_index(profile.bought[v], v) > index)
             return _witness_report(profile, digest, dev_class, v, _subset_mask(index, v), checked)
-        candidates = map(_mask_from_set, _class_deviations(profile, v, dev_class, ctx))
-        priced = _distance_sums(profile, v, chain([current], candidates))
-        _, current_sum = next(priced)
-        current_cost = p * current.bit_count() + q * current_sum
-        for mask, dsum in priced:
-            if mask == current:
-                continue
+        current_cost, priced = _class_costs(profile, v, dev_class, ctx)
+        for mask, cost in priced:
             checked += 1
             if checked > budget:
                 raise BudgetExceededError(
                     f"verification exceeded budget {budget}", required=checked
                 )
-            if dsum is not None and p * mask.bit_count() + q * dsum < current_cost:
+            if cost < current_cost:
                 return _witness_report(profile, digest, dev_class, v, mask, checked)
     return VerificationReport(digest, dev_class.spec(), True, None, checked)
+
+
+def _exact_checks(n: int, budget: int) -> int:
+    """The deviation checks of exact verification at n vertices, within ``budget``."""
+    required = n * ((1 << (n - 1)) - 1)
+    if required > budget:
+        raise BudgetExceededError(
+            f"exact verification needs {required} deviation checks (budget {budget})",
+            required=required,
+        )
+    return required
 
 
 def _first_improvement(profile: StrategyProfile, v: int) -> int | None:
@@ -492,24 +478,28 @@ def best_response_dynamics(
 def _best_class_move(
     profile: StrategyProfile, v: int, cls: DeviationClass, budget: int
 ) -> tuple[frozenset[int], Fraction | float] | None:
-    """Best strictly improving deviation for v within the class, or None."""
+    """Best strictly improving deviation for v within the class, or None.
+
+    The least (cost, size, members) wins; a cut-off v gains -inf from every
+    reconnecting set, so size decides, then members.
+    """
     if cls.kind == "exact-all-subsets":
         targets, delta = best_response_exact(profile, v, budget)
         return (targets, delta) if delta < 0 else None
-    ctx = None
-    if _needs_context(cls):
-        ctx = build_context(profile)
+    # Paper strategies live in a connected graph's H.
+    ctx = build_context(profile) if _needs_context(cls) and is_connected(profile) else None
+    current_cost, priced = _class_costs(profile, v, cls, ctx)
     best = None
-    for targets in _class_deviations(profile, v, cls, ctx):
-        delta = delta_cost(profile, v, targets)
-        if delta >= 0:
+    for mask, cost in priced:
+        if cost >= current_cost:
             continue
-        key = (delta, len(targets), tuple(sorted(targets)))
-        if best is None or key < best[0]:
-            best = (key, targets, delta)
+        key = (cost if current_cost < inf else 0, mask.bit_count(), mask_members(mask))
+        if best is None or key < best:
+            best = key
     if best is None:
         return None
-    return best[1], best[2]
+    targets = frozenset(best[2])
+    return targets, delta_cost(profile, v, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +667,8 @@ def scan_graph_range(
     report)] for equilibria found); a pure function of its inputs.
     """
     exact = dev_class.kind == "exact-all-subsets"
-    checks = n * ((1 << (n - 1)) - 1)
-    if exact and checks > budget:
-        raise BudgetExceededError(
-            f"exact verification needs {checks} deviation checks (budget {budget})",
-            required=checks,
-        )
+    if exact:
+        checks = _exact_checks(n, budget)
     pairs = pair_list(n)
     connected = 0
     found = []

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .audit import audit_full
 from .equilibrium import (
+    DEFAULT_BUDGET,
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
@@ -183,7 +184,7 @@ class SweepSpec:
     alpha_expressions: tuple[str, ...]
     dev_class: DeviationClass
     cap: int = 5
-    budget: int = 1 << 22
+    budget: int = DEFAULT_BUDGET
     jobs: int = 1
 
 
@@ -226,7 +227,7 @@ def enumerate_cell(
     alpha: Fraction,
     dev_class: DeviationClass,
     cap: int = 5,
-    budget: int = 1 << 22,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
     pool_threshold: int = 2000,
 ) -> EnumerationResult:

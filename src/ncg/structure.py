@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 from typing import NamedTuple
 
@@ -629,6 +630,28 @@ class StrategyContext:
             for t in self.targets[v]
             if _as_edge(v, t) in self.x_classes and self.is_low_level(v, t, include_up, cap)
         ]
+
+    def sell_sets(self, u: int, kind: str, most: int | None = None):
+        """Sold-target tuples of u under the paper's "strategy1".."strategy3",
+        by size up to ``most``: u's bought edges of minimal level <= 2, and
+        for strategy3 u's up-edge.  Only a non-root vertex of a cyclic H sells.
+        """
+        if not self.has_cyclic_h or u == self.root or u not in self.h_vertices:
+            return
+        targets = [t for _, t in self.sellable_edges(u, include_up=kind == "strategy3")]
+        largest = len(targets) if most is None else min(most, len(targets))
+        for size in range(1, largest + 1):
+            yield from combinations(targets, size)
+
+    def rewrite(self, u: int, kind: str, sold) -> int:
+        """u's target mask after selling ``sold``; strategies 2 and 3 also buy
+        the edge to the root, unless u is the root."""
+        new = self.profile.bought[u]
+        for t in sold:
+            new &= ~(1 << t)
+        if kind != "strategy1" and u != self.root:
+            new |= 1 << self.root
+        return new
 
 
 class GraphLayer(NamedTuple):

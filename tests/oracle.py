@@ -5,7 +5,11 @@ replaced: it decodes, connectivity-checks and verifies every one of the
 3^(n(n-1)/2) profile indices in order, with no filter.  ``oracle_verify``
 is the per-candidate verification loop the shared strategy-pricing loop
 replaced: every candidate is priced from raw edge lists by
-``gadgets.oracle_delta``.  ``oracle_best_response`` is the full scan the
+``gadgets.oracle_delta``, and ``oracle_class_move`` is the per-candidate
+loop restricted dynamics ran before they priced candidates as masks.  Both
+enumerate every class as target sets, the paper strategies from
+``oracle_sellable_edges``, as does ``oracle_sell_selections`` for the bound
+audits.  ``oracle_best_response`` is the full scan the
 size-bounded exact scan replaced: every target set is priced by
 ``_distance_sums`` and the least (cost, size, sorted tuple) wins.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
@@ -25,6 +29,7 @@ re-drive does.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 from gadgets import oracle_delta
@@ -35,9 +40,7 @@ from ncg.equilibrium import (
     DeviationClass,
     EnumerationResult,
     VerificationReport,
-    _class_deviations,
     _distance_sums,
-    _needs_context,
     profile_from_index,
     profile_hash,
     verify_equilibrium,
@@ -53,7 +56,6 @@ from ncg.game import (
 from ncg.structure import (
     SptAnalysis,
     StrategyContext,
-    build_context,
     build_spt,
     canonical_cycle,
     choose_root,
@@ -98,18 +100,47 @@ def oracle_cell(n: int, alpha: Fraction, dev_class: DeviationClass) -> Enumerati
 
 
 def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
-    """``_class_deviations``, with the exact class enumerated independently.
+    """``_class_deviations`` as target sets, every class enumerated from sets.
 
     Exact candidates come in subset-index order: bit i of the index is the
-    i-th vertex other than v.  Composites drop repeats, first part first.
+    i-th vertex other than v.  Paper strategies sell each nonempty subset of
+    ``oracle_sellable_edges`` and need ``ctx``, an ``oracle_context``.
+    Composites drop repeats, first part first.
     """
+    others = [u for u in range(profile.n) if u != v]
+    current = oracle_targets(profile, v)
+    missing = sorted(set(others) - current)
     if cls.kind == "exact-all-subsets":
-        others = [u for u in range(profile.n) if u != v]
-        current = profile.targets_of(v)
         for sub in range(1 << len(others)):
             s = frozenset(u for i, u in enumerate(others) if sub >> i & 1)
             if s != current:
                 yield s
+    elif cls.kind == "single-add":
+        for u in missing:
+            yield current | {u}
+    elif cls.kind == "single-delete":
+        for u in sorted(current):
+            yield current - {u}
+    elif cls.kind == "single-swap":
+        for u in sorted(current):
+            for w in missing:
+                yield (current - {u}) | {w}
+    elif cls.kind == "k-subset":
+        for size in range(1, cls.k + 1):
+            for flip in combinations(others, size):
+                yield current.symmetric_difference(flip)
+    elif cls.kind.startswith("paper-strategy-"):
+        which = cls.kind[-1]
+        if ctx is None or len(ctx.h_vertices) < 3 or v not in ctx.h_vertices or v == ctx.root:
+            return
+        sellable = [t for _, t in oracle_sellable_edges(ctx, v, which == "3", 2)]
+        for size in range(1, len(sellable) + 1):
+            for sold in combinations(sellable, size):
+                s = current - set(sold)
+                if which != "1":
+                    s |= {ctx.root}
+                if s != current:
+                    yield s
     elif cls.kind == "composite":
         seen = set()
         for part in cls.parts:
@@ -118,7 +149,15 @@ def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ct
                     seen.add(s)
                     yield s
     else:
-        yield from _class_deviations(profile, v, cls, ctx)
+        raise AssertionError(f"unhandled class kind {cls.kind}")
+
+
+def _oracle_class_context(profile: StrategyProfile, cls: DeviationClass):
+    """The ``oracle_context`` paper strategies read, or None when the class
+    has none or the profile is disconnected."""
+    if "paper-strategy" not in cls.spec() or not is_connected(profile):
+        return None
+    return oracle_context(profile)
 
 
 def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> VerificationReport:
@@ -128,7 +167,7 @@ def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> Verifi
     if profile.n > 1 and not is_connected(profile):
         dev = Deviation(0, frozenset(range(1, profile.n)))
         return VerificationReport(digest, spec, False, (dev, -inf), 1)
-    ctx = build_context(profile) if _needs_context(dev_class) else None
+    ctx = _oracle_class_context(profile, dev_class)
     checked = 0
     for v in range(profile.n):
         for targets in _oracle_candidates(profile, v, dev_class, ctx):
@@ -138,6 +177,37 @@ def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> Verifi
                 dev = Deviation(v, targets)
                 return VerificationReport(digest, spec, False, (dev, delta), checked)
     return VerificationReport(digest, spec, True, None, checked)
+
+
+def oracle_class_move(
+    profile: StrategyProfile, v: int, cls: DeviationClass
+) -> tuple[frozenset[int], Fraction | float] | None:
+    """What dynamics must pick for v under a restricted class: every
+    candidate priced by ``gadgets.oracle_delta``, the least (delta, size,
+    sorted tuple) among the strict improvements, or None."""
+    ctx = _oracle_class_context(profile, cls)
+    best = None
+    for targets in _oracle_candidates(profile, v, cls, ctx):
+        delta = oracle_delta(profile, v, targets)
+        if delta >= 0:
+            continue
+        key = (delta, len(targets), tuple(sorted(targets)))
+        if best is None or key < best[0]:
+            best = (key, targets, delta)
+    return None if best is None else best[1:]
+
+
+def oracle_sell_selections(ctx: StrategyContext, kind: str, most: int):
+    """(vertex, sold targets) for every H vertex but the root of a cyclic H
+    and every set of at most ``most`` of its ``oracle_sellable_edges``."""
+    if len(ctx.h_vertices) < 3:
+        return []
+    out = []
+    for u in sorted(ctx.h_vertices - {ctx.root}):
+        sellable = [t for _, t in oracle_sellable_edges(ctx, u, kind == "strategy3", 2)]
+        for size in range(1, min(most, len(sellable)) + 1):
+            out += [(u, sold) for sold in combinations(sellable, size)]
+    return out
 
 
 def oracle_best_response(

@@ -42,6 +42,18 @@ def sparse_connected_profiles(draw, min_n=2, max_n=8):
 
 
 @st.composite
+def disconnected_profiles(draw, max_n=9):
+    """Two ``profiles`` side by side under a random relabelling: never connected."""
+    a = draw(profiles(min_n=1, max_n=max_n - 1))
+    b = draw(profiles(min_n=1, max_n=max_n - a.n))
+    label = draw(st.permutations(range(a.n + b.n)))
+    edges = [(e.buyer, e.other) for e in a.edges]
+    edges += [(e.buyer + a.n, e.other + a.n) for e in b.edges]
+    relabelled = tuple(BoughtEdge(label[x], label[y]) for x, y in edges)
+    return StrategyProfile(a.n + b.n, a.alpha, relabelled)
+
+
+@st.composite
 def doubled_profiles(draw, min_n=1, max_n=9):
     """``profiles`` in which some edges are also bought by their other endpoint."""
     p = draw(profiles(min_n=min_n, max_n=max_n))

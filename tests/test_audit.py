@@ -17,7 +17,7 @@ from gadgets import (
     two_triangles,
     up_and_out_seller,
 )
-from oracle import oracle_context
+from oracle import oracle_context, oracle_sell_selections
 from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
@@ -36,7 +36,7 @@ from ncg import (
     strategy3_bound,
     verify_equilibrium,
 )
-from ncg.audit import eligible_sold_selections
+from ncg.audit import MAX_SELL, eligible_sold_selections
 from ncg.game import mask_members
 from ncg.harness import enumerate_cell
 from ncg.structure import global_girth
@@ -182,6 +182,24 @@ def test_bound_domination_on_seeded_scaffolds():
                 assert cmp.dominates, (seed, kind, u, combo, cmp)
                 checked[kind] += 1
     assert all(count >= 40 for count in checked.values()), checked
+
+
+@example(directed_ring(7, 29))
+@example(up_and_out_seller())
+@example(figure_gadget())
+@given(
+    st.one_of(
+        connected_profiles(max_n=7),
+        sparse_connected_profiles(max_n=10),
+        st.integers(0, 999).map(scaffold_profile),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_sold_selections_match_oracle(p):
+    ctx = build_context(p)
+    for kind in ("strategy1", "strategy2", "strategy3"):
+        got = list(eligible_sold_selections(ctx, kind))
+        assert got == oracle_sell_selections(ctx, kind, MAX_SELL), kind
 
 
 _PUBLIC_BOUNDS = {

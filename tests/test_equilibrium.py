@@ -19,8 +19,14 @@ from gadgets import (
     star,
     two_triangles,
 )
-from oracle import oracle_best_response, oracle_cell, oracle_verify
-from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
+from oracle import oracle_best_response, oracle_cell, oracle_class_move, oracle_verify
+from strategies import (
+    connected_profiles,
+    disconnected_profiles,
+    doubled_profiles,
+    profiles,
+    sparse_connected_profiles,
+)
 
 from ncg import (
     BudgetExceededError,
@@ -35,7 +41,11 @@ from ncg import (
     verify_equilibrium,
 )
 from ncg.equilibrium import (
+    DEFAULT_BUDGET,
+    Deviation,
+    _best_class_move,
     _bounded_scan,
+    _class_deviations,
     _distance_sums,
     _greedy_tables,
     _subset_masks,
@@ -334,6 +344,52 @@ def test_dynamics_from_empty_graph():
     assert is_connected(trace.final_profile)
     assert all(delta < 0 for _, _, delta in trace.steps)
     assert verify_equilibrium(trace.final_profile).is_equilibrium
+
+
+MOVE_SPECS = [
+    "single-add",
+    "single-delete",
+    "single-swap",
+    "k-subset:2",
+    "paper-strategy-1",
+    "paper-strategy-2",
+    "paper-strategy-3",
+    "single-delete,paper-strategy-2",
+    "single-add,exact",
+]
+
+
+@pytest.mark.parametrize("spec", MOVE_SPECS)
+# Vertex 0 is cut off from 2 and 3; {1, 2} and {1, 3} both reconnect it at
+# delta -inf, and so do larger sets, so size decides, then members.
+@example(profile(4, 9, [(0, 1), (2, 3)]))
+@example(directed_ring(7, 29))
+@example(ring_with_pendant(1))
+@example(figure_gadget())
+@given(
+    st.one_of(
+        profiles(max_n=7),
+        sparse_connected_profiles(max_n=7),
+        doubled_profiles(max_n=7),
+        disconnected_profiles(max_n=7),
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_restricted_moves_match_oracle(spec, p):
+    # The move and its delta against every candidate priced by the oracle.
+    cls = DeviationClass.parse(spec)
+    for v in range(p.n):
+        assert _best_class_move(p, v, cls, DEFAULT_BUDGET) == oracle_class_move(p, v, cls), v
+
+
+def test_paper_strategies_add_nothing_while_disconnected():
+    p = profile(4, 9, [(0, 1), (2, 3)])
+    paper = DeviationClass.parse("paper-strategy-1")
+    assert list(_class_deviations(p, 0, paper, None)) == []
+    assert best_response_dynamics(p, paper).steps == ()
+    trace = best_response_dynamics(p, DeviationClass.parse("single-add,paper-strategy-1"))
+    assert trace.steps[0] == (0, Deviation(0, frozenset({1, 2})), -inf)
+    assert trace.converged
 
 
 def test_dynamics_random_order_is_seeded():

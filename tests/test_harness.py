@@ -297,6 +297,15 @@ def test_cli_dynamics(tmp_path, capsys):
     assert out["steps"][0]["delta"] == "-4"
 
 
+def test_cli_dynamics_paper_strategy_on_disconnected_profile(tmp_path, capsys):
+    # Paper strategies add no candidates until the profile is connected.
+    path = _write_profile(tmp_path, profile(4, 9, [(0, 1), (2, 3)]))
+    assert cmd_run(["dynamics", "--input", path, "--class", "single-add,paper-strategy-1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["steps"][0] == {"vertex": 0, "new_edge_set": [1, 2], "delta": "-inf"}
+    assert out["converged"] is True
+
+
 def test_cli_audit(tmp_path, capsys):
     path = _write_profile(tmp_path, path3(alpha=7))
     assert cmd_run(["audit", "--input", path]) == 0
