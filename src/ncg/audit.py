@@ -24,7 +24,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import BudgetExceededError
-from .equilibrium import VerificationReport, _distance_sums
+from .equilibrium import VerificationReport, _vertex_rows
 from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
@@ -207,13 +207,14 @@ def audit_deviation_bound(
 
     if buys_root and u == ctx.root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
+    adj, bought_to_u, current = _vertex_rows(ctx.profile, u)
     new = ctx.rewrite(u, strategy_kind, sold_targets)
-    _, new_sum = next(_distance_sums(ctx.profile, u, [new]))
+    adj[u] = bought_to_u | new
+    new_sum = bfs_sum(adj, u, (1 << ctx.n) - 1)
     if new_sum is None:
         exact = inf
     else:
-        bought = new.bit_count() - ctx.profile.bought[u].bit_count()
-        exact = p * bought + q * (new_sum - ctx.connection(u))
+        exact = p * (new.bit_count() - current.bit_count()) + q * (new_sum - ctx.connection(u))
 
     if ne_certificate is not None and ne_certificate.is_equilibrium:
         if ne_certificate.profile_hash != ctx.profile_hash:

@@ -160,8 +160,8 @@ def _vertex_rows(profile: StrategyProfile, v: int) -> tuple[list[int], int, int]
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
-    This prices restricted classes (``_class_costs``) and the bound audits'
-    rewrites; exact scans use ``sized_sums``.
+    This prices restricted classes (``_class_costs``); exact scans use
+    ``sized_sums``.
 
     The sum is None when v is cut off from some vertex.  Only row v is
     rewritten, to the edges others bought to v plus the mask: a BFS from v
