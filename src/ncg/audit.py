@@ -28,6 +28,7 @@ from .equilibrium import VerificationReport, _vertex_rows
 from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
+    STRATEGY_SWITCHES,
     Edge,
     StrategyContext,
     _as_edge,
@@ -167,8 +168,7 @@ def audit_deviation_bound(
     """
     if strategy_kind not in _BOUND_TERMS:
         raise ValueError(f"unknown strategy kind {strategy_kind!r}")
-    include_up = strategy_kind == "strategy3"
-    buys_root = strategy_kind in ("strategy2", "strategy3")
+    sells_up, buys_root = STRATEGY_SWITCHES[strategy_kind]
     notes: list[str] = []
 
     sold: list[tuple[Edge, int]] = []
@@ -182,7 +182,7 @@ def audit_deviation_bound(
             notes.append(f"edge {edge} is not bought by {u}")
         if edge not in ctx.h_edges:
             notes.append(f"edge {edge} lies outside H")
-        if not ctx.is_low_level(u, t, include_up):
+        if not ctx.is_low_level(u, t, sells_up):
             notes.append(f"edge {edge} has no eligible level for {strategy_kind}")
         sold.append((edge, level or 0))  # an up-edge has no level and no subtree weight
 
@@ -317,20 +317,17 @@ def audit_structural(
         applicable = ctx.in_regime
         rows = []
         ok = True
-        for (edge, cls) in sorted(ctx.x_classes.items()):
-            if cls.level is None or cls.level > 2:
+        for edge, u, level in _ladder_purchases(ctx, 2):
+            cyc = ctx.cycles.per_vertex_cycle.get(u)
+            if cyc is None:
                 continue
-            for u in ctx.profile.buyers_of(*edge):
-                cyc = ctx.cycles.per_vertex_cycle.get(u)
-                if cyc is None:
-                    continue
-                required = len(cyc) // 2 - cls.level
-                good = ctx.spt.depth[u] >= required
-                ok = ok and good
-                rows.append(
-                    {"vertex": u, "edge": edge, "level": cls.level,
-                     "cycle_len": len(cyc), "depth": ctx.spt.depth[u], "holds": good}
-                )
+            required = len(cyc) // 2 - level
+            good = ctx.spt.depth[u] >= required
+            ok = ok and good
+            rows.append(
+                {"vertex": u, "edge": edge, "level": level,
+                 "cycle_len": len(cyc), "depth": ctx.spt.depth[u], "holds": good}
+            )
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "deg2":
@@ -385,18 +382,15 @@ def audit_structural(
         applicable = ctx.in_regime
         rows = []
         ok = True
-        for edge, cls in sorted(ctx.x_classes.items()):
-            if cls.level != 0:
-                continue
-            for u0 in ctx.profile.buyers_of(*edge):
-                prefix = ctx.spt.path_to_root(u0)[:3]
-                deg2 = [v for v in prefix if ctx.deg_h(v) == 2]
-                good = len(deg2) <= 1
-                ok = ok and good
-                rows.append(
-                    {"vertex": u0, "out_edge": edge, "path_prefix": prefix,
-                     "deg2_vertices": deg2, "holds": good}
-                )
+        for edge, u0, _ in _ladder_purchases(ctx, 0):
+            prefix = ctx.spt.path_to_root(u0)[:3]
+            deg2 = [v for v in prefix if ctx.deg_h(v) == 2]
+            good = len(deg2) <= 1
+            ok = ok and good
+            rows.append(
+                {"vertex": u0, "out_edge": edge, "path_prefix": prefix,
+                 "deg2_vertices": deg2, "holds": good}
+            )
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "mainlemma2":
@@ -426,6 +420,17 @@ def audit_structural(
         )
 
     raise AssertionError(f"unhandled lemma id {lemma_id}")
+
+
+def _ladder_purchases(ctx: StrategyContext, cap: int) -> list[tuple[Edge, int, int]]:
+    """(edge, buyer, level) for every bought ladder edge of level at most
+    ``cap``, by edge, then buyer."""
+    return sorted(
+        (_as_edge(u, t), u, level)
+        for u, row in enumerate(ctx.ladder)
+        for t, level in row
+        if level is not None and level <= cap
+    )
 
 
 def _edge_subtree_vertices(ctx: StrategyContext, edge: Edge) -> frozenset[int]:
@@ -527,16 +532,11 @@ def _audit_altpath_all(ctx, informational) -> AuditFinding:
     applicable = ctx.in_regime
     per_edge = []
     ok = True
-    for edge, cls in sorted(ctx.x_classes.items()):
-        if cls.level is None or cls.level > 2:
-            continue
-        for u in ctx.profile.buyers_of(*edge):
-            sub = audit_altpath(ctx, u, edge)
-            if sub.applicable:
-                ok = ok and bool(sub.holds)
-                per_edge.append(
-                    {"vertex": u, "edge": edge, "level": cls.level, "holds": sub.holds}
-                )
+    for edge, u, level in _ladder_purchases(ctx, 2):
+        sub = audit_altpath(ctx, u, edge)
+        if sub.applicable:
+            ok = ok and bool(sub.holds)
+            per_edge.append({"vertex": u, "edge": edge, "level": level, "holds": sub.holds})
     return _finding("altpath", applicable, ok, informational, checked=per_edge)
 
 
@@ -574,7 +574,7 @@ def audit_full(
 
     bounds: list[BoundComparison] = []
     skipped: list[str] = []
-    for kind in ("strategy1", "strategy2", "strategy3"):
+    for kind in STRATEGY_SWITCHES:
         family = list(eligible_sold_selections(ctx, kind))
         if len(bounds) + len(family) > max_bound_checks:
             skipped.append(

@@ -336,6 +336,12 @@ def _needs_context(cls: DeviationClass) -> bool:
     return any(_needs_context(p) for p in cls.parts)
 
 
+def _class_context(profile: StrategyProfile, cls: DeviationClass):
+    """The context the class's paper strategies read, or None when it has
+    none or the profile is disconnected: they live in a connected graph's H."""
+    return build_context(profile) if _needs_context(cls) and is_connected(profile) else None
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -365,7 +371,7 @@ def verify_equilibrium(
     exact = dev_class.kind == "exact-all-subsets"
     if exact:
         _exact_checks(profile.n, budget)
-    ctx = build_context(profile) if _needs_context(dev_class) else None
+    ctx = _class_context(profile, dev_class)
 
     checked = 0
     for v in range(profile.n):
@@ -454,6 +460,7 @@ def best_response_dynamics(
         raise ValueError("max_iters must be >= 1")
     rng = random.Random(seed)
     profile = initial
+    ctx = _class_context(profile, dev_class)
     steps: list[tuple[int, Deviation, Fraction | float]] = []
     converged = False
     for _ in range(max_iters):
@@ -462,12 +469,13 @@ def best_response_dynamics(
             rng.shuffle(order)
         improved = False
         for v in order:
-            move = _best_class_move(profile, v, dev_class, budget)
+            move = _best_class_move(profile, v, dev_class, budget, ctx)
             if move is None:
                 continue
             targets, delta = move
             steps.append((v, Deviation(v, targets), delta))
             profile = profile.with_strategy(v, targets)
+            ctx = _class_context(profile, dev_class)
             improved = True
         if not improved:
             converged = True
@@ -476,7 +484,7 @@ def best_response_dynamics(
 
 
 def _best_class_move(
-    profile: StrategyProfile, v: int, cls: DeviationClass, budget: int
+    profile: StrategyProfile, v: int, cls: DeviationClass, budget: int, ctx
 ) -> tuple[frozenset[int], Fraction | float] | None:
     """Best strictly improving deviation for v within the class, or None.
 
@@ -486,8 +494,6 @@ def _best_class_move(
     if cls.kind == "exact-all-subsets":
         targets, delta = best_response_exact(profile, v, budget)
         return (targets, delta) if delta < 0 else None
-    # Paper strategies live in a connected graph's H.
-    ctx = build_context(profile) if _needs_context(cls) and is_connected(profile) else None
     current_cost, priced = _class_costs(profile, v, cls, ctx)
     best = None
     for mask, cost in priced:

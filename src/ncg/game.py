@@ -94,10 +94,6 @@ class StrategyProfile:
         """True iff ``a`` bought the edge to ``b``."""
         return self.bought[a] >> b & 1 == 1
 
-    def buyers_of(self, a: int, b: int) -> tuple[int, ...]:
-        """Which endpoints paid for the undirected edge {a, b} (0, 1 or 2 of them)."""
-        return tuple(x for x, y in ((a, b), (b, a)) if self.buys(x, y))
-
     def with_strategy(self, v: int, targets: frozenset[int] | set[int]) -> "StrategyProfile":
         """A new profile where ``v``'s bought edge set is replaced by ``targets``."""
         if v in targets:

@@ -34,6 +34,7 @@ from .game import BoughtEdge, is_connected
 from .structure import StrategyContext, build_context, graph_layer
 
 SCHEMA_VERSION = 1
+POOL_THRESHOLD = 2000  # smaller cells stay serial: a pool costs more than it saves
 CSV_HEADER_COMMENT = "# ncg report v1"
 CSV_COLUMNS = (
     "n",
@@ -229,7 +230,6 @@ def enumerate_cell(
     cap: int = 5,
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
-    pool_threshold: int = 2000,
 ) -> EnumerationResult:
     """Exhaustively scan one (n, alpha) cell, optionally sharded over workers.
 
@@ -240,7 +240,7 @@ def enumerate_cell(
     ``profiles_scanned`` counts the profiles covered, 3^(n(n-1)/2), not those
     verified.  Shards interleave the graph indices and equilibria are sorted by
     profile index, so parallel and serial runs produce identical output.
-    ``jobs`` is capped by ``worker_count``; cells below ``pool_threshold``
+    ``jobs`` is capped by ``worker_count``; cells below ``POOL_THRESHOLD``
     profiles stay serial.
     """
     jobs = worker_count(jobs)
@@ -250,7 +250,7 @@ def enumerate_cell(
         raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
     total = 3 ** (n * (n - 1) // 2)
     graphs = 1 << (n * (n - 1) // 2)
-    if jobs == 1 or total < pool_threshold:
+    if jobs == 1 or total < POOL_THRESHOLD:
         connected, found = scan_graph_range(n, alpha, dev_class, range(graphs), budget)
     else:
         # Dense graphs, with the most ownerships to verify, sit at high

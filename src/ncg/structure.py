@@ -167,12 +167,6 @@ class SptAnalysis:
             return a
         return None
 
-    def orientation(self, a: int, b: int) -> str | None:
-        """'down' or 'up' for a tree edge, None for a non-tree edge."""
-        if self.down_child(a, b) is not None:
-            return "down"
-        return "up" if _as_edge(a, b) in self.tree_edges else None
-
     def path_to_root(self, v: int) -> list[int]:
         """Tree path [v, parent(v), ..., root]."""
         path = [v]
@@ -268,56 +262,37 @@ class EdgeClass:
     """Level assignment of an H-edge in the out-edge ladder.
 
     Level 0 edges lie in H outside T.  A down-edge gets level i when its
-    child buys an edge of level i-1; the stored level is minimal.  ``in_plus``
-    additionally admits up-edges of H (the + variant of every level).
+    child buys an edge of level i-1; the stored level is minimal.  Up-edges
+    and down-edges whose child buys no levelled edge have no level.
     """
 
     edge: Edge
     level: int | None
-    in_plus: bool
 
 
 def classify_x_sets(
     profile: StrategyProfile, spt: SptAnalysis, decomposition: BiconnectedDecomposition
 ) -> list[EdgeClass]:
-    """Minimal X-levels for every edge of H; empty when H has no cycle."""
+    """Minimal X-levels for every edge of H; empty when H has no cycle.
+
+    One pass over H's down-edges, deepest child first: a child buys only
+    out-edges, its up-edge and down-edges to deeper children.
+    """
     h_vertices = decomposition.largest_vertices()
     h_edges = decomposition.largest_edges()
     if len(h_vertices) < 3:
         return []
 
-    level: dict[Edge, int] = {}
-    for e in h_edges:
-        if e not in spt.tree_edges:
-            level[e] = 0  # out-edge
+    level = {e: 0 for e in h_edges if e not in spt.tree_edges}  # out-edges
+    for c in sorted(h_vertices, key=spt.depth.__getitem__, reverse=True):
+        p = spt.parent[c]
+        if (p, c) in spt.down_pairs and _as_edge(p, c) in h_edges:
+            bought = mask_members(profile.bought[c])
+            least = min((level.get(_as_edge(c, t), inf) for t in bought), default=inf)
+            if least < inf:
+                level[_as_edge(p, c)] = 1 + least
 
-    down_in_h = [
-        (p, c) for (p, c) in spt.down_pairs if _as_edge(p, c) in h_edges
-    ]
-    bought_in_h: dict[int, list[Edge]] = {}
-    for e in h_edges:
-        for buyer in profile.buyers_of(*e):
-            bought_in_h.setdefault(buyer, []).append(e)
-
-    changed = True
-    while changed:
-        changed = False
-        for p, c in down_in_h:
-            candidates = [level[e] for e in bought_in_h.get(c, ()) if e in level]
-            if not candidates:
-                continue
-            cand = 1 + min(candidates)
-            e = _as_edge(p, c)
-            if cand < level.get(e, inf):
-                level[e] = cand
-                changed = True
-
-    out = []
-    for e in sorted(h_edges):
-        lv = level.get(e)
-        is_up = spt.orientation(*e) == "up"
-        out.append(EdgeClass(edge=e, level=lv, in_plus=lv is not None or is_up))
-    return out
+    return [EdgeClass(edge=e, level=level.get(e)) for e in sorted(h_edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +518,14 @@ def compute_s_set(
 # ---------------------------------------------------------------------------
 # the full structural bundle
 
+# The paper's strategies: kind -> (sells the seller's up-edge, buys the edge
+# to the root).  Strategy 3 sells from X_2^+, X_2 plus the up-edge.
+STRATEGY_SWITCHES = {
+    "strategy1": (False, False),
+    "strategy2": (False, True),
+    "strategy3": (True, True),
+}
+
 
 @dataclass(frozen=True)
 class StrategyContext:
@@ -594,11 +577,6 @@ class StrategyContext:
         return profile_hash(self.profile)
 
     @cached_property
-    def targets(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's bought targets in increasing order."""
-        return tuple(tuple(mask_members(row)) for row in self.profile.bought)
-
-    @cached_property
     def h_neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours along edges of H in increasing order."""
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -623,12 +601,27 @@ class StrategyContext:
             return True
         return include_up and t == self.spt.parent[v] and self.spt.down_child(v, t) is None
 
+    @cached_property
+    def ladder(self) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+        """Each vertex's bought ladder edges as (target, level), by target:
+        every H-edge it bought that has a level, and (parent, None) for its
+        up-edge in H (the tree edge to its parent that the parent did not
+        buy).  Empty when H has no cycle."""
+        out: list[list[tuple[int, int | None]]] = [[] for _ in range(self.n)]
+        for (a, b), cls in self.x_classes.items():
+            for u, t in ((a, b), (b, a)):
+                if self.profile.buys(u, t) and (
+                    cls.level is not None or self.is_low_level(u, t, include_up=True)
+                ):
+                    out[u].append((t, cls.level))
+        return tuple(tuple(sorted(row)) for row in out)
+
     def sellable_edges(self, v: int, include_up: bool, cap: int = 2) -> list[tuple[Edge, int]]:
         """(edge, other endpoint) for v's bought low-level ladder edges, by endpoint."""
         return [
             (_as_edge(v, t), t)
-            for t in self.targets[v]
-            if _as_edge(v, t) in self.x_classes and self.is_low_level(v, t, include_up, cap)
+            for t, level in self.ladder[v]
+            if (include_up if level is None else level <= cap)
         ]
 
     def sell_sets(self, u: int, kind: str, most: int | None = None):
@@ -638,7 +631,8 @@ class StrategyContext:
         """
         if not self.has_cyclic_h or u == self.root or u not in self.h_vertices:
             return
-        targets = [t for _, t in self.sellable_edges(u, include_up=kind == "strategy3")]
+        sells_up, _ = STRATEGY_SWITCHES[kind]
+        targets = [t for _, t in self.sellable_edges(u, sells_up)]
         largest = len(targets) if most is None else min(most, len(targets))
         for size in range(1, largest + 1):
             yield from combinations(targets, size)
@@ -649,7 +643,7 @@ class StrategyContext:
         new = self.profile.bought[u]
         for t in sold:
             new &= ~(1 << t)
-        if kind != "strategy1" and u != self.root:
+        if STRATEGY_SWITCHES[kind][1] and u != self.root:
             new |= 1 << self.root
         return new
 
@@ -682,7 +676,7 @@ def graph_layer(profile: StrategyProfile) -> GraphLayer:
     decomposition = largest_biconnected_component(profile)
     connections = tuple(map(sum, dist.rows))  # connection_cost of every vertex
     h_vertices = decomposition.largest_vertices()
-    root = min(h_vertices, key=lambda v: (connections[v], v)) if h_vertices else 0
+    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
     cycles = cycle_report(profile, decomposition, dist)
     girth = _girth(profile, decomposition, cycles)
     return GraphLayer(profile.adj, dist, decomposition, connections, root, cycles, girth)

@@ -14,11 +14,13 @@ size-bounded exact scan replaced: every target set is priced by
 ``_distance_sums`` and the least (cost, size, sorted tuple) wins.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
 per anchor vertex, and ``oracle_s_set_some_path`` the some-path funnel read
-pair by pair from the distance matrix.  The ``oracle_*`` ladder queries restate the edge-class
-rules straight from ``x_classes``, ``spt.parent``, ``spt.down_pairs`` and
-``profile.buys``.  ``oracle_rows``, ``oracle_neighbours``, ``oracle_targets``
-and ``oracle_buys`` read a profile's graph facts off its bought edges one
-edge at a time, the scan its bitmask rows replaced.
+pair by pair from the distance matrix.  ``oracle_x_levels`` is the fixpoint
+loop the one-pass X-levels replaced, and the ``oracle_*`` ladder queries
+restate the edge-class rules straight from ``x_classes``, ``spt.parent``,
+``spt.down_pairs`` and ``profile.buys``.  ``oracle_rows``,
+``oracle_neighbours``, ``oracle_targets`` and ``oracle_buys`` read a
+profile's graph facts off its bought edges one edge at a time, the scan its
+bitmask rows replaced.
 ``oracle_per_vertex_cycle`` and ``oracle_h_neighbours`` are the per-vertex
 scans over H's edges that the context's tables replaced, and
 ``oracle_context`` assembles a ``StrategyContext`` from the public structure
@@ -54,6 +56,7 @@ from ncg.game import (
     mask_members,
 )
 from ncg.structure import (
+    BiconnectedDecomposition,
     SptAnalysis,
     StrategyContext,
     build_spt,
@@ -335,6 +338,32 @@ def oracle_context(profile: StrategyProfile) -> StrategyContext:
         cycles=cycle_report(profile, decomposition, dist),
         girth=global_girth(profile),
     )
+
+
+def oracle_x_levels(
+    profile: StrategyProfile, spt: SptAnalysis, decomposition: BiconnectedDecomposition
+) -> dict[tuple[int, int], int]:
+    """Minimal X-level of every levelled H-edge: out-edges 0, then every
+    down-edge lowered to 1 + the least level its child bought until nothing
+    changes.  Empty when H has no cycle."""
+    h_edges = decomposition.largest_edges()
+    if len(decomposition.largest_vertices()) < 3:
+        return {}
+    level = {e: 0 for e in h_edges if e not in spt.tree_edges}
+    changed = True
+    while changed:
+        changed = False
+        for p, c in spt.down_pairs:
+            e = (min(p, c), max(p, c))
+            if e not in h_edges:
+                continue
+            below = [
+                level[f] for f in h_edges if c in f and f in level and profile.buys(c, sum(f) - c)
+            ]
+            if below and 1 + min(below) < level.get(e, inf):
+                level[e] = 1 + min(below)
+                changed = True
+    return level
 
 
 def oracle_down_child(spt: SptAnalysis, a: int, b: int) -> int | None:

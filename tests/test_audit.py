@@ -123,7 +123,8 @@ def test_strategy3_bound_two_weightless_edges():
     assert ctx.root == 0
     assert ctx.spt.depth[1] == 1
     assert ctx.spt.subtree_size[1] == 4
-    assert ctx.spt.orientation(0, 1) == "up"
+    assert ctx.spt.down_child(0, 1) is None and ctx.spt.parent[1] == 0  # 1's up-edge
+    assert ctx.is_low_level(1, 0, include_up=True)
     assert ctx.x_level((1, 5)) == 0
     assert strategy3_bound(ctx, 1, [((0, 1), 0), ((1, 5), 0)]) == Fraction(-19)
 

@@ -45,6 +45,7 @@ from ncg.equilibrium import (
     Deviation,
     _best_class_move,
     _bounded_scan,
+    _class_context,
     _class_deviations,
     _distance_sums,
     _greedy_tables,
@@ -379,7 +380,8 @@ def test_restricted_moves_match_oracle(spec, p):
     # The move and its delta against every candidate priced by the oracle.
     cls = DeviationClass.parse(spec)
     for v in range(p.n):
-        assert _best_class_move(p, v, cls, DEFAULT_BUDGET) == oracle_class_move(p, v, cls), v
+        move = _best_class_move(p, v, cls, DEFAULT_BUDGET, _class_context(p, cls))
+        assert move == oracle_class_move(p, v, cls), v
 
 
 def test_paper_strategies_add_nothing_while_disconnected():
@@ -390,6 +392,18 @@ def test_paper_strategies_add_nothing_while_disconnected():
     trace = best_response_dynamics(p, DeviationClass.parse("single-add,paper-strategy-1"))
     assert trace.steps[0] == (0, Deviation(0, frozenset({1, 2})), -inf)
     assert trace.converged
+
+
+def test_paper_strategy_dynamics_build_one_context_per_profile(monkeypatch):
+    import ncg.equilibrium as eq
+    from ncg.audit import scaffold_profile
+
+    built = []
+    build = eq.build_context
+    monkeypatch.setattr(eq, "build_context", lambda p: built.append(p) or build(p))
+    trace = best_response_dynamics(scaffold_profile(3), DeviationClass.parse("paper-strategy-1"))
+    assert len(trace.steps) == 1 and trace.converged
+    assert len(built) == 2  # the start and the profile after the one move
 
 
 def test_dynamics_random_order_is_seeded():

@@ -218,6 +218,3 @@ def test_profile_rows_match_edge_scan(p):
         assert vertex_cost(p, d, a).building == p.alpha * len(oracle_targets(p, a))
         for b in range(p.n):
             assert p.buys(a, b) == oracle_buys(p, a, b)
-            assert p.buyers_of(a, b) == tuple(
-                x for x, y in ((a, b), (b, a)) if oracle_buys(p, x, y)
-            )

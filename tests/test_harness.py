@@ -220,13 +220,14 @@ def test_worker_count_is_validated_and_capped():
         worker_count(0)
 
 
-def test_parallel_and_serial_cells_agree():
+def test_parallel_and_serial_cells_agree(monkeypatch):
+    import ncg.harness as harness
+
+    monkeypatch.setattr(harness, "POOL_THRESHOLD", 1)
     cells = ((3, Fraction(7), "exact"), (4, Fraction(3), "exact"), (4, Fraction(2), "k-subset:2"))
     for n, alpha, spec in cells:
         serial = enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=1)
-        parallel = enumerate_cell(
-            n, alpha, DeviationClass.parse(spec), jobs=2, pool_threshold=1
-        )
+        parallel = enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=2)
         assert serial == parallel
 
 

@@ -28,6 +28,7 @@ from oracle import (
     oracle_s_set_all_paths,
     oracle_s_set_some_path,
     oracle_sellable_edges,
+    oracle_x_levels,
 )
 from strategies import connected_profiles, profiles, sparse_connected_profiles
 
@@ -43,6 +44,7 @@ from ncg import (
     global_girth,
     largest_biconnected_component,
 )
+from ncg.audit import scaffold_profile
 from ncg.structure import (
     all_simple_cycles,
     cycle_directed,
@@ -136,8 +138,8 @@ def test_spt_on_path():
     spt = build_spt(p, all_pairs_distances(p), 0)
     assert spt.depth == (0, 1, 2)
     assert spt.subtree_size == (3, 2, 1)
-    assert spt.orientation(0, 1) == "down"  # bought by the parent
-    assert spt.orientation(1, 2) == "down"
+    assert spt.down_child(0, 1) == 1  # bought by the parent
+    assert spt.down_child(1, 2) == 2
 
 
 def test_spt_directed_ring_prefers_directed_path():
@@ -148,15 +150,15 @@ def test_spt_directed_ring_prefers_directed_path():
     # all-down path 0->1->2->3 retained, far side reached through up-edges
     assert spt.parent[3] == 2 and spt.parent[2] == 1 and spt.parent[1] == 0
     assert spt.parent[4] == 5
-    assert spt.orientation(0, 1) == "down"
-    assert spt.orientation(5, 4) == "up"
+    assert spt.down_child(0, 1) == 1
+    assert spt.down_child(5, 4) is None and (4, 5) in spt.tree_edges  # an up-edge
     assert not spt.warnings
 
 
 def test_spt_star_all_down():
     p = star(4, center_owns=True)
     spt = build_spt(p, all_pairs_distances(p), 0)
-    assert all(spt.orientation(0, leaf) == "down" for leaf in (1, 2, 3))
+    assert all(spt.down_child(0, leaf) == leaf for leaf in (1, 2, 3))
     assert all(spt.subtree_size[leaf] == 1 for leaf in (1, 2, 3))
 
 
@@ -199,9 +201,13 @@ def test_x_levels_on_figure_gadget():
     assert levels[(1, 2)] == 4
     assert levels[(0, 1)] == 5
     # up-chain edges carry no level but belong to every + class
+    ctx = build_context(p)
     for e in [(6, 7), (7, 8), (8, 9), (9, 10), (0, 10)]:
         assert levels[e] is None
-        assert classes[e].in_plus
+        child = max(e, key=spt.depth.__getitem__)
+        parent = spt.parent[child]
+        assert ctx.is_low_level(child, parent, include_up=True, cap=0)
+        assert not ctx.is_low_level(child, parent, include_up=False, cap=5)
 
 
 def test_x_levels_empty_on_tree():
@@ -213,13 +219,11 @@ def test_x_levels_empty_on_tree():
 
 
 def test_up_edge_in_plus_without_level():
-    p = directed_ring(7, 1)
-    dist = all_pairs_distances(p)
-    decomp = largest_biconnected_component(p)
-    spt = build_spt(p, dist, 0)
-    classes = {c.edge: c for c in classify_x_sets(p, spt, decomp)}
-    up = classes[(4, 5)]
-    assert up.level is None and up.in_plus
+    ctx = build_context(directed_ring(7, 1))
+    assert ctx.root == 0 and ctx.spt.parent[4] == 5
+    assert ctx.x_classes[(4, 5)].level is None
+    assert ctx.is_low_level(4, 5, include_up=True, cap=0)
+    assert not ctx.is_low_level(4, 5, include_up=False, cap=2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,6 @@ def test_context_tables_match_oracle(p):
     ctx = build_context(p)
     assert (p.adj, p.bought) == oracle_rows(p)
     for v in range(p.n):
-        assert ctx.targets[v] == tuple(sorted(p.targets_of(v)))
         assert ctx.h_neighbours[v] == oracle_h_neighbours(ctx, v)
         assert ctx.deg_h(v) == len(oracle_h_neighbours(ctx, v))
 
@@ -470,14 +473,35 @@ def test_ladder_queries_match_oracle(p):
         for t in range(p.n):
             if t != v:
                 assert ctx.spt.down_child(v, t) == oracle_down_child(ctx.spt, v, t)
+        every = oracle_sellable_edges(ctx, v, include_up=True, cap=inf)
+        assert list(ctx.ladder[v]) == [(t, ctx.x_classes[e].level) for e, t in every]
         for include_up in (False, True):
-            for cap in (1, 2):
+            for cap in range(4):
                 for t in range(p.n):
                     if t != v:
                         want = oracle_is_low_level(ctx, v, t, include_up, cap)
                         assert ctx.is_low_level(v, t, include_up, cap) == want
                 want = oracle_sellable_edges(ctx, v, include_up, cap)
                 assert ctx.sellable_edges(v, include_up, cap) == want
+
+
+@given(
+    st.one_of(
+        connected_profiles(max_n=8),
+        sparse_connected_profiles(max_n=10),
+        st.builds(scaffold_profile, st.integers(0, 499)),
+    )
+)
+@example(figure_gadget())
+# 4's least level comes from its second purchase: (4, 1) is a bridge, (2, 4) an out-edge.
+@example(profile(5, 5, [(3, 0), (3, 2), (3, 4), (4, 1), (4, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_x_levels_match_fixpoint_oracle(p):
+    dist = all_pairs_distances(p)
+    decomp = largest_biconnected_component(p)
+    spt = build_spt(p, dist, choose_root(p, dist, decomp.largest_vertices()))
+    levels = {c.edge: c.level for c in classify_x_sets(p, spt, decomp) if c.level is not None}
+    assert levels == oracle_x_levels(p, spt, decomp)
 
 
 @given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
