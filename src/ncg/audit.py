@@ -3,9 +3,10 @@
 Each bound operation prices a specific strategy rewrite (selling low-level
 edges inside the big biconnected piece H, optionally rebuying the edge to
 the root) and is compared against the exact cost delta of actually
-performing the rewrite: the seller's new distance sum from one BFS, its
-current one from the context's connection costs, both sides in integer
-units of 1/q for alpha = p/q.  The structural
+performing the rewrite: the seller's new distance sum from one BFS per
+distinct rewrite (``StrategyContext.rewrite_sum``), its current one from
+the context's connection costs, both sides in integer units of 1/q for
+alpha = p/q.  The structural
 checks evaluate quantified statements about H, the shortest path tree, edge
 classes, cycles and funnels, reporting one finding per rule.
 
@@ -23,8 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from .errors import BudgetExceededError
-from .equilibrium import VerificationReport, _vertex_rows
+from .equilibrium import VerificationReport
 from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
@@ -32,13 +32,11 @@ from .structure import (
     Edge,
     StrategyContext,
     _as_edge,
-    all_simple_cycles,
     build_context,
     compute_s_set,
     cycle_directed,
     edge_subtree_size,
     global_girth,
-    is_min_cycle,
     smallest_cycle_through_edge,
 )
 
@@ -78,8 +76,7 @@ def _strategy1(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     and the multiple of alpha it subtracts.
     """
     d = ctx.spt.depth[u]
-    path = ctx.spt.path_to_root(u)
-    value = d * ctx.n - 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(d))
+    value = d * ctx.n - 2 * ctx.path_sums[u][0]
     for edge, level in sold:
         value += (2 * level + 2 * d) * edge_subtree_size(ctx.spt, *edge)
     return value, len(sold)
@@ -92,11 +89,8 @@ def _strategy2(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     the halfway sum runs over strictly smaller path indices.
     """
     d = ctx.spt.depth[u]
-    path = ctx.spt.path_to_root(u)
-    value = ctx.n
-    if d % 2 == 0 and d // 2 < len(path):
-        value -= ctx.spt.subtree_size[path[d // 2]]
-    value -= 2 * sum(ctx.spt.subtree_size[path[l]] for l in range(len(path)) if 2 * l < d)
+    _, halfway, midpoint = ctx.path_sums[u]
+    value = ctx.n - midpoint - 2 * halfway
     for edge, level in sold:
         value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
     return value, len(sold) - 1
@@ -164,7 +158,8 @@ def audit_deviation_bound(
     is always computed; ``preconditions_met`` records whether the bound's
     own hypotheses held, and ``dominates`` whether exact <= bound.  Both
     sides are priced in integer units of 1/q (alpha = p/q): the current
-    distance sum is u's connection cost, the new one comes from one BFS.
+    distance sum is u's connection cost, the new one comes from one BFS per
+    distinct rewrite of u (``StrategyContext.rewrite_sum``).
     """
     if strategy_kind not in _BOUND_TERMS:
         raise ValueError(f"unknown strategy kind {strategy_kind!r}")
@@ -194,10 +189,11 @@ def audit_deviation_bound(
         notes.append(f"vertex {u} outside H")
     elif u == ctx.root:
         notes.append("seller is the root")
-    if not ctx.alpha > 2 * ctx.n:
-        notes.append("alpha <= 2n")
-    if not ctx.girth >= 7:
-        notes.append("girth below 7")
+    if not ctx.in_regime:  # inside it alpha > 2n and girth >= 7 both hold
+        if not ctx.alpha > 2 * ctx.n:
+            notes.append("alpha <= 2n")
+        if not ctx.girth >= 7:
+            notes.append("girth below 7")
     if ctx.has_cyclic_h and ctx.connection(ctx.root) > ctx.connection(u):
         notes.append("root connection cost exceeds seller's")  # impossible by construction
 
@@ -207,14 +203,13 @@ def audit_deviation_bound(
 
     if buys_root and u == ctx.root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
-    adj, bought_to_u, current = _vertex_rows(ctx.profile, u)
     new = ctx.rewrite(u, strategy_kind, sold_targets)
-    adj[u] = bought_to_u | new
-    new_sum = bfs_sum(adj, u, (1 << ctx.n) - 1)
+    new_sum = ctx.rewrite_sum(u, new)
     if new_sum is None:
         exact = inf
     else:
-        exact = p * (new.bit_count() - current.bit_count()) + q * (new_sum - ctx.connection(u))
+        spent = new.bit_count() - ctx.profile.bought[u].bit_count()
+        exact = p * spent + q * (new_sum - ctx.connection(u))
 
     if ne_certificate is not None and ne_certificate.is_equilibrium:
         if ne_certificate.profile_hash != ctx.profile_hash:
@@ -450,13 +445,7 @@ def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
 
 
 def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
-    coverage = "exhaustive"
-    try:
-        cycles = all_simple_cycles(ctx.profile)
-    except BudgetExceededError:
-        coverage = "smallest-per-edge-only"
-        cycles = sorted(set(ctx.cycles.per_edge_cycle.values()))
-    min_cycles = [c for c in cycles if is_min_cycle(c, ctx.dist)]
+    coverage, min_cycles = ctx.min_cycles  # once per graph; only ownership is read here
     bad = [c for c in min_cycles if not cycle_directed(ctx.profile, c)]
     return _finding(
         "directed-mincycles", applicable, not bad, informational,
@@ -477,7 +466,7 @@ def _audit_deg2(ctx, informational) -> AuditFinding:
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
             funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths")
-            some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
+            some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path", ctx.spheres)
             row = {
                 "path": (u, v, w),
                 "funnel_size": len(funnel.members),

@@ -1,7 +1,7 @@
 """Command line driver: ``ncg {verify|enumerate|dynamics|audit|sweep}``.
 
-Exit codes: 0 success, 1 assertion failure (a non-tree equilibrium above
-2n), 2 usage, IO, budget errors and malformed input, 3 internal error (any
+Exit codes: 0 success, 1 assertion failure (a non-tree exact equilibrium
+above 2n), 2 usage, IO, budget errors and malformed input, 3 internal error (any
 other exception; one ``internal error:`` line on stderr).
 """
 

@@ -360,7 +360,10 @@ def verify_equilibrium(
     the witness is then re-priced by ``delta_cost``.  The exact class prices
     only sizes whose cost lower bound is below the current cost
     (``_bounded_scan``), but reports the witness and ``deviations_checked``
-    of the full scan in subset-index order.
+    of the full scan in subset-index order.  A composite with an exact part
+    generates every other target set of each vertex, so the bounded scan
+    decides each vertex's stability too; only a vertex with an improvement
+    walks the composite order, which fixes its witness.
     """
     digest = profile_hash(profile)
     if profile.n > 1 and not is_connected(profile):
@@ -371,15 +374,21 @@ def verify_equilibrium(
     exact = dev_class.kind == "exact-all-subsets"
     if exact:
         _exact_checks(profile.n, budget)
+    covers_all = exact or EXACT in dev_class.parts
     ctx = _class_context(profile, dev_class)
 
     checked = 0
     for v in range(profile.n):
-        if exact:
+        if covers_all:
             index = _first_improvement(profile, v)
             if index is None:
                 checked += (1 << (profile.n - 1)) - 1
+                if checked > budget:  # the composite walk would stop one past the budget
+                    raise BudgetExceededError(
+                        f"verification exceeded budget {budget}", required=budget + 1
+                    )
                 continue
+        if exact:
             # As if every set up to the witness were checked, but the current one.
             checked += index + (_subset_index(profile.bought[v], v) > index)
             return _witness_report(profile, digest, dev_class, v, _subset_mask(index, v), checked)

@@ -104,9 +104,10 @@ class StrategyProfile:
 
 
 def profile_hash(profile: StrategyProfile) -> str:
-    """Stable digest of (n, alpha, sorted bought edges)."""
+    """Stable digest of (n, alpha, sorted bought edges); ``profile.edges`` is
+    sorted on construction."""
     payload = f"{profile.n};{profile.alpha};" + ";".join(
-        f"{e.buyer},{e.other}" for e in sorted(profile.edges)
+        f"{e.buyer},{e.other}" for e in profile.edges
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

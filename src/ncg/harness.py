@@ -23,6 +23,7 @@ from pathlib import Path
 from .audit import audit_full
 from .equilibrium import (
     DEFAULT_BUDGET,
+    EXACT,
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
@@ -294,12 +295,14 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
 
     Every equilibrium is audited on its one ``StrategyContext``
     (``contexts_by_graph``); being connected, it is a tree iff its girth is
-    infinite.  A non-tree equilibrium at alpha > 2n is a hard failure, never
-    a data point.  In the open band [n, 2n) non-tree counts are reported as
-    exploratory data only.
+    infinite.  A non-tree equilibrium that the exact class certifies at
+    alpha > 2n is a hard failure, never a data point.  A restricted class
+    proves stability only against its own deviations, so its non-tree
+    counts are data, as are all of them in the open band [n, 2n).
     """
     tree = 0
     non_tree = 0
+    exact_non_tree = False
     min_girth: int | float = inf
     audit_failures = 0
     for ctx, report in contexts_by_graph(result.equilibria):
@@ -307,11 +310,12 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
             tree += 1
         else:
             non_tree += 1
+            exact_non_tree = exact_non_tree or report.deviation_class == EXACT.spec()
         min_girth = min(min_girth, ctx.girth)
         audit = audit_full(ctx, ne_certificate=report)
         audit_failures += audit.summary["findings_failing"]
         audit_failures += audit.summary["bound_violations"]
-    if result.alpha > 2 * result.n and non_tree > 0:
+    if result.alpha > 2 * result.n and exact_non_tree:
         raise TreeConjectureViolation(
             f"non-tree equilibrium at n={result.n}, alpha={result.alpha}"
         )

@@ -8,14 +8,16 @@ smallest cycles through vertices and edges, and shortest-path funnels
 (S-sets).  ``build_context`` bundles all of them into one
 ``StrategyContext`` in two layers: ``graph_layer`` holds what depends only
 on the graph (distances, blocks with H, connection costs, root, cycles,
-girth), shared by every ownership of one graph, and the shortest path tree
-and edge classes depend on who bought which edge.
+girth, and on first use the min-cycles), shared by every ownership of one
+graph, and the shortest path tree and edge classes depend on who bought
+which edge.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import combinations
 from math import inf
@@ -27,6 +29,7 @@ from .game import (
     StrategyProfile,
     all_pairs_distances,
     bfs_distances,
+    bfs_sum,
     connection_cost,
     is_connected,
     mask_members,
@@ -185,47 +188,53 @@ class SptAnalysis:
         return frozenset(out)
 
 
+def bought_to(profile: StrategyProfile) -> tuple[int, ...]:
+    """Each vertex's mask of the vertices that bought an edge to it."""
+    out = [0] * profile.n
+    for e in profile.edges:
+        out[e.other] |= 1 << e.buyer
+    return tuple(out)
+
+
 def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptAnalysis:
     """BFS shortest path tree from ``root`` under the directed-path parent rule."""
     n = profile.n
     depth = dist[root]
-    if any(depth[v] == inf for v in range(n)):
+    if inf in depth:
         raise ValueError("shortest path tree requires a connected profile")
-    adj = profile.adjacency()
+    shells = [0] * n  # shells[d]: the vertices at depth d
+    for v, d in enumerate(depth):
+        shells[d] |= 1 << v
+    buyers = bought_to(profile)
     parent: list[int | None] = [None] * n
-    down_reachable = [False] * n
-    down_reachable[root] = True
+    reachable = 1 << root  # vertices the root reaches by an all-down path
     down_pairs: set[tuple[int, int]] = set()
     tree_edges: set[Edge] = set()
     warnings: list[str] = []
 
-    for v in sorted(range(n), key=lambda x: (depth[x], x)):
-        if v == root:
-            continue
-        level_up = [p for p in adj[v] if depth[p] == depth[v] - 1]
-        directed = [p for p in level_up if profile.buys(p, v) and down_reachable[p]]
-        if directed:
-            if len(directed) > 1:
-                warnings.append(
-                    f"vertex {v}: {len(directed)} directed shortest paths from the root; "
-                    f"kept parent {min(directed)}"
-                )
-            p = min(directed)
-        else:
-            p = min(level_up)
+    order = sorted(range(n), key=depth.__getitem__)  # by depth, then id
+    for v in order[1:]:  # order[0] is the root
+        level_up = profile.adj[v] & shells[depth[v] - 1]
+        directed = level_up & buyers[v] & reachable
+        candidates = directed or level_up
+        p = (candidates & -candidates).bit_length() - 1  # the smallest id
+        if directed & (directed - 1):
+            warnings.append(
+                f"vertex {v}: {directed.bit_count()} directed shortest paths from the root; "
+                f"kept parent {p}"
+            )
         parent[v] = p
         tree_edges.add(_as_edge(p, v))
-        is_down = profile.buys(p, v)
-        if is_down:
+        if buyers[v] >> p & 1:
             down_pairs.add((p, v))
-        down_reachable[v] = down_reachable[p] and is_down
+            reachable |= (reachable >> p & 1) << v
 
     children: list[list[int]] = [[] for _ in range(n)]
+    subtree = [1] * n
     for v in range(n):
         if parent[v] is not None:
             children[parent[v]].append(v)
-    subtree = [1] * n
-    for v in sorted(range(n), key=lambda x: -depth[x]):
+    for v in reversed(order):
         if parent[v] is not None:
             subtree[parent[v]] += subtree[v]
     assert subtree[root] == n
@@ -235,11 +244,11 @@ def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptA
         parent=tuple(parent),
         depth=tuple(depth),
         subtree_size=tuple(subtree),
-        children=tuple(tuple(sorted(c)) for c in children),
+        children=tuple(map(tuple, children)),
         tree_edges=frozenset(tree_edges),
         down_pairs=frozenset(down_pairs),
-        down_reachable=tuple(down_reachable),
-        graph_edges=frozenset(_as_edge(*e) for e in profile.undirected_edges()),
+        down_reachable=tuple(reachable >> v & 1 == 1 for v in range(n)),
+        graph_edges=frozenset(profile.undirected_edges()),
         warnings=tuple(warnings),
     )
 
@@ -304,12 +313,14 @@ class CycleReport:
     """Smallest cycles of H: girth, one witness per vertex and per edge.
 
     Every reported per-edge cycle is checked to realise all pairwise graph
-    distances between its vertices (the min-cycle property).
+    distances between its vertices (the min-cycle property), once per
+    distinct cycle; ``canonical`` holds the checked cycles' canonical forms.
     """
 
     girth: int | float
     per_vertex_cycle: dict[int, tuple[int, ...]]
     per_edge_cycle: dict[Edge, tuple[int, ...]]
+    canonical: frozenset[tuple[int, ...]] = field(default=frozenset(), compare=False, repr=False)
 
 
 def smallest_cycle_through_edge(profile: StrategyProfile, a: int, b: int) -> tuple[int, ...] | None:
@@ -339,11 +350,9 @@ def smallest_cycle_through_edge(profile: StrategyProfile, a: int, b: int) -> tup
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Rotation/reflection-invariant form: start at min vertex, smaller direction."""
-    k = len(cycle)
     i = cycle.index(min(cycle))
-    fwd = tuple(cycle[(i + j) % k] for j in range(k))
-    bwd = tuple(cycle[(i - j) % k] for j in range(k))
-    return min(fwd, bwd)
+    fwd = cycle[i:] + cycle[:i]
+    return min(fwd, fwd[:1] + fwd[:0:-1])
 
 
 def is_min_cycle(cycle: tuple[int, ...], dist: DistanceMatrix) -> bool:
@@ -384,21 +393,25 @@ def cycle_report(
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # vertex -> (length, canonical cycle)
+    checked: set[tuple[int, ...]] = set()  # a ring's edges all return the same cycle
     for e in sorted(h_edges):
         cyc = smallest_cycle_through_edge(profile, e[0], e[1])
         if cyc is None:
             continue
-        if not is_min_cycle(cyc, dist):
-            raise AssertionError(f"smallest cycle through {e} is not a min-cycle: {cyc}")
+        canon = canonical_cycle(cyc)
+        if canon not in checked:
+            if not is_min_cycle(cyc, dist):
+                raise AssertionError(f"smallest cycle through {e} is not a min-cycle: {cyc}")
+            checked.add(canon)
         per_edge[e] = cyc
-        key = (len(cyc), canonical_cycle(cyc))
+        key = (len(cyc), canon)
         for v in e:
             if v not in best or key < best[v]:
                 best[v] = key
 
     girth = min((len(c) for c in per_edge.values()), default=inf)
     per_vertex = {v: best[v][1] for v in sorted(best)}
-    return CycleReport(girth=girth, per_vertex_cycle=per_vertex, per_edge_cycle=per_edge)
+    return CycleReport(girth, per_vertex, per_edge, frozenset(checked))
 
 
 def global_girth(profile: StrategyProfile) -> int | float:
@@ -420,29 +433,46 @@ def all_simple_cycles(profile: StrategyProfile, limit: int = 100_000) -> list[tu
 
     Enumerates cycles by their minimum vertex: paths out of ``s`` through
     larger vertices only, emitted when they close back to ``s`` with the
-    second endpoint smaller than the last (one orientation per cycle).
+    second vertex smaller than the last, which is the canonical orientation.
+    A step is one adjacency entry read; the budget is checked once per
+    vertex read, which exceeds it exactly when some single step would.
     """
     adj = profile.adjacency()
     cycles: list[tuple[int, ...]] = []
     steps = 0
     for s in range(profile.n):
-        stack: list[tuple[list[int], set[int]]] = [([s], {s})]
+        stack: list[tuple[tuple[int, ...], int]] = [((s,), 1 << s)]  # (path, its vertex mask)
         while stack:
             path, used = stack.pop()
-            v = path[-1]
-            for w in adj[v]:
-                steps += 1
-                if steps > limit:
-                    raise BudgetExceededError(
-                        f"cycle enumeration exceeded {limit} steps", required=steps
-                    )
+            row = adj[path[-1]]
+            steps += len(row)
+            if steps > limit:
+                raise BudgetExceededError(
+                    f"cycle enumeration exceeded {limit} steps", required=limit + 1
+                )
+            for w in row:
                 if w == s and len(path) >= 3:
                     if path[1] < path[-1]:
-                        cycles.append(canonical_cycle(tuple(path)))
-                elif w > s and w not in used:
-                    stack.append((path + [w], used | {w}))
+                        cycles.append(path)
+                elif w > s and not used >> w & 1:
+                    stack.append((path + (w,), used | 1 << w))
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
+
+
+def min_cycles(
+    profile: StrategyProfile, dist: DistanceMatrix, cycles: CycleReport
+) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """(coverage, every min-cycle of the graph): "exhaustive" over
+    ``all_simple_cycles``, or, past its budget, "smallest-per-edge-only" over
+    the cycle report's per-edge cycles.  Cycles the report already checked
+    are not checked again.
+    """
+    try:
+        found = all_simple_cycles(profile)
+    except BudgetExceededError:
+        return "smallest-per-edge-only", tuple(sorted(set(cycles.per_edge_cycle.values())))
+    return "exhaustive", tuple(c for c in found if c in cycles.canonical or is_min_cycle(c, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +493,27 @@ class SSet:
     variant: str
 
 
+def distance_spheres(dist: DistanceMatrix) -> tuple[int, ...]:
+    """Each vertex's spheres packed into one int: bit ``d*n + w`` is set iff
+    w lies at distance d; unreachable vertices lie in no sphere."""
+    n = dist.n
+    return tuple(
+        sum(1 << (d * n + w) for w, d in enumerate(row) if d != inf) for row in dist.rows
+    )
+
+
 def compute_s_set(
     profile: StrategyProfile,
     dist: DistanceMatrix,
     anchor,
     via: int,
     variant: str = "all-paths",
+    spheres: tuple[int, ...] | None = None,
 ) -> SSet:
-    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``."""
+    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``.
+
+    ``spheres`` is ``distance_spheres(dist)``; some-path builds it when not given.
+    """
     anchor = frozenset(anchor)
     if not anchor:
         raise ValueError("anchor set must be nonempty")
@@ -479,40 +522,46 @@ def compute_s_set(
     if variant not in ("some-path", "all-paths"):
         raise ValueError(f"unknown S-set variant {variant!r}")
     n = profile.n
-    members = {via}
-
     if anchor == {via}:
         # Degenerate funnel: every reachable vertex trivially routes through via.
-        members.update(x for x in range(n) if dist[x][via] != inf)
-        return SSet(anchor=anchor, via=via, members=frozenset(members), variant=variant)
+        members = frozenset(x for x in range(n) if dist[x][via] != inf)
+        return SSet(anchor=anchor, via=via, members=members, variant=variant)
 
+    anchor_mask = sum(1 << w for w in anchor)
+    funnel = 1 << via
     if variant == "some-path":
-        # (w, d(via, w)) for every anchor vertex w that via reaches
-        reached = [(w, dist[via][w]) for w in anchor if dist[via][w] != inf]
-        for x in range(n):
-            row = dist[x]
-            to_via = row[via]
-            if x != via and x not in anchor and to_via != inf and any(
-                to_via + d == row[w] for w, d in reached
-            ):
-                members.add(x)
-    else:
-        # The shortest routes to the nearest anchor vertices are exactly the
-        # walks that step one nearer to the anchor each time, so x funnels iff
-        # every neighbour one step nearer is via or funnels itself.
-        near = list(map(min, zip(*(dist[w] for w in anchor))))  # dist is symmetric
-        shells = [0] * n  # shells[d]: vertices at distance d from the anchor
-        for x, d in enumerate(near):
-            if d != inf:
-                shells[d] |= 1 << x
-        adj = profile.adj
-        funnel = 1 << via
-        for x in sorted(range(n), key=near.__getitem__):
-            if x != via and 0 < near[x] < inf and not adj[x] & shells[near[x] - 1] & ~funnel:
+        # x qualifies iff some anchor vertex at distance k from via lies at
+        # distance d(x, via) + k from x.  Block k of ``ahead`` holds the anchor
+        # vertices at distance k from via; shifting x's spheres down by
+        # d(x, via) blocks puts its sphere of radius d(x, via) + k on block k.
+        if spheres is None:
+            spheres = distance_spheres(dist)
+        blocks = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit d*n for every d < n
+        ahead = spheres[via] & anchor_mask * blocks
+        to_via = dist[via]
+        for x in mask_members((1 << n) - 1 & ~anchor_mask):
+            if to_via[x] != inf and spheres[x] >> to_via[x] * n & ahead:
                 funnel |= 1 << x
-        members = {x for x in range(n) if funnel >> x & 1}
-
-    return SSet(anchor=anchor, via=via, members=frozenset(members), variant=variant)
+    else:
+        # One BFS out of the anchor, a shell at a time.  The shortest routes
+        # to the nearest anchor vertices are exactly the walks that step one
+        # shell inwards each time, so x funnels iff every neighbour in the
+        # shell inside its own is via or funnels itself.
+        adj = profile.adj
+        reach = 0
+        for w in anchor:
+            reach |= adj[w]
+        inner = seen = anchor_mask
+        while shell := reach & ~seen:
+            seen |= shell
+            reach = 0
+            for x in mask_members(shell):
+                row = adj[x]
+                reach |= row
+                if not row & inner & ~funnel:
+                    funnel |= 1 << x
+            inner = shell
+    return SSet(anchor=anchor, via=via, members=frozenset(mask_members(funnel)), variant=variant)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +581,9 @@ class StrategyContext:
     """Everything the audits read: distances, H, the rooted tree, classes, cycles.
 
     ``connections`` holds every vertex's connection cost; when it is not
-    given it is summed from ``dist``.
+    given it is summed from ``dist``.  ``graph`` is the graph layer the
+    context was built on, if any; contexts that share one share its
+    min-cycles.
     """
 
     profile: StrategyProfile
@@ -546,6 +597,7 @@ class StrategyContext:
     cycles: CycleReport
     girth: int | float
     connections: tuple[int | float, ...] | None = field(default=None, compare=False, repr=False)
+    graph: GraphLayer | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.connections is None:
@@ -584,6 +636,58 @@ class StrategyContext:
             out[a].append(b)
             out[b].append(a)
         return tuple(tuple(sorted(row)) for row in out)
+
+    @cached_property
+    def min_cycles(self) -> tuple[str, tuple[tuple[int, ...], ...]]:
+        """``min_cycles`` of the graph, computed once per graph layer."""
+        if self.graph is not None:
+            return self.graph.min_cycles()
+        return min_cycles(self.profile, self.dist, self.cycles)
+
+    @cached_property
+    def spheres(self) -> tuple[int, ...]:
+        """``distance_spheres(dist)``, which some-path S-sets read."""
+        return distance_spheres(self.dist)
+
+    @cached_property
+    def path_sums(self) -> tuple[tuple[int, int, int], ...]:
+        """Per vertex u at depth d, with tree path u = p_0, ..., p_d = root:
+        the subtree sizes of p_l summed over l < d and over 2l < d, and the
+        subtree size of p_{d/2} (0 for odd d).  One walk down the tree."""
+        size = self.spt.subtree_size
+        out: list = [None] * self.n
+        chain: list[int] = []  # the path from the root to the current vertex
+        prefix: list[int] = []  # prefix[i]: sizes of chain[1..i] summed
+        stack = [(self.root, 0)]
+        while stack:
+            v, d = stack.pop()
+            del chain[d:], prefix[d:]
+            chain.append(v)
+            prefix.append(prefix[-1] + size[v] if d else 0)
+            out[v] = (prefix[d], prefix[d] - prefix[d // 2], 0 if d % 2 else size[chain[d // 2]])
+            stack.extend((c, d + 1) for c in self.spt.children[v])
+        return tuple(out)
+
+    @cached_property
+    def _bought_to(self) -> tuple[int, ...]:
+        return bought_to(self.profile)
+
+    @cached_property
+    def _rewrite_sums(self) -> dict[tuple[int, int], int | None]:
+        return {}
+
+    def rewrite_sum(self, u: int, targets: int) -> int | None:
+        """u's distance sum once it buys exactly the ``targets`` mask, the
+        others fixed; None when u is then cut off.  One BFS per distinct
+        (u, targets): only row u changes, to the edges others bought to u
+        plus the targets."""
+        key = (u, targets)
+        memo = self._rewrite_sums
+        if key not in memo:
+            adj = list(self.profile.adj)
+            adj[u] = self._bought_to[u] | targets
+            memo[key] = bfs_sum(adj, u, (1 << self.n) - 1)
+        return memo[key]
 
     def x_level(self, edge: Edge) -> int | None:
         cls = self.x_classes.get(_as_edge(*edge))
@@ -632,7 +736,7 @@ class StrategyContext:
         if not self.has_cyclic_h or u == self.root or u not in self.h_vertices:
             return
         sells_up, _ = STRATEGY_SWITCHES[kind]
-        targets = [t for _, t in self.sellable_edges(u, sells_up)]
+        targets = [t for t, level in self.ladder[u] if (sells_up if level is None else level <= 2)]
         largest = len(targets) if most is None else min(most, len(targets))
         for size in range(1, largest + 1):
             yield from combinations(targets, size)
@@ -653,6 +757,8 @@ class GraphLayer(NamedTuple):
 
     A named tuple rather than a dataclass: it has no methods, and a frozen
     dataclass takes about ten times as long to define, on every import.
+    ``min_cycles()`` returns ``min_cycles`` of the graph, computed on the
+    first call only.
     """
 
     adj: tuple[int, ...]
@@ -662,13 +768,14 @@ class GraphLayer(NamedTuple):
     root: int
     cycles: CycleReport
     girth: int | float
+    min_cycles: Callable[[], tuple[str, tuple[tuple[int, ...], ...]]]
 
 
 def graph_layer(profile: StrategyProfile) -> GraphLayer:
     """The graph layer of a connected profile's context.
 
-    Distances, blocks, connection costs, root, cycles and girth; every
-    profile with the same ``adj`` shares it.
+    Distances, blocks, connection costs, root, cycles, girth and the lazy
+    min-cycles; every profile with the same ``adj`` shares it.
     """
     if not is_connected(profile):
         raise ValueError("audit context requires a connected profile")
@@ -679,7 +786,10 @@ def graph_layer(profile: StrategyProfile) -> GraphLayer:
     root = choose_root(profile, dist, h_vertices) if h_vertices else 0
     cycles = cycle_report(profile, decomposition, dist)
     girth = _girth(profile, decomposition, cycles)
-    return GraphLayer(profile.adj, dist, decomposition, connections, root, cycles, girth)
+    lazy_min_cycles = cache(partial(min_cycles, profile, dist, cycles))
+    return GraphLayer(
+        profile.adj, dist, decomposition, connections, root, cycles, girth, lazy_min_cycles
+    )
 
 
 def build_context(profile: StrategyProfile, graph: GraphLayer | None = None) -> StrategyContext:
@@ -709,6 +819,7 @@ def build_context(profile: StrategyProfile, graph: GraphLayer | None = None) -> 
         cycles=graph.cycles,
         girth=graph.girth,
         connections=graph.connections,
+        graph=graph,
     )
 
 

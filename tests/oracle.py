@@ -25,7 +25,14 @@ bitmask rows replaced.
 scans over H's edges that the context's tables replaced, and
 ``oracle_context`` assembles a ``StrategyContext`` from the public structure
 calls with the girth from ``global_girth``, as the benchmark's traced
-re-drive does.
+re-drive does.  ``oracle_bound`` prices one bound comparison from scratch
+on every call: the bound in ``Fraction`` arithmetic from the seller's tree
+path, every precondition note, and the exact delta from raw edge lists by
+``gadgets.oracle_delta``, with no table shared between calls.
+``oracle_spt`` is the shortest path tree built from adjacency lists and
+``buys`` tests, the scan its bitmask rows replaced, and
+``oracle_simple_cycles`` the cycle enumeration that counted its budget one
+adjacency entry at a time on set-based paths.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from math import inf
 
 from gadgets import oracle_delta
 
+from ncg.errors import BudgetExceededError
+
+from ncg.audit import BoundComparison
 from ncg.equilibrium import (
     DEFAULT_BUDGET,
     Deviation,
@@ -396,3 +406,149 @@ def oracle_sellable_edges(
         if ctx.profile.buys(v, t) and oracle_is_low_level(ctx, v, t, include_up, cap):
             out.append((edge, t))
     return sorted(out, key=lambda item: item[1])
+
+
+def oracle_bound(
+    ctx: StrategyContext,
+    u: int,
+    kind: str,
+    sold_targets,
+    certificate: VerificationReport | None = None,
+) -> BoundComparison:
+    """The comparison ``audit_deviation_bound`` must give for one rewrite."""
+    sells_up, buys_root = kind == "strategy3", kind != "strategy1"
+    profile, spt, n, alpha = ctx.profile, ctx.spt, ctx.n, ctx.alpha
+    notes = []
+    recorded = []
+    for t in sorted(sold_targets):
+        edge = (min(u, t), max(u, t))
+        cls = ctx.x_classes.get(edge)
+        recorded.append((edge, None if cls is None else cls.level))
+        if not oracle_buys(profile, u, t):
+            notes.append(f"edge {edge} is not bought by {u}")
+        if edge not in ctx.h_edges:
+            notes.append(f"edge {edge} lies outside H")
+        if not oracle_is_low_level(ctx, u, t, sells_up, 2):
+            notes.append(f"edge {edge} has no eligible level for {kind}")
+    if not recorded:
+        notes.append("no edges sold")
+    cyclic = len(ctx.h_vertices) >= 3
+    if not cyclic:
+        notes.append("no biconnected component with a cycle")
+    elif u not in ctx.h_vertices:
+        notes.append(f"vertex {u} outside H")
+    elif u == ctx.root:
+        notes.append("seller is the root")
+    if not alpha > 2 * n:
+        notes.append("alpha <= 2n")
+    if not ctx.girth >= 7:
+        notes.append("girth below 7")
+    dist = all_pairs_distances(profile)
+    if cyclic and sum(dist[ctx.root]) > sum(dist[u]):
+        notes.append("root connection cost exceeds seller's")
+
+    path = [u]
+    while path[-1] != ctx.root:
+        path.append(spt.parent[path[-1]])
+    d = len(path) - 1
+    size = spt.subtree_size
+    if kind == "strategy1":
+        bound = Fraction(d * n - 2 * sum(size[x] for x in path[:-1])) - len(recorded) * alpha
+        factor = 2 * d
+    elif kind == "strategy2":
+        middle = size[path[d // 2]] if d % 2 == 0 else 0
+        halfway = sum(size[path[l]] for l in range(d + 1) if 2 * l < d)
+        bound = Fraction(n - middle - 2 * halfway) - (len(recorded) - 1) * alpha
+        factor = d + 1
+    else:
+        bound = Fraction(n - (d + 1) * size[u]) - (len(recorded) - 1) * alpha
+        factor = d + 1
+    for (a, b), level in recorded:
+        child = oracle_down_child(spt, a, b)
+        if child is not None:
+            bound += (2 * (level or 0) + factor) * size[child]
+
+    if buys_root and u == ctx.root:
+        notes.append("root cannot buy an edge to itself; rewrite sells only")
+    new = set(oracle_targets(profile, u)) - set(sold_targets)
+    if buys_root and u != ctx.root:
+        new.add(ctx.root)
+    exact = oracle_delta(profile, u, new)
+    if certificate is not None and certificate.is_equilibrium:
+        if certificate.profile_hash != profile_hash(profile):
+            notes.append("certificate hash mismatch; ignored")
+        elif exact < 0:
+            notes.append("certified equilibrium admits an improving rewrite")
+    return BoundComparison(
+        lemma_id=kind,
+        vertex=u,
+        sold_edges=tuple(recorded),
+        bought_r=buys_root,
+        bound=bound,
+        exact_delta=exact,
+        preconditions_met=not notes,
+        precondition_notes="; ".join(notes),
+        dominates=exact <= bound,
+    )
+
+
+def oracle_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> dict:
+    """``build_spt``'s fields but ``graph_edges``, vertex by vertex in
+    (depth, id) order: the parent is the least level-up neighbour that
+    bought the edge and is down-reachable, else the least level-up one."""
+    n = profile.n
+    depth = dist[root]
+    parent = [None] * n
+    reachable = [v == root for v in range(n)]
+    warnings = []
+    for v in sorted(range(n), key=lambda x: (depth[x], x)):
+        if v == root:
+            continue
+        level_up = [p for p in oracle_neighbours(profile, v) if depth[p] == depth[v] - 1]
+        directed = [p for p in level_up if oracle_buys(profile, p, v) and reachable[p]]
+        if len(directed) > 1:
+            warnings.append(
+                f"vertex {v}: {len(directed)} directed shortest paths from the root; "
+                f"kept parent {min(directed)}"
+            )
+        parent[v] = min(directed or level_up)
+        reachable[v] = reachable[parent[v]] and oracle_buys(profile, parent[v], v)
+    children = [tuple(c for c in range(n) if parent[c] == v) for v in range(n)]
+
+    def size(v):
+        return 1 + sum(size(c) for c in children[v])
+
+    return {
+        "parent": tuple(parent),
+        "depth": tuple(depth),
+        "subtree_size": tuple(size(v) for v in range(n)),
+        "children": tuple(children),
+        "tree_edges": frozenset((min(p, c), max(p, c)) for c, p in enumerate(parent) if p is not None),
+        "down_pairs": frozenset(
+            (p, c) for c, p in enumerate(parent) if p is not None and oracle_buys(profile, p, c)
+        ),
+        "down_reachable": tuple(reachable),
+        "warnings": tuple(warnings),
+    }
+
+
+def oracle_simple_cycles(profile: StrategyProfile, limit: int) -> list[tuple[int, ...]]:
+    """Every simple cycle, canonicalised, by paths out of their least vertex;
+    raises ``BudgetExceededError`` at the first adjacency entry past ``limit``."""
+    adj = [oracle_neighbours(profile, v) for v in range(profile.n)]
+    cycles = []
+    steps = 0
+    for s in range(profile.n):
+        stack = [([s], {s})]
+        while stack:
+            path, used = stack.pop()
+            for w in adj[path[-1]]:
+                steps += 1
+                if steps > limit:
+                    raise BudgetExceededError(f"cycle enumeration exceeded {limit} steps", required=steps)
+                if w == s and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        cycles.append(canonical_cycle(tuple(path)))
+                elif w > s and w not in used:
+                    stack.append((path + [w], used | {w}))
+    return sorted(cycles, key=lambda c: (len(c), c))

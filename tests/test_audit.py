@@ -1,5 +1,6 @@
 """Bound formulas vs the exact rewrite oracle, plus structural rule findings."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import inf
@@ -17,7 +18,7 @@ from gadgets import (
     two_triangles,
     up_and_out_seller,
 )
-from oracle import oracle_context, oracle_sell_selections
+from oracle import oracle_bound, oracle_context, oracle_sell_selections
 from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
@@ -244,6 +245,50 @@ def test_bound_audit_integer_pricing_matches_fractions(p):
                 assert isinstance(cmp.bound, Fraction)
                 assert cmp.exact_delta == delta_cost(p, u, new_targets), (u, kind, sold)
                 assert cmp.dominates == (cmp.exact_delta <= cmp.bound)
+
+
+def _oracle_bounds(p, certificate):
+    """``oracle_bound`` over every selection ``audit_full`` prices, in its order."""
+    ctx = oracle_context(p)
+    return [
+        oracle_bound(ctx, u, kind, sold, certificate)
+        for kind in ("strategy1", "strategy2", "strategy3")
+        for u, sold in oracle_sell_selections(ctx, kind, MAX_SELL)
+    ]
+
+
+def _check_bound_pricing(p, certificate):
+    want = _oracle_bounds(p, certificate)
+    assert list(audit_full(build_context(p), certificate).bounds) == want
+    # the per-call path on a fresh context, whose pricing tables start empty
+    ctx = build_context(p)
+    got = [
+        audit_deviation_bound(ctx, u, kind, sold, certificate)
+        for kind in ("strategy1", "strategy2", "strategy3")
+        for u, sold in eligible_sold_selections(ctx, kind)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_bound_pricing_matches_oracle_on_scaffolds(block):
+    # uncertified, with the paper-strategy-3 report, with that report turned
+    # into a (false) equilibrium claim, and with a certificate of another
+    # profile: every bound, exact delta and note
+    mismatched = verify_equilibrium(path3(alpha=5))
+    for seed in range(50 * block, 50 * block + 50):
+        p = scaffold_profile(seed)
+        strategy3 = verify_equilibrium(p, DeviationClass.parse("paper-strategy-3"))
+        claimed = replace(strategy3, is_equilibrium=True, witness=None)
+        for certificate in (None, strategy3, claimed, mismatched):
+            _check_bound_pricing(p, certificate)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(9)], ids=str)
+def test_bound_pricing_matches_oracle_on_n4_equilibria(alpha):
+    for p, certificate in enumerate_cell(4, alpha, DeviationClass.parse("exact")).equilibria:
+        _check_bound_pricing(p, certificate)
+        _check_bound_pricing(p, None)
 
 
 def test_bound_audit_prices_a_disconnecting_rewrite_as_inf():

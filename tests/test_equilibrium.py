@@ -202,6 +202,45 @@ def test_verification_matches_oracle(spec, p):
     assert verify_equilibrium(p, cls) == oracle_verify(p, cls)
 
 
+COMPOSITE_EXACT_SPECS = ["single-delete,exact", "exact,single-add", "paper-strategy-1,exact"]
+
+
+@pytest.mark.parametrize("spec", COMPOSITE_EXACT_SPECS)
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3), Fraction(11)], ids=str)
+def test_composites_with_exact_match_oracle_on_small_profiles(spec, alpha):
+    # The bounded exact scan decides each vertex's stability and only a vertex
+    # with an improvement walks the composite order: whole reports against
+    # the oracle's walk over every candidate, on every profile up to n = 4
+    # and every 61st profile index at n = 5.
+    cls = DeviationClass.parse(spec)
+    for n in range(1, 6):
+        for index in range(0, 3 ** (n * (n - 1) // 2), 61 if n == 5 else 1):
+            p = profile_from_index(n, alpha, index)
+            assert verify_equilibrium(p, cls) == oracle_verify(p, cls), (n, index)
+
+
+def test_composite_with_exact_walks_only_improvable_vertices(monkeypatch):
+    import ncg.equilibrium as eq
+
+    walked = []
+    costs = eq._class_costs
+    monkeypatch.setattr(eq, "_class_costs", lambda p, v, *a: walked.append(v) or costs(p, v, *a))
+    ne = profile(4, 9, [(0, 1), (0, 2), (0, 3)])  # a star its centre bought
+    report = verify_equilibrium(ne, DeviationClass.parse("single-delete,exact"))
+    assert report.is_equilibrium and report.deviations_checked == 4 * 7 and walked == []
+    report = verify_equilibrium(directed_ring(4, 9), DeviationClass.parse("single-delete,exact"))
+    assert walked == [0] and report.witness[0] == Deviation(0, frozenset())
+
+
+def test_composite_with_exact_budget_error_is_unchanged():
+    # the star's leaves are stable, so the budget runs out inside the
+    # shortcut, one past the budget as in the composite walk
+    for spec in ("single-delete,exact", "exact,single-add"):
+        with pytest.raises(BudgetExceededError) as err:
+            verify_equilibrium(star(12, alpha=9), DeviationClass.parse(spec), budget=5000)
+        assert err.value.required == 5001
+
+
 def test_witness_recheck_raises(monkeypatch):
     monkeypatch.setattr("ncg.equilibrium.delta_cost", lambda profile, v, targets: Fraction(0))
     for spec in ("exact", "single-delete"):

@@ -18,6 +18,8 @@ from ncg import (
     NcgError,
     ProfileFormatError,
     TreeConjectureViolation,
+    VerificationReport,
+    profile_hash,
     verify_equilibrium,
 )
 from ncg.audit import audit_full
@@ -35,7 +37,7 @@ from ncg.harness import (
     save_profile,
     worker_count,
 )
-from ncg.equilibrium import DeviationClass
+from ncg.equilibrium import EXACT, DeviationClass
 from ncg.structure import build_context
 
 
@@ -180,27 +182,39 @@ def test_shared_graph_contexts_audit_like_build_context(n, alpha):
         assert [f.detail for f in got.findings] == [f.detail for f in want.findings]
 
 
-def test_report_row_rejects_non_tree_above_2n():
-    # fabricated result: a cyclic profile passed off as an equilibrium at alpha > 2n
-    ring = directed_ring(3, 7)
-    fake = EnumerationResult(
-        n=3, alpha=Fraction(7), profiles_scanned=1, connected_count=1,
-        equilibria=((ring, verify_equilibrium(ring, DeviationClass.parse("single-add"))),),
+def _passed_off(ring, alpha, dev_class):
+    """A fabricated cell whose one "equilibrium" is ``ring``, certified by
+    ``dev_class`` whatever the verifier says."""
+    report = VerificationReport(profile_hash(ring), dev_class.spec(), True, None, 0)
+    return EnumerationResult(
+        n=ring.n, alpha=Fraction(alpha), profiles_scanned=1, connected_count=1,
+        equilibria=((ring, report),),
     )
+
+
+def test_report_row_rejects_non_tree_above_2n():
+    # a cyclic profile passed off as an exact equilibrium at alpha > 2n
     with pytest.raises(TreeConjectureViolation):
-        build_report_row(fake)
+        build_report_row(_passed_off(directed_ring(3, 7), 7, EXACT))
 
 
 def test_report_row_open_band_is_exploratory():
-    # alpha inside [n, 2n): non-tree equilibria are data, not failures
-    ring = directed_ring(3, 4)
-    fake = EnumerationResult(
-        n=3, alpha=Fraction(4), profiles_scanned=1, connected_count=1,
-        equilibria=((ring, verify_equilibrium(ring, DeviationClass.parse("single-add"))),),
-    )
-    row = build_report_row(fake)
+    # alpha inside [n, 2n): non-tree exact equilibria are data, not failures
+    row = build_report_row(_passed_off(directed_ring(3, 4), 4, EXACT))
     assert row.non_tree_ne_count == 1
     assert row.min_girth_among_ne == 3
+
+
+def test_report_row_counts_restricted_non_trees_above_2n(capsys):
+    # a restricted class proves stability only against its own deviations
+    ring = directed_ring(3, 7)
+    single_add = DeviationClass.parse("single-add")
+    assert verify_equilibrium(ring, single_add).is_equilibrium
+    row = build_report_row(_passed_off(ring, 7, single_add))
+    assert row.non_tree_ne_count == 1
+    # single-add finds non-tree "equilibria" at n=4, alpha=9; exact finds none
+    assert cmd_run(["sweep", "--n", "4", "--alpha", "2n+1", "--class", "single-add"]) == 0
+    assert ",496,3," in capsys.readouterr().out
 
 
 def test_csv_shape():

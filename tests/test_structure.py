@@ -27,10 +27,13 @@ from oracle import (
     oracle_rows,
     oracle_s_set_all_paths,
     oracle_s_set_some_path,
+    oracle_context,
     oracle_sellable_edges,
+    oracle_simple_cycles,
+    oracle_spt,
     oracle_x_levels,
 )
-from strategies import connected_profiles, profiles, sparse_connected_profiles
+from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
 
 from ncg import (
     all_pairs_distances,
@@ -42,11 +45,14 @@ from ncg import (
     cycle_report,
     edge_subtree_size,
     global_girth,
+    is_connected,
     largest_biconnected_component,
 )
 from ncg.audit import scaffold_profile
+from ncg.errors import BudgetExceededError
 from ncg.structure import (
     all_simple_cycles,
+    canonical_cycle,
     cycle_directed,
     graph_layer,
     is_min_cycle,
@@ -261,6 +267,45 @@ def test_global_girth_sees_smaller_far_component():
     assert len(decomp.largest_vertices()) == 5
     assert cycle_report(p, decomp).girth == 5
     assert global_girth(p) == 3
+
+
+def test_cycle_report_checks_each_distinct_cycle_once(monkeypatch):
+    import ncg.structure as structure
+
+    p = directed_ring(7, 29)  # each of the seven ring edges returns the ring
+    decomp = largest_biconnected_component(p)
+    ring = canonical_cycle(tuple(range(7)))
+    checked = []
+    real = structure.is_min_cycle
+    monkeypatch.setattr(
+        structure, "is_min_cycle", lambda c, dist: checked.append(c) or real(c, dist)
+    )
+    report = cycle_report(p, decomp)
+    assert len(report.per_edge_cycle) == 7 and len(checked) == 1
+    assert report.canonical == {ring}
+    # rejecting the one shared cycle still fails the report
+    monkeypatch.setattr(structure, "is_min_cycle", lambda c, dist: canonical_cycle(c) != ring)
+    with pytest.raises(AssertionError, match="not a min-cycle"):
+        cycle_report(p, decomp)
+
+
+@example(profile(4, 1, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]), 20)
+@given(
+    st.one_of(profiles(max_n=7), st.integers(0, 99).map(scaffold_profile)),
+    st.integers(0, 400),
+)
+@settings(max_examples=80, deadline=None)
+def test_all_simple_cycles_match_oracle_and_budget(p, limit):
+    # Counting the budget once per vertex read raises exactly when counting
+    # one adjacency entry at a time does, and with the same ``required``.
+    try:
+        want = oracle_simple_cycles(p, limit)
+    except BudgetExceededError as err:
+        with pytest.raises(BudgetExceededError) as got:
+            all_simple_cycles(p, limit)
+        assert got.value.required == err.required == limit + 1
+    else:
+        assert all_simple_cycles(p, limit) == want
 
 
 def test_all_simple_cycles_counts():
@@ -512,6 +557,43 @@ def test_context_connections_match_oracle(p):
     assert [ctx.connection(v) for v in range(p.n)] == costs
     if ctx.has_cyclic_h:
         assert ctx.root == min(ctx.h_vertices, key=lambda v: (costs[v], v))
+
+
+@example(figure_gadget(), 0)
+@example(profile(4, 1, [(0, 1), (0, 2), (1, 3), (2, 3)]), 0)  # two directed routes to 3
+@given(
+    st.one_of(
+        connected_profiles(max_n=8),
+        doubled_profiles(max_n=8).filter(is_connected),
+        st.integers(0, 999).map(scaffold_profile),
+    ),
+    st.integers(0, 63),
+)
+@settings(max_examples=60, deadline=None)
+def test_spt_matches_oracle_from_any_root(p, root):
+    dist = all_pairs_distances(p)
+    root %= p.n
+    spt = build_spt(p, dist, root)
+    fields = {name: getattr(spt, name) for name in oracle_spt(p, dist, root)}
+    assert fields == oracle_spt(p, dist, root)
+    assert spt.graph_edges == frozenset(p.undirected_edges())
+
+
+def test_contexts_sharing_a_graph_layer_enumerate_cycles_once(monkeypatch):
+    import ncg.structure as structure
+
+    calls = []
+    real = structure.all_simple_cycles
+    monkeypatch.setattr(structure, "all_simple_cycles", lambda p: calls.append(p) or real(p))
+    ring = directed_ring(7, 29)
+    reversed_ring = profile(7, 29, [((i + 1) % 7, i) for i in range(7)])
+    graph = graph_layer(ring)
+    contexts = [build_context(ring, graph), build_context(reversed_ring, graph)]
+    assert calls == []  # nothing until a rule reads the min-cycles
+    assert contexts[0].min_cycles == contexts[1].min_cycles == ("exhaustive", (tuple(range(7)),))
+    assert len(calls) == 1
+    # a context assembled without a graph layer computes its own
+    assert oracle_context(ring).min_cycles == contexts[0].min_cycles and len(calls) == 2
 
 
 def test_context_rejects_the_graph_layer_of_another_graph():
