@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import combinations
 from math import inf
@@ -752,6 +752,21 @@ class StrategyContext:
         return new
 
 
+class _Once:
+    """A call made on first use only, its result kept; unlike
+    ``functools.cache`` around a ``partial``, it pickles."""
+
+    __slots__ = ("call", "result")
+
+    def __init__(self, call: Callable):
+        self.call = call
+
+    def __call__(self):
+        if self.call is not None:
+            self.result, self.call = self.call(), None
+        return self.result
+
+
 class GraphLayer(NamedTuple):
     """The part of a context that depends only on the graph, not on ownership.
 
@@ -786,7 +801,7 @@ def graph_layer(profile: StrategyProfile) -> GraphLayer:
     root = choose_root(profile, dist, h_vertices) if h_vertices else 0
     cycles = cycle_report(profile, decomposition, dist)
     girth = _girth(profile, decomposition, cycles)
-    lazy_min_cycles = cache(partial(min_cycles, profile, dist, cycles))
+    lazy_min_cycles = _Once(partial(min_cycles, profile, dist, cycles))
     return GraphLayer(
         profile.adj, dist, decomposition, connections, root, cycles, girth, lazy_min_cycles
     )

@@ -1,5 +1,6 @@
 """Structural layer: biconnected pieces, SPT, edge classes, cycles, S-sets."""
 
+import pickle
 from math import inf
 
 import pytest
@@ -594,6 +595,14 @@ def test_contexts_sharing_a_graph_layer_enumerate_cycles_once(monkeypatch):
     assert len(calls) == 1
     # a context assembled without a graph layer computes its own
     assert oracle_context(ring).min_cycles == contexts[0].min_cycles and len(calls) == 2
+
+
+def test_contexts_built_on_a_graph_layer_pickle():
+    for ctx in (build_context(directed_ring(7, 29)), build_context(scaffold_profile(5))):
+        copy = pickle.loads(pickle.dumps(ctx))  # before the min-cycles are computed
+        assert copy == ctx and copy.min_cycles == ctx.min_cycles
+        copy = pickle.loads(pickle.dumps(ctx))  # and after
+        assert copy == ctx and copy.graph.min_cycles() == ctx.min_cycles
 
 
 def test_context_rejects_the_graph_layer_of_another_graph():
