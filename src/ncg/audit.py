@@ -4,9 +4,8 @@ Each bound operation prices a specific strategy rewrite (selling low-level
 edges inside the big biconnected piece H, optionally rebuying the edge to
 the root) and is compared against the exact cost delta of actually
 performing the rewrite: the seller's new distance sum from one BFS per
-distinct rewrite (``StrategyContext.rewrite_sum``), its current one from
-the context's connection costs, both sides in integer units of 1/q for
-alpha = p/q.  The structural
+comparison, its current one from the context's connection costs, both
+sides in integer units of 1/q for alpha = p/q.  The structural
 checks evaluate quantified statements about H, the shortest path tree, edge
 classes, cycles and funnels, reporting one finding per rule.
 
@@ -62,6 +61,10 @@ _NE_GATED = frozenset(set(LEMMA_IDS) - {"degree-sum"})
 # Bound audits price every sell-set of at most this many eligible edges.
 MAX_SELL = 2
 
+# audit_full skips a strategy family that would take it past this many
+# bound comparisons.
+MAX_BOUND_CHECKS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # deviation-cost bounds
@@ -76,7 +79,8 @@ def _strategy1(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     and the multiple of alpha it subtracts.
     """
     d = ctx.spt.depth[u]
-    value = d * ctx.n - 2 * ctx.path_sums[u][0]
+    size = ctx.spt.subtree_size
+    value = d * ctx.n - 2 * sum(size[v] for v in ctx.spt.path_to_root(u)[:d])
     for edge, level in sold:
         value += (2 * level + 2 * d) * edge_subtree_size(ctx.spt, *edge)
     return value, len(sold)
@@ -89,8 +93,11 @@ def _strategy2(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     the halfway sum runs over strictly smaller path indices.
     """
     d = ctx.spt.depth[u]
-    _, halfway, midpoint = ctx.path_sums[u]
-    value = ctx.n - midpoint - 2 * halfway
+    size = ctx.spt.subtree_size
+    path = ctx.spt.path_to_root(u)
+    value = ctx.n - 2 * sum(size[v] for v in path[: (d + 1) // 2])
+    if d % 2 == 0:
+        value -= size[path[d // 2]]
     for edge, level in sold:
         value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
     return value, len(sold) - 1
@@ -158,8 +165,8 @@ def audit_deviation_bound(
     is always computed; ``preconditions_met`` records whether the bound's
     own hypotheses held, and ``dominates`` whether exact <= bound.  Both
     sides are priced in integer units of 1/q (alpha = p/q): the current
-    distance sum is u's connection cost, the new one comes from one BFS per
-    distinct rewrite of u (``StrategyContext.rewrite_sum``).
+    distance sum is u's connection cost, the new one comes from one BFS on
+    the graph with u's row rewritten.
     """
     if strategy_kind not in _BOUND_TERMS:
         raise ValueError(f"unknown strategy kind {strategy_kind!r}")
@@ -204,7 +211,9 @@ def audit_deviation_bound(
     if buys_root and u == ctx.root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
     new = ctx.rewrite(u, strategy_kind, sold_targets)
-    new_sum = ctx.rewrite_sum(u, new)
+    adj = list(ctx.profile.adj)
+    adj[u] = ctx.profile.bought_by[u] | new
+    new_sum = bfs_sum(adj, u, (1 << ctx.n) - 1)
     if new_sum is None:
         exact = inf
     else:
@@ -466,7 +475,7 @@ def _audit_deg2(ctx, informational) -> AuditFinding:
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
             funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths")
-            some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path", ctx.spheres)
+            some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
             row = {
                 "path": (u, v, w),
                 "funnel_size": len(funnel.members),
@@ -552,11 +561,10 @@ def eligible_sold_selections(ctx: StrategyContext, strategy_kind: str):
 
 
 def audit_full(
-    ctx: StrategyContext,
-    ne_certificate: VerificationReport | None = None,
-    max_bound_checks: int = 10_000,
+    ctx: StrategyContext, ne_certificate: VerificationReport | None = None
 ) -> AuditReport:
-    """Run every structural rule and every affordable bound comparison."""
+    """Run every structural rule and every bound comparison, up to
+    ``MAX_BOUND_CHECKS`` of them."""
     findings = tuple(
         audit_structural(ctx, lemma_id, ne_certificate) for lemma_id in LEMMA_IDS
     )
@@ -565,10 +573,8 @@ def audit_full(
     skipped: list[str] = []
     for kind in STRATEGY_SWITCHES:
         family = list(eligible_sold_selections(ctx, kind))
-        if len(bounds) + len(family) > max_bound_checks:
-            skipped.append(
-                f"{kind}: {len(family)} selections over budget {max_bound_checks}"
-            )
+        if len(bounds) + len(family) > MAX_BOUND_CHECKS:
+            skipped.append(f"{kind}: {len(family)} selections over budget {MAX_BOUND_CHECKS}")
             continue
         for u, combo in family:
             bounds.append(audit_deviation_bound(ctx, u, kind, combo, ne_certificate))

@@ -18,6 +18,7 @@ from pathlib import Path
 from .audit import AuditReport, audit_full, build_context
 from .equilibrium import (
     DEFAULT_BUDGET,
+    VERTEX_ORDERS,
     DeviationClass,
     DynamicsTrace,
     EnumerationResult,
@@ -163,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="run best-response dynamics from a profile")
     common(p, input_=True)
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--order", choices=("round-robin", "random"), default="round-robin")
+    p.add_argument("--order", choices=VERTEX_ORDERS, default="round-robin")
     p.add_argument("--seed", type=int, default=0, help="shuffle seed for --order random")
 
     p = sub.add_parser("audit", help="run every structural rule and bound check")

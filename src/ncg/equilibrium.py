@@ -45,6 +45,11 @@ KINDS = (
 
 DEFAULT_BUDGET = 1 << 22
 
+VERTEX_ORDERS = ("round-robin", "random")
+
+# ``random_profile`` gives up on a connected draw after this many tries.
+MAX_DRAWS = 10_000
+
 
 @dataclass(frozen=True)
 class Deviation:
@@ -148,15 +153,6 @@ def _subset_index(mask: int, v: int) -> int:
     return (mask & ((1 << v) - 1)) | (mask >> (v + 1) << v)
 
 
-def _vertex_rows(profile: StrategyProfile, v: int) -> tuple[list[int], int, int]:
-    """A copy of the profile's adjacency rows (callers rewrite row v), the
-    mask of vertices that bought an edge to ``v`` and the mask of v's targets."""
-    bought_to_v = 0
-    for u, row in enumerate(profile.bought):
-        bought_to_v |= (row >> v & 1) << u
-    return list(profile.adj), bought_to_v, profile.bought[v]
-
-
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
@@ -168,10 +164,11 @@ def _distance_sums(profile: StrategyProfile, v: int, masks):
     never follows an edge back into v, so the other rows may keep v's
     current purchases.
     """
-    adj, bought_to_v, _ = _vertex_rows(profile, v)
+    adj = list(profile.adj)
+    bought_by = profile.bought_by[v]
     full = (1 << profile.n) - 1
     for mask in masks:
-        adj[v] = bought_to_v | mask
+        adj[v] = bought_by | mask
         yield mask, bfs_sum(adj, v, full)
 
 
@@ -186,19 +183,19 @@ def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
     not monotone in k when alpha < 1, so the cap is the largest admissible
     k, not the first that fails.  There is no cap when v is cut off now.
     """
-    adj, bought_to_v, current = _vertex_rows(profile, v)
+    adj, bought_by = profile.adj, profile.bought_by[v]
     m = profile.n - 1
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    current_sum = bfs_sum(adj, v, (1 << profile.n) - 1)  # row v is bought_to_v | current
+    current_sum = bfs_sum(adj, v, (1 << profile.n) - 1)
     if current_sum is None:
-        return inf, sized_sums(adj, v, bought_to_v, m)
-    cost = p * current.bit_count() + q * current_sum
-    into = bought_to_v.bit_count()
+        return inf, sized_sums(adj, v, bought_by, m)
+    cost = p * profile.bought[v].bit_count() + q * current_sum
+    into = bought_by.bit_count()
     cap = max(
         (k for k in range(m + 1) if p * k + q * (2 * m - min(m, k + into)) <= cost - strict),
         default=-1,
     )
-    return cost, sized_sums(adj, v, bought_to_v, cap)
+    return cost, sized_sums(adj, v, bought_by, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +218,17 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     if not all(0 <= t < profile.n for t in new_targets):
         raise ValueError("deviation target outside the vertex range")
 
-    adj, bought_to_v, old = _vertex_rows(profile, v)
     full = (1 << profile.n) - 1
-    old_sum = bfs_sum(adj, v, full)  # row v is still bought_to_v | old
-    adj[v] = bought_to_v | sum(1 << t for t in new_targets)
+    old_sum = bfs_sum(profile.adj, v, full)
+    adj = list(profile.adj)
+    adj[v] = profile.bought_by[v] | sum(1 << t for t in new_targets)
     new_sum = bfs_sum(adj, v, full)
 
     if new_sum is None:
         return inf
     if old_sum is None:
         return -inf
-    return profile.alpha * (len(new_targets) - old.bit_count()) + (new_sum - old_sum)
+    return profile.alpha * (len(new_targets) - profile.bought[v].bit_count()) + (new_sum - old_sum)
 
 
 def best_response_exact(
@@ -463,10 +460,13 @@ def best_response_dynamics(
     """Iterate best improving moves until a full pass changes nothing.
 
     ``max_iters`` bounds the number of passes; non-convergence is a valid
-    outcome and leaves ``converged`` False.
+    outcome and leaves ``converged`` False.  ``vertex_order`` is one of
+    ``VERTEX_ORDERS``; "random" shuffles each pass with ``seed``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if vertex_order not in VERTEX_ORDERS:
+        raise ValueError(f"unknown vertex order {vertex_order!r}")
     rng = random.Random(seed)
     profile = initial
     ctx = _class_context(profile, dev_class)
@@ -720,13 +720,12 @@ def random_profile(
     seed: int,
     alpha: Fraction | int = 1,
     require_connected: bool = False,
-    max_tries: int = 10_000,
 ) -> StrategyProfile:
     """Seeded random profile: each pair present independently, buyer by coin flip."""
     if not 0 <= edge_density <= 1:
         raise ValueError("edge_density must lie in [0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         edges = []
         for u, v in pair_list(n):
             if rng.random() < edge_density:
@@ -734,4 +733,4 @@ def random_profile(
         profile = StrategyProfile(n, Fraction(alpha), tuple(edges))
         if not require_connected or is_connected(profile):
             return profile
-    raise ValueError(f"no connected profile found in {max_tries} draws")
+    raise ValueError(f"no connected profile found in {MAX_DRAWS} draws")

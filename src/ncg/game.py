@@ -48,9 +48,11 @@ class StrategyProfile:
     alpha: Fraction
     edges: tuple[BoughtEdge, ...]
     # Bitmask rows built once from ``edges``: bit u of adj[v] is set iff
-    # {v, u} is an edge, and bit u of bought[v] iff v bought the edge to u.
+    # {v, u} is an edge, bit u of bought[v] iff v bought the edge to u, and
+    # bit u of bought_by[v] iff u bought the edge to v.
     adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
     bought: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    bought_by: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.alpha, Fraction):
@@ -62,6 +64,7 @@ class StrategyProfile:
             raise ValueError(f"n={self.n} exceeds the cap {MAX_N}")
         adj = [0] * self.n
         bought = [0] * self.n
+        bought_by = [0] * self.n
         for e in self.edges:
             a, b = e.buyer, e.other
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -71,10 +74,12 @@ class StrategyProfile:
             if bought[a] >> b & 1:
                 raise ValueError(f"duplicate bought edge {e}")
             bought[a] |= 1 << b
+            bought_by[b] |= 1 << a
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "bought", tuple(bought))
+        object.__setattr__(self, "bought_by", tuple(bought_by))
 
     # -- structure helpers ------------------------------------------------
 

@@ -29,7 +29,6 @@ from .game import (
     StrategyProfile,
     all_pairs_distances,
     bfs_distances,
-    bfs_sum,
     connection_cost,
     is_connected,
     mask_members,
@@ -188,14 +187,6 @@ class SptAnalysis:
         return frozenset(out)
 
 
-def bought_to(profile: StrategyProfile) -> tuple[int, ...]:
-    """Each vertex's mask of the vertices that bought an edge to it."""
-    out = [0] * profile.n
-    for e in profile.edges:
-        out[e.other] |= 1 << e.buyer
-    return tuple(out)
-
-
 def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptAnalysis:
     """BFS shortest path tree from ``root`` under the directed-path parent rule."""
     n = profile.n
@@ -205,7 +196,7 @@ def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptA
     shells = [0] * n  # shells[d]: the vertices at depth d
     for v, d in enumerate(depth):
         shells[d] |= 1 << v
-    buyers = bought_to(profile)
+    buyers = profile.bought_by
     parent: list[int | None] = [None] * n
     reachable = 1 << root  # vertices the root reaches by an all-down path
     down_pairs: set[tuple[int, int]] = set()
@@ -493,27 +484,14 @@ class SSet:
     variant: str
 
 
-def distance_spheres(dist: DistanceMatrix) -> tuple[int, ...]:
-    """Each vertex's spheres packed into one int: bit ``d*n + w`` is set iff
-    w lies at distance d; unreachable vertices lie in no sphere."""
-    n = dist.n
-    return tuple(
-        sum(1 << (d * n + w) for w, d in enumerate(row) if d != inf) for row in dist.rows
-    )
-
-
 def compute_s_set(
     profile: StrategyProfile,
     dist: DistanceMatrix,
     anchor,
     via: int,
     variant: str = "all-paths",
-    spheres: tuple[int, ...] | None = None,
 ) -> SSet:
-    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``.
-
-    ``spheres`` is ``distance_spheres(dist)``; some-path builds it when not given.
-    """
+    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``."""
     anchor = frozenset(anchor)
     if not anchor:
         raise ValueError("anchor set must be nonempty")
@@ -530,17 +508,13 @@ def compute_s_set(
     anchor_mask = sum(1 << w for w in anchor)
     funnel = 1 << via
     if variant == "some-path":
-        # x qualifies iff some anchor vertex at distance k from via lies at
-        # distance d(x, via) + k from x.  Block k of ``ahead`` holds the anchor
-        # vertices at distance k from via; shifting x's spheres down by
-        # d(x, via) blocks puts its sphere of radius d(x, via) + k on block k.
-        if spheres is None:
-            spheres = distance_spheres(dist)
-        blocks = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit d*n for every d < n
-        ahead = spheres[via] & anchor_mask * blocks
-        to_via = dist[via]
+        # x qualifies iff d(x, via) + d(via, w) = d(x, w) for some anchor
+        # vertex w that via reaches.
+        reached = [(w, dist[via][w]) for w in anchor if dist[via][w] != inf]
         for x in mask_members((1 << n) - 1 & ~anchor_mask):
-            if to_via[x] != inf and spheres[x] >> to_via[x] * n & ahead:
+            row = dist[x]
+            to_via = row[via]
+            if to_via != inf and any(to_via + d == row[w] for w, d in reached):
                 funnel |= 1 << x
     else:
         # One BFS out of the anchor, a shell at a time.  The shortest routes
@@ -643,51 +617,6 @@ class StrategyContext:
         if self.graph is not None:
             return self.graph.min_cycles()
         return min_cycles(self.profile, self.dist, self.cycles)
-
-    @cached_property
-    def spheres(self) -> tuple[int, ...]:
-        """``distance_spheres(dist)``, which some-path S-sets read."""
-        return distance_spheres(self.dist)
-
-    @cached_property
-    def path_sums(self) -> tuple[tuple[int, int, int], ...]:
-        """Per vertex u at depth d, with tree path u = p_0, ..., p_d = root:
-        the subtree sizes of p_l summed over l < d and over 2l < d, and the
-        subtree size of p_{d/2} (0 for odd d).  One walk down the tree."""
-        size = self.spt.subtree_size
-        out: list = [None] * self.n
-        chain: list[int] = []  # the path from the root to the current vertex
-        prefix: list[int] = []  # prefix[i]: sizes of chain[1..i] summed
-        stack = [(self.root, 0)]
-        while stack:
-            v, d = stack.pop()
-            del chain[d:], prefix[d:]
-            chain.append(v)
-            prefix.append(prefix[-1] + size[v] if d else 0)
-            out[v] = (prefix[d], prefix[d] - prefix[d // 2], 0 if d % 2 else size[chain[d // 2]])
-            stack.extend((c, d + 1) for c in self.spt.children[v])
-        return tuple(out)
-
-    @cached_property
-    def _bought_to(self) -> tuple[int, ...]:
-        return bought_to(self.profile)
-
-    @cached_property
-    def _rewrite_sums(self) -> dict[tuple[int, int], int | None]:
-        return {}
-
-    def rewrite_sum(self, u: int, targets: int) -> int | None:
-        """u's distance sum once it buys exactly the ``targets`` mask, the
-        others fixed; None when u is then cut off.  One BFS per distinct
-        (u, targets): only row u changes, to the edges others bought to u
-        plus the targets."""
-        key = (u, targets)
-        memo = self._rewrite_sums
-        if key not in memo:
-            adj = list(self.profile.adj)
-            adj[u] = self._bought_to[u] | targets
-            memo[key] = bfs_sum(adj, u, (1 << self.n) - 1)
-        return memo[key]
 
     def x_level(self, edge: Edge) -> int | None:
         cls = self.x_classes.get(_as_edge(*edge))

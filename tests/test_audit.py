@@ -466,9 +466,10 @@ def test_audit_full_on_scaffold_counts_everything():
     }
 
 
-def test_audit_full_reports_skipped_families_on_tiny_budget():
+def test_audit_full_reports_skipped_families_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr("ncg.audit.MAX_BOUND_CHECKS", 0)
     ctx = build_context(scaffold_profile(3))
-    report = audit_full(ctx, max_bound_checks=0)
+    report = audit_full(ctx)
     assert report.skipped
 
 

@@ -51,7 +51,6 @@ from ncg.equilibrium import (
     _greedy_tables,
     _subset_masks,
     _table_equilibria,
-    _vertex_rows,
     pair_list,
     profile_from_index,
 )
@@ -264,10 +263,9 @@ def test_exact_sums_match_bfs_pricing(p):
     # with no cap, against one BFS per target set.
     for v in range(p.n):
         expected = _bfs_sums(p, v)
-        adj, base, _ = _vertex_rows(p, v)
-        assert row_sums(adj, v, base) == expected
+        assert row_sums(p.adj, v, p.bought_by[v]) == expected
         by_size = [[s for i, s in enumerate(expected) if i.bit_count() == k] for k in range(p.n)]
-        assert list(sized_sums(adj, v, base, p.n - 1)) == by_size
+        assert list(sized_sums(p.adj, v, p.bought_by[v], p.n - 1)) == by_size
 
 
 def test_exact_verification_prices_current_strategy_past_the_first_table():
@@ -368,6 +366,15 @@ def test_dynamics_triangle_converges_to_path():
     assert verify_equilibrium(
         trace.final_profile, DeviationClass.parse("single-delete")
     ).is_equilibrium
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"max_iters": 0}, "max_iters"), ({"vertex_order": "no-such-order"}, "vertex order")],
+)
+def test_dynamics_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        best_response_dynamics(star(4, alpha=9), EXACT, **kwargs)
 
 
 def test_dynamics_fixpoint_on_equilibrium():

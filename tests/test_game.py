@@ -210,7 +210,12 @@ def test_connection_cost_matches_oracle(p):
 @given(st.one_of(doubled_profiles(), connected_profiles(), sparse_connected_profiles()))
 @settings(max_examples=80, deadline=None)
 def test_profile_rows_match_edge_scan(p):
-    assert (p.adj, p.bought) == oracle_rows(p)
+    adj, bought = oracle_rows(p)
+    assert (p.adj, p.bought) == (adj, bought)
+    # bought_by is the transpose of bought; doubled edges set both directions.
+    assert p.bought_by == tuple(
+        sum((bought[u] >> v & 1) << u for u in range(p.n)) for v in range(p.n)
+    )
     assert p.adjacency() == [oracle_neighbours(p, v) for v in range(p.n)]
     d = all_pairs_distances(p)
     for a in range(p.n):
