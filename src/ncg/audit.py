@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import inf
+from operator import attrgetter
 
 from .equilibrium import VerificationReport
 from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
@@ -39,21 +40,28 @@ from .structure import (
     smallest_cycle_through_edge,
 )
 
-LEMMA_IDS = (
-    "mincyclesize",
-    "seven-cycle",
-    "directed-mincycles",
-    "maxn2",
-    "altpath",
-    "x2position",
-    "deg2",
-    "obs-x1",
-    "obs-x2",
-    "obs-x2depth",
-    "mainlemma1",
-    "mainlemma2",
-    "degree-sum",
-)
+_HAS_CYCLIC_H = attrgetter("has_cyclic_h")
+_IN_REGIME = attrgetter("in_regime")
+
+# Each rule's applicability gate, in report order.  A rule whose gate is false
+# is inapplicable (holds=None), so it can never fail; degree-sum further needs
+# the tree edges in H to span H.
+_GATES = {
+    "mincyclesize": lambda ctx: True,
+    "seven-cycle": lambda ctx: ctx.alpha > 2 * ctx.n,
+    "directed-mincycles": lambda ctx: ctx.alpha > 2 * (ctx.n - 1),
+    "maxn2": _HAS_CYCLIC_H,
+    "altpath": _IN_REGIME,
+    "x2position": _IN_REGIME,
+    "deg2": _HAS_CYCLIC_H,
+    "obs-x1": _IN_REGIME,
+    "obs-x2": _IN_REGIME,
+    "obs-x2depth": _IN_REGIME,
+    "mainlemma1": _IN_REGIME,
+    "mainlemma2": _IN_REGIME,
+    "degree-sum": _HAS_CYCLIC_H,
+}
+LEMMA_IDS = tuple(_GATES)
 
 # degree-sum is a combinatorial identity; everything else presumes equilibrium.
 _NE_GATED = frozenset(set(LEMMA_IDS) - {"degree-sum"})
@@ -275,6 +283,7 @@ def audit_structural(
     if lemma_id not in LEMMA_IDS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
     informational = lemma_id in _NE_GATED and not _certified(ne_certificate, ctx)
+    applicable = _GATES[lemma_id](ctx)
     n = ctx.n
     alpha = ctx.alpha
 
@@ -290,21 +299,18 @@ def audit_structural(
                     witness = cyc
                     break
         return _finding(
-            lemma_id, True, holds, informational,
+            lemma_id, applicable, holds, informational,
             girth=ctx.girth, bound=str(bound), counter_witness=witness,
         )
 
     if lemma_id == "seven-cycle":
-        applicable = alpha > 2 * n
         holds = ctx.girth == inf or ctx.girth >= 7
         return _finding(lemma_id, applicable, holds, informational, girth=ctx.girth)
 
     if lemma_id == "directed-mincycles":
-        applicable = alpha > 2 * (n - 1)
         return _audit_directed_mincycles(ctx, applicable, informational)
 
     if lemma_id == "maxn2":
-        applicable = ctx.has_cyclic_h
         violations = [
             {"vertex": v, "subtree": ctx.spt.subtree_size[v], "in_h": v in ctx.h_vertices}
             for v in range(n)
@@ -315,10 +321,9 @@ def audit_structural(
         )
 
     if lemma_id == "altpath":
-        return _audit_altpath_all(ctx, informational)
+        return _audit_altpath_all(ctx, applicable, informational)
 
     if lemma_id == "x2position":
-        applicable = ctx.in_regime
         rows = []
         ok = True
         for edge, u, level in _ladder_purchases(ctx, 2):
@@ -335,10 +340,9 @@ def audit_structural(
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "deg2":
-        return _audit_deg2(ctx, informational)
+        return _audit_deg2(ctx, applicable, informational)
 
     if lemma_id == "obs-x1":
-        applicable = ctx.in_regime
         offenders = []
         for u in sorted(ctx.h_vertices):
             bought = [e for e, _ in ctx.sellable_edges(u, include_up=True, cap=1)]
@@ -347,7 +351,6 @@ def audit_structural(
         return _finding(lemma_id, applicable, not offenders, informational, offenders=offenders)
 
     if lemma_id == "obs-x2":
-        applicable = ctx.in_regime
         triples = []
         thin_pairs = []
         for u in sorted(ctx.h_vertices):
@@ -365,7 +368,6 @@ def audit_structural(
         )
 
     if lemma_id == "obs-x2depth":
-        applicable = ctx.in_regime
         rows = []
         ok = True
         for u in sorted(ctx.h_vertices):
@@ -383,7 +385,6 @@ def audit_structural(
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "mainlemma1":
-        applicable = ctx.in_regime
         rows = []
         ok = True
         for edge, u0, _ in _ladder_purchases(ctx, 0):
@@ -398,7 +399,6 @@ def audit_structural(
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "mainlemma2":
-        applicable = ctx.in_regime
         buyers = [
             u for u in sorted(ctx.h_vertices)
             if len(ctx.sellable_edges(u, include_up=False)) >= 2
@@ -412,14 +412,13 @@ def audit_structural(
 
     if lemma_id == "degree-sum":
         t_in_h = {e for e in ctx.h_edges if e in ctx.spt.tree_edges}
-        spanning = ctx.has_cyclic_h and _spans(ctx.h_vertices, t_in_h)
-        applicable = spanning
+        spanning = applicable and _spans(ctx.h_vertices, t_in_h)
         n_h = len(ctx.h_vertices)
         x0 = sum(1 for c in ctx.x_classes.values() if c.level == 0)
         degree_sum = sum(ctx.deg_h(v) for v in ctx.h_vertices)
         holds = degree_sum == 2 * (n_h - 1) + 2 * x0
         return _finding(
-            lemma_id, applicable, holds, False,
+            lemma_id, spanning, holds, False,
             spanning=spanning, degree_sum=degree_sum, n_h=n_h, out_edges=x0,
         )
 
@@ -462,8 +461,7 @@ def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
     )
 
 
-def _audit_deg2(ctx, informational) -> AuditFinding:
-    applicable = ctx.has_cyclic_h
+def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
     rows = []
     ok = True
     for v in sorted(ctx.h_vertices):
@@ -526,8 +524,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
     )
 
 
-def _audit_altpath_all(ctx, informational) -> AuditFinding:
-    applicable = ctx.in_regime
+def _audit_altpath_all(ctx, applicable, informational) -> AuditFinding:
     per_edge = []
     ok = True
     for edge, u, level in _ladder_purchases(ctx, 2):
@@ -560,15 +557,11 @@ def eligible_sold_selections(ctx: StrategyContext, strategy_kind: str):
             yield u, sold
 
 
-def audit_full(
-    ctx: StrategyContext, ne_certificate: VerificationReport | None = None
-) -> AuditReport:
-    """Run every structural rule and every bound comparison, up to
-    ``MAX_BOUND_CHECKS`` of them."""
-    findings = tuple(
-        audit_structural(ctx, lemma_id, ne_certificate) for lemma_id in LEMMA_IDS
-    )
-
+def _bound_comparisons(
+    ctx: StrategyContext, ne_certificate: VerificationReport | None
+) -> tuple[list[BoundComparison], list[str]]:
+    """Every bound comparison, family by family, and a note for each family
+    skipped because it would take the total past ``MAX_BOUND_CHECKS``."""
     bounds: list[BoundComparison] = []
     skipped: list[str] = []
     for kind in STRATEGY_SWITCHES:
@@ -578,11 +571,26 @@ def audit_full(
             continue
         for u, combo in family:
             bounds.append(audit_deviation_bound(ctx, u, kind, combo, ne_certificate))
+    return bounds, skipped
+
+
+def _violated(b: BoundComparison) -> bool:
+    return b.preconditions_met and not b.dominates
+
+
+def audit_full(
+    ctx: StrategyContext, ne_certificate: VerificationReport | None = None
+) -> AuditReport:
+    """Run every structural rule and every bound comparison, up to
+    ``MAX_BOUND_CHECKS`` of them."""
+    findings = tuple(
+        audit_structural(ctx, lemma_id, ne_certificate) for lemma_id in LEMMA_IDS
+    )
+    bounds, skipped = _bound_comparisons(ctx, ne_certificate)
 
     applicable = sum(1 for f in findings if f.applicable)
     holding = sum(1 for f in findings if f.applicable and f.holds)
     failing = sum(1 for f in findings if f.applicable and f.holds is False)
-    dominated = sum(1 for b in bounds if b.preconditions_met and not b.dominates)
     return AuditReport(
         findings=findings,
         bounds=tuple(bounds),
@@ -592,9 +600,25 @@ def audit_full(
             "findings_holding": holding,
             "findings_failing": failing,
             "bounds_checked": len(bounds),
-            "bound_violations": dominated,
+            "bound_violations": sum(1 for b in bounds if _violated(b)),
         },
     )
+
+
+def audit_failures(ctx: StrategyContext, ne_certificate: VerificationReport | None = None) -> int:
+    """``findings_failing + bound_violations`` of ``audit_full``, without the
+    work that cannot count: a rule whose gate is false is not evaluated, and
+    outside the regime no bound is priced, since every comparison there notes
+    an unmet precondition."""
+    failing = sum(
+        1
+        for lemma_id, gate in _GATES.items()
+        if gate(ctx) and audit_structural(ctx, lemma_id, ne_certificate).holds is False
+    )
+    if ctx.in_regime:
+        bounds, _ = _bound_comparisons(ctx, ne_certificate)
+        failing += sum(1 for b in bounds if _violated(b))
+    return failing
 
 
 # ---------------------------------------------------------------------------

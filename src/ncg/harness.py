@@ -20,7 +20,7 @@ from itertools import repeat
 from math import inf
 from pathlib import Path
 
-from .audit import audit_full
+from .audit import audit_failures
 from .equilibrium import (
     DEFAULT_BUDGET,
     EXACT,
@@ -294,9 +294,11 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
     """Fold one enumeration into a row; enforces the tree-only rule above 2n.
 
     Every equilibrium is audited on its one ``StrategyContext``
-    (``contexts_by_graph``); being connected, it is a tree iff its girth is
-    infinite.  A non-tree equilibrium that the exact class certifies at
-    alpha > 2n is a hard failure, never a data point.  A restricted class
+    (``contexts_by_graph``) by ``audit_failures``, which evaluates only the
+    rules whose gate holds and prices bounds only in the paper's regime;
+    being connected, an equilibrium is a tree iff its girth is infinite.  A
+    non-tree equilibrium that the exact class certifies at alpha > 2n is a
+    hard failure, never a data point.  A restricted class
     proves stability only against its own deviations, so its non-tree
     counts are data, as are all of them in the open band [n, 2n).
     """
@@ -304,7 +306,7 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
     non_tree = 0
     exact_non_tree = False
     min_girth: int | float = inf
-    audit_failures = 0
+    failures = 0
     for ctx, report in contexts_by_graph(result.equilibria):
         if ctx.girth == inf:
             tree += 1
@@ -312,9 +314,7 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
             non_tree += 1
             exact_non_tree = exact_non_tree or report.deviation_class == EXACT.spec()
         min_girth = min(min_girth, ctx.girth)
-        audit = audit_full(ctx, ne_certificate=report)
-        audit_failures += audit.summary["findings_failing"]
-        audit_failures += audit.summary["bound_violations"]
+        failures += audit_failures(ctx, ne_certificate=report)
     if result.alpha > 2 * result.n and exact_non_tree:
         raise TreeConjectureViolation(
             f"non-tree equilibrium at n={result.n}, alpha={result.alpha}"
@@ -327,7 +327,7 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
         tree_ne_count=tree,
         non_tree_ne_count=non_tree,
         min_girth_among_ne=min_girth,
-        audit_failures=audit_failures,
+        audit_failures=failures,
     )
 
 

@@ -1,5 +1,6 @@
 """Bound formulas vs the exact rewrite oracle, plus structural rule findings."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -37,8 +38,9 @@ from ncg import (
     strategy3_bound,
     verify_equilibrium,
 )
-from ncg.audit import MAX_SELL, eligible_sold_selections
-from ncg.game import mask_members
+from ncg.audit import MAX_SELL, audit_failures, eligible_sold_selections
+from ncg.equilibrium import profile_from_index
+from ncg.game import is_connected, mask_members
 from ncg.harness import enumerate_cell
 from ncg.structure import global_girth
 
@@ -257,9 +259,16 @@ def _oracle_bounds(p, certificate):
     ]
 
 
+def _summed_failures(report):
+    return report.summary["findings_failing"] + report.summary["bound_violations"]
+
+
 def _check_bound_pricing(p, certificate):
     want = _oracle_bounds(p, certificate)
-    assert list(audit_full(build_context(p), certificate).bounds) == want
+    report = audit_full(build_context(p), certificate)
+    assert list(report.bounds) == want
+    # the sweep row's count skips gated rules and out-of-regime bounds
+    assert audit_failures(build_context(p), certificate) == _summed_failures(report)
     # the per-call path on a fresh context, whose pricing tables start empty
     ctx = build_context(p)
     got = [
@@ -471,6 +480,45 @@ def test_audit_full_reports_skipped_families_on_tiny_budget(monkeypatch):
     ctx = build_context(scaffold_profile(3))
     report = audit_full(ctx)
     assert report.skipped
+    assert audit_failures(ctx) == _summed_failures(report)
+
+
+@pytest.mark.parametrize("budget", [8, 10_000])
+def test_audit_failures_counts_violated_bounds_like_audit_full(monkeypatch, budget):
+    # a deliberately false bound makes every comparison whose preconditions
+    # hold a violation: in regime they all count, outside it none may; at
+    # budget 8 scaffold 3's strategy3 family is skipped
+    monkeypatch.setattr("ncg.audit.MAX_BOUND_CHECKS", budget)
+    false_bound = lambda ctx, u, sold: (-(10**9), 0)
+    monkeypatch.setattr(
+        "ncg.audit._BOUND_TERMS", dict.fromkeys(("strategy1", "strategy2", "strategy3"), false_bound)
+    )
+    in_regime = build_context(scaffold_profile(3))
+    report = audit_full(in_regime)
+    assert report.summary["bound_violations"] > 0
+    assert audit_failures(in_regime) == _summed_failures(report)
+    outside = build_context(directed_ring(4, 9))  # alpha > 2n, girth 4
+    report = audit_full(outside)
+    assert report.summary["bounds_checked"] > 0 and report.summary["bound_violations"] == 0
+    assert audit_failures(outside) == _summed_failures(report)
+
+
+@pytest.mark.parametrize("alpha, failing_rule", [(4, "mincyclesize"), (11, "seven-cycle")])
+def test_audit_failures_on_single_add_certificates(alpha, failing_rule):
+    # connected n=5 profiles stable under single-add but mostly not NE: the
+    # certificate gates the rules, and most of them fail the named one
+    rng = random.Random(alpha)
+    single_add = DeviationClass.parse("single-add")
+    fails = 0
+    for _ in range(40):
+        p, report = None, None
+        while report is None or not report.is_equilibrium:
+            p = profile_from_index(5, Fraction(alpha), rng.randrange(3**10))
+            report = verify_equilibrium(p, single_add) if is_connected(p) else None
+        full = audit_full(build_context(p), report)
+        assert audit_failures(build_context(p), report) == _summed_failures(full)
+        fails += any(f.lemma_id == failing_rule and f.holds is False for f in full.findings)
+    assert fails > 20
 
 
 @given(

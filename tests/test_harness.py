@@ -4,6 +4,7 @@ import json
 import os
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from ncg import (
     profile_hash,
     verify_equilibrium,
 )
-from ncg.audit import audit_full
+from ncg.audit import audit_failures, audit_full
 from ncg.cli import cmd_run
 from ncg.harness import (
     build_report_row,
@@ -39,6 +40,8 @@ from ncg.harness import (
 )
 from ncg.equilibrium import EXACT, DeviationClass
 from ncg.structure import build_context
+
+RESTRICTED_CSV = Path(__file__).parent / "data" / "sweep_restricted.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +183,8 @@ def test_shared_graph_contexts_audit_like_build_context(n, alpha):
         got, want = audit_full(ctx, ne_certificate=report), audit_full(ref, ne_certificate=report)
         assert got == want and got.summary == want.summary
         assert [f.detail for f in got.findings] == [f.detail for f in want.findings]
+        summed = got.summary["findings_failing"] + got.summary["bound_violations"]
+        assert audit_failures(ctx, report) == summed
 
 
 def _passed_off(ring, alpha, dev_class):
@@ -215,6 +220,15 @@ def test_report_row_counts_restricted_non_trees_above_2n(capsys):
     # single-add finds non-tree "equilibria" at n=4, alpha=9; exact finds none
     assert cmd_run(["sweep", "--n", "4", "--alpha", "2n+1", "--class", "single-add"]) == 0
     assert ",496,3," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_restricted_sweeps_match_recorded_rows(capsys, jobs):
+    # the only sweep rows with nonzero audit_failures, pinned byte for byte
+    for dev_class in ("single-add", "single-swap"):
+        argv = ["sweep", "--n", "3,4", "--alpha", "1/2,1,2,3,2n+1", "--class", dev_class]
+        assert cmd_run(argv + ["--jobs", jobs]) == 0
+    assert capsys.readouterr().out == RESTRICTED_CSV.read_text(encoding="utf-8")
 
 
 def test_csv_shape():
