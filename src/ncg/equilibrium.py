@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, permutations, product, repeat
 from math import inf
 
 from .errors import BudgetExceededError
@@ -662,6 +662,39 @@ def _table_equilibria(
     return found
 
 
+def _graph_rows(n: int, pairs: list[tuple[int, int]], graph: int):
+    """Pair indices, edges and adjacency rows of graph index ``graph``."""
+    ks = [k for k in range(len(pairs)) if graph >> k & 1]
+    edges = [pairs[k] for k in ks]
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return ks, edges, adj
+
+
+def _vertex_maps(n: int) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+    """For each vertex map pi, identity first, what it does to each pair.
+
+    Pair k = (a, b) goes to the pair k' holding pi[a] and pi[b]: bits[k] is
+    graph-index bit k', and weights[k][t] is the profile-index term of k'
+    when owner trit t of k is carried over (1: a buys, 2: b buys), flipped
+    when pi reverses the order of the pair's ends.
+    """
+    pairs = pair_list(n)
+    position = {pair: k for k, pair in enumerate(pairs)}
+    maps = []
+    for pi in permutations(range(n)):
+        bits, weights = [], []
+        for a, b in pairs:
+            x, y = pi[a], pi[b]
+            k = position[min(x, y), max(x, y)]
+            bits.append(1 << k)
+            weights.append((0, 3**k, 2 * 3**k) if x < y else (0, 2 * 3**k, 3**k))
+        maps.append((bits, weights))
+    return maps
+
+
 def scan_graph_range(
     n: int,
     alpha: Fraction,
@@ -672,44 +705,73 @@ def scan_graph_range(
     """Decide every profile whose underlying graph index lies in ``graphs``.
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
-    class each connected graph is decided from per-vertex cost tables
-    (``_table_equilibria``): the greedy add and sell tests are table lookups,
-    and one superset-min pass per vertex gives every ownership's verdict, so
-    only equilibria are decoded, each once, with the report
-    ``verify_equilibrium`` gives it.  Restricted classes may lack single adds
-    and sells and the tables prove only exact stability, so they verify every
-    ownership.  Returns (connected-profile count, [(profile index, profile,
-    report)] for equilibria found); a pure function of its inputs.
+    class the scan decides one connected graph per isomorphism class
+    (``_scan_classes``).  Restricted classes may lack single adds and sells
+    and the tables prove only exact stability, and their witnesses and
+    ``deviations_checked`` depend on the labels, so they verify every
+    ownership of every connected graph.  Returns (connected-profile count,
+    [(profile index, profile, report)] for equilibria found); a pure
+    function of its inputs.
     """
-    exact = dev_class.kind == "exact-all-subsets"
-    if exact:
-        checks = _exact_checks(n, budget)
+    if dev_class.kind == "exact-all-subsets":
+        return _scan_classes(n, alpha, dev_class, graphs, _exact_checks(n, budget))
     pairs = pair_list(n)
     connected = 0
     found = []
     for graph in graphs:
-        ks = [k for k in range(len(pairs)) if graph >> k & 1]
-        edges = [pairs[k] for k in ks]
-        adj = [0] * n
-        for a, b in edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        ks, _, adj = _graph_rows(n, pairs, graph)
         if bfs_sum(adj, 0, (1 << n) - 1) is None:
             continue
-        connected += 1 << len(edges)
-        if exact:
-            ownerships = _table_equilibria(adj, edges, alpha)
-        else:
-            ownerships = product((1, 2), repeat=len(edges))
-        for owners in ownerships:
+        connected += 1 << len(ks)
+        for owners in product((1, 2), repeat=len(ks)):
             index = sum(trit * 3**k for trit, k in zip(owners, ks))
             profile = profile_from_index(n, alpha, index)
-            if exact:
-                digest = profile_hash(profile)
-                report = VerificationReport(digest, dev_class.spec(), True, None, checks)
-            else:
-                report = verify_equilibrium(profile, dev_class, budget)
+            report = verify_equilibrium(profile, dev_class, budget)
             if report.is_equilibrium:
+                found.append((index, profile, report))
+    return connected, found
+
+
+def _scan_classes(
+    n: int, alpha: Fraction, dev_class: DeviationClass, graphs: range, checks: int
+) -> tuple[int, list[tuple[int, StrategyProfile, VerificationReport]]]:
+    """``scan_graph_range`` under the exact class, one table build per class.
+
+    Relabelling the vertices maps Nash equilibria to Nash equilibria.  The
+    first connected graph of ``graphs`` that no earlier class covers is
+    decided from its cost tables (``_table_equilibria``), and every vertex
+    map carries the verdict to an image: each image inside ``graphs`` not
+    yet marked is marked, counted, and gets each equilibrium's image,
+    decoded once with the report ``verify_equilibrium`` gives it.  Images
+    outside ``graphs`` are skipped, so a shard is a pure function of its
+    range, and ``marked`` holds one bit per position in it.
+    """
+    pairs = pair_list(n)
+    maps = _vertex_maps(n)
+    spec = dev_class.spec()
+    marked = bytearray((len(graphs) + 7) >> 3)
+    connected = 0
+    found = []
+    for i, graph in enumerate(graphs):
+        if marked[i >> 3] >> (i & 7) & 1:
+            continue
+        ks, edges, adj = _graph_rows(n, pairs, graph)
+        if bfs_sum(adj, 0, (1 << n) - 1) is None:
+            continue
+        ownerships = _table_equilibria(adj, edges, alpha)
+        for bits, weights in maps:
+            image = sum(map(bits.__getitem__, ks))
+            if image not in graphs:
+                continue
+            j = graphs.index(image)
+            if marked[j >> 3] >> (j & 7) & 1:
+                continue
+            marked[j >> 3] |= 1 << (j & 7)
+            connected += 1 << len(ks)
+            for owners in ownerships:
+                index = sum(weights[k][trit] for k, trit in zip(ks, owners))
+                profile = profile_from_index(n, alpha, index)
+                report = VerificationReport(profile_hash(profile), spec, True, None, checks)
                 found.append((index, profile, report))
     return connected, found
 

@@ -36,6 +36,9 @@ from .structure import StrategyContext, build_context, graph_layer
 
 SCHEMA_VERSION = 1
 POOL_THRESHOLD = 2000  # smaller cells stay serial: a pool costs more than it saves
+# Whatever the cap, enumeration stops here: n = 8 has 2^28 labelled graphs
+# and 8! relabellings per class.
+MAX_ENUMERATION_N = 7
 CSV_HEADER_COMMENT = "# ncg report v1"
 CSV_COLUMNS = (
     "n",
@@ -232,26 +235,33 @@ def enumerate_cell(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> EnumerationResult:
-    """Exhaustively scan one (n, alpha) cell, optionally sharded over workers.
+    """Exhaustively scan one (n, alpha) cell; restricted classes may shard.
 
     The scan walks the 2^(n(n-1)/2) underlying graphs (``scan_graph_range``)
     and decides the ownerships of each connected one.  Under the exact class
-    per-vertex cost tables answer the greedy add and sell tests and every
-    ownership's verdict; restricted classes verify each ownership.
-    ``profiles_scanned`` counts the profiles covered, 3^(n(n-1)/2), not those
-    verified.  Shards interleave the graph indices and equilibria are sorted by
-    profile index, so parallel and serial runs produce identical output.
-    ``jobs`` is capped by ``worker_count``; cells below ``POOL_THRESHOLD``
-    profiles stay serial.
+    per-vertex cost tables decide one graph per isomorphism class and its
+    verdict is carried to every relabelling; restricted classes verify each
+    ownership.  ``profiles_scanned`` counts the profiles covered,
+    3^(n(n-1)/2), not those verified.  n above ``cap`` or above
+    ``MAX_ENUMERATION_N`` is refused before anything is allocated.
+
+    Only restricted classes use a pool: a shard of an exact cell would
+    expand every class's relabellings to find its own members, so exact
+    cells run serially at any ``jobs``.  Shards interleave the graph indices
+    and equilibria are sorted by profile index, so parallel and serial runs
+    produce identical output.  ``jobs`` is capped by ``worker_count``; cells
+    below ``POOL_THRESHOLD`` profiles stay serial.
     """
     jobs = worker_count(jobs)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if n > cap:
         raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
+    if n > MAX_ENUMERATION_N:
+        raise EnumerationCapError(f"n={n} above the enumeration ceiling {MAX_ENUMERATION_N}")
     total = 3 ** (n * (n - 1) // 2)
     graphs = 1 << (n * (n - 1) // 2)
-    if jobs == 1 or total < POOL_THRESHOLD:
+    if jobs == 1 or total < POOL_THRESHOLD or dev_class.kind == "exact-all-subsets":
         connected, found = scan_graph_range(n, alpha, dev_class, range(graphs), budget)
     else:
         # Dense graphs, with the most ownerships to verify, sit at high

@@ -2,7 +2,10 @@
 
 ``scan_profile_range`` is the index scan the graph-first enumeration
 replaced: it decodes, connectivity-checks and verifies every one of the
-3^(n(n-1)/2) profile indices in order, with no filter.  ``oracle_verify``
+3^(n(n-1)/2) profile indices in order, with no filter.
+``oracle_graph_scan`` is the exact graph scan that builds cost tables for
+every labelled connected graph, the scan the per-isomorphism-class decision
+replaced.  ``oracle_verify``
 is the per-candidate verification loop the shared strategy-pricing loop
 replaced: every candidate is priced from raw edge lists by
 ``gadgets.oracle_delta``, and ``oracle_class_move`` is the per-candidate
@@ -48,11 +51,15 @@ from ncg.errors import BudgetExceededError
 from ncg.audit import BoundComparison
 from ncg.equilibrium import (
     DEFAULT_BUDGET,
+    EXACT,
     Deviation,
     DeviationClass,
     EnumerationResult,
     VerificationReport,
     _distance_sums,
+    _exact_checks,
+    _table_equilibria,
+    pair_list,
     profile_from_index,
     profile_hash,
     verify_equilibrium,
@@ -62,6 +69,7 @@ from ncg.game import (
     StrategyProfile,
     all_pairs_distances,
     bfs_distances,
+    bfs_sum,
     is_connected,
     mask_members,
 )
@@ -110,6 +118,41 @@ def oracle_cell(n: int, alpha: Fraction, dev_class: DeviationClass) -> Enumerati
     connected, found = scan_profile_range(n, alpha, dev_class, 0, total)
     equilibria = tuple((profile_from_index(n, alpha, idx), report) for idx, report in found)
     return EnumerationResult(n, alpha, total, connected, equilibria)
+
+
+def oracle_graph_scan(
+    n: int,
+    alpha: Fraction,
+    graphs: range,
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[int, list[tuple[int, StrategyProfile, VerificationReport]]]:
+    """The exact ``scan_graph_range`` with one table build per labelled graph.
+
+    Every connected graph index in ``graphs`` is decided from its own cost
+    tables (``_table_equilibria``), with no isomorphism classes: the scan
+    the per-class decision replaced.  Same return value as
+    ``scan_graph_range``, equilibria in graph-index order.
+    """
+    checks = _exact_checks(n, budget)
+    pairs = pair_list(n)
+    connected = 0
+    found = []
+    for graph in graphs:
+        ks = [k for k in range(len(pairs)) if graph >> k & 1]
+        edges = [pairs[k] for k in ks]
+        adj = [0] * n
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        if bfs_sum(adj, 0, (1 << n) - 1) is None:
+            continue
+        connected += 1 << len(edges)
+        for owners in _table_equilibria(adj, edges, alpha):
+            index = sum(trit * 3**k for trit, k in zip(owners, ks))
+            profile = profile_from_index(n, alpha, index)
+            report = VerificationReport(profile_hash(profile), EXACT.spec(), True, None, checks)
+            found.append((index, profile, report))
+    return connected, found
 
 
 def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):

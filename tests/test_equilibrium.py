@@ -19,7 +19,13 @@ from gadgets import (
     star,
     two_triangles,
 )
-from oracle import oracle_best_response, oracle_cell, oracle_class_move, oracle_verify
+from oracle import (
+    oracle_best_response,
+    oracle_cell,
+    oracle_class_move,
+    oracle_graph_scan,
+    oracle_verify,
+)
 from strategies import (
     connected_profiles,
     disconnected_profiles,
@@ -53,9 +59,10 @@ from ncg.equilibrium import (
     _table_equilibria,
     pair_list,
     profile_from_index,
+    scan_graph_range,
 )
 from ncg.game import BoughtEdge, StrategyProfile, row_sums, sized_sums
-from ncg.harness import enumerate_cell
+from ncg.harness import MAX_ENUMERATION_N, enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
 
@@ -540,6 +547,16 @@ def test_enumeration_cap():
         enumerate_cell(6, Fraction(1), EXACT)
 
 
+def test_enumeration_ceiling_ignores_the_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cell was scanned")
+
+    monkeypatch.setattr("ncg.harness.scan_graph_range", refuse)
+    for n, cap in ((MAX_ENUMERATION_N + 1, MAX_ENUMERATION_N + 1), (9, 64)):
+        with pytest.raises(EnumerationCapError, match="ceiling"):
+            enumerate_cell(n, Fraction(1), EXACT, cap=cap)
+
+
 ORACLE_ALPHAS = [Fraction(a) for a in ("1/2", "1", "3/2", "2", "5/2", "3", "4", "9", "20")]
 
 
@@ -558,6 +575,54 @@ def test_graph_first_scan_matches_index_oracle_n5():
         assert enumerate_cell(5, alpha, EXACT) == oracle_cell(5, alpha, EXACT), alpha
 
 
+def _by_index(scan):
+    connected, found = scan
+    return connected, sorted(found, key=lambda item: item[0])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_scan_matches_labelled_scan(n):
+    # connected counts, profiles and reports, one table build per labelled graph
+    graphs = range(1 << (n * (n - 1) // 2))
+    for alpha in ORACLE_ALPHAS:
+        got = _by_index(scan_graph_range(n, alpha, EXACT, graphs))
+        assert got == _by_index(oracle_graph_scan(n, alpha, graphs)), alpha
+
+
+def test_class_scan_matches_labelled_scan_n6():
+    graphs = range(1 << 15)
+    got = _by_index(scan_graph_range(6, Fraction(3), EXACT, graphs))
+    assert got == _by_index(oracle_graph_scan(6, Fraction(3), graphs))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_interleaved_shards_union_to_the_whole_range(n):
+    # each shard meets its own representatives and skips images outside it
+    count = 1 << (n * (n - 1) // 2)
+    alphas = [Fraction(1, 2), Fraction(2), Fraction(3), Fraction(2 * n + 1)]
+    if n < 5:  # at n = 5, alpha 1 decodes 43,728 equilibria per union
+        alphas.append(Fraction(1))
+    for alpha in alphas:
+        whole = _by_index(scan_graph_range(n, alpha, EXACT, range(count)))
+        for shards in (2, 3, 8):
+            scans = [scan_graph_range(n, alpha, EXACT, range(i, count, shards)) for i in range(shards)]
+            union = (sum(c for c, _ in scans), [item for _, found in scans for item in found])
+            assert _by_index(union) == whole, (alpha, shards)
+
+
+def test_exact_cell_builds_one_table_per_class(monkeypatch):
+    # the connected graphs on n vertices up to isomorphism: 1, 1, 2, 6, 21, 112
+    import ncg.equilibrium as eq
+
+    tables = eq._table_equilibria
+    calls = []
+    monkeypatch.setattr(eq, "_table_equilibria", lambda *args: calls.append(1) or tables(*args))
+    for n, classes in ((1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)):
+        calls.clear()
+        enumerate_cell(n, Fraction(3), EXACT, cap=6)
+        assert len(calls) == classes, n
+
+
 def test_exact_scan_never_verifies(monkeypatch):
     expected = oracle_cell(4, Fraction(2), EXACT)
 
@@ -574,6 +639,13 @@ def test_labelled_n6_cell_counts():
     assert result.connected_count == 13_982_208
     assert len(result.equilibria) == 5532
     assert all(len(p.undirected_edges()) == 5 for p, _ in result.equilibria)
+
+
+def test_labelled_n6_cell_counts_alpha_3():
+    # the counts the labelled graph scan gave for this cell
+    result = enumerate_cell(6, Fraction(3), EXACT, cap=6)
+    assert result.connected_count == 13_982_208
+    assert len(result.equilibria) == 5412
 
 
 def test_exact_enumeration_respects_budget():

@@ -252,11 +252,23 @@ def test_parallel_and_serial_cells_agree(monkeypatch):
     import ncg.harness as harness
 
     monkeypatch.setattr(harness, "POOL_THRESHOLD", 1)
-    cells = ((3, Fraction(7), "exact"), (4, Fraction(3), "exact"), (4, Fraction(2), "k-subset:2"))
-    for n, alpha, spec in cells:
-        serial = enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=1)
-        parallel = enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=2)
-        assert serial == parallel
+    cells = (
+        (3, Fraction(7), "exact"),
+        (4, Fraction(3), "exact"),
+        (4, Fraction(2), "k-subset:2"),
+        (4, Fraction(9), "single-add"),
+    )
+    serial = [enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=1) for n, alpha, spec in cells]
+    parallel = [enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=2) for n, alpha, spec in cells]
+    assert serial == parallel
+
+    # exact cells run serially at any jobs: a shard would expand every class
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact cell started a process pool")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    for (n, alpha, spec), want in zip(cells[:2], serial):
+        assert enumerate_cell(n, alpha, DeviationClass.parse(spec), jobs=2) == want
 
 
 def test_exact_cell_decodes_each_equilibrium_once(monkeypatch):
@@ -366,6 +378,19 @@ def test_cli_budget_error(tmp_path, capsys):
     path = _write_profile(tmp_path, profile(12, 9, [(0, i) for i in range(1, 12)]))
     assert cmd_run(["verify", "--input", path, "--budget", "100"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,cap", [("8", "8"), ("9", "64")])
+def test_cli_enumeration_ceiling(monkeypatch, capsys, n, cap):
+    # refused before anything is allocated or scanned, whatever --cap says
+    def refuse(*args):
+        raise AssertionError("the cell was scanned")
+
+    monkeypatch.setattr("ncg.harness.scan_graph_range", refuse)
+    assert cmd_run(["enumerate", "--n", n, "--alpha", "1", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget error: n={n} above the enumeration ceiling 7\n"
 
 
 def test_cli_unknown_flag_rejected(capsys):
