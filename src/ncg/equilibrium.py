@@ -12,7 +12,7 @@ cross-multiplication), so every verdict is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product, repeat
 from math import inf
@@ -523,13 +523,20 @@ def _best_class_move(
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exhaustive scan outcome over all buyer-annotated profiles."""
+    """Exhaustive scan outcome over all buyer-annotated profiles.
+
+    ``representatives``, None unless the scan decided isomorphism classes,
+    holds a ``(profile, report, weight)`` record per equilibrium on a class's
+    first graph, weighted by its labelled images in ``equilibria``.  Being
+    derived from them, it is left out of equality.
+    """
 
     n: int
     alpha: Fraction
     profiles_scanned: int
     connected_count: int
     equilibria: tuple[tuple[StrategyProfile, VerificationReport], ...]
+    representatives: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -701,7 +708,7 @@ def scan_graph_range(
     dev_class: DeviationClass,
     graphs: range,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[int, list[tuple[int, StrategyProfile, VerificationReport]]]:
+) -> tuple[int, list[tuple], tuple | None]:
     """Decide every profile whose underlying graph index lies in ``graphs``.
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
@@ -710,8 +717,9 @@ def scan_graph_range(
     and the tables prove only exact stability, and their witnesses and
     ``deviations_checked`` depend on the labels, so they verify every
     ownership of every connected graph.  Returns (connected-profile count,
-    [(profile index, profile, report)] for equilibria found); a pure
-    function of its inputs.
+    [(profile index, profile, report)] for equilibria found, the exact
+    class's ``EnumerationResult.representatives`` or None); a pure function
+    of its inputs.
     """
     if dev_class.kind == "exact-all-subsets":
         return _scan_classes(n, alpha, dev_class, graphs, _exact_checks(n, budget))
@@ -729,12 +737,12 @@ def scan_graph_range(
             report = verify_equilibrium(profile, dev_class, budget)
             if report.is_equilibrium:
                 found.append((index, profile, report))
-    return connected, found
+    return connected, found, None
 
 
 def _scan_classes(
     n: int, alpha: Fraction, dev_class: DeviationClass, graphs: range, checks: int
-) -> tuple[int, list[tuple[int, StrategyProfile, VerificationReport]]]:
+) -> tuple[int, list[tuple], tuple]:
     """``scan_graph_range`` under the exact class, one table build per class.
 
     Relabelling the vertices maps Nash equilibria to Nash equilibria.  The
@@ -744,7 +752,9 @@ def _scan_classes(
     yet marked is marked, counted, and gets each equilibrium's image,
     decoded once with the report ``verify_equilibrium`` gives it.  Images
     outside ``graphs`` are skipped, so a shard is a pure function of its
-    range, and ``marked`` holds one bit per position in it.
+    range, and ``marked`` holds one bit per position in it.  The identity
+    map comes first, so each class's first images are its own equilibria,
+    recorded with the number of images marked as their weight.
     """
     pairs = pair_list(n)
     maps = _vertex_maps(n)
@@ -752,6 +762,7 @@ def _scan_classes(
     marked = bytearray((len(graphs) + 7) >> 3)
     connected = 0
     found = []
+    records = []
     for i, graph in enumerate(graphs):
         if marked[i >> 3] >> (i & 7) & 1:
             continue
@@ -759,6 +770,8 @@ def _scan_classes(
         if bfs_sum(adj, 0, (1 << n) - 1) is None:
             continue
         ownerships = _table_equilibria(adj, edges, alpha)
+        first = len(found)
+        images = 0
         for bits, weights in maps:
             image = sum(map(bits.__getitem__, ks))
             if image not in graphs:
@@ -768,12 +781,15 @@ def _scan_classes(
                 continue
             marked[j >> 3] |= 1 << (j & 7)
             connected += 1 << len(ks)
+            images += 1
             for owners in ownerships:
                 index = sum(weights[k][trit] for k, trit in zip(ks, owners))
                 profile = profile_from_index(n, alpha, index)
                 report = VerificationReport(profile_hash(profile), spec, True, None, checks)
                 found.append((index, profile, report))
-    return connected, found
+        for _, profile, report in found[first : first + len(ownerships)]:
+            records.append((profile, report, images))
+    return connected, found, tuple(records)
 
 
 def random_profile(

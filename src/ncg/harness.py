@@ -253,16 +253,13 @@ def enumerate_cell(
     below ``POOL_THRESHOLD`` profiles stay serial.
     """
     jobs = worker_count(jobs)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
-    if n > MAX_ENUMERATION_N:
-        raise EnumerationCapError(f"n={n} above the enumeration ceiling {MAX_ENUMERATION_N}")
+    check_cell_n(n, cap)
     total = 3 ** (n * (n - 1) // 2)
     graphs = 1 << (n * (n - 1) // 2)
     if jobs == 1 or total < POOL_THRESHOLD or dev_class.kind == "exact-all-subsets":
-        connected, found = scan_graph_range(n, alpha, dev_class, range(graphs), budget)
+        connected, found, representatives = scan_graph_range(
+            n, alpha, dev_class, range(graphs), budget
+        )
     else:
         # Dense graphs, with the most ownerships to verify, sit at high
         # indices, so shards interleave indices rather than cut contiguous runs.
@@ -270,14 +267,25 @@ def enumerate_cell(
         shards = [range(i, graphs, shard_count) for i in range(shard_count)]
         connected = 0
         found = []
+        representatives = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             args = (repeat(n), repeat(alpha), repeat(dev_class), shards, repeat(budget))
-            for shard_connected, shard_found in pool.map(scan_graph_range, *args):
+            for shard_connected, shard_found, _ in pool.map(scan_graph_range, *args):
                 connected += shard_connected
                 found.extend(shard_found)
     found.sort(key=lambda item: item[0])
     equilibria = tuple((profile, report) for _, profile, report in found)
-    return EnumerationResult(n, alpha, total, connected, equilibria)
+    return EnumerationResult(n, alpha, total, connected, equilibria, representatives)
+
+
+def check_cell_n(n: int, cap: int) -> None:
+    """Refuse n below 1, above ``cap`` or above ``MAX_ENUMERATION_N``."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if n > cap:
+        raise EnumerationCapError(f"n={n} above enumeration cap {cap}")
+    if n > MAX_ENUMERATION_N:
+        raise EnumerationCapError(f"n={n} above the enumeration ceiling {MAX_ENUMERATION_N}")
 
 
 def is_spanning_tree(profile: StrategyProfile) -> bool:
@@ -285,46 +293,53 @@ def is_spanning_tree(profile: StrategyProfile) -> bool:
     return is_connected(profile) and len(profile.undirected_edges()) == profile.n - 1
 
 
-def contexts_by_graph(equilibria) -> Iterator[tuple[StrategyContext, VerificationReport]]:
-    """``(build_context(profile), report)`` for each equilibrium, grouped by graph.
+def contexts_by_graph(records) -> Iterator[tuple]:
+    """``(build_context(profile), *rest)`` for each ``(profile, *rest)`` record,
+    grouped by graph.
 
-    Equilibria with the same ``adj`` share one ``graph_layer``, and only one
+    Records with the same ``adj`` share one ``graph_layer``, and only one
     graph layer is alive at a time.
     """
     groups: dict[tuple[int, ...], list] = {}
-    for profile, report in equilibria:
-        groups.setdefault(profile.adj, []).append((profile, report))
+    for record in records:
+        groups.setdefault(record[0].adj, []).append(record)
     for members in groups.values():
         graph = graph_layer(members[0][0])
-        for profile, report in members:
-            yield build_context(profile, graph), report
+        for profile, *rest in members:
+            yield (build_context(profile, graph), *rest)
 
 
 def build_report_row(result: EnumerationResult) -> ReportRow:
     """Fold one enumeration into a row; enforces the tree-only rule above 2n.
 
-    Every equilibrium is audited on its one ``StrategyContext``
-    (``contexts_by_graph``) by ``audit_failures``, which evaluates only the
-    rules whose gate holds and prices bounds only in the paper's regime;
-    being connected, an equilibrium is a tree iff its girth is infinite.  A
-    non-tree equilibrium that the exact class certifies at alpha > 2n is a
-    hard failure, never a data point.  A restricted class
+    The fold walks ``result.representatives``, one record per equilibrium of
+    each isomorphism class, or else every equilibrium with weight 1.  A
+    relabelling changes neither girth nor audit, so each record is audited
+    once on its ``StrategyContext`` (``contexts_by_graph``) by
+    ``audit_failures``, which evaluates only the rules whose gate holds and
+    prices bounds only in the paper's regime, and counts as many times as
+    its weight.  Being connected, an equilibrium is a tree iff its girth is
+    infinite.  A non-tree equilibrium that the exact class certifies at
+    alpha > 2n is a hard failure, never a data point.  A restricted class
     proves stability only against its own deviations, so its non-tree
     counts are data, as are all of them in the open band [n, 2n).
     """
+    records = result.representatives
+    if records is None:
+        records = ((profile, report, 1) for profile, report in result.equilibria)
     tree = 0
     non_tree = 0
     exact_non_tree = False
     min_girth: int | float = inf
     failures = 0
-    for ctx, report in contexts_by_graph(result.equilibria):
+    for ctx, report, weight in contexts_by_graph(records):
         if ctx.girth == inf:
-            tree += 1
+            tree += weight
         else:
-            non_tree += 1
+            non_tree += weight
             exact_non_tree = exact_non_tree or report.deviation_class == EXACT.spec()
         min_girth = min(min_girth, ctx.girth)
-        failures += audit_failures(ctx, ne_certificate=report)
+        failures += weight * audit_failures(ctx, ne_certificate=report)
     if result.alpha > 2 * result.n and exact_non_tree:
         raise TreeConjectureViolation(
             f"non-tree equilibrium at n={result.n}, alpha={result.alpha}"
@@ -342,12 +357,14 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
 
 
 def sweep_cells(spec: SweepSpec) -> Iterator[tuple[EnumerationResult, ReportRow]]:
-    """Enumerate and fold each (n, alpha) cell in grid order."""
+    """Enumerate and fold each (n, alpha) cell in grid order; every n and
+    alpha of the grid is checked before the first cell is scanned."""
     for n in spec.n_values:
-        for expr in spec.alpha_expressions:
-            alpha = cell_alpha(expr, n)
-            result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget, spec.jobs)
-            yield result, build_report_row(result)
+        check_cell_n(n, spec.cap)
+    cells = [(n, cell_alpha(expr, n)) for n in spec.n_values for expr in spec.alpha_expressions]
+    for n, alpha in cells:
+        result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget, spec.jobs)
+        yield result, build_report_row(result)
 
 
 def run_sweep(spec: SweepSpec) -> list[ReportRow]:

@@ -1,8 +1,9 @@
 """Deviations, exact verification, dynamics, enumeration."""
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
-from math import inf
+from itertools import combinations, permutations, product
+from math import factorial, inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,7 +63,7 @@ from ncg.equilibrium import (
     scan_graph_range,
 )
 from ncg.game import BoughtEdge, StrategyProfile, row_sums, sized_sums
-from ncg.harness import MAX_ENUMERATION_N, enumerate_cell
+from ncg.harness import MAX_ENUMERATION_N, build_report_row, enumerate_cell
 
 EXACT = DeviationClass.parse("exact")
 
@@ -576,7 +577,7 @@ def test_graph_first_scan_matches_index_oracle_n5():
 
 
 def _by_index(scan):
-    connected, found = scan
+    connected, found = scan[:2]
     return connected, sorted(found, key=lambda item: item[0])
 
 
@@ -606,8 +607,11 @@ def test_interleaved_shards_union_to_the_whole_range(n):
         whole = _by_index(scan_graph_range(n, alpha, EXACT, range(count)))
         for shards in (2, 3, 8):
             scans = [scan_graph_range(n, alpha, EXACT, range(i, count, shards)) for i in range(shards)]
-            union = (sum(c for c, _ in scans), [item for _, found in scans for item in found])
+            union = (sum(c for c, _, _ in scans), [item for _, found, _ in scans for item in found])
             assert _by_index(union) == whole, (alpha, shards)
+            # a shard's records weigh only the images inside its range
+            for _, found, records in scans:
+                assert sum(weight for *_, weight in records) == len(found), (alpha, shards)
 
 
 def test_exact_cell_builds_one_table_per_class(monkeypatch):
@@ -621,6 +625,66 @@ def test_exact_cell_builds_one_table_per_class(monkeypatch):
         calls.clear()
         enumerate_cell(n, Fraction(3), EXACT, cap=6)
         assert len(calls) == classes, n
+
+
+def _automorphism_count(adj: tuple[int, ...]) -> int:
+    n = len(adj)
+    return sum(
+        all(adj[pi[u]] >> pi[v] & 1 == adj[u] >> v & 1 for u in range(n) for v in range(n))
+        for pi in permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize(
+    "n,classes,labelled", [(1, 1, 1), (2, 1, 1), (3, 2, 4), (4, 6, 38), (5, 21, 728)]
+)
+def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, labelled):
+    # Every connected graph passed off as holding one equilibrium, so each
+    # class has one record: its weight is n!/|Aut G|, the weights sum to the
+    # labelled connected graphs (OEIS A001187), and by ownerships to the
+    # connected count.
+    import ncg.equilibrium as eq
+
+    monkeypatch.setattr(eq, "_table_equilibria", lambda adj, edges, alpha: [(1,) * len(edges)])
+    graphs = range(1 << (n * (n - 1) // 2))
+    connected, found, records = scan_graph_range(n, Fraction(3), EXACT, graphs)
+    assert len(records) == classes
+    for p, _, weight in records:
+        assert weight == factorial(n) // _automorphism_count(p.adj), p
+    assert sum(weight for *_, weight in records) == len(found) == labelled
+    assert sum(weight << len(p.edges) for p, _, weight in records) == connected
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weighted_row_equals_labelled_row(n):
+    # each class record audited once and weighted folds to the row that
+    # audits every labelled equilibrium, all eight fields
+    for alpha in ORACLE_ALPHAS:
+        result = enumerate_cell(n, alpha, EXACT)
+        assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
+        labelled = replace(result, representatives=None)
+        assert build_report_row(result) == build_report_row(labelled), alpha
+
+
+def test_weighted_row_equals_labelled_row_n6():
+    result = enumerate_cell(6, Fraction(3), EXACT, cap=6)
+    assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
+    assert build_report_row(result) == build_report_row(replace(result, representatives=None))
+
+
+def test_sweep_row_audits_each_class_record_once(monkeypatch):
+    # the sweep-n5 cells hold 62, 56, 1104 and 620 labelled equilibria
+    import ncg.harness as harness
+
+    audit = harness.audit_failures
+    calls = []
+    monkeypatch.setattr(harness, "audit_failures", lambda *args, **kw: calls.append(1) or audit(*args, **kw))
+    counts = []
+    for n, alpha in ((4, 2), (4, 9), (5, 2), (5, 11)):
+        calls.clear()
+        build_report_row(enumerate_cell(n, Fraction(alpha), EXACT))
+        counts.append(len(calls))
+    assert counts == [12, 10, 72, 25]
 
 
 def test_exact_scan_never_verifies(monkeypatch):

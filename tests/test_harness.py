@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -210,6 +211,24 @@ def test_report_row_open_band_is_exploratory():
     assert row.min_girth_among_ne == 3
 
 
+def test_report_row_weights_class_records():
+    # one record of weight 3 stands for three labelled equilibria: its tree,
+    # non-tree and audit-failure counts triple, and an exact non-tree record
+    # above 2n still fails the row
+    single_add = DeviationClass.parse("single-add")
+    ring = directed_ring(3, 7)
+    cell = _passed_off(ring, 7, single_add)
+    failures = audit_failures(build_context(ring), cell.equilibria[0][1])
+    assert failures > 0
+    weighted = replace(cell, equilibria=cell.equilibria * 3, representatives=(cell.equilibria[0] + (3,),))
+    row = build_report_row(weighted)
+    assert (row.ne_count, row.tree_ne_count, row.non_tree_ne_count) == (3, 0, 3)
+    assert row.audit_failures == 3 * failures
+    exact = _passed_off(ring, 7, EXACT)
+    with pytest.raises(TreeConjectureViolation):
+        build_report_row(replace(exact, representatives=(exact.equilibria[0] + (3,),)))
+
+
 def test_report_row_counts_restricted_non_trees_above_2n(capsys):
     # a restricted class proves stability only against its own deviations
     ring = directed_ring(3, 7)
@@ -391,6 +410,28 @@ def test_cli_enumeration_ceiling(monkeypatch, capsys, n, cap):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"budget error: n={n} above the enumeration ceiling 7\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "6,8", "--alpha", "3", "--cap", "8"],
+        ["--n", "6,7", "--alpha", "3", "--cap", "6"],
+        ["--n", "6,0", "--alpha", "3", "--cap", "6"],
+        ["--n", "6,3", "--alpha", "n-4", "--cap", "6"],
+        ["--n", "6", "--alpha", "3,n-7", "--cap", "6"],
+    ],
+)
+def test_cli_sweep_validates_the_grid_before_scanning(monkeypatch, capsys, argv):
+    # a bad n or alpha anywhere in the grid exits 2 before the first cell
+    def refuse(*args):
+        raise AssertionError("a cell was scanned")
+
+    monkeypatch.setattr("ncg.harness.scan_graph_range", refuse)
+    assert cmd_run(["sweep", *argv, "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_unknown_flag_rejected(capsys):

@@ -2,14 +2,33 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from ncg.equilibrium import EXACT, EnumerationResult
+from ncg.harness import enumerate_cell
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def test_enumeration_result_rebuilds_from_its_five_fields():
+    # perfbench's traced sweep rebuilds each cell's result from the five
+    # fields and compares it with the library's; the class records are
+    # derived from them and left out of equality
+    result = enumerate_cell(4, Fraction(2), EXACT)
+    assert result.representatives
+    rebuilt = EnumerationResult(
+        result.n, result.alpha, result.profiles_scanned, result.connected_count, result.equilibria
+    )
+    assert rebuilt.representatives is None
+    assert rebuilt == result
+
+
 def test_perfbench_smoke_exits_0():
     # guards what perfbench calls: profile_from_index, enumerate_cell and the
-    # EnumerationResult fields, untraced and traced
+    # EnumerationResult fields, untraced and traced; the traced sweep holds
+    # only while a result rebuilt from its five fields equals the library's
+    # (test_enumeration_result_rebuilds_from_its_five_fields)
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
