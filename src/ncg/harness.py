@@ -27,12 +27,11 @@ from .equilibrium import (
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
-    VerificationReport,
     scan_graph_range,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
 from .game import BoughtEdge, is_connected
-from .structure import StrategyContext, build_context, graph_layer
+from .structure import build_context, graph_layer
 
 SCHEMA_VERSION = 1
 POOL_THRESHOLD = 2000  # smaller cells stay serial: a pool costs more than it saves
