@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import inf
@@ -148,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", required=True, help="vertex count(s), comma separated")
             p.add_argument("--alpha", required=True, help="alpha expression(s), e.g. 2n+1")
             p.add_argument("--out", help="CSV output path (default: stdout)")
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--jobs", type=int, default=1, help="ignored: cells run serially")
             p.add_argument("--cap", type=int, default=5, help="enumeration vertex cap")
         p.add_argument("--class", dest="dev_class", default="exact",
                        help="deviation class spec (default: exact)")
@@ -184,7 +183,9 @@ def _sweep_spec(args, dev_class: DeviationClass) -> SweepSpec:
     alpha_expressions = tuple(x for x in args.alpha.split(",") if x.strip())
     if not (n_values and alpha_expressions):
         raise ValueError("--n and --alpha each need at least one value")
-    return SweepSpec(n_values, alpha_expressions, dev_class, args.cap, args.budget, args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return SweepSpec(n_values, alpha_expressions, dev_class, args.cap, args.budget)
 
 
 def _dump_equilibria(result: EnumerationResult, dump: Path) -> None:

@@ -29,7 +29,7 @@ from .game import (
     row_sums,
     sized_sums,
 )
-from .structure import build_context
+from .structure import build_context, graph_layer
 
 KINDS = (
     "exact-all-subsets",
@@ -156,8 +156,8 @@ def _subset_index(mask: int, v: int) -> int:
 def _distance_sums(profile: StrategyProfile, v: int, masks):
     """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
 
-    This prices restricted classes (``_class_costs``); exact scans use
-    ``sized_sums``.
+    This prices restricted classes in verification and dynamics
+    (``_class_costs``); exact scans use ``sized_sums``.
 
     The sum is None when v is cut off from some vertex.  Only row v is
     rewritten, to the edges others bought to v plus the mask: a BFS from v
@@ -274,8 +274,9 @@ def best_response_exact(
 # deviation generators (restricted classes)
 
 
-def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
-    """Yield v's candidate target masks in order; paper strategies need ``ctx``."""
+def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, contexts):
+    """Yield v's candidate target masks in order; paper strategies read
+    ``contexts`` (``_class_contexts``), each root's candidates in turn."""
     current = profile.bought[v]
     missing = mask_members(((1 << profile.n) - 1) & ~current & ~(1 << v))
 
@@ -300,27 +301,28 @@ def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, ctx
             for flip in combinations(bits, size):
                 yield current ^ sum(flip)
     elif cls.kind.startswith("paper-strategy-"):
-        if ctx is None:
-            return
         kind = "strategy" + cls.kind[-1]
-        for sold in ctx.sell_sets(v, kind):
-            mask = ctx.rewrite(v, kind, sold)
-            if mask != current:
-                yield mask
+        seen = {current}
+        for ctx in contexts:
+            for sold in ctx.sell_sets(v, kind):
+                mask = ctx.rewrite(v, kind, sold)
+                if mask not in seen:
+                    seen.add(mask)
+                    yield mask
     elif cls.kind == "composite":
         seen = set()
         for part in cls.parts:
-            for mask in _class_deviations(profile, v, part, ctx):
+            for mask in _class_deviations(profile, v, part, contexts):
                 if mask not in seen:
                     seen.add(mask)
                     yield mask
 
 
-def _class_costs(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
+def _class_costs(profile: StrategyProfile, v: int, cls: DeviationClass, contexts):
     """v's current cost and (mask, cost) per candidate, one BFS each: units of
     1/q for alpha = p/q, inf when v is cut off from some vertex."""
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    candidates = _class_deviations(profile, v, cls, ctx)
+    candidates = _class_deviations(profile, v, cls, contexts)
     priced = _distance_sums(profile, v, chain([profile.bought[v]], candidates))
     costs = ((mask, inf if d is None else p * mask.bit_count() + q * d) for mask, d in priced)
     _, current = next(costs)
@@ -333,10 +335,23 @@ def _needs_context(cls: DeviationClass) -> bool:
     return any(_needs_context(p) for p in cls.parts)
 
 
-def _class_context(profile: StrategyProfile, cls: DeviationClass):
-    """The context the class's paper strategies read, or None when it has
-    none or the profile is disconnected: they live in a connected graph's H."""
-    return build_context(profile) if _needs_context(cls) and is_connected(profile) else None
+def _class_contexts(profile: StrategyProfile, cls: DeviationClass, graph=None) -> tuple:
+    """The contexts the class's paper strategies read, one per root
+    ``choose_root`` could pick: every H vertex of least connection cost, in
+    id order, so that no root is chosen by label.  Empty when the class has
+    none or the profile is disconnected: they live in a connected graph's H.
+    ``graph`` is the profile's ``graph_layer``.
+    """
+    if not _needs_context(cls) or not is_connected(profile):
+        return ()
+    if graph is None:
+        graph = graph_layer(profile)
+    least = graph.connections[graph.root]
+    return tuple(
+        build_context(profile, graph._replace(root=r))
+        for r in sorted(graph.decomposition.largest_vertices())
+        if graph.connections[r] == least
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +387,7 @@ def verify_equilibrium(
     if exact:
         _exact_checks(profile.n, budget)
     covers_all = exact or EXACT in dev_class.parts
-    ctx = _class_context(profile, dev_class)
+    contexts = _class_contexts(profile, dev_class)
 
     checked = 0
     for v in range(profile.n):
@@ -389,7 +404,7 @@ def verify_equilibrium(
             # As if every set up to the witness were checked, but the current one.
             checked += index + (_subset_index(profile.bought[v], v) > index)
             return _witness_report(profile, digest, dev_class, v, _subset_mask(index, v), checked)
-        current_cost, priced = _class_costs(profile, v, dev_class, ctx)
+        current_cost, priced = _class_costs(profile, v, dev_class, contexts)
         for mask, cost in priced:
             checked += 1
             if checked > budget:
@@ -469,7 +484,7 @@ def best_response_dynamics(
         raise ValueError(f"unknown vertex order {vertex_order!r}")
     rng = random.Random(seed)
     profile = initial
-    ctx = _class_context(profile, dev_class)
+    contexts = _class_contexts(profile, dev_class)
     steps: list[tuple[int, Deviation, Fraction | float]] = []
     converged = False
     for _ in range(max_iters):
@@ -478,13 +493,13 @@ def best_response_dynamics(
             rng.shuffle(order)
         improved = False
         for v in order:
-            move = _best_class_move(profile, v, dev_class, budget, ctx)
+            move = _best_class_move(profile, v, dev_class, budget, contexts)
             if move is None:
                 continue
             targets, delta = move
             steps.append((v, Deviation(v, targets), delta))
             profile = profile.with_strategy(v, targets)
-            ctx = _class_context(profile, dev_class)
+            contexts = _class_contexts(profile, dev_class)
             improved = True
         if not improved:
             converged = True
@@ -493,7 +508,7 @@ def best_response_dynamics(
 
 
 def _best_class_move(
-    profile: StrategyProfile, v: int, cls: DeviationClass, budget: int, ctx
+    profile: StrategyProfile, v: int, cls: DeviationClass, budget: int, contexts
 ) -> tuple[frozenset[int], Fraction | float] | None:
     """Best strictly improving deviation for v within the class, or None.
 
@@ -503,7 +518,7 @@ def _best_class_move(
     if cls.kind == "exact-all-subsets":
         targets, delta = best_response_exact(profile, v, budget)
         return (targets, delta) if delta < 0 else None
-    current_cost, priced = _class_costs(profile, v, cls, ctx)
+    current_cost, priced = _class_costs(profile, v, cls, contexts)
     best = None
     for mask, cost in priced:
         if cost >= current_cost:
@@ -525,10 +540,10 @@ def _best_class_move(
 class EnumerationResult:
     """Exhaustive scan outcome over all buyer-annotated profiles.
 
-    ``representatives``, None unless the scan decided isomorphism classes,
-    holds a ``(profile, report, weight)`` record per equilibrium on a class's
-    first graph, weighted by its labelled images in ``equilibria``.  Being
-    derived from them, it is left out of equality.
+    ``representatives`` holds a ``(profile, report, weight)`` record per
+    equilibrium on each isomorphism class's first graph, weighted by its
+    labelled images in ``equilibria``.  Being derived from them, it is left
+    out of equality, and None in a result rebuilt from the other fields.
     """
 
     n: int
@@ -556,33 +571,41 @@ def profile_from_index(n: int, alpha: Fraction, index: int) -> StrategyProfile:
     return StrategyProfile(n, alpha, tuple(edges))
 
 
+def _cost_tables(adj: list[int], alpha: Fraction):
+    """Yield the cost table of each vertex of connected graph ``adj`` in turn.
+
+    Table v holds q*f_v(S) + p*|S| for every row S of v in subset-index
+    order, where alpha = p/q and f_v(S) is v's distance sum when its
+    neighbours are exactly S (None when S cuts v off).  A caller that rules
+    the graph out stops before the rest are built.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    weights = [0]
+    for _ in range(len(adj) - 1):
+        weights += [w + p for w in weights]
+    for v in range(len(adj)):
+        yield [q * d + w if d is not None else None for d, w in zip(row_sums(adj, v, 0), weights)]
+
+
 def _greedy_tables(
     adj: list[int], edges: list[tuple[int, int]], alpha: Fraction
 ) -> tuple[list[list[int | None]], list[tuple[int, ...]]] | None:
     """Per-vertex cost tables of a connected graph, and its greedy owner trits.
 
-    Table v holds q*f_v(S) + p*|S| for every row S of v in subset-index
-    order, where alpha = p/q and f_v(S) is v's distance sum when its
-    neighbours are exactly S (None when S cuts v off).  Owner trit 1 of edge
-    ``(a, b)``, ``a < b``, means ``a`` buys, 2 that ``b`` buys; an owner is
-    kept when selling the edge does not lower its table entry.  Returns None
-    when some vertex strictly gains by buying one more edge, or when some
-    edge keeps no owner.  Distances do not depend on ownership, so every Nash
+    Tables are those of ``_cost_tables``.  Owner trit 1 of edge ``(a, b)``,
+    ``a < b``, means ``a`` buys, 2 that ``b`` buys; an owner is kept when
+    selling the edge does not lower its table entry.  Returns None when some
+    vertex strictly gains by buying one more edge, or when some edge keeps
+    no owner.  Distances do not depend on ownership, so every Nash
     equilibrium on this graph survives: these are its single-add and
     single-delete deviations, one table lookup each.
     """
-    n = len(adj)
-    p, q = alpha.numerator, alpha.denominator
-    weights = [0]
-    for _ in range(n - 1):
-        weights += [w + p for w in weights]
-    everyone = len(weights) - 1
-    rows = [_subset_index(adj[v], v) for v in range(n)]
+    everyone = (1 << (len(adj) - 1)) - 1
+    rows = [_subset_index(row, v) for v, row in enumerate(adj)]
     tables = []
     options = [()] * len(edges)
-    for v in range(n):
-        sums = row_sums(adj, v, 0)
-        tables.append(h := [q * d + w if d is not None else None for d, w in zip(sums, weights)])
+    for v, h in enumerate(_cost_tables(adj, alpha)):
+        tables.append(h)
         now = h[rows[v]]
         missing = everyone ^ rows[v]
         while missing:
@@ -702,90 +725,103 @@ def _vertex_maps(n: int) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
     return maps
 
 
-def scan_graph_range(
-    n: int,
-    alpha: Fraction,
-    dev_class: DeviationClass,
-    graphs: range,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[int, list[tuple], tuple | None]:
-    """Decide every profile whose underlying graph index lies in ``graphs``.
+def _class_equilibria(
+    n: int, alpha: Fraction, dev_class: DeviationClass, ks: list[int], adj: list[int], budget: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """(owner trits, deviations_checked) of every equilibrium under a class
+    other than exact on connected graph ``adj``, whose edges are pairs ``ks``.
 
-    Bit k of a graph index is pair k of ``pair_list(n)``.  Under the exact
-    class the scan decides one connected graph per isomorphism class
-    (``_scan_classes``).  Restricted classes may lack single adds and sells
-    and the tables prove only exact stability, and their witnesses and
-    ``deviations_checked`` depend on the labels, so they verify every
-    ownership of every connected graph.  Returns (connected-profile count,
-    [(profile index, profile, report)] for equilibria found, the exact
-    class's ``EnumerationResult.representatives`` or None); a pure function
-    of its inputs.
+    Every ownership is walked in ``product`` order with no greedy filter: a
+    restricted class may lack single adds or sells.  Vertex v deviating to
+    target mask T keeps I_v, the edges bought to it, and pays
+    p*|T| + q*f_v(I_v | T).  Adding p*|I_v| to both sides, T improves iff
+    h_v[I_v | T] + p*|I_v & T| < h_v[N(v)] in v's ``_cost_tables`` table; a
+    None entry cuts v off and never does.  Candidates come from
+    ``_class_deviations`` and are counted, and the budget enforced, as
+    ``verify_equilibrium`` does.
     """
-    if dev_class.kind == "exact-all-subsets":
-        return _scan_classes(n, alpha, dev_class, graphs, _exact_checks(n, budget))
-    pairs = pair_list(n)
-    connected = 0
+    p = alpha.numerator
+    tables = list(_cost_tables(adj, alpha))
+    now = [h[_subset_index(row, v)] for v, (h, row) in enumerate(zip(tables, adj))]
+    graph = None
+    if _needs_context(dev_class):  # one graph layer serves every ownership
+        graph = graph_layer(profile_from_index(n, alpha, sum(3**k for k in ks)))
+
+    def walked(profile: StrategyProfile) -> int | None:
+        """The candidates walked when none improves, else None."""
+        contexts = _class_contexts(profile, dev_class, graph)
+        checked = 0
+        for v, h in enumerate(tables):
+            into = profile.bought_by[v]
+            for mask in _class_deviations(profile, v, dev_class, contexts):
+                checked += 1
+                if checked > budget:
+                    raise BudgetExceededError(
+                        f"verification exceeded budget {budget}", required=checked
+                    )
+                cost = h[_subset_index(into | mask, v)]
+                if cost is not None and cost + p * (into & mask).bit_count() < now[v]:
+                    return None
+        return checked
+
     found = []
-    for graph in graphs:
-        ks, _, adj = _graph_rows(n, pairs, graph)
-        if bfs_sum(adj, 0, (1 << n) - 1) is None:
-            continue
-        connected += 1 << len(ks)
-        for owners in product((1, 2), repeat=len(ks)):
-            index = sum(trit * 3**k for trit, k in zip(owners, ks))
-            profile = profile_from_index(n, alpha, index)
-            report = verify_equilibrium(profile, dev_class, budget)
-            if report.is_equilibrium:
-                found.append((index, profile, report))
-    return connected, found, None
+    for owners in product((1, 2), repeat=len(ks)):
+        profile = profile_from_index(n, alpha, sum(t * 3**k for t, k in zip(owners, ks)))
+        if (checked := walked(profile)) is not None:
+            found.append((owners, checked))
+    return found
 
 
-def _scan_classes(
-    n: int, alpha: Fraction, dev_class: DeviationClass, graphs: range, checks: int
+def scan_graph_range(
+    n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, list[tuple], tuple]:
-    """``scan_graph_range`` under the exact class, one table build per class.
+    """Decide every profile on n vertices, one connected graph per isomorphism class.
 
-    Relabelling the vertices maps Nash equilibria to Nash equilibria.  The
-    first connected graph of ``graphs`` that no earlier class covers is
-    decided from its cost tables (``_table_equilibria``), and every vertex
-    map carries the verdict to an image: each image inside ``graphs`` not
-    yet marked is marked, counted, and gets each equilibrium's image,
-    decoded once with the report ``verify_equilibrium`` gives it.  Images
-    outside ``graphs`` are skipped, so a shard is a pure function of its
-    range, and ``marked`` holds one bit per position in it.  The identity
-    map comes first, so each class's first images are its own equilibria,
-    recorded with the number of images marked as their weight.
+    Bit k of a graph index is pair k of ``pair_list(n)``.  The first
+    connected graph no earlier class covers is decided from its cost tables,
+    by ``_table_equilibria`` under the exact class, else ``_class_equilibria``,
+    and every vertex map carries the verdict to an image not yet marked:
+    it is marked, counted, and gets each equilibrium's image, decoded once,
+    with the representative's report under its own hash.  (Paper-strategy
+    candidates follow shortest path trees whose parent ties go to the
+    smallest id, so there an image's ``deviations_checked`` may differ from
+    ``verify_equilibrium``'s.)  The identity map comes first, so a class's
+    first images are its own equilibria, recorded with the number of images
+    marked as their weight.  Returns (connected-profile count, [(profile
+    index, profile, report)] per equilibrium, the representatives).
     """
+    exact = dev_class.kind == "exact-all-subsets"
+    checks = _exact_checks(n, budget) if exact else None
     pairs = pair_list(n)
     maps = _vertex_maps(n)
     spec = dev_class.spec()
-    marked = bytearray((len(graphs) + 7) >> 3)
+    marked = bytearray(((1 << len(pairs)) + 7) >> 3)
     connected = 0
     found = []
     records = []
-    for i, graph in enumerate(graphs):
-        if marked[i >> 3] >> (i & 7) & 1:
+    for graph in range(1 << len(pairs)):
+        if marked[graph >> 3] >> (graph & 7) & 1:
             continue
         ks, edges, adj = _graph_rows(n, pairs, graph)
         if bfs_sum(adj, 0, (1 << n) - 1) is None:
             continue
-        ownerships = _table_equilibria(adj, edges, alpha)
+        if exact:
+            ownerships = [(owners, checks) for owners in _table_equilibria(adj, edges, alpha)]
+        else:
+            ownerships = _class_equilibria(n, alpha, dev_class, ks, adj, budget)
         first = len(found)
         images = 0
         for bits, weights in maps:
             image = sum(map(bits.__getitem__, ks))
-            if image not in graphs:
+            if marked[image >> 3] >> (image & 7) & 1:
                 continue
-            j = graphs.index(image)
-            if marked[j >> 3] >> (j & 7) & 1:
-                continue
-            marked[j >> 3] |= 1 << (j & 7)
+            marked[image >> 3] |= 1 << (image & 7)
             connected += 1 << len(ks)
             images += 1
-            for owners in ownerships:
+            for owners, checked in ownerships:
                 index = sum(weights[k][trit] for k, trit in zip(ks, owners))
                 profile = profile_from_index(n, alpha, index)
-                report = VerificationReport(profile_hash(profile), spec, True, None, checks)
+                report = VerificationReport(profile_hash(profile), spec, True, None, checked)
                 found.append((index, profile, report))
         for _, profile, report in found[first : first + len(ownerships)]:
             records.append((profile, report, images))

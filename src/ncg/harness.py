@@ -3,20 +3,16 @@
 Profile documents are plain JSON: ``{"n": int, "alpha": "p/q" | int,
 "edges": [{"buyer": int, "other": int}, ...]}``.  Reports are CSV rows with
 a versioned header comment; a sweep runs one exhaustive enumeration per
-(n, alpha) cell.  Everything is deterministic for a fixed argv,
-including under worker sharding.
+(n, alpha) cell.  Everything is deterministic for a fixed argv.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import inf
 from pathlib import Path
 
@@ -34,7 +30,6 @@ from .game import BoughtEdge, is_connected
 from .structure import build_context, graph_layer
 
 SCHEMA_VERSION = 1
-POOL_THRESHOLD = 2000  # smaller cells stay serial: a pool costs more than it saves
 # Whatever the cap, enumeration stops here: n = 8 has 2^28 labelled graphs
 # and 8! relabellings per class.
 MAX_ENUMERATION_N = 7
@@ -189,7 +184,6 @@ class SweepSpec:
     dev_class: DeviationClass
     cap: int = 5
     budget: int = DEFAULT_BUDGET
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -219,13 +213,6 @@ class ReportRow:
         )
 
 
-def worker_count(jobs: int) -> int:
-    """``jobs`` capped at the CPU count; below 1 is an error."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
 def enumerate_cell(
     n: int,
     alpha: Fraction,
@@ -234,46 +221,21 @@ def enumerate_cell(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> EnumerationResult:
-    """Exhaustively scan one (n, alpha) cell; restricted classes may shard.
+    """Exhaustively scan one (n, alpha) cell.
 
     The scan walks the 2^(n(n-1)/2) underlying graphs (``scan_graph_range``)
-    and decides the ownerships of each connected one.  Under the exact class
-    per-vertex cost tables decide one graph per isomorphism class and its
-    verdict is carried to every relabelling; restricted classes verify each
-    ownership.  ``profiles_scanned`` counts the profiles covered,
-    3^(n(n-1)/2), not those verified.  n above ``cap`` or above
-    ``MAX_ENUMERATION_N`` is refused before anything is allocated.
-
-    Only restricted classes use a pool: a shard of an exact cell would
-    expand every class's relabellings to find its own members, so exact
-    cells run serially at any ``jobs``.  Shards interleave the graph indices
-    and equilibria are sorted by profile index, so parallel and serial runs
-    produce identical output.  ``jobs`` is capped by ``worker_count``; cells
-    below ``POOL_THRESHOLD`` profiles stay serial.
+    and decides the ownerships of one connected graph per isomorphism class
+    from per-vertex cost tables; each verdict is carried to every
+    relabelling.  ``profiles_scanned`` counts the profiles covered,
+    3^(n(n-1)/2), not those verified, and equilibria are sorted by profile
+    index.  n above ``cap`` or above ``MAX_ENUMERATION_N`` is refused before
+    anything is allocated.  ``jobs`` is ignored: every cell runs serially.
     """
-    jobs = worker_count(jobs)
     check_cell_n(n, cap)
-    total = 3 ** (n * (n - 1) // 2)
-    graphs = 1 << (n * (n - 1) // 2)
-    if jobs == 1 or total < POOL_THRESHOLD or dev_class.kind == "exact-all-subsets":
-        connected, found, representatives = scan_graph_range(
-            n, alpha, dev_class, range(graphs), budget
-        )
-    else:
-        # Dense graphs, with the most ownerships to verify, sit at high
-        # indices, so shards interleave indices rather than cut contiguous runs.
-        shard_count = jobs * 4
-        shards = [range(i, graphs, shard_count) for i in range(shard_count)]
-        connected = 0
-        found = []
-        representatives = None
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = (repeat(n), repeat(alpha), repeat(dev_class), shards, repeat(budget))
-            for shard_connected, shard_found, _ in pool.map(scan_graph_range, *args):
-                connected += shard_connected
-                found.extend(shard_found)
+    connected, found, representatives = scan_graph_range(n, alpha, dev_class, budget)
     found.sort(key=lambda item: item[0])
     equilibria = tuple((profile, report) for _, profile, report in found)
+    total = 3 ** (n * (n - 1) // 2)
     return EnumerationResult(n, alpha, total, connected, equilibria, representatives)
 
 
@@ -362,7 +324,7 @@ def sweep_cells(spec: SweepSpec) -> Iterator[tuple[EnumerationResult, ReportRow]
         check_cell_n(n, spec.cap)
     cells = [(n, cell_alpha(expr, n)) for n in spec.n_values for expr in spec.alpha_expressions]
     for n, alpha in cells:
-        result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget, spec.jobs)
+        result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget)
         yield result, build_report_row(result)
 
 

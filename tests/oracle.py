@@ -5,14 +5,17 @@ replaced: it decodes, connectivity-checks and verifies every one of the
 3^(n(n-1)/2) profile indices in order, with no filter.
 ``oracle_graph_scan`` is the exact graph scan that builds cost tables for
 every labelled connected graph, the scan the per-isomorphism-class decision
-replaced.  ``oracle_verify``
+replaced, and ``oracle_ownership_scan`` the loop that verified every
+ownership of every labelled connected graph under a restricted class, the
+one pricing candidates by table lookup replaced.  ``oracle_verify``
 is the per-candidate verification loop the shared strategy-pricing loop
 replaced: every candidate is priced from raw edge lists by
 ``gadgets.oracle_delta``, and ``oracle_class_move`` is the per-candidate
 loop restricted dynamics ran before they priced candidates as masks.  Both
 enumerate every class as target sets, the paper strategies from
-``oracle_sellable_edges``, as does ``oracle_sell_selections`` for the bound
-audits.  ``oracle_best_response`` is the full scan the
+``oracle_sellable_edges`` in one ``oracle_context`` per H vertex of least
+connection cost, as does ``oracle_sell_selections`` for the bound audits
+in one context.  ``oracle_best_response`` is the full scan the
 size-bounded exact scan replaced: every target set is priced by
 ``_distance_sums`` and the least (cost, size, sorted tuple) wins.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
@@ -41,7 +44,7 @@ adjacency entry at a time on set-based paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
 
 from gadgets import oracle_delta
@@ -155,13 +158,43 @@ def oracle_graph_scan(
     return connected, found
 
 
-def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ctx):
+def oracle_ownership_scan(
+    n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
+) -> EnumerationResult:
+    """The cell ``enumerate_cell`` must give, one ``verify_equilibrium`` per
+    ownership of every labelled connected graph: the restricted-class loop
+    that deciding one graph per isomorphism class from cost tables replaced.
+    """
+    pairs = pair_list(n)
+    connected = 0
+    found = []
+    for graph in range(1 << len(pairs)):
+        ks = [k for k in range(len(pairs)) if graph >> k & 1]
+        adj = [0] * n
+        for a, b in (pairs[k] for k in ks):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        if bfs_sum(adj, 0, (1 << n) - 1) is None:
+            continue
+        connected += 1 << len(ks)
+        for owners in product((1, 2), repeat=len(ks)):
+            index = sum(trit * 3**k for trit, k in zip(owners, ks))
+            profile = profile_from_index(n, alpha, index)
+            report = verify_equilibrium(profile, dev_class, budget)
+            if report.is_equilibrium:
+                found.append((index, profile, report))
+    equilibria = tuple((profile, report) for _, profile, report in sorted(found, key=lambda f: f[0]))
+    return EnumerationResult(n, alpha, 3 ** len(pairs), connected, equilibria)
+
+
+def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, contexts):
     """``_class_deviations`` as target sets, every class enumerated from sets.
 
     Exact candidates come in subset-index order: bit i of the index is the
     i-th vertex other than v.  Paper strategies sell each nonempty subset of
-    ``oracle_sellable_edges`` and need ``ctx``, an ``oracle_context``.
-    Composites drop repeats, first part first.
+    ``oracle_sellable_edges`` in each of ``contexts``, one ``oracle_context``
+    per tied root, and drop repeats.  Composites drop repeats, first part
+    first.
     """
     others = [u for u in range(profile.n) if u != v]
     current = oracle_targets(profile, v)
@@ -187,20 +220,23 @@ def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ct
                 yield current.symmetric_difference(flip)
     elif cls.kind.startswith("paper-strategy-"):
         which = cls.kind[-1]
-        if ctx is None or len(ctx.h_vertices) < 3 or v not in ctx.h_vertices or v == ctx.root:
-            return
-        sellable = [t for _, t in oracle_sellable_edges(ctx, v, which == "3", 2)]
-        for size in range(1, len(sellable) + 1):
-            for sold in combinations(sellable, size):
-                s = current - set(sold)
-                if which != "1":
-                    s |= {ctx.root}
-                if s != current:
-                    yield s
+        seen = {current}
+        for ctx in contexts:
+            if len(ctx.h_vertices) < 3 or v not in ctx.h_vertices or v == ctx.root:
+                continue
+            sellable = [t for _, t in oracle_sellable_edges(ctx, v, which == "3", 2)]
+            for size in range(1, len(sellable) + 1):
+                for sold in combinations(sellable, size):
+                    s = current - set(sold)
+                    if which != "1":
+                        s |= {ctx.root}
+                    if s not in seen:
+                        seen.add(s)
+                        yield s
     elif cls.kind == "composite":
         seen = set()
         for part in cls.parts:
-            for s in _oracle_candidates(profile, v, part, ctx):
+            for s in _oracle_candidates(profile, v, part, contexts):
                 if s not in seen:
                     seen.add(s)
                     yield s
@@ -208,12 +244,16 @@ def _oracle_candidates(profile: StrategyProfile, v: int, cls: DeviationClass, ct
         raise AssertionError(f"unhandled class kind {cls.kind}")
 
 
-def _oracle_class_context(profile: StrategyProfile, cls: DeviationClass):
-    """The ``oracle_context`` paper strategies read, or None when the class
-    has none or the profile is disconnected."""
+def _oracle_class_contexts(profile: StrategyProfile, cls: DeviationClass) -> list:
+    """The ``oracle_context`` paper strategies read at each H vertex of least
+    connection cost, in id order; none when the class has no paper strategy
+    or the profile is disconnected."""
     if "paper-strategy" not in cls.spec() or not is_connected(profile):
-        return None
-    return oracle_context(profile)
+        return []
+    dist = all_pairs_distances(profile)
+    h_vertices = sorted(largest_biconnected_component(profile).largest_vertices())
+    least = min((sum(dist[v]) for v in h_vertices), default=None)
+    return [oracle_context(profile, v) for v in h_vertices if sum(dist[v]) == least]
 
 
 def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> VerificationReport:
@@ -223,10 +263,10 @@ def oracle_verify(profile: StrategyProfile, dev_class: DeviationClass) -> Verifi
     if profile.n > 1 and not is_connected(profile):
         dev = Deviation(0, frozenset(range(1, profile.n)))
         return VerificationReport(digest, spec, False, (dev, -inf), 1)
-    ctx = _oracle_class_context(profile, dev_class)
+    contexts = _oracle_class_contexts(profile, dev_class)
     checked = 0
     for v in range(profile.n):
-        for targets in _oracle_candidates(profile, v, dev_class, ctx):
+        for targets in _oracle_candidates(profile, v, dev_class, contexts):
             checked += 1
             delta = oracle_delta(profile, v, targets)
             if delta < 0:
@@ -241,9 +281,9 @@ def oracle_class_move(
     """What dynamics must pick for v under a restricted class: every
     candidate priced by ``gadgets.oracle_delta``, the least (delta, size,
     sorted tuple) among the strict improvements, or None."""
-    ctx = _oracle_class_context(profile, cls)
+    contexts = _oracle_class_contexts(profile, cls)
     best = None
-    for targets in _oracle_candidates(profile, v, cls, ctx):
+    for targets in _oracle_candidates(profile, v, cls, contexts):
         delta = oracle_delta(profile, v, targets)
         if delta >= 0:
             continue
@@ -372,12 +412,14 @@ def oracle_h_neighbours(ctx: StrategyContext, v: int) -> tuple[int, ...]:
     return tuple(sorted((e[0] if e[1] == v else e[1]) for e in ctx.h_edges if v in e))
 
 
-def oracle_context(profile: StrategyProfile) -> StrategyContext:
-    """``build_context`` from the public structure calls; girth by ``global_girth``."""
+def oracle_context(profile: StrategyProfile, root: int | None = None) -> StrategyContext:
+    """``build_context`` from the public structure calls; girth by
+    ``global_girth``, the root by ``choose_root`` unless given."""
     dist = all_pairs_distances(profile)
     decomposition = largest_biconnected_component(profile)
     h_vertices = decomposition.largest_vertices()
-    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
+    if root is None:
+        root = choose_root(profile, dist, h_vertices) if h_vertices else 0
     spt = build_spt(profile, dist, root)
     return StrategyContext(
         profile=profile,

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial, inf
 
@@ -25,6 +26,7 @@ from oracle import (
     oracle_cell,
     oracle_class_move,
     oracle_graph_scan,
+    oracle_ownership_scan,
     oracle_verify,
 )
 from strategies import (
@@ -52,7 +54,7 @@ from ncg.equilibrium import (
     Deviation,
     _best_class_move,
     _bounded_scan,
-    _class_context,
+    _class_contexts,
     _class_deviations,
     _distance_sums,
     _greedy_tables,
@@ -434,14 +436,14 @@ def test_restricted_moves_match_oracle(spec, p):
     # The move and its delta against every candidate priced by the oracle.
     cls = DeviationClass.parse(spec)
     for v in range(p.n):
-        move = _best_class_move(p, v, cls, DEFAULT_BUDGET, _class_context(p, cls))
+        move = _best_class_move(p, v, cls, DEFAULT_BUDGET, _class_contexts(p, cls))
         assert move == oracle_class_move(p, v, cls), v
 
 
 def test_paper_strategies_add_nothing_while_disconnected():
     p = profile(4, 9, [(0, 1), (2, 3)])
     paper = DeviationClass.parse("paper-strategy-1")
-    assert list(_class_deviations(p, 0, paper, None)) == []
+    assert list(_class_deviations(p, 0, paper, _class_contexts(p, paper))) == []
     assert best_response_dynamics(p, paper).steps == ()
     trace = best_response_dynamics(p, DeviationClass.parse("single-add,paper-strategy-1"))
     assert trace.steps[0] == (0, Deviation(0, frozenset({1, 2})), -inf)
@@ -452,9 +454,10 @@ def test_paper_strategy_dynamics_build_one_context_per_profile(monkeypatch):
     import ncg.equilibrium as eq
     from ncg.audit import scaffold_profile
 
+    # one graph layer per profile serves the context of each tied root
     built = []
-    build = eq.build_context
-    monkeypatch.setattr(eq, "build_context", lambda p: built.append(p) or build(p))
+    layer = eq.graph_layer
+    monkeypatch.setattr(eq, "graph_layer", lambda p: built.append(p) or layer(p))
     trace = best_response_dynamics(scaffold_profile(3), DeviationClass.parse("paper-strategy-1"))
     assert len(trace.steps) == 1 and trace.converged
     assert len(built) == 2  # the start and the profile after the one move
@@ -576,6 +579,98 @@ def test_graph_first_scan_matches_index_oracle_n5():
         assert enumerate_cell(5, alpha, EXACT) == oracle_cell(5, alpha, EXACT), alpha
 
 
+# Every class of VERIFY_SPECS, and a restricted class beside a paper strategy.
+CELL_SPECS = [*VERIFY_SPECS, "single-delete,paper-strategy-2"]
+THREE_STRATEGIES = "paper-strategy-1,paper-strategy-2,paper-strategy-3"
+RESTRICTED_SPECS = [spec for spec in CELL_SPECS if spec != "exact"] + [THREE_STRATEGIES]
+
+
+@cache
+def _ownership_loop(n: int, alpha: Fraction, spec: str):
+    return oracle_ownership_scan(n, alpha, DeviationClass.parse(spec))
+
+
+def _assert_closed_under_relabelling(result, counts: bool = True) -> None:
+    """Every vertex map sends each equilibrium of ``result`` to one, with the
+    same ``deviations_checked`` when ``counts``.  A transposition and an
+    n-cycle generate every vertex map, so they are the ones applied."""
+    n = result.n
+    checked = {p.edges: report.deviations_checked for p, report in result.equilibria}
+    for pi in ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ():
+        for p, report in result.equilibria:
+            image = tuple(sorted(BoughtEdge(pi[e.buyer], pi[e.other]) for e in p.edges))
+            assert image in checked, (p, pi)
+            assert not counts or checked[image] == report.deviations_checked, (p, pi)
+
+
+@pytest.mark.parametrize("spec", CELL_SPECS)
+def test_cells_match_the_ownership_loop(spec):
+    # whole results, every report and deviations_checked included, against
+    # one verify_equilibrium per ownership of every labelled graph
+    cls = DeviationClass.parse(spec)
+    for n in range(1, 5):
+        for alpha in ORACLE_ALPHAS:
+            assert enumerate_cell(n, alpha, cls) == _ownership_loop(n, alpha, spec), (n, alpha)
+
+
+@pytest.mark.parametrize("spec", ["single-add", "single-swap", "k-subset:2"])
+def test_cells_match_the_ownership_loop_n5(spec):
+    cls = DeviationClass.parse(spec)
+    want = oracle_ownership_scan(5, Fraction(3), cls)
+    assert enumerate_cell(5, Fraction(3), cls) == want
+    if spec == "single-add":
+        _assert_closed_under_relabelling(want)
+
+
+@pytest.mark.parametrize("spec", RESTRICTED_SPECS)
+def test_restricted_equilibria_are_closed_under_relabelling(spec):
+    # Read off the labelled loop, so it is the class's own property: the
+    # scan decides one graph per isomorphism class on the strength of it.
+    # Paper-strategy candidates follow shortest path trees whose parent ties
+    # go to the smallest id, so only their verdicts are closed, not their
+    # deviations_checked.
+    for n in range(1, 5):
+        for alpha in ORACLE_ALPHAS:
+            result = _ownership_loop(n, alpha, spec)
+            _assert_closed_under_relabelling(result, counts="paper" not in spec)
+
+
+def test_three_strategy_counts_n4():
+    # every tied root's candidates; with the smallest id's alone alpha 2
+    # had 164 equilibria, 30 of them with an image that was not one
+    cls = DeviationClass.parse(THREE_STRATEGIES)
+    assert [len(enumerate_cell(4, Fraction(a), cls).equilibria) for a in (2, 3)] == [134, 128]
+
+
+def test_restricted_scan_prices_by_lookup(monkeypatch):
+    expected = _ownership_loop(4, Fraction(2), "single-add")
+
+    def refuse(*args):
+        raise AssertionError("the scan priced a candidate by BFS")
+
+    monkeypatch.setattr("ncg.equilibrium.verify_equilibrium", refuse)
+    monkeypatch.setattr("ncg.equilibrium._distance_sums", refuse)
+    assert enumerate_cell(4, Fraction(2), DeviationClass.parse("single-add")) == expected
+
+
+def test_restricted_cell_budget_counts_candidates_per_ownership():
+    # single-add walks n(n-1) - m candidates on a stable ownership, at most 9
+    # at n = 4, and this path is stable at alpha 2
+    from ncg.cli import cmd_run
+
+    cls = DeviationClass.parse("single-add")
+    path = profile(4, 2, [(0, 1), (1, 2), (2, 3)])
+    assert verify_equilibrium(path, cls).deviations_checked == 9
+    with pytest.raises(BudgetExceededError):
+        verify_equilibrium(path, cls, budget=8)
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_cell(4, Fraction(2), cls, budget=8)
+    assert err.value.required == 9
+    assert enumerate_cell(4, Fraction(2), cls, budget=9) == enumerate_cell(4, Fraction(2), cls)
+    argv = ["enumerate", "--n", "4", "--alpha", "2", "--class", "single-add", "--budget", "8"]
+    assert cmd_run(argv) == 2
+
+
 def _by_index(scan):
     connected, found = scan[:2]
     return connected, sorted(found, key=lambda item: item[0])
@@ -586,32 +681,13 @@ def test_class_scan_matches_labelled_scan(n):
     # connected counts, profiles and reports, one table build per labelled graph
     graphs = range(1 << (n * (n - 1) // 2))
     for alpha in ORACLE_ALPHAS:
-        got = _by_index(scan_graph_range(n, alpha, EXACT, graphs))
+        got = _by_index(scan_graph_range(n, alpha, EXACT))
         assert got == _by_index(oracle_graph_scan(n, alpha, graphs)), alpha
 
 
 def test_class_scan_matches_labelled_scan_n6():
-    graphs = range(1 << 15)
-    got = _by_index(scan_graph_range(6, Fraction(3), EXACT, graphs))
-    assert got == _by_index(oracle_graph_scan(6, Fraction(3), graphs))
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_interleaved_shards_union_to_the_whole_range(n):
-    # each shard meets its own representatives and skips images outside it
-    count = 1 << (n * (n - 1) // 2)
-    alphas = [Fraction(1, 2), Fraction(2), Fraction(3), Fraction(2 * n + 1)]
-    if n < 5:  # at n = 5, alpha 1 decodes 43,728 equilibria per union
-        alphas.append(Fraction(1))
-    for alpha in alphas:
-        whole = _by_index(scan_graph_range(n, alpha, EXACT, range(count)))
-        for shards in (2, 3, 8):
-            scans = [scan_graph_range(n, alpha, EXACT, range(i, count, shards)) for i in range(shards)]
-            union = (sum(c for c, _, _ in scans), [item for _, found, _ in scans for item in found])
-            assert _by_index(union) == whole, (alpha, shards)
-            # a shard's records weigh only the images inside its range
-            for _, found, records in scans:
-                assert sum(weight for *_, weight in records) == len(found), (alpha, shards)
+    got = _by_index(scan_graph_range(6, Fraction(3), EXACT))
+    assert got == _by_index(oracle_graph_scan(6, Fraction(3), range(1 << 15)))
 
 
 def test_exact_cell_builds_one_table_per_class(monkeypatch):
@@ -646,8 +722,7 @@ def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, label
     import ncg.equilibrium as eq
 
     monkeypatch.setattr(eq, "_table_equilibria", lambda adj, edges, alpha: [(1,) * len(edges)])
-    graphs = range(1 << (n * (n - 1) // 2))
-    connected, found, records = scan_graph_range(n, Fraction(3), EXACT, graphs)
+    connected, found, records = scan_graph_range(n, Fraction(3), EXACT)
     assert len(records) == classes
     for p, _, weight in records:
         assert weight == factorial(n) // _automorphism_count(p.adj), p
@@ -658,12 +733,14 @@ def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, label
 @pytest.mark.parametrize("n", range(1, 6))
 def test_weighted_row_equals_labelled_row(n):
     # each class record audited once and weighted folds to the row that
-    # audits every labelled equilibrium, all eight fields
-    for alpha in ORACLE_ALPHAS:
-        result = enumerate_cell(n, alpha, EXACT)
-        assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
-        labelled = replace(result, representatives=None)
-        assert build_report_row(result) == build_report_row(labelled), alpha
+    # audits every labelled equilibrium, all eight fields; restricted cells
+    # carry class records too, checked up to n = 4
+    for spec in ["exact"] + (RESTRICTED_SPECS if n < 5 else []):
+        for alpha in ORACLE_ALPHAS:
+            result = enumerate_cell(n, alpha, DeviationClass.parse(spec))
+            assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
+            labelled = replace(result, representatives=None)
+            assert build_report_row(result) == build_report_row(labelled), (spec, alpha)
 
 
 def test_weighted_row_equals_labelled_row_n6():

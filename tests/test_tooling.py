@@ -1,5 +1,7 @@
-"""The benchmark's smoke run, which re-drives ncg through its public calls."""
+"""Tooling guards: the benchmark's smoke run, which re-drives ncg through its
+public calls, and what importing the CLI loads."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,3 +36,17 @@ def test_perfbench_smoke_exits_0():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr[-4000:]
+
+
+def test_cli_import_loads_no_process_pool():
+    # a process pool's modules cost about 20 ms of import time per run
+    code = (
+        "import sys, ncg.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
