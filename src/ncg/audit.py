@@ -219,9 +219,7 @@ def audit_deviation_bound(
     if buys_root and u == ctx.root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
     new = ctx.rewrite(u, strategy_kind, sold_targets)
-    adj = list(ctx.profile.adj)
-    adj[u] = ctx.profile.bought_by[u] | new
-    new_sum = bfs_sum(adj, u, (1 << ctx.n) - 1)
+    new_sum = bfs_sum(ctx.profile.adj, u, ctx.profile.bought_by[u] | new)
     if new_sum is None:
         exact = inf
     else:
@@ -449,11 +447,13 @@ def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return bfs_sum(adj, min(vertices), sum(1 << v for v in vertices)) is not None
+    # |V| - 1 edges that reach all of V from one vertex are a tree on V.
+    dist = bfs_distances(adj, min(vertices))
+    return all(dist[v] != inf for v in vertices)
 
 
 def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
-    coverage, min_cycles = ctx.min_cycles  # once per graph; only ownership is read here
+    coverage, min_cycles = ctx.min_cycles  # once per context; only ownership is read here
     bad = [c for c in min_cycles if not cycle_directed(ctx.profile, c)]
     return _finding(
         "directed-mincycles", applicable, not bad, informational,

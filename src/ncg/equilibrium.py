@@ -159,17 +159,12 @@ def _distance_sums(profile: StrategyProfile, v: int, masks):
     This prices restricted classes in verification and dynamics
     (``_class_costs``); exact scans use ``sized_sums``.
 
-    The sum is None when v is cut off from some vertex.  Only row v is
-    rewritten, to the edges others bought to v plus the mask: a BFS from v
-    never follows an edge back into v, so the other rows may keep v's
-    current purchases.
+    The sum is None when v is cut off from some vertex.  v's row is the
+    edges others bought to v plus the mask.
     """
-    adj = list(profile.adj)
-    bought_by = profile.bought_by[v]
-    full = (1 << profile.n) - 1
+    adj, bought_by = profile.adj, profile.bought_by[v]
     for mask in masks:
-        adj[v] = bought_by | mask
-        yield mask, bfs_sum(adj, v, full)
+        yield mask, bfs_sum(adj, v, bought_by | mask)
 
 
 def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
@@ -186,7 +181,7 @@ def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
     adj, bought_by = profile.adj, profile.bought_by[v]
     m = profile.n - 1
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    current_sum = bfs_sum(adj, v, (1 << profile.n) - 1)
+    current_sum = bfs_sum(adj, v, adj[v])
     if current_sum is None:
         return inf, sized_sums(adj, v, bought_by, m)
     cost = p * profile.bought[v].bit_count() + q * current_sum
@@ -218,11 +213,9 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
     if not all(0 <= t < profile.n for t in new_targets):
         raise ValueError("deviation target outside the vertex range")
 
-    full = (1 << profile.n) - 1
-    old_sum = bfs_sum(profile.adj, v, full)
-    adj = list(profile.adj)
-    adj[v] = profile.bought_by[v] | sum(1 << t for t in new_targets)
-    new_sum = bfs_sum(adj, v, full)
+    adj = profile.adj
+    old_sum = bfs_sum(adj, v, adj[v])
+    new_sum = bfs_sum(adj, v, profile.bought_by[v] | sum(1 << t for t in new_targets))
 
     if new_sum is None:
         return inf
@@ -803,7 +796,7 @@ def scan_graph_range(
         if marked[graph >> 3] >> (graph & 7) & 1:
             continue
         ks, edges, adj = _graph_rows(n, pairs, graph)
-        if bfs_sum(adj, 0, (1 << n) - 1) is None:
+        if bfs_sum(adj, 0, adj[0]) is None:
             continue
         if exact:
             ownerships = [(owners, checks) for owners in _table_equilibria(adj, edges, alpha)]

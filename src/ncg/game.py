@@ -87,10 +87,6 @@ class StrategyProfile:
         """Deduplicated underlying edges, each as (low, high), sorted."""
         return tuple(sorted({e.endpoints() for e in self.edges}))
 
-    def adjacency(self) -> list[list[int]]:
-        """Sorted adjacency lists of the underlying undirected graph."""
-        return [mask_members(row) for row in self.adj]
-
     def targets_of(self, v: int) -> frozenset[int]:
         """Vertices that ``v`` currently buys edges to."""
         return frozenset(mask_members(self.bought[v]))
@@ -179,12 +175,15 @@ def bfs_distances(adj: Sequence[int], source: int, blocked: int = 0) -> list[int
     return dist
 
 
-def bfs_sum(adj: Sequence[int], source: int, full: int) -> int | None:
-    """Sum of BFS distances from source; None when the graph is not covered."""
-    seen = 1 << source
-    frontier = seen
-    total = 0
-    d = 0
+def bfs_sum(adj: Sequence[int], v: int, row: int) -> int | None:
+    """v's distance sum when v's neighbours are ``row``; None when v misses a vertex.
+
+    A BFS from v never re-enters v, so the other rows may still list v.
+    """
+    frontier = row
+    seen = row | 1 << v
+    total = frontier.bit_count()
+    d = 1
     while frontier:
         d += 1
         nxt = 0
@@ -196,7 +195,7 @@ def bfs_sum(adj: Sequence[int], source: int, full: int) -> int | None:
         frontier = nxt & ~seen
         seen |= frontier
         total += d * frontier.bit_count()
-    return total if seen == full else None
+    return total if seen == (1 << len(adj)) - 1 else None
 
 
 def ball_levels(adj: Sequence[int], sources: int, blocked: int) -> int:
@@ -314,4 +313,4 @@ def vertex_cost(profile: StrategyProfile, dist: DistanceMatrix, v: int) -> CostB
 
 def is_connected(profile: StrategyProfile) -> bool:
     """True iff every pair of vertices is at finite distance."""
-    return bfs_sum(profile.adj, 0, (1 << profile.n) - 1) is not None
+    return bfs_sum(profile.adj, 0, profile.adj[0]) is not None

@@ -7,17 +7,16 @@ subtree sizes, the ladder of edge classes built from out-edges (X-levels),
 smallest cycles through vertices and edges, and shortest-path funnels
 (S-sets).  ``build_context`` bundles all of them into one
 ``StrategyContext`` in two layers: ``graph_layer`` holds what depends only
-on the graph (distances, blocks with H, connection costs, root, cycles,
-girth, and on first use the min-cycles), shared by every ownership of one
-graph, and the shortest path tree and edge classes depend on who bought
-which edge.
+on the graph (distances, blocks with H, connection costs, root, cycles and
+girth), shared by every ownership of one graph, and the shortest path tree
+and edge classes depend on who bought which edge.  Each context computes
+its min-cycles when they are first read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import inf
@@ -66,8 +65,9 @@ class BiconnectedDecomposition:
         return self.edge_components[self.largest] if self.largest is not None else frozenset()
 
 
-def _biconnected_edge_groups(n: int, adj: list[list[int]]) -> list[list[Edge]]:
-    """Iterative lowpoint DFS; returns the edge set of every biconnected piece."""
+def _biconnected_edge_groups(n: int, adj: tuple[int, ...]) -> list[list[Edge]]:
+    """Iterative lowpoint DFS over bitmask rows, neighbours in increasing
+    order; returns the edge set of every biconnected piece."""
     disc = [0] * n  # 0 = unvisited, else discovery time from 1
     low = [0] * n
     timer = 1
@@ -78,19 +78,20 @@ def _biconnected_edge_groups(n: int, adj: list[list[int]]) -> list[list[Edge]]:
             continue
         disc[start] = low[start] = timer
         timer += 1
-        stack: list[tuple[int, int, int]] = [(start, -1, 0)]  # (vertex, parent, next index)
+        stack: list[tuple[int, int, int]] = [(start, -1, adj[start])]  # (vertex, parent, unread)
         while stack:
-            v, parent, i = stack[-1]
-            if i < len(adj[v]):
-                stack[-1] = (v, parent, i + 1)
-                w = adj[v][i]
+            v, parent, rest = stack[-1]
+            if rest:
+                low_bit = rest & -rest
+                stack[-1] = (v, parent, rest ^ low_bit)
+                w = low_bit.bit_length() - 1
                 if w == parent:
                     continue
                 if not disc[w]:
                     edge_stack.append(_as_edge(v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, 0))
+                    stack.append((w, v, adj[w]))
                 elif disc[w] < disc[v]:  # back edge
                     edge_stack.append(_as_edge(v, w))
                     low[v] = min(low[v], disc[w])
@@ -116,7 +117,7 @@ def largest_biconnected_component(profile: StrategyProfile) -> BiconnectedDecomp
     """Decompose the underlying graph; requires a connected profile."""
     if not is_connected(profile):
         raise ValueError("biconnected decomposition requires a connected profile")
-    groups = _biconnected_edge_groups(profile.n, profile.adjacency())
+    groups = _biconnected_edge_groups(profile.n, profile.adj)
     packed = []
     for group in groups:
         vertices = frozenset(v for e in group for v in e)
@@ -425,28 +426,31 @@ def all_simple_cycles(profile: StrategyProfile, limit: int = 100_000) -> list[tu
     Enumerates cycles by their minimum vertex: paths out of ``s`` through
     larger vertices only, emitted when they close back to ``s`` with the
     second vertex smaller than the last, which is the canonical orientation.
-    A step is one adjacency entry read; the budget is checked once per
-    vertex read, which exceeds it exactly when some single step would.
+    A step is one neighbour read; the budget is checked once per row read,
+    which exceeds it exactly when some single step would.  Paths extend in
+    increasing neighbour order.
     """
-    adj = profile.adjacency()
+    adj = profile.adj
     cycles: list[tuple[int, ...]] = []
     steps = 0
     for s in range(profile.n):
-        stack: list[tuple[tuple[int, ...], int]] = [((s,), 1 << s)]  # (path, its vertex mask)
+        # (path, mask of the path and every vertex below s): the vertices it may not enter
+        stack: list[tuple[tuple[int, ...], int]] = [((s,), (2 << s) - 1)]
         while stack:
             path, used = stack.pop()
             row = adj[path[-1]]
-            steps += len(row)
+            steps += row.bit_count()
             if steps > limit:
                 raise BudgetExceededError(
                     f"cycle enumeration exceeded {limit} steps", required=limit + 1
                 )
-            for w in row:
-                if w == s and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        cycles.append(path)
-                elif w > s and not used >> w & 1:
-                    stack.append((path + (w,), used | 1 << w))
+            if row >> s & 1 and len(path) >= 3 and path[1] < path[-1]:
+                cycles.append(path)
+            ahead = row & ~used
+            while ahead:
+                low = ahead & -ahead
+                stack.append((path + (low.bit_length() - 1,), used | low))
+                ahead ^= low
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
@@ -555,9 +559,7 @@ class StrategyContext:
     """Everything the audits read: distances, H, the rooted tree, classes, cycles.
 
     ``connections`` holds every vertex's connection cost; when it is not
-    given it is summed from ``dist``.  ``graph`` is the graph layer the
-    context was built on, if any; contexts that share one share its
-    min-cycles.
+    given it is summed from ``dist``.
     """
 
     profile: StrategyProfile
@@ -571,7 +573,6 @@ class StrategyContext:
     cycles: CycleReport
     girth: int | float
     connections: tuple[int | float, ...] | None = field(default=None, compare=False, repr=False)
-    graph: GraphLayer | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.connections is None:
@@ -613,9 +614,7 @@ class StrategyContext:
 
     @cached_property
     def min_cycles(self) -> tuple[str, tuple[tuple[int, ...], ...]]:
-        """``min_cycles`` of the graph, computed once per graph layer."""
-        if self.graph is not None:
-            return self.graph.min_cycles()
+        """``min_cycles`` of the graph, computed on the first read."""
         return min_cycles(self.profile, self.dist, self.cycles)
 
     def x_level(self, edge: Edge) -> int | None:
@@ -681,28 +680,11 @@ class StrategyContext:
         return new
 
 
-class _Once:
-    """A call made on first use only, its result kept; unlike
-    ``functools.cache`` around a ``partial``, it pickles."""
-
-    __slots__ = ("call", "result")
-
-    def __init__(self, call: Callable):
-        self.call = call
-
-    def __call__(self):
-        if self.call is not None:
-            self.result, self.call = self.call(), None
-        return self.result
-
-
 class GraphLayer(NamedTuple):
     """The part of a context that depends only on the graph, not on ownership.
 
     A named tuple rather than a dataclass: it has no methods, and a frozen
     dataclass takes about ten times as long to define, on every import.
-    ``min_cycles()`` returns ``min_cycles`` of the graph, computed on the
-    first call only.
     """
 
     adj: tuple[int, ...]
@@ -712,14 +694,13 @@ class GraphLayer(NamedTuple):
     root: int
     cycles: CycleReport
     girth: int | float
-    min_cycles: Callable[[], tuple[str, tuple[tuple[int, ...], ...]]]
 
 
 def graph_layer(profile: StrategyProfile) -> GraphLayer:
     """The graph layer of a connected profile's context.
 
-    Distances, blocks, connection costs, root, cycles, girth and the lazy
-    min-cycles; every profile with the same ``adj`` shares it.
+    Distances, blocks, connection costs, root, cycles and girth; every
+    profile with the same ``adj`` shares it.
     """
     if not is_connected(profile):
         raise ValueError("audit context requires a connected profile")
@@ -730,10 +711,7 @@ def graph_layer(profile: StrategyProfile) -> GraphLayer:
     root = choose_root(profile, dist, h_vertices) if h_vertices else 0
     cycles = cycle_report(profile, decomposition, dist)
     girth = _girth(profile, decomposition, cycles)
-    lazy_min_cycles = _Once(partial(min_cycles, profile, dist, cycles))
-    return GraphLayer(
-        profile.adj, dist, decomposition, connections, root, cycles, girth, lazy_min_cycles
-    )
+    return GraphLayer(profile.adj, dist, decomposition, connections, root, cycles, girth)
 
 
 def build_context(profile: StrategyProfile, graph: GraphLayer | None = None) -> StrategyContext:
@@ -763,7 +741,6 @@ def build_context(profile: StrategyProfile, graph: GraphLayer | None = None) -> 
         cycles=graph.cycles,
         girth=graph.girth,
         connections=graph.connections,
-        graph=graph,
     )
 
 

@@ -147,7 +147,7 @@ def oracle_graph_scan(
         for a, b in edges:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        if bfs_sum(adj, 0, (1 << n) - 1) is None:
+        if bfs_sum(adj, 0, adj[0]) is None:
             continue
         connected += 1 << len(edges)
         for owners in _table_equilibria(adj, edges, alpha):
@@ -174,7 +174,7 @@ def oracle_ownership_scan(
         for a, b in (pairs[k] for k in ks):
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        if bfs_sum(adj, 0, (1 << n) - 1) is None:
+        if bfs_sum(adj, 0, adj[0]) is None:
             continue
         connected += 1 << len(ks)
         for owners in product((1, 2), repeat=len(ks)):

@@ -463,6 +463,20 @@ def test_paper_strategy_dynamics_build_one_context_per_profile(monkeypatch):
     assert len(built) == 2  # the start and the profile after the one move
 
 
+def test_paper_strategies_never_enumerate_cycles(monkeypatch):
+    import ncg.structure as structure
+    from ncg.audit import scaffold_profile
+
+    def refuse(*args):
+        raise AssertionError("paper strategies read no min-cycles")
+
+    monkeypatch.setattr(structure, "all_simple_cycles", refuse)
+    three = DeviationClass.parse(THREE_STRATEGIES)
+    assert best_response_dynamics(scaffold_profile(3), three).converged
+    for alpha in (Fraction(2), Fraction(9)):
+        assert enumerate_cell(4, alpha, three).equilibria
+
+
 def test_dynamics_random_order_is_seeded():
     a = best_response_dynamics(directed_ring(4, 2), EXACT, "random", 20, seed=11)
     b = best_response_dynamics(directed_ring(4, 2), EXACT, "random", 20, seed=11)

@@ -51,6 +51,7 @@ from ncg import (
 )
 from ncg.audit import scaffold_profile
 from ncg.errors import BudgetExceededError
+from ncg.game import mask_members
 from ncg.structure import (
     all_simple_cycles,
     canonical_cycle,
@@ -315,6 +316,41 @@ def test_all_simple_cycles_counts():
     assert sorted(len(c) for c in cycles) == [3, 3, 4]
 
 
+def _oracle_blocks(p) -> set[frozenset]:
+    """Edge sets of the blocks: two edges share a block iff some simple cycle
+    holds both, and an edge on no cycle is a bridge, a block of its own."""
+    edges = p.undirected_edges()
+    block = {e: e for e in edges}
+
+    def find(e):
+        while block[e] != e:
+            e = block[e]
+        return e
+
+    for cycle in oracle_simple_cycles(p, 10**9):
+        ring = [tuple(sorted(pair)) for pair in zip(cycle, cycle[1:] + cycle[:1])]
+        for e in ring[1:]:
+            block[find(e)] = find(ring[0])
+    groups: dict = {}
+    for e in edges:
+        groups.setdefault(find(e), set()).add(e)
+    return {frozenset(g) for g in groups.values()}
+
+
+@example(two_triangles())
+@example(ring_with_pendant())
+@given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=8)))
+@settings(max_examples=80, deadline=None)
+def test_blocks_match_the_cycle_union_oracle(p):
+    decomp = largest_biconnected_component(p)
+    assert set(decomp.edge_components) == _oracle_blocks(p)
+    assert len(decomp.edge_components) == len(set(decomp.edge_components))
+    for vertices, edges in zip(decomp.components, decomp.edge_components):
+        assert vertices == {v for e in edges for v in e}
+    sizes = [(-len(c), sorted(c)) for c in decomp.components]
+    assert sizes == sorted(sizes) and decomp.largest == 0
+
+
 # ---------------------------------------------------------------------------
 # S-sets
 
@@ -371,7 +407,7 @@ def test_spt_invariants(p):
             continue
         directed[v] = any(
             dist[root][u] == dist[root][v] - 1 and p.buys(u, v) and directed[u]
-            for u in p.adjacency()[v]
+            for u in mask_members(p.adj[v])
         )
     assert list(spt.down_reachable) == directed
 
@@ -580,29 +616,30 @@ def test_spt_matches_oracle_from_any_root(p, root):
     assert spt.graph_edges == frozenset(p.undirected_edges())
 
 
-def test_contexts_sharing_a_graph_layer_enumerate_cycles_once(monkeypatch):
+def test_a_context_enumerates_cycles_once_on_first_read(monkeypatch):
     import ncg.structure as structure
 
     calls = []
     real = structure.all_simple_cycles
     monkeypatch.setattr(structure, "all_simple_cycles", lambda p: calls.append(p) or real(p))
-    ring = directed_ring(7, 29)
-    reversed_ring = profile(7, 29, [((i + 1) % 7, i) for i in range(7)])
-    graph = graph_layer(ring)
-    contexts = [build_context(ring, graph), build_context(reversed_ring, graph)]
-    assert calls == []  # nothing until a rule reads the min-cycles
-    assert contexts[0].min_cycles == contexts[1].min_cycles == ("exhaustive", (tuple(range(7)),))
-    assert len(calls) == 1
-    # a context assembled without a graph layer computes its own
-    assert oracle_context(ring).min_cycles == contexts[0].min_cycles and len(calls) == 2
+    for p in (directed_ring(7, 29), scaffold_profile(5)):
+        ctx = build_context(p)
+        assert calls == []  # nothing until a rule reads the min-cycles
+        assert ctx.min_cycles == ctx.min_cycles
+        assert calls == [p]
+        calls.clear()
+        assert oracle_context(p).min_cycles == ctx.min_cycles
+        calls.clear()
+    assert build_context(directed_ring(7, 29)).min_cycles == ("exhaustive", (tuple(range(7)),))
 
 
 def test_contexts_built_on_a_graph_layer_pickle():
     for ctx in (build_context(directed_ring(7, 29)), build_context(scaffold_profile(5))):
         copy = pickle.loads(pickle.dumps(ctx))  # before the min-cycles are computed
         assert copy == ctx and copy.min_cycles == ctx.min_cycles
-        copy = pickle.loads(pickle.dumps(ctx))  # and after
-        assert copy == ctx and copy.graph.min_cycles() == ctx.min_cycles
+        copy = pickle.loads(pickle.dumps(ctx))  # and after, the result kept
+        assert "min_cycles" in vars(copy) and copy.min_cycles == ctx.min_cycles
+        assert copy == ctx
 
 
 def test_context_rejects_the_graph_layer_of_another_graph():
