@@ -25,7 +25,7 @@ from math import inf
 from operator import attrgetter
 
 from .equilibrium import VerificationReport
-from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum
+from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum, mask_members
 # build_context is re-exported: ncg.audit.build_context stays a public name.
 from .structure import (
     STRATEGY_SWITCHES,
@@ -169,7 +169,8 @@ def audit_deviation_bound(
 ) -> BoundComparison:
     """Price one rewrite with the selected bound and execute it exactly.
 
-    ``sold_targets`` lists the other endpoints of edges u sells.  The value
+    ``sold_targets`` lists the other endpoints of edges u sells; a target
+    that is not a neighbour of u raises ``ValueError``.  The value
     is always computed; ``preconditions_met`` records whether the bound's
     own hypotheses held, and ``dominates`` whether exact <= bound.  Both
     sides are priced in integer units of 1/q (alpha = p/q): the current
@@ -186,6 +187,8 @@ def audit_deviation_bound(
     sold_targets = sorted(sold_targets)
     for t in sold_targets:
         edge = _as_edge(u, t)
+        if not ctx.profile.adj[u] >> t & 1:
+            raise ValueError(f"{edge} is not an edge of the profile")
         level = ctx.x_level(edge)
         recorded.append((edge, level))
         if not ctx.profile.buys(u, t):
@@ -356,9 +359,9 @@ def audit_structural(
             if len(bought) >= 3:
                 triples.append({"vertex": u, "edges": bought})
             for e1, e2 in combinations(bought, 2):
-                union = _edge_subtree_vertices(ctx, e1) | _edge_subtree_vertices(ctx, e2)
-                if not 4 * len(union) > n:
-                    thin_pairs.append({"vertex": u, "edges": [e1, e2], "union": len(union)})
+                union = (_edge_subtree(ctx, e1) | _edge_subtree(ctx, e2)).bit_count()
+                if not 4 * union > n:
+                    thin_pairs.append({"vertex": u, "edges": [e1, e2], "union": union})
         holds = not triples and not thin_pairs
         return _finding(
             lemma_id, applicable, holds, informational,
@@ -374,7 +377,7 @@ def audit_structural(
                 continue
             depth = ctx.spt.depth[u]
             fat_pair = any(
-                4 * len(_edge_subtree_vertices(ctx, e1) | _edge_subtree_vertices(ctx, e2)) > n
+                4 * (_edge_subtree(ctx, e1) | _edge_subtree(ctx, e2)).bit_count() > n
                 for e1, e2 in combinations(bought, 2)
             )
             good = depth >= 3 and (not fat_pair or depth == 3)
@@ -409,7 +412,7 @@ def audit_structural(
         )
 
     if lemma_id == "degree-sum":
-        t_in_h = {e for e in ctx.h_edges if e in ctx.spt.tree_edges}
+        t_in_h = {e for e in ctx.h_edges if ctx.spt.is_tree_edge(*e)}
         spanning = applicable and _spans(ctx.h_vertices, t_in_h)
         n_h = len(ctx.h_vertices)
         x0 = sum(1 for c in ctx.x_classes.values() if c.level == 0)
@@ -434,9 +437,10 @@ def _ladder_purchases(ctx: StrategyContext, cap: int) -> list[tuple[Edge, int, i
     )
 
 
-def _edge_subtree_vertices(ctx: StrategyContext, edge: Edge) -> frozenset[int]:
+def _edge_subtree(ctx: StrategyContext, edge: Edge) -> int:
+    """Mask of the subtree a down-edge carries; 0 for any other edge."""
     child = ctx.spt.down_child(*edge)
-    return frozenset() if child is None else ctx.spt.subtree_vertices(child)
+    return 0 if child is None else ctx.spt.subtree[child]
 
 
 def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
@@ -472,13 +476,8 @@ def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
         for u, w in ((a, b), (b, a)):
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
-            funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v, "all-paths")
-            some = compute_s_set(ctx.profile, ctx.dist, anchor, v, "some-path")
-            row = {
-                "path": (u, v, w),
-                "funnel_size": len(funnel.members),
-                "funnel_size_some_path": len(some.members),
-            }
+            funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v)
+            row = {"path": (u, v, w), "funnel_size": len(funnel.members)}
             cyc = ctx.cycles.per_vertex_cycle.get(v)
             if cyc is not None and len(cyc) > 3:
                 required = ctx.alpha / (2 * (len(cyc) - 3))
@@ -488,7 +487,7 @@ def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
                 ok = ok and good
             else:
                 row["cycle_bound"] = "gated (cycle length 3 or none)"
-            if (u, v) in ctx.spt.down_pairs and (v, w) in ctx.spt.down_pairs:
+            if ctx.spt.down_child(u, v) == v and ctx.spt.down_child(v, w) == w:
                 good = len(funnel.members) >= ctx.spt.subtree_size[w]
                 row["subtree_bound"] = ctx.spt.subtree_size[w]
                 row["subtree_bound_holds"] = good
@@ -507,11 +506,11 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
     if not (ctx.in_regime and bought and level is not None and level <= 2):
         return _finding("altpath", False, None, informational, vertex=u, edge=edge)
 
-    subtree = _edge_subtree_vertices(ctx, edge)
+    subtree = mask_members(_edge_subtree(ctx, edge))
     margins = {}
     holds = True
     detour = bfs_distances(ctx.profile.adj, ctx.root, blocked=1 << u)
-    for w in sorted(subtree):
+    for w in subtree:
         allowed = ctx.spt.depth[w] + 2 * level
         actual = detour[w]
         margin = inf if actual == inf else allowed - actual

@@ -142,31 +142,37 @@ def choose_root(profile: StrategyProfile, dist: DistanceMatrix, h_vertices) -> i
 
 @dataclass(frozen=True)
 class SptAnalysis:
-    """Shortest path tree from ``root`` with orientations and subtree sizes.
+    """Shortest path tree from ``root``: parents, depths, subtree masks and
+    down-edges.
 
-    A tree edge is *down* iff its parent endpoint bought it; a directed
-    root-to-vertex shortest path is one whose every edge is down.  Parent
-    choice prefers a down-buying neighbour that is itself reached from the
-    root by an all-down path; ambiguity (possible only away from
-    equilibrium) is tie-broken by smallest id and recorded in ``warnings``.
+    ``subtree[v]`` is the bitmask of v's subtree.  A tree edge is *down* iff
+    its parent endpoint bought it, and bit v of ``down`` is set iff v's
+    parent bought the edge to v; a directed root-to-vertex shortest path is
+    one whose every edge is down.  Parent choice prefers a down-buying
+    neighbour that is itself reached from the root by an all-down path;
+    ties (possible only away from equilibrium) go to the smallest id.
     """
 
     root: int
     parent: tuple[int | None, ...]
     depth: tuple[int, ...]
-    subtree_size: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    tree_edges: frozenset[Edge]
-    down_pairs: frozenset[tuple[int, int]]  # (parent, child) edges bought by the parent
-    down_reachable: tuple[bool, ...]
-    graph_edges: frozenset[Edge]
-    warnings: tuple[str, ...]
+    subtree: tuple[int, ...]
+    down: int
+
+    @cached_property
+    def subtree_size(self) -> tuple[int, ...]:
+        """|T(v)| for every v: the popcount of its subtree mask."""
+        return tuple(mask.bit_count() for mask in self.subtree)
+
+    def is_tree_edge(self, a: int, b: int) -> bool:
+        """Is {a, b} an edge of the tree?"""
+        return self.parent[b] == a or self.parent[a] == b
 
     def down_child(self, a: int, b: int) -> int | None:
         """The child endpoint of {a, b} when it is a down-edge, else None."""
-        if (a, b) in self.down_pairs:
+        if self.parent[b] == a and self.down >> b & 1:
             return b
-        if (b, a) in self.down_pairs:
+        if self.parent[a] == b and self.down >> a & 1:
             return a
         return None
 
@@ -176,16 +182,6 @@ class SptAnalysis:
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
         return path
-
-    def subtree_vertices(self, v: int) -> frozenset[int]:
-        """All vertices in the subtree rooted at ``v``."""
-        out = []
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            out.append(x)
-            queue.extend(self.children[x])
-        return frozenset(out)
 
 
 def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptAnalysis:
@@ -200,9 +196,7 @@ def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptA
     buyers = profile.bought_by
     parent: list[int | None] = [None] * n
     reachable = 1 << root  # vertices the root reaches by an all-down path
-    down_pairs: set[tuple[int, int]] = set()
-    tree_edges: set[Edge] = set()
-    warnings: list[str] = []
+    down = 0
 
     order = sorted(range(n), key=depth.__getitem__)  # by depth, then id
     for v in order[1:]:  # order[0] is the root
@@ -210,46 +204,23 @@ def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptA
         directed = level_up & buyers[v] & reachable
         candidates = directed or level_up
         p = (candidates & -candidates).bit_length() - 1  # the smallest id
-        if directed & (directed - 1):
-            warnings.append(
-                f"vertex {v}: {directed.bit_count()} directed shortest paths from the root; "
-                f"kept parent {p}"
-            )
         parent[v] = p
-        tree_edges.add(_as_edge(p, v))
         if buyers[v] >> p & 1:
-            down_pairs.add((p, v))
+            down |= 1 << v
             reachable |= (reachable >> p & 1) << v
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    subtree = [1] * n
-    for v in range(n):
-        if parent[v] is not None:
-            children[parent[v]].append(v)
-    for v in reversed(order):
-        if parent[v] is not None:
-            subtree[parent[v]] += subtree[v]
-    assert subtree[root] == n
+    subtree = [1 << v for v in range(n)]
+    for v in reversed(order[1:]):  # deepest first: a subtree is whole before it joins
+        subtree[parent[v]] |= subtree[v]
+    assert subtree[root] == (1 << n) - 1
 
     return SptAnalysis(
-        root=root,
-        parent=tuple(parent),
-        depth=tuple(depth),
-        subtree_size=tuple(subtree),
-        children=tuple(map(tuple, children)),
-        tree_edges=frozenset(tree_edges),
-        down_pairs=frozenset(down_pairs),
-        down_reachable=tuple(reachable >> v & 1 == 1 for v in range(n)),
-        graph_edges=frozenset(profile.undirected_edges()),
-        warnings=tuple(warnings),
+        root=root, parent=tuple(parent), depth=tuple(depth), subtree=tuple(subtree), down=down
     )
 
 
 def edge_subtree_size(spt: SptAnalysis, a: int, b: int) -> int:
-    """Subtree weight an edge carries: |T(child)| for a down-edge, else 0."""
-    edge = _as_edge(a, b)
-    if edge not in spt.graph_edges:
-        raise ValueError(f"{edge} is not an edge of the profile")
+    """Subtree weight a pair carries: |T(child)| for a down-edge, else 0."""
     child = spt.down_child(a, b)
     return 0 if child is None else spt.subtree_size[child]
 
@@ -277,17 +248,17 @@ def classify_x_sets(
     """Minimal X-levels for every edge of H; empty when H has no cycle.
 
     One pass over H's down-edges, deepest child first: a child buys only
-    out-edges, its up-edge and down-edges to deeper children.
+    out-edges, its up-edge and down-edges to deeper vertices.
     """
     h_vertices = decomposition.largest_vertices()
     h_edges = decomposition.largest_edges()
     if len(h_vertices) < 3:
         return []
 
-    level = {e: 0 for e in h_edges if e not in spt.tree_edges}  # out-edges
+    level = {e: 0 for e in h_edges if not spt.is_tree_edge(*e)}  # out-edges
     for c in sorted(h_vertices, key=spt.depth.__getitem__, reverse=True):
         p = spt.parent[c]
-        if (p, c) in spt.down_pairs and _as_edge(p, c) in h_edges:
+        if spt.down >> c & 1 and _as_edge(p, c) in h_edges:
             bought = mask_members(profile.bought[c])
             least = min((level.get(_as_edge(c, t), inf) for t in bought), default=inf)
             if least < inf:
@@ -423,19 +394,27 @@ def global_girth(profile: StrategyProfile) -> int | float:
 def all_simple_cycles(profile: StrategyProfile, limit: int = 100_000) -> list[tuple[int, ...]]:
     """Every simple cycle (length >= 3), canonicalised; budget-guarded.
 
-    Enumerates cycles by their minimum vertex: paths out of ``s`` through
-    larger vertices only, emitted when they close back to ``s`` with the
-    second vertex smaller than the last, which is the canonical orientation.
-    A step is one neighbour read; the budget is checked once per row read,
-    which exceeds it exactly when some single step would.  Paths extend in
-    increasing neighbour order.
+    Walks only the 2-core: vertices peeled off by repeatedly deleting those
+    of degree below 2 lie on no cycle, so no path enters a tree hanging off
+    a cycle.  Enumerates cycles by their minimum vertex: paths out of ``s``
+    through larger core vertices only, emitted when they close back to ``s``
+    with the second vertex smaller than the last, which is the canonical
+    orientation.  A step is one neighbour read; the budget is checked once
+    per row read, which exceeds it exactly when some single step would.
+    Paths extend in increasing neighbour order.
     """
     adj = profile.adj
+    every = (1 << profile.n) - 1
+    core = every
+    while thin := sum(1 << v for v in mask_members(core) if (adj[v] & core).bit_count() < 2):
+        core ^= thin
+    peeled = every ^ core
     cycles: list[tuple[int, ...]] = []
     steps = 0
-    for s in range(profile.n):
-        # (path, mask of the path and every vertex below s): the vertices it may not enter
-        stack: list[tuple[tuple[int, ...], int]] = [((s,), (2 << s) - 1)]
+    for s in mask_members(core):
+        # (path, mask of the path, every vertex below s and the peeled ones):
+        # the vertices it may not enter
+        stack: list[tuple[tuple[int, ...], int]] = [((s,), (2 << s) - 1 | peeled)]
         while stack:
             path, used = stack.pop()
             row = adj[path[-1]]
@@ -476,70 +455,46 @@ def min_cycles(
 
 @dataclass(frozen=True)
 class SSet:
-    """Vertices whose shortest routes towards ``anchor`` funnel through ``via``.
-
-    some-path: a shortest path to some anchor vertex passes via.
-    all-paths: every shortest path to every nearest anchor vertex passes via.
-    """
+    """Vertices whose shortest routes towards ``anchor`` funnel through ``via``:
+    every shortest path to every nearest anchor vertex passes via."""
 
     anchor: frozenset[int]
     via: int
     members: frozenset[int]
-    variant: str
 
 
-def compute_s_set(
-    profile: StrategyProfile,
-    dist: DistanceMatrix,
-    anchor,
-    via: int,
-    variant: str = "all-paths",
-) -> SSet:
+def compute_s_set(profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int) -> SSet:
     """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``."""
     anchor = frozenset(anchor)
     if not anchor:
         raise ValueError("anchor set must be nonempty")
     if via in anchor and anchor != {via}:
         raise ValueError("via must lie outside the anchor set (or be its only member)")
-    if variant not in ("some-path", "all-paths"):
-        raise ValueError(f"unknown S-set variant {variant!r}")
-    n = profile.n
     if anchor == {via}:
         # Degenerate funnel: every reachable vertex trivially routes through via.
-        members = frozenset(x for x in range(n) if dist[x][via] != inf)
-        return SSet(anchor=anchor, via=via, members=members, variant=variant)
+        members = frozenset(x for x in range(profile.n) if dist[x][via] != inf)
+        return SSet(anchor=anchor, via=via, members=members)
 
-    anchor_mask = sum(1 << w for w in anchor)
+    # One BFS out of the anchor, a shell at a time.  The shortest routes to
+    # the nearest anchor vertices are exactly the walks that step one shell
+    # inwards each time, so x funnels iff every neighbour in the shell inside
+    # its own is via or funnels itself.
+    adj = profile.adj
     funnel = 1 << via
-    if variant == "some-path":
-        # x qualifies iff d(x, via) + d(via, w) = d(x, w) for some anchor
-        # vertex w that via reaches.
-        reached = [(w, dist[via][w]) for w in anchor if dist[via][w] != inf]
-        for x in mask_members((1 << n) - 1 & ~anchor_mask):
-            row = dist[x]
-            to_via = row[via]
-            if to_via != inf and any(to_via + d == row[w] for w, d in reached):
-                funnel |= 1 << x
-    else:
-        # One BFS out of the anchor, a shell at a time.  The shortest routes
-        # to the nearest anchor vertices are exactly the walks that step one
-        # shell inwards each time, so x funnels iff every neighbour in the
-        # shell inside its own is via or funnels itself.
-        adj = profile.adj
+    reach = 0
+    for w in anchor:
+        reach |= adj[w]
+    inner = seen = sum(1 << w for w in anchor)
+    while shell := reach & ~seen:
+        seen |= shell
         reach = 0
-        for w in anchor:
-            reach |= adj[w]
-        inner = seen = anchor_mask
-        while shell := reach & ~seen:
-            seen |= shell
-            reach = 0
-            for x in mask_members(shell):
-                row = adj[x]
-                reach |= row
-                if not row & inner & ~funnel:
-                    funnel |= 1 << x
-            inner = shell
-    return SSet(anchor=anchor, via=via, members=frozenset(mask_members(funnel)), variant=variant)
+        for x in mask_members(shell):
+            row = adj[x]
+            reach |= row
+            if not row & inner & ~funnel:
+                funnel |= 1 << x
+        inner = shell
+    return SSet(anchor=anchor, via=via, members=frozenset(mask_members(funnel)))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +619,7 @@ class StrategyContext:
         if not self.has_cyclic_h or u == self.root or u not in self.h_vertices:
             return
         sells_up, _ = STRATEGY_SWITCHES[kind]
-        targets = [t for t, level in self.ladder[u] if (sells_up if level is None else level <= 2)]
+        targets = [t for _, t in self.sellable_edges(u, include_up=sells_up)]
         largest = len(targets) if most is None else min(most, len(targets))
         for size in range(1, largest + 1):
             yield from combinations(targets, size)

@@ -19,11 +19,12 @@ in one context.  ``oracle_best_response`` is the full scan the
 size-bounded exact scan replaced: every target set is priced by
 ``_distance_sums`` and the least (cost, size, sorted tuple) wins.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
-per anchor vertex, and ``oracle_s_set_some_path`` the some-path funnel read
-pair by pair from the distance matrix.  ``oracle_x_levels`` is the fixpoint
-loop the one-pass X-levels replaced, and the ``oracle_*`` ladder queries
-restate the edge-class rules straight from ``x_classes``, ``spt.parent``,
-``spt.down_pairs`` and ``profile.buys``.  ``oracle_rows``,
+per anchor vertex.  ``oracle_x_levels`` is the fixpoint loop the one-pass
+X-levels replaced, and the ``oracle_*`` ladder queries restate the
+edge-class rules straight from ``x_classes``, ``spt.parent`` and
+``profile.buys``; ``oracle_tree_edges``, ``oracle_down_child`` and
+``oracle_subtree`` read the tree's edges, down-edges and subtrees off
+``parent`` and ``buys`` alone.  ``oracle_rows``,
 ``oracle_neighbours``, ``oracle_targets`` and ``oracle_buys`` read a
 profile's graph facts off its bought edges one edge at a time, the scan its
 bitmask rows replaced.
@@ -38,7 +39,7 @@ path, every precondition note, and the exact delta from raw edge lists by
 ``oracle_spt`` is the shortest path tree built from adjacency lists and
 ``buys`` tests, the scan its bitmask rows replaced, and
 ``oracle_simple_cycles`` the cycle enumeration that counted its budget one
-adjacency entry at a time on set-based paths.
+adjacency entry at a time on set-based paths, both walking the 2-core.
 """
 
 from __future__ import annotations
@@ -372,23 +373,6 @@ def oracle_s_set_all_paths(
     return frozenset(members)
 
 
-def oracle_s_set_some_path(
-    profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int
-) -> frozenset[int]:
-    """via, plus every x outside the anchor with a shortest path to some
-    anchor vertex through via."""
-    members = {via}
-    for x in range(profile.n):
-        if x == via or x in anchor:
-            continue
-        for w in anchor:
-            if dist[x][via] != inf and dist[via][w] != inf:
-                if dist[x][via] + dist[via][w] == dist[x][w]:
-                    members.add(x)
-                    break
-    return frozenset(members)
-
-
 def oracle_per_vertex_cycle(per_edge_cycle, h_vertices, h_edges) -> dict:
     """Each H vertex's shortest, then smallest canonical, cycle among those
     through its H edges: every H edge scanned once per vertex."""
@@ -435,6 +419,23 @@ def oracle_context(profile: StrategyProfile, root: int | None = None) -> Strateg
     )
 
 
+def oracle_tree_edges(parent) -> frozenset[tuple[int, int]]:
+    """Every {vertex, parent} pair of a parent table, as (low, high)."""
+    return frozenset((min(p, c), max(p, c)) for c, p in enumerate(parent) if p is not None)
+
+
+def oracle_subtree(parent, v: int) -> frozenset[int]:
+    """The vertices whose parent chain up to the root passes v."""
+    out = set()
+    for w in range(len(parent)):
+        x = w
+        while x is not None and x != v:
+            x = parent[x]
+        if x == v:
+            out.add(w)
+    return frozenset(out)
+
+
 def oracle_x_levels(
     profile: StrategyProfile, spt: SptAnalysis, decomposition: BiconnectedDecomposition
 ) -> dict[tuple[int, int], int]:
@@ -444,11 +445,14 @@ def oracle_x_levels(
     h_edges = decomposition.largest_edges()
     if len(decomposition.largest_vertices()) < 3:
         return {}
-    level = {e: 0 for e in h_edges if e not in spt.tree_edges}
+    tree = oracle_tree_edges(spt.parent)
+    level = {e: 0 for e in h_edges if e not in tree}
     changed = True
     while changed:
         changed = False
-        for p, c in spt.down_pairs:
+        for c, p in enumerate(spt.parent):
+            if p is None or not oracle_buys(profile, p, c):
+                continue
             e = (min(p, c), max(p, c))
             if e not in h_edges:
                 continue
@@ -461,10 +465,10 @@ def oracle_x_levels(
     return level
 
 
-def oracle_down_child(spt: SptAnalysis, a: int, b: int) -> int | None:
+def oracle_down_child(profile: StrategyProfile, parent, a: int, b: int) -> int | None:
     """The endpoint whose tree parent is the other one and bought the edge."""
     for p, c in ((a, b), (b, a)):
-        if spt.parent[c] == p and (p, c) in spt.down_pairs:
+        if parent[c] == p and oracle_buys(profile, p, c):
             return c
     return None
 
@@ -476,7 +480,7 @@ def oracle_is_low_level(
     cls = ctx.x_classes.get((min(v, t), max(v, t)))
     if cls is not None and cls.level is not None and cls.level <= cap:
         return True
-    return include_up and ctx.spt.parent[v] == t and (t, v) not in ctx.spt.down_pairs
+    return include_up and ctx.spt.parent[v] == t and not oracle_buys(ctx.profile, t, v)
 
 
 def oracle_sellable_edges(
@@ -536,7 +540,7 @@ def oracle_bound(
     while path[-1] != ctx.root:
         path.append(spt.parent[path[-1]])
     d = len(path) - 1
-    size = spt.subtree_size
+    size = [len(oracle_subtree(spt.parent, x)) for x in range(n)]
     if kind == "strategy1":
         bound = Fraction(d * n - 2 * sum(size[x] for x in path[:-1])) - len(recorded) * alpha
         factor = 2 * d
@@ -549,7 +553,7 @@ def oracle_bound(
         bound = Fraction(n - (d + 1) * size[u]) - (len(recorded) - 1) * alpha
         factor = d + 1
     for (a, b), level in recorded:
-        child = oracle_down_child(spt, a, b)
+        child = oracle_down_child(profile, spt.parent, a, b)
         if child is not None:
             bound += (2 * (level or 0) + factor) * size[child]
 
@@ -578,53 +582,45 @@ def oracle_bound(
 
 
 def oracle_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> dict:
-    """``build_spt``'s fields but ``graph_edges``, vertex by vertex in
-    (depth, id) order: the parent is the least level-up neighbour that
-    bought the edge and is down-reachable, else the least level-up one."""
+    """``build_spt``'s fields, vertex by vertex in (depth, id) order: the
+    parent is the least level-up neighbour that bought the edge and is
+    down-reachable, else the least level-up one."""
     n = profile.n
     depth = dist[root]
     parent = [None] * n
     reachable = [v == root for v in range(n)]
-    warnings = []
     for v in sorted(range(n), key=lambda x: (depth[x], x)):
         if v == root:
             continue
         level_up = [p for p in oracle_neighbours(profile, v) if depth[p] == depth[v] - 1]
         directed = [p for p in level_up if oracle_buys(profile, p, v) and reachable[p]]
-        if len(directed) > 1:
-            warnings.append(
-                f"vertex {v}: {len(directed)} directed shortest paths from the root; "
-                f"kept parent {min(directed)}"
-            )
         parent[v] = min(directed or level_up)
         reachable[v] = reachable[parent[v]] and oracle_buys(profile, parent[v], v)
-    children = [tuple(c for c in range(n) if parent[c] == v) for v in range(n)]
-
-    def size(v):
-        return 1 + sum(size(c) for c in children[v])
 
     return {
+        "root": root,
         "parent": tuple(parent),
         "depth": tuple(depth),
-        "subtree_size": tuple(size(v) for v in range(n)),
-        "children": tuple(children),
-        "tree_edges": frozenset((min(p, c), max(p, c)) for c, p in enumerate(parent) if p is not None),
-        "down_pairs": frozenset(
-            (p, c) for c, p in enumerate(parent) if p is not None and oracle_buys(profile, p, c)
+        "subtree": tuple(sum(1 << w for w in oracle_subtree(parent, v)) for v in range(n)),
+        "down": sum(
+            1 << c for c, p in enumerate(parent) if p is not None and oracle_buys(profile, p, c)
         ),
-        "down_reachable": tuple(reachable),
-        "warnings": tuple(warnings),
     }
 
 
 def oracle_simple_cycles(profile: StrategyProfile, limit: int) -> list[tuple[int, ...]]:
-    """Every simple cycle, canonicalised, by paths out of their least vertex;
-    raises ``BudgetExceededError`` at the first adjacency entry past ``limit``."""
+    """Every simple cycle, canonicalised, by paths out of their least vertex
+    of the 2-core, through core vertices only; raises ``BudgetExceededError``
+    at the first adjacency entry past ``limit``."""
     adj = [oracle_neighbours(profile, v) for v in range(profile.n)]
+    core = set(range(profile.n))
+    while thin := {v for v in core if len(core.intersection(adj[v])) < 2}:
+        core -= thin
+    peeled = set(range(profile.n)) - core
     cycles = []
     steps = 0
-    for s in range(profile.n):
-        stack = [([s], {s})]
+    for s in sorted(core):
+        stack = [([s], {s} | peeled)]
         while stack:
             path, used = stack.pop()
             for w in adj[path[-1]]:

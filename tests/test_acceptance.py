@@ -201,7 +201,8 @@ def test_criterion_6_spt_invariants():
         if spt.subtree_size[root] != p.n:
             violations += 1
         for v in range(p.n):
-            if spt.subtree_size[v] != 1 + sum(spt.subtree_size[c] for c in spt.children[v]):
+            children = [c for c in range(p.n) if spt.parent[c] == v]
+            if spt.subtree_size[v] != 1 + sum(spt.subtree_size[c] for c in children):
                 violations += 1
     _verdict(6, violations == 0, f"500 random connected profiles; violations={violations}")
 

@@ -19,7 +19,7 @@ from gadgets import (
     two_triangles,
     up_and_out_seller,
 )
-from oracle import oracle_bound, oracle_context, oracle_sell_selections
+from oracle import oracle_bound, oracle_context, oracle_s_set_all_paths, oracle_sell_selections
 from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
@@ -155,6 +155,15 @@ def test_bound_audit_rejects_up_edge_for_strategy1():
     cmp = audit_deviation_bound(ctx, 4, "strategy1", [5])  # (4,5) is 4's up-edge
     assert not cmp.preconditions_met
     assert "no eligible level" in cmp.precondition_notes
+
+
+def test_bound_audit_rejects_a_sold_non_edge():
+    ctx = _ctx(directed_ring(7, 29))
+    for kind in ("strategy1", "strategy2", "strategy3"):
+        with pytest.raises(ValueError, match=r"\(0, 3\) is not an edge"):
+            audit_deviation_bound(ctx, 0, kind, [3])
+        with pytest.raises(ValueError, match="not an edge"):
+            audit_deviation_bound(ctx, 3, kind, [4, 0])
 
 
 def test_bound_audit_dominates_on_directed_ring():
@@ -405,12 +414,15 @@ def test_degree_sum_identity_on_rings():
 
 
 def test_deg2_rows_on_directed_ring():
-    finding = audit_structural(_ctx(directed_ring(9, 1)), "deg2")
+    ctx = _ctx(directed_ring(9, 1))
+    finding = audit_structural(ctx, "deg2")
     assert finding.applicable
     rows = finding.detail["checked"]
     assert rows, "expected directed deg-2 paths on the ring"
     for row in rows:
-        assert row["funnel_size"] <= row["funnel_size_some_path"]
+        v = row["path"][1]
+        funnel = oracle_s_set_all_paths(ctx.profile, ctx.dist, ctx.h_vertices - {v}, v)
+        assert row["funnel_size"] == len(funnel)
 
 
 def test_unknown_lemma_rejected():

@@ -1,5 +1,6 @@
 """Structural layer: biconnected pieces, SPT, edge classes, cycles, S-sets."""
 
+import dataclasses
 import pickle
 from math import inf
 
@@ -27,11 +28,12 @@ from oracle import (
     oracle_per_vertex_cycle,
     oracle_rows,
     oracle_s_set_all_paths,
-    oracle_s_set_some_path,
     oracle_context,
     oracle_sellable_edges,
     oracle_simple_cycles,
     oracle_spt,
+    oracle_subtree,
+    oracle_tree_edges,
     oracle_x_levels,
 )
 from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
@@ -145,7 +147,9 @@ def test_spt_on_path():
     p = path3()
     spt = build_spt(p, all_pairs_distances(p), 0)
     assert spt.depth == (0, 1, 2)
+    assert spt.subtree == (0b111, 0b110, 0b100)
     assert spt.subtree_size == (3, 2, 1)
+    assert spt.down == 0b110
     assert spt.down_child(0, 1) == 1  # bought by the parent
     assert spt.down_child(1, 2) == 2
 
@@ -159,8 +163,8 @@ def test_spt_directed_ring_prefers_directed_path():
     assert spt.parent[3] == 2 and spt.parent[2] == 1 and spt.parent[1] == 0
     assert spt.parent[4] == 5
     assert spt.down_child(0, 1) == 1
-    assert spt.down_child(5, 4) is None and (4, 5) in spt.tree_edges  # an up-edge
-    assert not spt.warnings
+    assert spt.down_child(5, 4) is None and spt.is_tree_edge(4, 5)  # an up-edge
+    assert not spt.is_tree_edge(3, 4)  # the ring's one out-edge
 
 
 def test_spt_star_all_down():
@@ -170,12 +174,12 @@ def test_spt_star_all_down():
     assert all(spt.subtree_size[leaf] == 1 for leaf in (1, 2, 3))
 
 
-def test_spt_warning_on_ambiguous_directed_parent():
+def test_spt_ambiguous_directed_parent_goes_to_smallest_id():
     # 0 buys both branches of a diamond; 1 and 2 both buy into 3
     p = profile(4, 1, [(0, 1), (0, 2), (1, 3), (2, 3)])
     spt = build_spt(p, all_pairs_distances(p), 0)
-    assert spt.parent[3] == 1
-    assert len(spt.warnings) == 1
+    assert spt.parent[3] == 1 and spt.down_child(1, 3) == 3
+    assert not spt.is_tree_edge(2, 3)
 
 
 def test_edge_subtree_size_cases():
@@ -185,8 +189,8 @@ def test_edge_subtree_size_cases():
     assert edge_subtree_size(spt, 1, 2) == 2
     assert edge_subtree_size(spt, 4, 5) == 0  # up-edge carries no subtree
     assert edge_subtree_size(spt, 3, 4) == 0  # out-edge
-    with pytest.raises(ValueError, match="not an edge"):
-        edge_subtree_size(spt, 0, 3)
+    # A non-edge weighs 0 too; audit_deviation_bound rejects selling one.
+    assert edge_subtree_size(spt, 0, 3) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +320,16 @@ def test_all_simple_cycles_counts():
     assert sorted(len(c) for c in cycles) == [3, 3, 4]
 
 
+def test_all_simple_cycles_walk_only_the_two_core():
+    # A triangle on 40-42 with the leaves 0-39 on 40: a walk into the leaves
+    # would take 2,876 steps, the 2-core takes 56.
+    p = profile(43, 1, [(40, 41), (41, 42), (42, 40)] + [(leaf, 40) for leaf in range(40)])
+    assert all_simple_cycles(p, limit=100) == [(40, 41, 42)]
+    assert oracle_simple_cycles(p, limit=100) == [(40, 41, 42)]
+    with pytest.raises(BudgetExceededError):
+        all_simple_cycles(p, limit=55)
+
+
 def _oracle_blocks(p) -> set[frozenset]:
     """Edge sets of the blocks: two edges share a block iff some simple cycle
     holds both, and an edge on no cycle is a bridge, a block of its own."""
@@ -355,19 +369,18 @@ def test_blocks_match_the_cycle_union_oracle(p):
 # S-sets
 
 
-def test_s_set_on_path_both_variants():
+def test_s_set_on_path():
     p = path3()
     dist = all_pairs_distances(p)
-    for variant in ("some-path", "all-paths"):
-        s = compute_s_set(p, dist, {0}, 1, variant)
-        assert s.members == frozenset({1, 2})
+    assert compute_s_set(p, dist, {0}, 1).members == frozenset({1, 2})
 
 
 def test_s_set_square_all_paths_vs_some_path():
     p = profile(4, 1, [(0, 1), (1, 2), (2, 3), (3, 0)])
     dist = all_pairs_distances(p)
-    assert compute_s_set(p, dist, {0}, 1, "all-paths").members == frozenset({1})
-    assert compute_s_set(p, dist, {0}, 1, "some-path").members == frozenset({1, 2})
+    # 2 has a shortest path to 0 through 1, but another one through 3
+    assert dist[2][1] + dist[1][0] == dist[2][0]
+    assert compute_s_set(p, dist, {0}, 1).members == frozenset({1})
 
 
 def test_s_set_rejects_via_inside_anchor():
@@ -397,8 +410,9 @@ def test_spt_invariants(p):
     assert spt.depth == dist[root]
     assert spt.subtree_size[root] == p.n
     for v in range(p.n):
-        child_sum = sum(spt.subtree_size[c] for c in spt.children[v])
-        assert spt.subtree_size[v] == 1 + child_sum
+        children = [c for c in range(p.n) if spt.parent[c] == v]
+        assert spt.subtree[v] == 1 << v | sum(spt.subtree[c] for c in children)
+        assert spt.subtree_size[v] == 1 + sum(spt.subtree_size[c] for c in children)
     # a vertex has an all-down tree path iff a directed shortest path exists
     directed = [False] * p.n
     directed[root] = True
@@ -409,7 +423,10 @@ def test_spt_invariants(p):
             dist[root][u] == dist[root][v] - 1 and p.buys(u, v) and directed[u]
             for u in mask_members(p.adj[v])
         )
-    assert list(spt.down_reachable) == directed
+    all_down = [
+        all(p.buys(spt.parent[x], x) for x in spt.path_to_root(v)[:-1]) for v in range(p.n)
+    ]
+    assert all_down == directed
 
 
 @given(connected_profiles(max_n=9))
@@ -422,10 +439,10 @@ def test_x_level_soundness(p):
     h_edges = decomp.largest_edges()
     for e, c in classes.items():
         if c.level == 0:
-            assert e not in spt.tree_edges
+            assert e not in oracle_tree_edges(spt.parent)
         elif c.level is not None:
             pc = (e[0], e[1]) if spt.parent[e[1]] == e[0] else (e[1], e[0])
-            assert pc in spt.down_pairs
+            assert spt.parent[pc[1]] == pc[0] and p.buys(*pc)  # a down-edge
             child = pc[1]
             child_levels = [
                 classes[f].level
@@ -493,23 +510,12 @@ def test_h_edge_count_identity_when_tree_spans(p):
     h_edges = decomp.largest_edges()
     if len(h_vertices) < 3:
         return
-    in_tree = {e for e in h_edges if e in spt.tree_edges}
+    in_tree = h_edges & oracle_tree_edges(spt.parent)
     if len(in_tree) != len(h_vertices) - 1:
         return  # H cap T does not span H; identity not asserted
     classes = classify_x_sets(p, spt, decomp)
     x0 = sum(1 for c in classes if c.level == 0)
     assert len(h_edges) == (len(h_vertices) - 1) + x0
-
-
-@given(connected_profiles(max_n=8))
-@settings(max_examples=40, deadline=None)
-def test_all_paths_subset_of_some_path(p):
-    dist = all_pairs_distances(p)
-    anchor = {0}
-    for via in range(1, p.n):
-        strict = compute_s_set(p, dist, anchor, via, "all-paths").members
-        loose = compute_s_set(p, dist, anchor, via, "some-path").members
-        assert strict <= loose
 
 
 @given(st.one_of(profiles(max_n=8), sparse_connected_profiles(max_n=9)), st.data())
@@ -519,19 +525,8 @@ def test_all_paths_s_set_matches_blocked_bfs_oracle(p, data):
     via = data.draw(st.integers(0, p.n - 1))
     rest = [x for x in range(p.n) if x != via]
     anchor = data.draw(st.frozensets(st.sampled_from(rest), min_size=1))
-    s = compute_s_set(p, dist, anchor, via, "all-paths")
+    s = compute_s_set(p, dist, anchor, via)
     assert s.members == oracle_s_set_all_paths(p, dist, anchor, via)
-
-
-@given(st.one_of(profiles(max_n=8), sparse_connected_profiles(max_n=9)), st.data())
-@settings(max_examples=80, deadline=None)
-def test_some_path_s_set_matches_oracle(p, data):
-    dist = all_pairs_distances(p)
-    via = data.draw(st.integers(0, p.n - 1))
-    rest = [x for x in range(p.n) if x != via]
-    anchor = data.draw(st.frozensets(st.sampled_from(rest), min_size=1))
-    s = compute_s_set(p, dist, anchor, via, "some-path")
-    assert s.members == oracle_s_set_some_path(p, dist, anchor, via)
 
 
 @given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
@@ -554,7 +549,7 @@ def test_ladder_queries_match_oracle(p):
     for v in range(p.n):
         for t in range(p.n):
             if t != v:
-                assert ctx.spt.down_child(v, t) == oracle_down_child(ctx.spt, v, t)
+                assert ctx.spt.down_child(v, t) == oracle_down_child(p, ctx.spt.parent, v, t)
         every = oracle_sellable_edges(ctx, v, include_up=True, cap=inf)
         assert list(ctx.ladder[v]) == [(t, ctx.x_classes[e].level) for e, t in every]
         for include_up in (False, True):
@@ -611,9 +606,35 @@ def test_spt_matches_oracle_from_any_root(p, root):
     dist = all_pairs_distances(p)
     root %= p.n
     spt = build_spt(p, dist, root)
-    fields = {name: getattr(spt, name) for name in oracle_spt(p, dist, root)}
-    assert fields == oracle_spt(p, dist, root)
-    assert spt.graph_edges == frozenset(p.undirected_edges())
+    assert dataclasses.asdict(spt) == oracle_spt(p, dist, root)
+
+
+@example(figure_gadget(), 0)
+@example(up_and_out_seller(), 3)
+@example(profile(4, 1, [(0, 1), (0, 2), (1, 3), (2, 3)]), 0)  # two directed routes to 3
+@given(
+    st.one_of(
+        connected_profiles(max_n=8),
+        sparse_connected_profiles(max_n=10),
+        st.integers(0, 999).map(scaffold_profile),
+    ),
+    st.integers(0, 63),
+)
+@settings(max_examples=60, deadline=None)
+def test_tree_edge_queries_match_oracle_on_every_edge(p, root):
+    # The oracle answers from its own parent table and the buys tests alone.
+    dist = all_pairs_distances(p)
+    root %= p.n
+    spt = build_spt(p, dist, root)
+    parent = oracle_spt(p, dist, root)["parent"]
+    tree = oracle_tree_edges(parent)
+    for a, b in p.undirected_edges():
+        for x, y in ((a, b), (b, a)):
+            assert spt.is_tree_edge(x, y) == ((a, b) in tree)
+            child = oracle_down_child(p, parent, x, y)
+            assert spt.down_child(x, y) == child
+            weight = 0 if child is None else len(oracle_subtree(parent, child))
+            assert edge_subtree_size(spt, x, y) == weight
 
 
 def test_a_context_enumerates_cycles_once_on_first_read(monkeypatch):
