@@ -29,7 +29,7 @@ from .game import (
     row_sums,
     sized_sums,
 )
-from .structure import build_context, graph_layer
+from .structure import build_context
 
 KINDS = (
     "exact-all-subsets",
@@ -333,17 +333,16 @@ def _class_contexts(profile: StrategyProfile, cls: DeviationClass, graph=None) -
     ``choose_root`` could pick: every H vertex of least connection cost, in
     id order, so that no root is chosen by label.  Empty when the class has
     none or the profile is disconnected: they live in a connected graph's H.
-    ``graph`` is the profile's ``graph_layer``.
+    ``graph`` is a context of a profile with the same ``adj``.
     """
     if not _needs_context(cls) or not is_connected(profile):
         return ()
-    if graph is None:
-        graph = graph_layer(profile)
-    least = graph.connections[graph.root]
+    ctx = build_context(profile, graph)  # rooted at choose_root's pick
+    least = ctx.connections[ctx.root]
     return tuple(
-        build_context(profile, graph._replace(root=r))
-        for r in sorted(graph.decomposition.largest_vertices())
-        if graph.connections[r] == least
+        ctx if r == ctx.root else build_context(profile, ctx, r)
+        for r in sorted(ctx.h_vertices)
+        if ctx.connections[r] == least
     )
 
 
@@ -737,8 +736,8 @@ def _class_equilibria(
     tables = list(_cost_tables(adj, alpha))
     now = [h[_subset_index(row, v)] for v, (h, row) in enumerate(zip(tables, adj))]
     graph = None
-    if _needs_context(dev_class):  # one graph layer serves every ownership
-        graph = graph_layer(profile_from_index(n, alpha, sum(3**k for k in ks)))
+    if _needs_context(dev_class):  # one context's graph facts serve every ownership
+        graph = build_context(profile_from_index(n, alpha, sum(3**k for k in ks)))
 
     def walked(profile: StrategyProfile) -> int | None:
         """The candidates walked when none improves, else None."""

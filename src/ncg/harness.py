@@ -27,7 +27,7 @@ from .equilibrium import (
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
 from .game import BoughtEdge, is_connected
-from .structure import build_context, graph_layer
+from .structure import build_context
 
 SCHEMA_VERSION = 1
 # Whatever the cap, enumeration stops here: n = 8 has 2^28 labelled graphs
@@ -258,15 +258,17 @@ def contexts_by_graph(records) -> Iterator[tuple]:
     """``(build_context(profile), *rest)`` for each ``(profile, *rest)`` record,
     grouped by graph.
 
-    Records with the same ``adj`` share one ``graph_layer``, and only one
-    graph layer is alive at a time.
+    The first context of each ``adj`` is built from scratch and the rest of
+    its group on it, sharing its graph facts; only one graph's facts are
+    alive at a time.
     """
     groups: dict[tuple[int, ...], list] = {}
     for record in records:
         groups.setdefault(record[0].adj, []).append(record)
-    for members in groups.values():
-        graph = graph_layer(members[0][0])
-        for profile, *rest in members:
+    for (first, *head), *others in groups.values():
+        graph = build_context(first)
+        yield (graph, *head)
+        for profile, *rest in others:
             yield (build_context(profile, graph), *rest)
 
 

@@ -4,12 +4,13 @@ Extracts the objects the audit layer reasons about: the biconnected
 decomposition and its largest piece H, a root r of minimum connection cost
 inside H, a shortest path tree T rooted at r with edge orientations and
 subtree sizes, the ladder of edge classes built from out-edges (X-levels),
-smallest cycles through vertices and edges, and shortest-path funnels
-(S-sets).  ``build_context`` bundles all of them into one
-``StrategyContext`` in two layers: ``graph_layer`` holds what depends only
-on the graph (distances, blocks with H, connection costs, root, cycles and
-girth), shared by every ownership of one graph, and the shortest path tree
-and edge classes depend on who bought which edge.  Each context computes
+the smallest cycle through every edge of every block with a cycle, and
+shortest-path funnels (S-sets).  ``build_context`` bundles all of them
+into one ``StrategyContext``.  Its graph facts (distances, blocks with H,
+connection costs, root, cycle report and girth) depend only on the graph,
+and a context built on another context of the same graph shares them; the
+shortest path tree and edge classes depend on who bought which edge.  The
+cycle report is the one source of cycles and girth.  Each context computes
 its min-cycles when they are first read.
 """
 
@@ -20,8 +21,6 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import inf
-from typing import NamedTuple
-
 from .errors import BudgetExceededError
 from .game import (
     DistanceMatrix,
@@ -50,19 +49,18 @@ class BiconnectedDecomposition:
     """Edge-partition of the graph into maximal biconnected pieces.
 
     ``components`` holds the vertex set of each piece (a bridge is a
-    two-vertex piece).  ``largest`` indexes the piece with the most
-    vertices, ties broken by lexicographically smallest sorted vertex list.
+    two-vertex piece), most vertices first, ties broken by lexicographically
+    smallest sorted vertex list; the first piece is H.
     """
 
     components: tuple[frozenset[int], ...]
     edge_components: tuple[frozenset[Edge], ...]
-    largest: int | None
 
     def largest_vertices(self) -> frozenset[int]:
-        return self.components[self.largest] if self.largest is not None else frozenset()
+        return self.components[0] if self.components else frozenset()
 
     def largest_edges(self) -> frozenset[Edge]:
-        return self.edge_components[self.largest] if self.largest is not None else frozenset()
+        return self.edge_components[0] if self.edge_components else frozenset()
 
 
 def _biconnected_edge_groups(n: int, adj: tuple[int, ...]) -> list[list[Edge]]:
@@ -125,8 +123,7 @@ def largest_biconnected_component(profile: StrategyProfile) -> BiconnectedDecomp
     packed.sort(key=lambda item: (-len(item[0]), sorted(item[0])))
     components = tuple(v for v, _ in packed)
     edge_components = tuple(e for _, e in packed)
-    largest = 0 if packed else None
-    return BiconnectedDecomposition(components, edge_components, largest)
+    return BiconnectedDecomposition(components, edge_components)
 
 
 def choose_root(profile: StrategyProfile, dist: DistanceMatrix, h_vertices) -> int:
@@ -273,17 +270,25 @@ def classify_x_sets(
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Smallest cycles of H: girth, one witness per vertex and per edge.
+    """Smallest cycles of the graph: one per edge of every block with a
+    cycle, by edge, and one per vertex of H among those through its H edges.
 
-    Every reported per-edge cycle is checked to realise all pairwise graph
-    distances between its vertices (the min-cycle property), once per
-    distinct cycle; ``canonical`` holds the checked cycles' canonical forms.
+    Every per-edge cycle is checked to realise all pairwise graph distances
+    between its vertices (the min-cycle property), once per distinct cycle.
     """
 
-    girth: int | float
     per_vertex_cycle: dict[int, tuple[int, ...]]
     per_edge_cycle: dict[Edge, tuple[int, ...]]
-    canonical: frozenset[tuple[int, ...]] = field(default=frozenset(), compare=False, repr=False)
+
+    @cached_property
+    def girth(self) -> int | float:
+        """Length of the shortest cycle in the graph; inf when acyclic."""
+        return min(map(len, self.per_edge_cycle.values()), default=inf)
+
+    @cached_property
+    def canonical(self) -> frozenset[tuple[int, ...]]:
+        """The canonical forms of the per-edge cycles, all checked min-cycles."""
+        return frozenset(map(canonical_cycle, self.per_edge_cycle.values()))
 
 
 def smallest_cycle_through_edge(profile: StrategyProfile, a: int, b: int) -> tuple[int, ...] | None:
@@ -346,42 +351,47 @@ def cycle_report(
     decomposition: BiconnectedDecomposition,
     dist: DistanceMatrix | None = None,
 ) -> CycleReport:
-    """Smallest-cycle survey of the largest biconnected piece."""
-    h_vertices = decomposition.largest_vertices()
-    h_edges = decomposition.largest_edges()
-    if len(h_vertices) < 3:
-        return CycleReport(inf, {}, {})
+    """Smallest-cycle survey of every block with a cycle, edges in sorted order.
+
+    A cycle lies inside one block and a bridge lies on none, so only blocks
+    of at least three vertices are searched; only H's edges feed
+    ``per_vertex_cycle``.
+    """
+    blocks = zip(decomposition.components, decomposition.edge_components)
+    cyclic = [edges for vertices, edges in blocks if len(vertices) >= 3]
+    if not cyclic:
+        return CycleReport({}, {})
     if dist is None:
         dist = all_pairs_distances(profile)
+    h_edges = decomposition.largest_edges()
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}  # vertex -> (length, canonical cycle)
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}  # H vertex -> (length, canonical cycle)
     checked: set[tuple[int, ...]] = set()  # a ring's edges all return the same cycle
-    for e in sorted(h_edges):
+    for e in sorted(e for edges in cyclic for e in edges):
         cyc = smallest_cycle_through_edge(profile, e[0], e[1])
-        if cyc is None:
-            continue
         canon = canonical_cycle(cyc)
         if canon not in checked:
             if not is_min_cycle(cyc, dist):
                 raise AssertionError(f"smallest cycle through {e} is not a min-cycle: {cyc}")
             checked.add(canon)
         per_edge[e] = cyc
-        key = (len(cyc), canon)
-        for v in e:
-            if v not in best or key < best[v]:
-                best[v] = key
+        if e in h_edges:
+            key = (len(cyc), canon)
+            for v in e:
+                if v not in best or key < best[v]:
+                    best[v] = key
 
-    girth = min((len(c) for c in per_edge.values()), default=inf)
     per_vertex = {v: best[v][1] for v in sorted(best)}
-    return CycleReport(girth, per_vertex, per_edge, frozenset(checked))
+    return CycleReport(per_vertex, per_edge)
 
 
 def global_girth(profile: StrategyProfile) -> int | float:
     """Length of the shortest cycle anywhere in the graph; inf when acyclic.
 
     One search per edge, bridges included.  ``build_context`` takes the girth
-    from the cycle report instead (``_girth``); this is its reference.
+    from the cycle report instead, which searches no bridge; this is its
+    reference.
     """
     best: int | float = inf
     for a, b in profile.undirected_edges():
@@ -438,14 +448,15 @@ def min_cycles(
     profile: StrategyProfile, dist: DistanceMatrix, cycles: CycleReport
 ) -> tuple[str, tuple[tuple[int, ...], ...]]:
     """(coverage, every min-cycle of the graph): "exhaustive" over
-    ``all_simple_cycles``, or, past its budget, "smallest-per-edge-only" over
-    the cycle report's per-edge cycles.  Cycles the report already checked
-    are not checked again.
+    ``all_simple_cycles``, or, past its budget, "smallest-per-edge-only": the
+    cycle report's distinct per-edge cycles.  Either way each cycle is in
+    canonical form, by length, then vertices.  Cycles the report already
+    checked are not checked again.
     """
     try:
         found = all_simple_cycles(profile)
     except BudgetExceededError:
-        return "smallest-per-edge-only", tuple(sorted(set(cycles.per_edge_cycle.values())))
+        return "smallest-per-edge-only", tuple(sorted(cycles.canonical, key=lambda c: (len(c), c)))
     return "exhaustive", tuple(c for c in found if c in cycles.canonical or is_min_cycle(c, dist))
 
 
@@ -635,89 +646,46 @@ class StrategyContext:
         return new
 
 
-class GraphLayer(NamedTuple):
-    """The part of a context that depends only on the graph, not on ownership.
-
-    A named tuple rather than a dataclass: it has no methods, and a frozen
-    dataclass takes about ten times as long to define, on every import.
-    """
-
-    adj: tuple[int, ...]
-    dist: DistanceMatrix
-    decomposition: BiconnectedDecomposition
-    connections: tuple[int | float, ...]
-    root: int
-    cycles: CycleReport
-    girth: int | float
-
-
-def graph_layer(profile: StrategyProfile) -> GraphLayer:
-    """The graph layer of a connected profile's context.
-
-    Distances, blocks, connection costs, root, cycles and girth; every
-    profile with the same ``adj`` shares it.
-    """
-    if not is_connected(profile):
-        raise ValueError("audit context requires a connected profile")
-    dist = all_pairs_distances(profile)
-    decomposition = largest_biconnected_component(profile)
-    connections = tuple(map(sum, dist.rows))  # connection_cost of every vertex
-    h_vertices = decomposition.largest_vertices()
-    root = choose_root(profile, dist, h_vertices) if h_vertices else 0
-    cycles = cycle_report(profile, decomposition, dist)
-    girth = _girth(profile, decomposition, cycles)
-    return GraphLayer(profile.adj, dist, decomposition, connections, root, cycles, girth)
-
-
-def build_context(profile: StrategyProfile, graph: GraphLayer | None = None) -> StrategyContext:
+def build_context(
+    profile: StrategyProfile, graph: StrategyContext | None = None, root: int | None = None
+) -> StrategyContext:
     """Compute the full structural bundle for a connected profile.
 
-    ``graph`` is ``graph_layer`` of a profile with the same ``adj``; it is
-    computed from ``profile`` when not given.
+    ``graph`` is a context of a profile with the same ``adj``: its distances,
+    blocks, connection costs and cycle report are reused, and its root is the
+    default.  Without one they are computed from ``profile`` and the root
+    defaults to ``choose_root``.
     """
     if graph is None:
-        graph = graph_layer(profile)
-    elif graph.adj != profile.adj:
-        raise ValueError("graph layer of a different graph")
-    decomposition = graph.decomposition
-    spt = build_spt(profile, graph.dist, graph.root)
+        if not is_connected(profile):
+            raise ValueError("audit context requires a connected profile")
+        dist = all_pairs_distances(profile)
+        decomposition = largest_biconnected_component(profile)
+        connections = tuple(map(sum, dist.rows))  # connection_cost of every vertex
+        cycles = cycle_report(profile, decomposition, dist)
+    elif graph.profile.adj != profile.adj:
+        raise ValueError("context of a different graph")
+    else:
+        dist, decomposition = graph.dist, graph.decomposition
+        connections, cycles = graph.connections, graph.cycles
+        root = graph.root if root is None else root
+    h_vertices = decomposition.largest_vertices()
+    if root is None:
+        root = choose_root(profile, dist, h_vertices) if h_vertices else 0
+    spt = build_spt(profile, dist, root)
     x_classes = {
         c.edge: c for c in classify_x_sets(profile, spt, decomposition)
     }
     return StrategyContext(
         profile=profile,
-        dist=graph.dist,
+        dist=dist,
         decomposition=decomposition,
-        h_vertices=decomposition.largest_vertices(),
+        h_vertices=h_vertices,
         h_edges=decomposition.largest_edges(),
-        root=graph.root,
+        root=root,
         spt=spt,
         x_classes=x_classes,
-        cycles=graph.cycles,
-        girth=graph.girth,
-        connections=graph.connections,
+        cycles=cycles,
+        girth=cycles.girth,
+        connections=connections,
     )
-
-
-def _girth(
-    profile: StrategyProfile,
-    decomposition: BiconnectedDecomposition,
-    cycles: CycleReport,
-) -> int | float:
-    """``global_girth(profile)`` from H's cycle report plus the other cyclic blocks.
-
-    A cycle lies inside one biconnected block, so bridges lie on none, and
-    the report already holds the smallest cycle through every edge of H.
-    """
-    blocks = zip(decomposition.components, decomposition.edge_components)
-    others = [
-        edges
-        for i, (vertices, edges) in enumerate(blocks)
-        if i != decomposition.largest and len(vertices) >= 3
-    ]
-    if not others:
-        return cycles.girth
-    lengths = (
-        len(smallest_cycle_through_edge(profile, a, b)) for edges in others for a, b in edges
-    )
-    return min(cycles.girth, *lengths)

@@ -29,7 +29,9 @@ edge-class rules straight from ``x_classes``, ``spt.parent`` and
 profile's graph facts off its bought edges one edge at a time, the scan its
 bitmask rows replaced.
 ``oracle_per_vertex_cycle`` and ``oracle_h_neighbours`` are the per-vertex
-scans over H's edges that the context's tables replaced, and
+scans over H's edges that the context's tables replaced,
+``oracle_girth_witness`` the search of every edge, bridges included, that
+the ``mincyclesize`` witness from the cycle report replaced, and
 ``oracle_context`` assembles a ``StrategyContext`` from the public structure
 calls with the girth from ``global_girth``, as the benchmark's traced
 re-drive does.  ``oracle_bound`` prices one bound comparison from scratch
@@ -88,6 +90,7 @@ from ncg.structure import (
     cycle_report,
     global_girth,
     largest_biconnected_component,
+    smallest_cycle_through_edge,
 )
 
 
@@ -389,6 +392,16 @@ def oracle_per_vertex_cycle(per_edge_cycle, h_vertices, h_edges) -> dict:
         if best is not None:
             per_vertex[v] = best[1]
     return per_vertex
+
+
+def oracle_girth_witness(profile: StrategyProfile, girth) -> tuple[int, ...] | None:
+    """The smallest cycle of length ``girth`` through the first edge, in
+    sorted order, that has one; every edge is searched, bridges included."""
+    for a, b in profile.undirected_edges():
+        cyc = smallest_cycle_through_edge(profile, a, b)
+        if cyc is not None and len(cyc) == girth:
+            return cyc
+    return None
 
 
 def oracle_h_neighbours(ctx: StrategyContext, v: int) -> tuple[int, ...]:

@@ -19,7 +19,13 @@ from gadgets import (
     two_triangles,
     up_and_out_seller,
 )
-from oracle import oracle_bound, oracle_context, oracle_s_set_all_paths, oracle_sell_selections
+from oracle import (
+    oracle_bound,
+    oracle_context,
+    oracle_girth_witness,
+    oracle_s_set_all_paths,
+    oracle_sell_selections,
+)
 from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
@@ -371,6 +377,20 @@ def test_girth_rule_witness_outside_largest_component():
     assert finding.holds is False
     assert finding.detail["girth"] == 3
     assert len(finding.detail["counter_witness"]) == 3
+
+
+@given(st.one_of(connected_profiles(max_n=9), sparse_connected_profiles(max_n=10)))
+# two triangles joined by the path 2-3-4: H is one triangle, the other lies outside it
+@example(profile(7, 40, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]))
+# H is a five-ring; a smaller triangle hangs off it by a bridge
+@example(profile(8, 40, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]))
+@settings(max_examples=80, deadline=None)
+def test_girth_rule_witness_matches_every_edge_search(p):
+    finding = audit_structural(_ctx(p), "mincyclesize")
+    girth = global_girth(p)
+    assert finding.holds == (girth == inf or girth >= 2 * p.alpha / p.n + 2)
+    want = None if finding.holds else oracle_girth_witness(p, girth)
+    assert finding.detail["counter_witness"] == want
 
 
 def test_directed_mincycles_on_rings():

@@ -454,10 +454,17 @@ def test_paper_strategy_dynamics_build_one_context_per_profile(monkeypatch):
     import ncg.equilibrium as eq
     from ncg.audit import scaffold_profile
 
-    # one graph layer per profile serves the context of each tied root
+    # one context per profile computes the graph facts; the context of
+    # every other tied root is built on it
     built = []
-    layer = eq.graph_layer
-    monkeypatch.setattr(eq, "graph_layer", lambda p: built.append(p) or layer(p))
+    real = eq.build_context
+
+    def counted(p, graph=None, root=None):
+        if graph is None:
+            built.append(p)
+        return real(p, graph, root)
+
+    monkeypatch.setattr(eq, "build_context", counted)
     trace = best_response_dynamics(scaffold_profile(3), DeviationClass.parse("paper-strategy-1"))
     assert len(trace.steps) == 1 and trace.converged
     assert len(built) == 2  # the start and the profile after the one move

@@ -174,7 +174,7 @@ def test_shared_graph_contexts_audit_like_build_context(n, alpha):
     shared = list(contexts_by_graph(equilibria))
     key = lambda item: item[0].edges
     assert sorted(((c.profile, r) for c, r in shared), key=key) == sorted(equilibria, key=key)
-    # one graph layer per graph: its distances are one object
+    # one graph's contexts share its graph facts: its distances are one object
     assert len({id(c.dist) for c, _ in shared}) == len({p.adj for p, _ in equilibria})
     for ctx, report in shared:
         ref = build_context(ctx.profile)

@@ -58,7 +58,6 @@ from ncg.structure import (
     all_simple_cycles,
     canonical_cycle,
     cycle_directed,
-    graph_layer,
     is_min_cycle,
     smallest_cycle_through_edge,
 )
@@ -271,8 +270,9 @@ def test_global_girth_sees_smaller_far_component():
     p = profile(8, 1, pairs)
     decomp = largest_biconnected_component(p)
     assert len(decomp.largest_vertices()) == 5
-    assert cycle_report(p, decomp).girth == 5
-    assert global_girth(p) == 3
+    report = cycle_report(p, decomp)
+    assert report.girth == global_girth(p) == 3
+    assert set(report.per_vertex_cycle) == set(range(5))  # only H's edges feed it
 
 
 def test_cycle_report_checks_each_distinct_cycle_once(monkeypatch):
@@ -362,7 +362,8 @@ def test_blocks_match_the_cycle_union_oracle(p):
     for vertices, edges in zip(decomp.components, decomp.edge_components):
         assert vertices == {v for e in edges for v in e}
     sizes = [(-len(c), sorted(c)) for c in decomp.components]
-    assert sizes == sorted(sizes) and decomp.largest == 0
+    assert sizes == sorted(sizes)
+    assert len(decomp.largest_vertices()) == max(map(len, decomp.components), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +498,13 @@ def test_per_vertex_cycles_match_oracle(p):
 @example(profile(8, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]))
 @settings(max_examples=80, deadline=None)
 def test_context_girth_matches_global_girth(p):
-    assert build_context(p).girth == global_girth(p)
+    decomp = largest_biconnected_component(p)
+    report = cycle_report(p, decomp)
+    assert report.girth == build_context(p).girth == global_girth(p)
+    blocks = zip(decomp.components, decomp.edge_components)
+    cyclic = {e for vertices, edges in blocks if len(vertices) >= 3 for e in edges}
+    assert set(report.per_edge_cycle) == cyclic
+    assert list(report.per_edge_cycle) == sorted(cyclic)
 
 
 @given(connected_profiles(max_n=9))
@@ -654,8 +661,28 @@ def test_a_context_enumerates_cycles_once_on_first_read(monkeypatch):
     assert build_context(directed_ring(7, 29)).min_cycles == ("exhaustive", (tuple(range(7)),))
 
 
-def test_contexts_built_on_a_graph_layer_pickle():
-    for ctx in (build_context(directed_ring(7, 29)), build_context(scaffold_profile(5))):
+def test_min_cycles_past_the_budget_are_the_distinct_per_edge_cycles(monkeypatch):
+    import ncg.structure as structure
+
+    ring = directed_ring(7, 29)  # all seven ring edges return the one ring
+    # H is a five-ring; a triangle hangs off it by a bridge
+    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(4, 5), (5, 6), (6, 7), (7, 5)]
+    tailed = profile(8, 1, pairs)
+    exhaustive = {p: build_context(p).min_cycles for p in (ring, tailed)}
+    assert exhaustive[tailed] == ("exhaustive", ((5, 6, 7), (0, 1, 2, 3, 4)))
+
+    def over_budget(p):
+        raise BudgetExceededError("over", required=1)
+
+    monkeypatch.setattr(structure, "all_simple_cycles", over_budget)
+    for p, (_, cycles) in exhaustive.items():
+        assert build_context(p).min_cycles == ("smallest-per-edge-only", cycles)
+
+
+def test_contexts_built_on_a_context_pickle():
+    ring = build_context(directed_ring(7, 29))
+    reversed_ring = profile(7, 29, [((i + 1) % 7, i) for i in range(7)])
+    for ctx in (ring, build_context(reversed_ring, ring), build_context(scaffold_profile(5))):
         copy = pickle.loads(pickle.dumps(ctx))  # before the min-cycles are computed
         assert copy == ctx and copy.min_cycles == ctx.min_cycles
         copy = pickle.loads(pickle.dumps(ctx))  # and after, the result kept
@@ -663,9 +690,12 @@ def test_contexts_built_on_a_graph_layer_pickle():
         assert copy == ctx
 
 
-def test_context_rejects_the_graph_layer_of_another_graph():
-    graph = graph_layer(directed_ring(7, 29))
+def test_context_rejects_a_context_of_another_graph():
+    graph = build_context(directed_ring(7, 29))
     reversed_ring = profile(7, 29, [((i + 1) % 7, i) for i in range(7)])
-    assert build_context(reversed_ring, graph) == build_context(reversed_ring)
+    shared = build_context(reversed_ring, graph)
+    assert shared == build_context(reversed_ring)
+    assert shared.dist is graph.dist and shared.cycles is graph.cycles
+    assert build_context(reversed_ring, graph, 3) == oracle_context(reversed_ring, 3)
     with pytest.raises(ValueError, match="different graph"):
         build_context(figure_gadget(), graph)
