@@ -20,9 +20,9 @@ from .equilibrium import (
     VERTEX_ORDERS,
     DeviationClass,
     DynamicsTrace,
-    EnumerationResult,
     VerificationReport,
     best_response_dynamics,
+    labelled_equilibria,
     verify_equilibrium,
 )
 from .errors import (
@@ -188,12 +188,12 @@ def _sweep_spec(args, dev_class: DeviationClass) -> SweepSpec:
     return SweepSpec(n_values, alpha_expressions, dev_class, args.cap, args.budget)
 
 
-def _dump_equilibria(result: EnumerationResult, dump: Path) -> None:
-    """One profile document per equilibrium of the cell."""
+def _dump_equilibria(n: int, alpha: Fraction, records, dump: Path) -> None:
+    """One profile document per labelled equilibrium of the cell's records."""
     dump.mkdir(parents=True, exist_ok=True)
-    alpha = format_fraction(result.alpha).replace("/", "_")
-    for idx, (profile, _) in enumerate(result.equilibria):
-        save_profile(profile, dump / f"n{result.n}_alpha{alpha}_{idx}.json")
+    name = format_fraction(alpha).replace("/", "_")
+    for idx, (profile, _) in enumerate(labelled_equilibria(n, alpha, records)):
+        save_profile(profile, dump / f"n{n}_alpha{name}_{idx}.json")
 
 
 def cmd_run(argv=None) -> int:
@@ -216,9 +216,9 @@ def cmd_run(argv=None) -> int:
             spec = _sweep_spec(args, dev_class)
             if args.command == "enumerate" and args.dump_dir:
                 rows = []
-                for result, row in sweep_cells(spec):
+                for records, row in sweep_cells(spec):
                     rows.append(row)
-                    _dump_equilibria(result, Path(args.dump_dir))
+                    _dump_equilibria(row.n, row.alpha, records, Path(args.dump_dir))
             else:
                 rows = run_sweep(spec)
             _emit(rows_to_csv(rows), args.out)

@@ -12,7 +12,7 @@ cross-multiplication), so every verdict is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product, repeat
 from math import inf
@@ -532,10 +532,9 @@ def _best_class_move(
 class EnumerationResult:
     """Exhaustive scan outcome over all buyer-annotated profiles.
 
-    ``representatives`` holds a ``(profile, report, weight)`` record per
-    equilibrium on each isomorphism class's first graph, weighted by its
-    labelled images in ``equilibria``.  Being derived from them, it is left
-    out of equality, and None in a result rebuilt from the other fields.
+    ``representatives`` holds ``scan_graph_range``'s class records and
+    ``equilibria`` their ``labelled_equilibria``; the records are left out
+    of equality, and None in a result rebuilt from the other fields.
     """
 
     n: int
@@ -717,6 +716,14 @@ def _vertex_maps(n: int) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
     return maps
 
 
+def _distinct_images(ks: list[int], maps) -> dict:
+    """Image of the graph on pairs ``ks`` -> weights of the first map giving it."""
+    images = {}
+    for bits, weights in maps:
+        images.setdefault(sum(map(bits.__getitem__, ks)), weights)
+    return images
+
+
 def _class_equilibria(
     n: int, alpha: Fraction, dev_class: DeviationClass, ks: list[int], adj: list[int], budget: int
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -766,21 +773,15 @@ def _class_equilibria(
 
 def scan_graph_range(
     n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
-) -> tuple[int, list[tuple], tuple]:
+) -> tuple[int, tuple]:
     """Decide every profile on n vertices, one connected graph per isomorphism class.
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  The first
     connected graph no earlier class covers is decided from its cost tables,
     by ``_table_equilibria`` under the exact class, else ``_class_equilibria``,
-    and every vertex map carries the verdict to an image not yet marked:
-    it is marked, counted, and gets each equilibrium's image, decoded once,
-    with the representative's report under its own hash.  (Paper-strategy
-    candidates follow shortest path trees whose parent ties go to the
-    smallest id, so there an image's ``deviations_checked`` may differ from
-    ``verify_equilibrium``'s.)  The identity map comes first, so a class's
-    first images are its own equilibria, recorded with the number of images
-    marked as their weight.  Returns (connected-profile count, [(profile
-    index, profile, report)] per equilibrium, the representatives).
+    and its images are marked.  Returns (connected-profile count, records):
+    one ``(profile, report, weight)`` per equilibrium on each class's first
+    graph, weighted by its images, which ``labelled_equilibria`` decodes.
     """
     exact = dev_class.kind == "exact-all-subsets"
     checks = _exact_checks(n, budget) if exact else None
@@ -789,7 +790,6 @@ def scan_graph_range(
     spec = dev_class.spec()
     marked = bytearray(((1 << len(pairs)) + 7) >> 3)
     connected = 0
-    found = []
     records = []
     for graph in range(1 << len(pairs)):
         if marked[graph >> 3] >> (graph & 7) & 1:
@@ -801,23 +801,37 @@ def scan_graph_range(
             ownerships = [(owners, checks) for owners in _table_equilibria(adj, edges, alpha)]
         else:
             ownerships = _class_equilibria(n, alpha, dev_class, ks, adj, budget)
-        first = len(found)
-        images = 0
-        for bits, weights in maps:
-            image = sum(map(bits.__getitem__, ks))
-            if marked[image >> 3] >> (image & 7) & 1:
-                continue
+        images = _distinct_images(ks, maps)
+        for image in images:
             marked[image >> 3] |= 1 << (image & 7)
-            connected += 1 << len(ks)
-            images += 1
-            for owners, checked in ownerships:
-                index = sum(weights[k][trit] for k, trit in zip(ks, owners))
-                profile = profile_from_index(n, alpha, index)
-                report = VerificationReport(profile_hash(profile), spec, True, None, checked)
-                found.append((index, profile, report))
-        for _, profile, report in found[first : first + len(ownerships)]:
-            records.append((profile, report, images))
-    return connected, found, tuple(records)
+        connected += len(images) << len(ks)
+        for owners, checked in ownerships:
+            profile = profile_from_index(n, alpha, sum(t * 3**k for t, k in zip(owners, ks)))
+            report = VerificationReport(profile_hash(profile), spec, True, None, checked)
+            records.append((profile, report, len(images)))
+    return connected, tuple(records)
+
+
+def labelled_equilibria(n: int, alpha: Fraction, records) -> tuple:
+    """Labelled ``(profile, report)`` equilibria of class records, by profile index.
+
+    The first vertex map giving each image of a record's graph carries its
+    ownership there (classes are disjoint: these are the images the scan
+    marked), with the record's report under the image's hash.  Paper-strategy
+    candidates follow shortest path trees whose parent ties go to the
+    smallest id, so there ``deviations_checked`` may differ from
+    ``verify_equilibrium``'s on an image.
+    """
+    position = {pair: k for k, pair in enumerate(pair_list(n))}
+    maps = _vertex_maps(n)
+    found = []
+    for profile, report, _ in records:
+        owned = [(position[e.endpoints()], 1 if e.buyer < e.other else 2) for e in profile.edges]
+        for weights in _distinct_images([k for k, _ in owned], maps).values():
+            index = sum(weights[k][trit] for k, trit in owned)
+            labelled = profile_from_index(n, alpha, index)
+            found.append((index, labelled, replace(report, profile_hash=profile_hash(labelled))))
+    return tuple((profile, report) for _, profile, report in sorted(found))
 
 
 def random_profile(

@@ -87,10 +87,6 @@ class StrategyProfile:
         """Deduplicated underlying edges, each as (low, high), sorted."""
         return tuple(sorted({e.endpoints() for e in self.edges}))
 
-    def targets_of(self, v: int) -> frozenset[int]:
-        """Vertices that ``v`` currently buys edges to."""
-        return frozenset(mask_members(self.bought[v]))
-
     def buys(self, a: int, b: int) -> bool:
         """True iff ``a`` bought the edge to ``b``."""
         return self.bought[a] >> b & 1 == 1

@@ -23,6 +23,7 @@ from .equilibrium import (
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
+    labelled_equilibria,
     scan_graph_range,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
@@ -221,22 +222,20 @@ def enumerate_cell(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> EnumerationResult:
-    """Exhaustively scan one (n, alpha) cell.
+    """Exhaustively scan one (n, alpha) cell, with its labelled equilibria.
 
     The scan walks the 2^(n(n-1)/2) underlying graphs (``scan_graph_range``)
-    and decides the ownerships of one connected graph per isomorphism class
-    from per-vertex cost tables; each verdict is carried to every
-    relabelling.  ``profiles_scanned`` counts the profiles covered,
-    3^(n(n-1)/2), not those verified, and equilibria are sorted by profile
-    index.  n above ``cap`` or above ``MAX_ENUMERATION_N`` is refused before
-    anything is allocated.  ``jobs`` is ignored: every cell runs serially.
+    and decides one connected graph per isomorphism class from per-vertex
+    cost tables; only here and in ``--dump-dir`` does ``labelled_equilibria``
+    carry its class records to every relabelling.  ``profiles_scanned``
+    counts the profiles covered, 3^(n(n-1)/2), not those verified.  n above
+    ``cap`` or ``MAX_ENUMERATION_N`` is refused before anything is
+    allocated.  ``jobs`` is ignored: every cell runs serially.
     """
     check_cell_n(n, cap)
-    connected, found, representatives = scan_graph_range(n, alpha, dev_class, budget)
-    found.sort(key=lambda item: item[0])
-    equilibria = tuple((profile, report) for _, profile, report in found)
-    total = 3 ** (n * (n - 1) // 2)
-    return EnumerationResult(n, alpha, total, connected, equilibria, representatives)
+    connected, records = scan_graph_range(n, alpha, dev_class, budget)
+    equilibria = labelled_equilibria(n, alpha, records)
+    return EnumerationResult(n, alpha, 3 ** (n * (n - 1) // 2), connected, equilibria, records)
 
 
 def check_cell_n(n: int, cap: int) -> None:
@@ -273,12 +272,19 @@ def contexts_by_graph(records) -> Iterator[tuple]:
 
 
 def build_report_row(result: EnumerationResult) -> ReportRow:
-    """Fold one enumeration into a row; enforces the tree-only rule above 2n.
+    """``fold_records`` of the class records, else of each equilibrium at weight 1."""
+    records = result.representatives
+    if records is None:
+        records = [(profile, report, 1) for profile, report in result.equilibria]
+    return fold_records(result.n, result.alpha, result.profiles_scanned, records)
 
-    The fold walks ``result.representatives``, one record per equilibrium of
-    each isomorphism class, or else every equilibrium with weight 1.  A
-    relabelling changes neither girth nor audit, so each record is audited
-    once on its ``StrategyContext`` (``contexts_by_graph``) by
+
+def fold_records(n: int, alpha: Fraction, scanned: int, records) -> ReportRow:
+    """A cell's row from ``(profile, report, weight)`` records, each standing
+    for weight labelled equilibria; enforces the tree-only rule above 2n.
+
+    A relabelling changes neither girth nor audit, so each record is
+    audited once on its ``StrategyContext`` (``contexts_by_graph``) by
     ``audit_failures``, which evaluates only the rules whose gate holds and
     prices bounds only in the paper's regime, and counts as many times as
     its weight.  Being connected, an equilibrium is a tree iff its girth is
@@ -287,14 +293,9 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
     proves stability only against its own deviations, so its non-tree
     counts are data, as are all of them in the open band [n, 2n).
     """
-    records = result.representatives
-    if records is None:
-        records = ((profile, report, 1) for profile, report in result.equilibria)
-    tree = 0
-    non_tree = 0
+    tree = non_tree = failures = 0
     exact_non_tree = False
     min_girth: int | float = inf
-    failures = 0
     for ctx, report, weight in contexts_by_graph(records):
         if ctx.girth == inf:
             tree += weight
@@ -303,31 +304,20 @@ def build_report_row(result: EnumerationResult) -> ReportRow:
             exact_non_tree = exact_non_tree or report.deviation_class == EXACT.spec()
         min_girth = min(min_girth, ctx.girth)
         failures += weight * audit_failures(ctx, ne_certificate=report)
-    if result.alpha > 2 * result.n and exact_non_tree:
-        raise TreeConjectureViolation(
-            f"non-tree equilibrium at n={result.n}, alpha={result.alpha}"
-        )
-    return ReportRow(
-        n=result.n,
-        alpha=result.alpha,
-        profiles_scanned=result.profiles_scanned,
-        ne_count=len(result.equilibria),
-        tree_ne_count=tree,
-        non_tree_ne_count=non_tree,
-        min_girth_among_ne=min_girth,
-        audit_failures=failures,
-    )
+    if alpha > 2 * n and exact_non_tree:
+        raise TreeConjectureViolation(f"non-tree equilibrium at n={n}, alpha={alpha}")
+    return ReportRow(n, alpha, scanned, tree + non_tree, tree, non_tree, min_girth, failures)
 
 
-def sweep_cells(spec: SweepSpec) -> Iterator[tuple[EnumerationResult, ReportRow]]:
-    """Enumerate and fold each (n, alpha) cell in grid order; every n and
-    alpha of the grid is checked before the first cell is scanned."""
+def sweep_cells(spec: SweepSpec) -> Iterator[tuple[tuple, ReportRow]]:
+    """Each (n, alpha) cell's class records and their row, in grid order; the
+    whole grid is checked before the first cell is scanned."""
     for n in spec.n_values:
         check_cell_n(n, spec.cap)
     cells = [(n, cell_alpha(expr, n)) for n in spec.n_values for expr in spec.alpha_expressions]
     for n, alpha in cells:
-        result = enumerate_cell(n, alpha, spec.dev_class, spec.cap, spec.budget)
-        yield result, build_report_row(result)
+        _, records = scan_graph_range(n, alpha, spec.dev_class, spec.budget)
+        yield records, fold_records(n, alpha, 3 ** (n * (n - 1) // 2), records)
 
 
 def run_sweep(spec: SweepSpec) -> list[ReportRow]:

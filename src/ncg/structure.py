@@ -274,21 +274,18 @@ class CycleReport:
     cycle, by edge, and one per vertex of H among those through its H edges.
 
     Every per-edge cycle is checked to realise all pairwise graph distances
-    between its vertices (the min-cycle property), once per distinct cycle.
+    between its vertices (the min-cycle property), once per distinct cycle;
+    ``canonical`` holds their canonical forms, the cycles checked.
     """
 
     per_vertex_cycle: dict[int, tuple[int, ...]]
     per_edge_cycle: dict[Edge, tuple[int, ...]]
+    canonical: frozenset[tuple[int, ...]] = field(default=frozenset(), compare=False, repr=False)
 
     @cached_property
     def girth(self) -> int | float:
         """Length of the shortest cycle in the graph; inf when acyclic."""
         return min(map(len, self.per_edge_cycle.values()), default=inf)
-
-    @cached_property
-    def canonical(self) -> frozenset[tuple[int, ...]]:
-        """The canonical forms of the per-edge cycles, all checked min-cycles."""
-        return frozenset(map(canonical_cycle, self.per_edge_cycle.values()))
 
 
 def smallest_cycle_through_edge(profile: StrategyProfile, a: int, b: int) -> tuple[int, ...] | None:
@@ -382,8 +379,7 @@ def cycle_report(
                 if v not in best or key < best[v]:
                     best[v] = key
 
-    per_vertex = {v: best[v][1] for v in sorted(best)}
-    return CycleReport(per_vertex, per_edge)
+    return CycleReport({v: best[v][1] for v in sorted(best)}, per_edge, frozenset(checked))
 
 
 def global_girth(profile: StrategyProfile) -> int | float:

@@ -46,8 +46,9 @@ adjacency entry at a time on set-based paths, both walking the 2-core.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import inf
 
 from gadgets import oracle_delta
@@ -71,6 +72,7 @@ from ncg.equilibrium import (
     verify_equilibrium,
 )
 from ncg.game import (
+    BoughtEdge,
     DistanceMatrix,
     StrategyProfile,
     all_pairs_distances,
@@ -160,6 +162,32 @@ def oracle_graph_scan(
             report = VerificationReport(profile_hash(profile), EXACT.spec(), True, None, checks)
             found.append((index, profile, report))
     return connected, found
+
+
+def oracle_labelled_equilibria(records) -> tuple[tuple[StrategyProfile, VerificationReport], ...]:
+    """The labelled equilibria of class records, by profile index, relabelling
+    edges instead of ``labelled_equilibria``'s index arithmetic.
+
+    Each record goes to every image of its graph by the first vertex map, in
+    ``permutations`` order, that reaches it, and keeps its report under the
+    image's hash.
+    """
+    found = {}
+    for profile, report, _ in records:
+        n = profile.n
+        graphs = set()
+        for pi in permutations(range(n)):
+            edges = tuple(BoughtEdge(pi[e.buyer], pi[e.other]) for e in profile.edges)
+            image = StrategyProfile(n, profile.alpha, edges)
+            if image.adj in graphs:
+                continue
+            graphs.add(image.adj)
+            index = sum(
+                (1 if e.buyer < e.other else 2) * 3 ** pair_list(n).index(e.endpoints())
+                for e in image.edges
+            )
+            found[index] = (image, replace(report, profile_hash=profile_hash(image)))
+    return tuple(found[index] for index in sorted(found))
 
 
 def oracle_ownership_scan(

@@ -255,7 +255,7 @@ def test_bound_audit_integer_pricing_matches_fractions(p):
             for sold in sales:
                 cmp = audit_deviation_bound(ctx, u, kind, sold)
                 levels = [((min(u, t), max(u, t)), ctx.x_level((u, t)) or 0) for t in sold]
-                new_targets = p.targets_of(u) - set(sold)
+                new_targets = frozenset(mask_members(p.bought[u])) - set(sold)
                 if kind != "strategy1" and u != ctx.root:
                     new_targets |= {ctx.root}
                 assert cmp.bound == bound_fn(ctx, u, levels)

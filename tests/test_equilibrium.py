@@ -26,6 +26,7 @@ from oracle import (
     oracle_cell,
     oracle_class_move,
     oracle_graph_scan,
+    oracle_labelled_equilibria,
     oracle_ownership_scan,
     oracle_verify,
 )
@@ -60,12 +61,20 @@ from ncg.equilibrium import (
     _greedy_tables,
     _subset_masks,
     _table_equilibria,
+    labelled_equilibria,
     pair_list,
     profile_from_index,
     scan_graph_range,
 )
-from ncg.game import BoughtEdge, StrategyProfile, row_sums, sized_sums
-from ncg.harness import MAX_ENUMERATION_N, build_report_row, enumerate_cell
+from ncg.game import BoughtEdge, StrategyProfile, mask_members, row_sums, sized_sums
+from ncg.harness import (
+    MAX_ENUMERATION_N,
+    SweepSpec,
+    build_report_row,
+    enumerate_cell,
+    format_fraction,
+    run_sweep,
+)
 
 EXACT = DeviationClass.parse("exact")
 
@@ -533,7 +542,7 @@ def test_best_response_delta_never_positive(p):
         assert delta <= 0
         if delta == 0:
             # the current strategy is among the minimizers
-            current_cost = delta_cost(p, v, p.targets_of(v))
+            current_cost = delta_cost(p, v, frozenset(mask_members(p.bought[v])))
             assert current_cost == 0
 
 
@@ -693,8 +702,12 @@ def test_restricted_cell_budget_counts_candidates_per_ownership():
 
 
 def _by_index(scan):
-    connected, found = scan[:2]
-    return connected, sorted(found, key=lambda item: item[0])
+    connected, found = scan
+    return connected, tuple((p, report) for _, p, report in sorted(found, key=lambda item: item[0]))
+
+
+def _labelled(result):
+    return result.connected_count, result.equilibria
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -702,12 +715,12 @@ def test_class_scan_matches_labelled_scan(n):
     # connected counts, profiles and reports, one table build per labelled graph
     graphs = range(1 << (n * (n - 1) // 2))
     for alpha in ORACLE_ALPHAS:
-        got = _by_index(scan_graph_range(n, alpha, EXACT))
+        got = _labelled(enumerate_cell(n, alpha, EXACT))
         assert got == _by_index(oracle_graph_scan(n, alpha, graphs)), alpha
 
 
 def test_class_scan_matches_labelled_scan_n6():
-    got = _by_index(scan_graph_range(6, Fraction(3), EXACT))
+    got = _labelled(enumerate_cell(6, Fraction(3), EXACT, cap=6))
     assert got == _by_index(oracle_graph_scan(6, Fraction(3), range(1 << 15)))
 
 
@@ -743,31 +756,56 @@ def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, label
     import ncg.equilibrium as eq
 
     monkeypatch.setattr(eq, "_table_equilibria", lambda adj, edges, alpha: [(1,) * len(edges)])
-    connected, found, records = scan_graph_range(n, Fraction(3), EXACT)
+    connected, records = scan_graph_range(n, Fraction(3), EXACT)
     assert len(records) == classes
-    for p, _, weight in records:
+    for record in records:
+        p, _, weight = record
         assert weight == factorial(n) // _automorphism_count(p.adj), p
-    assert sum(weight for *_, weight in records) == len(found) == labelled
+        assert len(labelled_equilibria(n, Fraction(3), [record])) == weight
+    result = enumerate_cell(n, Fraction(3), EXACT)
+    assert sum(weight for *_, weight in records) == len(result.equilibria) == labelled
     assert sum(weight << len(p.edges) for p, _, weight in records) == connected
+    assert result.connected_count == connected
+
+
+def test_labelled_images_take_the_first_vertex_map():
+    # which record's ownership lands on an image fixes its report; the paper
+    # strategies' candidate counts depend on vertex ids, so there a later map
+    # through an automorphism could carry another count
+    for spec in ("exact", THREE_STRATEGIES):
+        for n, alpha in ((4, Fraction(2)), (5, Fraction(2))):
+            result = enumerate_cell(n, alpha, DeviationClass.parse(spec))
+            assert result.equilibria == oracle_labelled_equilibria(result.representatives)
+
+
+def _sweep_rows(n, alphas, dev_class):
+    """``run_sweep``'s rows, folded from class records with no labelled
+    equilibrium decoded."""
+    grid = tuple(format_fraction(alpha) for alpha in alphas)
+    return run_sweep(SweepSpec((n,), grid, dev_class, cap=6))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_weighted_row_equals_labelled_row(n):
     # each class record audited once and weighted folds to the row that
-    # audits every labelled equilibrium, all eight fields; restricted cells
-    # carry class records too, checked up to n = 4
+    # audits every labelled equilibrium, all eight fields, and so does the
+    # sweep's row; restricted cells carry class records too, checked up to
+    # n = 4
     for spec in ["exact"] + (RESTRICTED_SPECS if n < 5 else []):
-        for alpha in ORACLE_ALPHAS:
-            result = enumerate_cell(n, alpha, DeviationClass.parse(spec))
+        cls = DeviationClass.parse(spec)
+        for alpha, swept in zip(ORACLE_ALPHAS, _sweep_rows(n, ORACLE_ALPHAS, cls)):
+            result = enumerate_cell(n, alpha, cls)
             assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
             labelled = replace(result, representatives=None)
-            assert build_report_row(result) == build_report_row(labelled), (spec, alpha)
+            assert swept == build_report_row(result) == build_report_row(labelled), (spec, alpha)
 
 
 def test_weighted_row_equals_labelled_row_n6():
     result = enumerate_cell(6, Fraction(3), EXACT, cap=6)
     assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
-    assert build_report_row(result) == build_report_row(replace(result, representatives=None))
+    row = build_report_row(result)
+    assert _sweep_rows(6, [Fraction(3)], EXACT) == [row]
+    assert row == build_report_row(replace(result, representatives=None))
 
 
 def test_sweep_row_audits_each_class_record_once(monkeypatch):

@@ -26,6 +26,7 @@ from ncg import (
 from ncg.audit import audit_failures, audit_full
 from ncg.cli import cmd_run
 from ncg.harness import (
+    SweepSpec,
     build_report_row,
     cell_alpha,
     contexts_by_graph,
@@ -35,6 +36,7 @@ from ncg.harness import (
     profile_from_document,
     profile_to_document,
     rows_to_csv,
+    run_sweep,
     save_profile,
 )
 from ncg.equilibrium import EXACT, DeviationClass
@@ -271,7 +273,8 @@ def test_parallel_and_serial_cells_agree():
         assert enumerate_cell(n, alpha, cls, jobs=1) == enumerate_cell(n, alpha, cls, jobs=2)
 
 
-def test_exact_cell_decodes_each_equilibrium_once(monkeypatch):
+def _counted_decodes(monkeypatch) -> list:
+    """The argument tuples of every ``profile_from_index`` call from now on."""
     import ncg.equilibrium as eq
 
     calls = []
@@ -280,11 +283,34 @@ def test_exact_cell_decodes_each_equilibrium_once(monkeypatch):
     monkeypatch.setattr(eq, "profile_from_index", counted)
     # also wherever the harness might import it by name
     monkeypatch.setattr("ncg.harness.profile_from_index", counted, raising=False)
-    result = enumerate_cell(4, Fraction(3), DeviationClass.parse("exact"))
+    return calls
+
+
+def test_exact_cell_decodes_each_equilibrium_once(monkeypatch):
+    # the scan decodes one profile per class record, and the labelled
+    # expansion each labelled equilibrium once, in the result's order
+    from ncg.equilibrium import profile_from_index
+
+    calls = _counted_decodes(monkeypatch)
+    result = enumerate_cell(4, Fraction(3), EXACT)
     assert result.equilibria
-    assert len(calls) == len(result.equilibria)
-    calls.sort(key=lambda args: args[2])  # by profile index, the order of the result
-    assert [p for p, _ in result.equilibria] == [decode(*args) for args in calls]
+    records = len(result.representatives)
+    assert len(calls) == records + len(result.equilibria)
+    labelled = sorted(calls[records:], key=lambda args: args[2])  # by profile index
+    assert [p for p, _ in result.equilibria] == [profile_from_index(*args) for args in labelled]
+
+
+def test_sweep_decodes_one_profile_per_class_record(monkeypatch):
+    # the sweep-n5 cells: 12, 10, 72 and 25 class records stand for 62, 56,
+    # 1,104 and 620 labelled equilibria
+    cells = [(4, "2"), (4, "9"), (5, "2"), (5, "11")]
+    records = [len(enumerate_cell(n, Fraction(a), EXACT).representatives) for n, a in cells]
+    calls = _counted_decodes(monkeypatch)
+    for (n, alpha), count in zip(cells, records):
+        calls.clear()
+        run_sweep(SweepSpec((n,), (alpha,), EXACT))
+        assert len(calls) == count, (n, alpha)
+    assert records == [12, 10, 72, 25]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +354,20 @@ def test_cli_enumerate_row(tmp_path, capsys):
     dumped = sorted(dump.glob("*.json"))
     assert len(dumped) == int(row[3])
     load_profile(dumped[0])  # dumps are valid profile documents
+
+
+def test_cli_dump_dir_writes_the_enumerated_equilibria(tmp_path):
+    # same file names and bytes as a dump of enumerate_cell's equilibria
+    dump = tmp_path / "ne"
+    assert cmd_run(["enumerate", "--n", "4", "--alpha", "2,3/2", "--dump-dir", str(dump)]) == 0
+    want = tmp_path / "want"
+    want.mkdir()
+    for alpha, name in ((Fraction(2), "2"), (Fraction(3, 2), "3_2")):
+        for idx, (p, _) in enumerate(enumerate_cell(4, alpha, EXACT).equilibria):
+            save_profile(p, want / f"n4_alpha{name}_{idx}.json")
+    files = {f.name: f.read_bytes() for f in want.iterdir()}
+    assert len(files) > 62
+    assert {f.name: f.read_bytes() for f in dump.iterdir()} == files
 
 
 def test_cli_dynamics(tmp_path, capsys):

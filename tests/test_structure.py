@@ -501,6 +501,7 @@ def test_context_girth_matches_global_girth(p):
     decomp = largest_biconnected_component(p)
     report = cycle_report(p, decomp)
     assert report.girth == build_context(p).girth == global_girth(p)
+    assert report.canonical == {canonical_cycle(c) for c in report.per_edge_cycle.values()}
     blocks = zip(decomp.components, decomp.edge_components)
     cyclic = {e for vertices, edges in blocks if len(vertices) >= 3 for e in edges}
     assert set(report.per_edge_cycle) == cyclic
