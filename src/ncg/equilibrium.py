@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import inf
+from operator import getitem
 
 from .errors import BudgetExceededError
 from .game import (
@@ -267,14 +268,13 @@ def best_response_exact(
 # deviation generators (restricted classes)
 
 
-def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, contexts):
-    """Yield v's candidate target masks in order; paper strategies read
-    ``contexts`` (``_class_contexts``), each root's candidates in turn."""
-    current = profile.bought[v]
-    missing = mask_members(((1 << profile.n) - 1) & ~current & ~(1 << v))
+def _class_deviations(n: int, v: int, current: int, cls: DeviationClass, contexts):
+    """Yield the target masks v may switch to from ``current``, in order;
+    paper strategies read ``contexts`` (``_class_contexts``), each root's in turn."""
+    missing = mask_members(((1 << n) - 1) & ~current & ~(1 << v))
 
     if cls.kind == "exact-all-subsets":
-        for mask in _subset_masks(profile.n, v):
+        for mask in _subset_masks(n, v):
             if mask != current:
                 yield mask
     elif cls.kind == "single-add":
@@ -288,9 +288,9 @@ def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, con
             for w in missing:
                 yield current & ~(1 << u) | 1 << w
     elif cls.kind == "k-subset":
-        # All strategies within symmetric difference k of the current one.
-        bits = [1 << u for u in range(profile.n) if u != v]
-        for size in range(1, cls.k + 1):
+        # All strategies within symmetric difference k; v has n - 1 bits to flip.
+        bits = [1 << u for u in range(n) if u != v]
+        for size in range(1, min(cls.k, n - 1) + 1):
             for flip in combinations(bits, size):
                 yield current ^ sum(flip)
     elif cls.kind.startswith("paper-strategy-"):
@@ -305,7 +305,7 @@ def _class_deviations(profile: StrategyProfile, v: int, cls: DeviationClass, con
     elif cls.kind == "composite":
         seen = set()
         for part in cls.parts:
-            for mask in _class_deviations(profile, v, part, contexts):
+            for mask in _class_deviations(n, v, current, part, contexts):
                 if mask not in seen:
                     seen.add(mask)
                     yield mask
@@ -315,7 +315,7 @@ def _class_costs(profile: StrategyProfile, v: int, cls: DeviationClass, contexts
     """v's current cost and (mask, cost) per candidate, one BFS each: units of
     1/q for alpha = p/q, inf when v is cut off from some vertex."""
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    candidates = _class_deviations(profile, v, cls, contexts)
+    candidates = _class_deviations(profile.n, v, profile.bought[v], cls, contexts)
     priced = _distance_sums(profile, v, chain([profile.bought[v]], candidates))
     costs = ((mask, inf if d is None else p * mask.bit_count() + q * d) for mask, d in priced)
     _, current = next(costs)
@@ -388,9 +388,7 @@ def verify_equilibrium(
             if index is None:
                 checked += (1 << (profile.n - 1)) - 1
                 if checked > budget:  # the composite walk would stop one past the budget
-                    raise BudgetExceededError(
-                        f"verification exceeded budget {budget}", required=budget + 1
-                    )
+                    raise _budget_error(budget)
                 continue
         if exact:
             # As if every set up to the witness were checked, but the current one.
@@ -400,12 +398,15 @@ def verify_equilibrium(
         for mask, cost in priced:
             checked += 1
             if checked > budget:
-                raise BudgetExceededError(
-                    f"verification exceeded budget {budget}", required=checked
-                )
+                raise _budget_error(budget)
             if cost < current_cost:
                 return _witness_report(profile, digest, dev_class, v, mask, checked)
     return VerificationReport(digest, dev_class.spec(), True, None, checked)
+
+
+def _budget_error(budget: int) -> BudgetExceededError:
+    """The error of a check that needs more than ``budget`` deviations."""
+    return BudgetExceededError(f"verification exceeded budget {budget}", required=budget + 1)
 
 
 def _exact_checks(n: int, budget: int) -> int:
@@ -631,53 +632,98 @@ def _superset_min(table: list[int | None]) -> list[int | float]:
     return g
 
 
-def _table_equilibria(
-    adj: list[int], edges: list[tuple[int, int]], alpha: Fraction
-) -> list[tuple[int, ...]]:
-    """Owner trits of every exact Nash equilibrium on connected graph ``adj``.
+def _ownership_equilibria(
+    alpha: Fraction, dev_class: DeviationClass, ks: list[int], edges, adj: list[int], budget: int
+) -> list[tuple[StrategyProfile, int]]:
+    """(profile, deviations_checked) of every equilibrium under ``dev_class``
+    on connected graph ``adj``, whose ``edges`` are pairs ``ks`` of ``pair_list``.
 
-    Trits are those of ``_greedy_tables``, one per edge.  Whatever vertex v
-    deviates to, it keeps the edges others bought to it, I_v, and pays for
-    the rest of its row.  So v is stable iff no row S containing I_v has a
-    smaller table entry h_v[S] than its own row N(v): g_v[I_v] >= h_v[N(v)],
-    with g_v the ``_superset_min`` of its table, an exact integer comparison.
-    Ownerships are walked in ``product`` order over the greedy owner trits,
-    and a branch is cut once a vertex whose edges are all owned is unstable.
+    Whatever v deviates to, it keeps I_v, the edges others bought to it, and
+    pays for the rest of its row: for alpha = p/q, target mask T improves iff
+    h_v[I_v | T] + p*|I_v & T| < h_v[N(v)] in v's ``_cost_tables`` table (a
+    None entry cuts v off).  So without a paper strategy, v's verdict and
+    candidate count depend on I_v alone: under exact, v checks every other
+    row and is stable iff g_v[I_v] >= h_v[N(v)], g_v the ``_superset_min`` of
+    its table; else one lookup per ``_class_deviations`` candidate decides.
+    Ownerships are walked in ``product`` order over owner trits (1: the lower
+    end buys), the ``_greedy_tables`` ones under exact, and a branch is cut
+    once a vertex whose edges are all owned is unstable.  The sum of the
+    counts, ``deviations_checked``, may not exceed ``budget``.  Paper-strategy
+    candidates follow the shortest path trees of the whole ownership, so such
+    a class decodes each one and counts as ``verify_equilibrium`` does.
     """
-    greedy = _greedy_tables(adj, edges, alpha)
-    if greedy is None:
-        return []
-    tables, options = greedy
-    now = [h[_subset_index(adj[v], v)] for v, h in enumerate(tables)]
-    best = [_superset_min(h) for h in tables]
+    n, p = len(adj), alpha.numerator
+    paper = _needs_context(dev_class)
+    if dev_class.kind == "exact-all-subsets":
+        greedy = _greedy_tables(adj, edges, alpha)
+        if greedy is None:
+            return []
+        tables, options = greedy
+    else:
+        tables, options = list(_cost_tables(adj, alpha)), [(1, 2)] * len(edges)
+    rows = [_subset_index(row, v) for v, row in enumerate(adj)]
+    now = [h[row] for h, row in zip(tables, rows)]
+
+    def improves(v: int, into: int, mask: int) -> bool:
+        cost = tables[v][_subset_index(into | mask, v)]
+        return cost is not None and cost + p * (into & mask).bit_count() < now[v]
+
+    def count(v: int, into: int) -> int | None:
+        masks = list(_class_deviations(n, v, adj[v] & ~into, dev_class, ()))
+        return None if any(improves(v, into, mask) for mask in masks) else len(masks)
+
+    # checks[v][I] is v's candidate count when I_v has subset index I, None
+    # when v is unstable; a paper-strategy class decides whole ownerships.
+    if paper:  # one context's graph facts serve every ownership
+        graph = build_context(profile_from_index(n, alpha, sum(3**k for k in ks)))
+    elif dev_class.kind == "exact-all-subsets":
+        everyone = (1 << (n - 1)) - 1
+        checks = [[everyone if g >= c else None for g in _superset_min(h)]
+                  for h, c in zip(tables, now)]
+    else:
+        checks = [{i: count(v, _subset_mask(i, v)) for i in range(1 << (n - 1)) if not i & ~row}
+                  for v, row in enumerate(rows)]
     # Every vertex of a connected graph on n >= 2 vertices has an edge, and
     # the lone vertex at n = 1 has nothing to buy, so checking each vertex
     # at its last edge checks them all.
     last = {}
     for i, (a, b) in enumerate(edges):
         last[a] = last[b] = i
-    settled = [[v for v, i in last.items() if i == k] for k in range(len(edges))]
+    settled = [[] if paper else [v for v, i in last.items() if i == k] for k in range(len(edges))]
     # Trit 1: a buys, so the edge is in I_b; trit 2: b buys, so it is in I_a.
     moves = [
         [(trit, b, _subset_index(1 << a, b)) if trit == 1 else (trit, a, _subset_index(1 << b, a))
          for trit in owners]
         for (a, b), owners in zip(edges, options)
     ]
-    kept = [0] * len(adj)
+    kept = [0] * n
     owners = []
     found = []
 
     def walk(i: int) -> None:
-        if i == len(edges):
-            found.append(tuple(owners))
+        if i < len(edges):
+            for trit, x, bit in moves[i]:
+                kept[x] |= bit
+                if all(checks[u][kept[u]] is not None for u in settled[i]):
+                    owners.append(trit)
+                    walk(i + 1)
+                    owners.pop()
+                kept[x] ^= bit
             return
-        for trit, x, bit in moves[i]:
-            kept[x] |= bit
-            if all(best[u][kept[u]] >= now[u] for u in settled[i]):
-                owners.append(trit)
-                walk(i + 1)
-                owners.pop()
-            kept[x] ^= bit
+        profile = profile_from_index(n, alpha, sum(t * 3**k for t, k in zip(owners, ks)))
+        checked = 0
+        if paper:
+            contexts = _class_contexts(profile, dev_class, graph)
+            for v in range(n):
+                for mask in _class_deviations(n, v, profile.bought[v], dev_class, contexts):
+                    checked += 1
+                    if checked > budget:
+                        raise _budget_error(budget)
+                    if improves(v, profile.bought_by[v], mask):
+                        return
+        elif (checked := sum(map(getitem, checks, kept))) > budget:
+            raise _budget_error(budget)
+        found.append((profile, checked))
 
     walk(0)
     return found
@@ -724,53 +770,6 @@ def _distinct_images(ks: list[int], maps) -> dict:
     return images
 
 
-def _class_equilibria(
-    n: int, alpha: Fraction, dev_class: DeviationClass, ks: list[int], adj: list[int], budget: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """(owner trits, deviations_checked) of every equilibrium under a class
-    other than exact on connected graph ``adj``, whose edges are pairs ``ks``.
-
-    Every ownership is walked in ``product`` order with no greedy filter: a
-    restricted class may lack single adds or sells.  Vertex v deviating to
-    target mask T keeps I_v, the edges bought to it, and pays
-    p*|T| + q*f_v(I_v | T).  Adding p*|I_v| to both sides, T improves iff
-    h_v[I_v | T] + p*|I_v & T| < h_v[N(v)] in v's ``_cost_tables`` table; a
-    None entry cuts v off and never does.  Candidates come from
-    ``_class_deviations`` and are counted, and the budget enforced, as
-    ``verify_equilibrium`` does.
-    """
-    p = alpha.numerator
-    tables = list(_cost_tables(adj, alpha))
-    now = [h[_subset_index(row, v)] for v, (h, row) in enumerate(zip(tables, adj))]
-    graph = None
-    if _needs_context(dev_class):  # one context's graph facts serve every ownership
-        graph = build_context(profile_from_index(n, alpha, sum(3**k for k in ks)))
-
-    def walked(profile: StrategyProfile) -> int | None:
-        """The candidates walked when none improves, else None."""
-        contexts = _class_contexts(profile, dev_class, graph)
-        checked = 0
-        for v, h in enumerate(tables):
-            into = profile.bought_by[v]
-            for mask in _class_deviations(profile, v, dev_class, contexts):
-                checked += 1
-                if checked > budget:
-                    raise BudgetExceededError(
-                        f"verification exceeded budget {budget}", required=checked
-                    )
-                cost = h[_subset_index(into | mask, v)]
-                if cost is not None and cost + p * (into & mask).bit_count() < now[v]:
-                    return None
-        return checked
-
-    found = []
-    for owners in product((1, 2), repeat=len(ks)):
-        profile = profile_from_index(n, alpha, sum(t * 3**k for t, k in zip(owners, ks)))
-        if (checked := walked(profile)) is not None:
-            found.append((owners, checked))
-    return found
-
-
 def scan_graph_range(
     n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple]:
@@ -778,13 +777,13 @@ def scan_graph_range(
 
     Bit k of a graph index is pair k of ``pair_list(n)``.  The first
     connected graph no earlier class covers is decided from its cost tables,
-    by ``_table_equilibria`` under the exact class, else ``_class_equilibria``,
-    and its images are marked.  Returns (connected-profile count, records):
+    by one ownership walk under every class (``_ownership_equilibria``), and
+    its images are marked.  Returns (connected-profile count, records):
     one ``(profile, report, weight)`` per equilibrium on each class's first
     graph, weighted by its images, which ``labelled_equilibria`` decodes.
     """
-    exact = dev_class.kind == "exact-all-subsets"
-    checks = _exact_checks(n, budget) if exact else None
+    if dev_class.kind == "exact-all-subsets":
+        _exact_checks(n, budget)
     pairs = pair_list(n)
     maps = _vertex_maps(n)
     spec = dev_class.spec()
@@ -797,16 +796,12 @@ def scan_graph_range(
         ks, edges, adj = _graph_rows(n, pairs, graph)
         if bfs_sum(adj, 0, adj[0]) is None:
             continue
-        if exact:
-            ownerships = [(owners, checks) for owners in _table_equilibria(adj, edges, alpha)]
-        else:
-            ownerships = _class_equilibria(n, alpha, dev_class, ks, adj, budget)
+        ownerships = _ownership_equilibria(alpha, dev_class, ks, edges, adj, budget)
         images = _distinct_images(ks, maps)
         for image in images:
             marked[image >> 3] |= 1 << (image & 7)
         connected += len(images) << len(ks)
-        for owners, checked in ownerships:
-            profile = profile_from_index(n, alpha, sum(t * 3**k for t, k in zip(owners, ks)))
+        for profile, checked in ownerships:
             report = VerificationReport(profile_hash(profile), spec, True, None, checked)
             records.append((profile, report, len(images)))
     return connected, tuple(records)

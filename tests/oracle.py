@@ -65,7 +65,7 @@ from ncg.equilibrium import (
     VerificationReport,
     _distance_sums,
     _exact_checks,
-    _table_equilibria,
+    _ownership_equilibria,
     pair_list,
     profile_from_index,
     profile_hash,
@@ -138,9 +138,10 @@ def oracle_graph_scan(
     """The exact ``scan_graph_range`` with one table build per labelled graph.
 
     Every connected graph index in ``graphs`` is decided from its own cost
-    tables (``_table_equilibria``), with no isomorphism classes: the scan
-    the per-class decision replaced.  Same return value as
-    ``scan_graph_range``, equilibria in graph-index order.
+    tables (``_ownership_equilibria`` under the exact class), with no
+    isomorphism classes: the scan the per-class decision replaced.  Returns
+    the connected count and ``(profile index, profile, report)`` per
+    equilibrium, each report counting the exact class's checks.
     """
     checks = _exact_checks(n, budget)
     pairs = pair_list(n)
@@ -156,9 +157,8 @@ def oracle_graph_scan(
         if bfs_sum(adj, 0, adj[0]) is None:
             continue
         connected += 1 << len(edges)
-        for owners in _table_equilibria(adj, edges, alpha):
-            index = sum(trit * 3**k for trit, k in zip(owners, ks))
-            profile = profile_from_index(n, alpha, index)
+        for profile, _ in _ownership_equilibria(alpha, EXACT, ks, edges, adj, budget):
+            index = sum((1 if profile.buys(a, b) else 2) * 3**k for (a, b), k in zip(edges, ks))
             report = VerificationReport(profile_hash(profile), EXACT.spec(), True, None, checks)
             found.append((index, profile, report))
     return connected, found

@@ -59,8 +59,8 @@ from ncg.equilibrium import (
     _class_deviations,
     _distance_sums,
     _greedy_tables,
+    _ownership_equilibria,
     _subset_masks,
-    _table_equilibria,
     labelled_equilibria,
     pair_list,
     profile_from_index,
@@ -452,7 +452,7 @@ def test_restricted_moves_match_oracle(spec, p):
 def test_paper_strategies_add_nothing_while_disconnected():
     p = profile(4, 9, [(0, 1), (2, 3)])
     paper = DeviationClass.parse("paper-strategy-1")
-    assert list(_class_deviations(p, 0, paper, _class_contexts(p, paper))) == []
+    assert list(_class_deviations(p.n, 0, p.bought[0], paper, _class_contexts(p, paper))) == []
     assert best_response_dynamics(p, paper).steps == ()
     trace = best_response_dynamics(p, DeviationClass.parse("single-add,paper-strategy-1"))
     assert trace.steps[0] == (0, Deviation(0, frozenset({1, 2})), -inf)
@@ -643,7 +643,9 @@ def test_cells_match_the_ownership_loop(spec):
             assert enumerate_cell(n, alpha, cls) == _ownership_loop(n, alpha, spec), (n, alpha)
 
 
-@pytest.mark.parametrize("spec", ["single-add", "single-swap", "k-subset:2"])
+@pytest.mark.parametrize(
+    "spec", ["single-add", "single-delete", "single-swap", "k-subset:2", "single-add,single-delete"]
+)
 def test_cells_match_the_ownership_loop_n5(spec):
     cls = DeviationClass.parse(spec)
     want = oracle_ownership_scan(5, Fraction(3), cls)
@@ -701,6 +703,24 @@ def test_restricted_cell_budget_counts_candidates_per_ownership():
     assert cmd_run(argv) == 2
 
 
+@pytest.mark.parametrize("spec", ["single-add", "k-subset:2"])
+def test_restricted_cell_budget_counts_an_equilibriums_candidates(spec):
+    # A cell is over budget exactly when one of its equilibria walks more
+    # candidates than the budget, and raises what verify_equilibrium raises
+    # on that equilibrium.
+    cls = DeviationClass.parse(spec)
+    for alpha in ORACLE_ALPHAS:
+        result = enumerate_cell(4, alpha, cls)
+        p, report = max(result.equilibria, key=lambda ne: ne[1].deviations_checked)
+        most = report.deviations_checked
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_cell(4, alpha, cls, budget=most - 1)
+        with pytest.raises(BudgetExceededError) as verified:
+            verify_equilibrium(p, cls, budget=most - 1)
+        assert err.value.required == verified.value.required == most, alpha
+        assert enumerate_cell(4, alpha, cls, budget=most) == result, alpha
+
+
 def _by_index(scan):
     connected, found = scan
     return connected, tuple((p, report) for _, p, report in sorted(found, key=lambda item: item[0]))
@@ -725,16 +745,40 @@ def test_class_scan_matches_labelled_scan_n6():
 
 
 def test_exact_cell_builds_one_table_per_class(monkeypatch):
-    # the connected graphs on n vertices up to isomorphism: 1, 1, 2, 6, 21, 112
+    # one ownership walk per connected graph on n vertices up to
+    # isomorphism, 1, 1, 2, 6, 21, 112, under every class: exact up to
+    # n = 6, the others up to n = 5
     import ncg.equilibrium as eq
 
-    tables = eq._table_equilibria
+    walk = eq._ownership_equilibria
     calls = []
-    monkeypatch.setattr(eq, "_table_equilibria", lambda *args: calls.append(1) or tables(*args))
-    for n, classes in ((1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)):
-        calls.clear()
-        enumerate_cell(n, Fraction(3), EXACT, cap=6)
-        assert len(calls) == classes, n
+    monkeypatch.setattr(eq, "_ownership_equilibria", lambda *a: calls.append(a[1]) or walk(*a))
+    counts = ((1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112))
+    for spec in CELL_SPECS:
+        cls = DeviationClass.parse(spec)
+        for n, classes in counts if spec == "exact" else counts[:5]:
+            calls.clear()
+            scan_graph_range(n, Fraction(3), cls)
+            assert calls == [cls] * classes, (spec, n)
+
+
+@pytest.mark.parametrize(
+    "spec", ["single-add", "single-swap", "k-subset:2", "single-add,single-delete"]
+)
+def test_restricted_scan_decodes_one_profile_per_class_record(monkeypatch, spec):
+    # stability and candidate counts come from the tables per (v, I_v), so
+    # only an equilibrium's ownership is ever decoded
+    import ncg.equilibrium as eq
+
+    decode = eq.profile_from_index
+    calls = []
+    monkeypatch.setattr(eq, "profile_from_index", lambda *args: calls.append(args) or decode(*args))
+    cls = DeviationClass.parse(spec)
+    for n in range(1, 6):
+        for alpha in (Fraction(1, 2), Fraction(3), Fraction(11)):
+            calls.clear()
+            _, records = scan_graph_range(n, alpha, cls)
+            assert len(calls) == len(records), (n, alpha)
 
 
 def _automorphism_count(adj: tuple[int, ...]) -> int:
@@ -755,7 +799,10 @@ def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, label
     # connected count.
     import ncg.equilibrium as eq
 
-    monkeypatch.setattr(eq, "_table_equilibria", lambda adj, edges, alpha: [(1,) * len(edges)])
+    def one_equilibrium(alpha, cls, ks, edges, adj, budget):
+        return [(profile_from_index(len(adj), alpha, sum(3**k for k in ks)), 0)]
+
+    monkeypatch.setattr(eq, "_ownership_equilibria", one_equilibrium)
     connected, records = scan_graph_range(n, Fraction(3), EXACT)
     assert len(records) == classes
     for record in records:
@@ -893,14 +940,15 @@ def test_table_verdict_matches_exact_verification(p, num, den):
     # 2^10 profiles on one graph, each decided by the tables and re-verified.
     alpha = Fraction(num, den)
     edges = list(p.undirected_edges())
-    tabled = set(_table_equilibria(p.adj, edges, alpha))
+    ks = [pair_list(p.n).index(e) for e in edges]
+    tabled = {q for q, _ in _ownership_equilibria(alpha, EXACT, ks, edges, p.adj, DEFAULT_BUDGET)}
     drawn = tuple(1 if p.buys(a, b) else 2 for a, b in edges)
     free = min(len(edges), 10)
     for head in product((1, 2), repeat=free):
         owners = head + drawn[free:]
         bought = [BoughtEdge(*e) if t == 1 else BoughtEdge(*e[::-1]) for t, e in zip(owners, edges)]
         profile = StrategyProfile(p.n, alpha, tuple(bought))
-        assert (owners in tabled) == verify_equilibrium(profile).is_equilibrium, owners
+        assert (profile in tabled) == verify_equilibrium(profile).is_equilibrium, owners
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +968,20 @@ def test_random_profile_deterministic():
 def test_random_profile_require_connected():
     p = random_profile(6, 0.3, seed=3, require_connected=True)
     assert is_connected(p)
+
+
+def test_k_subset_walks_only_the_sizes_a_vertex_can_flip():
+    # v has n - 1 bits, so any K >= n - 1 gives the same candidates: a huge
+    # K is as quick as K = 3 on four vertices and reports the same
+    import time
+
+    p = star(4, alpha=9)
+    start = time.perf_counter()
+    report = verify_equilibrium(p, DeviationClass.parse(f"k-subset:{10**9}"))
+    assert time.perf_counter() - start < 0.5
+    want = verify_equilibrium(p, DeviationClass.parse("k-subset:3"))
+    assert replace(report, deviation_class="k-subset:3") == want
+    assert report.deviation_class == "k-subset:1000000000"
 
 
 def test_composite_class_parses_and_runs():
