@@ -546,6 +546,24 @@ class EnumerationResult:
     representatives: tuple | None = field(default=None, compare=False, repr=False)
 
 
+@dataclass(frozen=True)
+class GraphClass:
+    """One isomorphism class of connected graphs on n vertices, alpha-free.
+
+    Its representative has pair indices ``ks`` of ``pair_list(n)``, ``edges``
+    and adjacency rows ``adj``; ``weight`` is its number of labelled images,
+    n!/|Aut G|.  ``sums[v]`` is ``row_sums(adj, v, 0)``: v's distance sum f_v(S)
+    for every row S of v in subset-index order, from which every alpha's
+    cost tables are priced (``_cost_tables``).
+    """
+
+    ks: list[int]
+    edges: list[tuple[int, int]]
+    adj: list[int]
+    weight: int
+    sums: list[list[int | None]]
+
+
 def pair_list(n: int) -> list[tuple[int, int]]:
     """Unordered vertex pairs in lexicographic order."""
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -563,24 +581,24 @@ def profile_from_index(n: int, alpha: Fraction, index: int) -> StrategyProfile:
     return StrategyProfile(n, alpha, tuple(edges))
 
 
-def _cost_tables(adj: list[int], alpha: Fraction):
-    """Yield the cost table of each vertex of connected graph ``adj`` in turn.
+def _cost_tables(sums: list[list[int | None]], alpha: Fraction):
+    """Yield the cost table of each vertex in turn from its ``GraphClass.sums``.
 
     Table v holds q*f_v(S) + p*|S| for every row S of v in subset-index
-    order, where alpha = p/q and f_v(S) is v's distance sum when its
-    neighbours are exactly S (None when S cuts v off).  A caller that rules
-    the graph out stops before the rest are built.
+    order, where alpha = p/q and f_v(S) = sums[v][S] is v's distance sum
+    when its neighbours are exactly S (None when S cuts v off).  A caller
+    that rules the graph out stops before the rest are built.
     """
     p, q = alpha.numerator, alpha.denominator
     weights = [0]
-    for _ in range(len(adj) - 1):
+    for _ in range(len(sums) - 1):
         weights += [w + p for w in weights]
-    for v in range(len(adj)):
-        yield [q * d + w if d is not None else None for d, w in zip(row_sums(adj, v, 0), weights)]
+    for row in sums:
+        yield [q * d + w if d is not None else None for d, w in zip(row, weights)]
 
 
 def _greedy_tables(
-    adj: list[int], edges: list[tuple[int, int]], alpha: Fraction
+    graph: GraphClass, alpha: Fraction
 ) -> tuple[list[list[int | None]], list[tuple[int, ...]]] | None:
     """Per-vertex cost tables of a connected graph, and its greedy owner trits.
 
@@ -592,11 +610,12 @@ def _greedy_tables(
     equilibrium on this graph survives: these are its single-add and
     single-delete deviations, one table lookup each.
     """
+    adj, edges = graph.adj, graph.edges
     everyone = (1 << (len(adj) - 1)) - 1
     rows = [_subset_index(row, v) for v, row in enumerate(adj)]
     tables = []
     options = [()] * len(edges)
-    for v, h in enumerate(_cost_tables(adj, alpha)):
+    for v, h in enumerate(_cost_tables(graph.sums, alpha)):
         tables.append(h)
         now = h[rows[v]]
         missing = everyone ^ rows[v]
@@ -633,10 +652,10 @@ def _superset_min(table: list[int | None]) -> list[int | float]:
 
 
 def _ownership_equilibria(
-    alpha: Fraction, dev_class: DeviationClass, ks: list[int], edges, adj: list[int], budget: int
+    alpha: Fraction, dev_class: DeviationClass, graph: GraphClass, budget: int
 ) -> list[tuple[StrategyProfile, int]]:
     """(profile, deviations_checked) of every equilibrium under ``dev_class``
-    on connected graph ``adj``, whose ``edges`` are pairs ``ks`` of ``pair_list``.
+    on the representative of ``graph``.
 
     Whatever v deviates to, it keeps I_v, the edges others bought to it, and
     pays for the rest of its row: for alpha = p/q, target mask T improves iff
@@ -652,15 +671,16 @@ def _ownership_equilibria(
     candidates follow the shortest path trees of the whole ownership, so such
     a class decodes each one and counts as ``verify_equilibrium`` does.
     """
+    ks, edges, adj = graph.ks, graph.edges, graph.adj
     n, p = len(adj), alpha.numerator
     paper = _needs_context(dev_class)
     if dev_class.kind == "exact-all-subsets":
-        greedy = _greedy_tables(adj, edges, alpha)
+        greedy = _greedy_tables(graph, alpha)
         if greedy is None:
             return []
         tables, options = greedy
     else:
-        tables, options = list(_cost_tables(adj, alpha)), [(1, 2)] * len(edges)
+        tables, options = list(_cost_tables(graph.sums, alpha)), [(1, 2)] * len(edges)
     rows = [_subset_index(row, v) for v, row in enumerate(adj)]
     now = [h[row] for h, row in zip(tables, rows)]
 
@@ -770,41 +790,67 @@ def _distinct_images(ks: list[int], maps) -> dict:
     return images
 
 
-def scan_graph_range(
-    n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
-) -> tuple[int, tuple]:
-    """Decide every profile on n vertices, one connected graph per isomorphism class.
+def graph_classes(n: int) -> list[GraphClass]:
+    """Every connected graph on n vertices up to isomorphism, with what every
+    alpha prices it from.
 
-    Bit k of a graph index is pair k of ``pair_list(n)``.  The first
-    connected graph no earlier class covers is decided from its cost tables,
-    by one ownership walk under every class (``_ownership_equilibria``), and
-    its images are marked.  Returns (connected-profile count, records):
-    one ``(profile, report, weight)`` per equilibrium on each class's first
-    graph, weighted by its images, which ``labelled_equilibria`` decodes.
+    Bit k of a graph index is pair k of ``pair_list(n)``.  The first graph
+    index no earlier class covers represents its class, and its images are
+    marked whether it is connected or not, so one graph per isomorphism
+    class of all graphs is decoded and BFS-tested.  Nothing here depends on
+    alpha or on a deviation class: one catalogue serves a whole row of cells.
     """
-    if dev_class.kind == "exact-all-subsets":
-        _exact_checks(n, budget)
     pairs = pair_list(n)
     maps = _vertex_maps(n)
-    spec = dev_class.spec()
     marked = bytearray(((1 << len(pairs)) + 7) >> 3)
-    connected = 0
-    records = []
+    classes = []
     for graph in range(1 << len(pairs)):
         if marked[graph >> 3] >> (graph & 7) & 1:
             continue
         ks, edges, adj = _graph_rows(n, pairs, graph)
-        if bfs_sum(adj, 0, adj[0]) is None:
-            continue
-        ownerships = _ownership_equilibria(alpha, dev_class, ks, edges, adj, budget)
         images = _distinct_images(ks, maps)
         for image in images:
             marked[image >> 3] |= 1 << (image & 7)
-        connected += len(images) << len(ks)
-        for profile, checked in ownerships:
+        if bfs_sum(adj, 0, adj[0]) is not None:
+            sums = [row_sums(adj, v, 0) for v in range(n)]
+            classes.append(GraphClass(ks, edges, adj, len(images), sums))
+    return classes
+
+
+def check_scan_budget(n: int, dev_class: DeviationClass, budget: int) -> None:
+    """Refuse an exact scan on n vertices over ``budget``, before anything is
+    built: each of its equilibria checks every other row of every vertex."""
+    if dev_class.kind == "exact-all-subsets":
+        _exact_checks(n, budget)
+
+
+def decide_classes(
+    classes: list[GraphClass], alpha: Fraction, dev_class: DeviationClass, budget: int
+) -> tuple:
+    """One ``(profile, report, weight)`` record per equilibrium on each class's
+    representative, decided by one ownership walk (``_ownership_equilibria``)
+    and weighted by the class's images; ``labelled_equilibria`` decodes them."""
+    spec = dev_class.spec()
+    records = []
+    for graph in classes:
+        for profile, checked in _ownership_equilibria(alpha, dev_class, graph, budget):
             report = VerificationReport(profile_hash(profile), spec, True, None, checked)
-            records.append((profile, report, len(images)))
-    return connected, tuple(records)
+            records.append((profile, report, graph.weight))
+    return tuple(records)
+
+
+def scan_graph_range(
+    n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
+) -> tuple[int, tuple]:
+    """Decide every profile on n vertices, one connected graph per isomorphism
+    class: ``decide_classes`` on the ``graph_classes`` catalogue of one cell.
+
+    Returns (connected-profile count, records).
+    """
+    check_scan_budget(n, dev_class, budget)
+    classes = graph_classes(n)
+    connected = sum(graph.weight << len(graph.ks) for graph in classes)
+    return connected, decide_classes(classes, alpha, dev_class, budget)
 
 
 def labelled_equilibria(n: int, alpha: Fraction, records) -> tuple:

@@ -2,8 +2,9 @@
 
 Profile documents are plain JSON: ``{"n": int, "alpha": "p/q" | int,
 "edges": [{"buyer": int, "other": int}, ...]}``.  Reports are CSV rows with
-a versioned header comment; a sweep runs one exhaustive enumeration per
-(n, alpha) cell.  Everything is deterministic for a fixed argv.
+a versioned header comment; a sweep decides every (n, alpha) cell
+exhaustively, on one catalogue of graph classes per n.  Everything is
+deterministic for a fixed argv.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .equilibrium import (
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
+    check_scan_budget,
+    decide_classes,
+    graph_classes,
     labelled_equilibria,
     scan_graph_range,
 )
@@ -311,12 +315,27 @@ def fold_records(n: int, alpha: Fraction, scanned: int, records) -> ReportRow:
 
 def sweep_cells(spec: SweepSpec) -> Iterator[tuple[tuple, ReportRow]]:
     """Each (n, alpha) cell's class records and their row, in grid order; the
-    whole grid is checked before the first cell is scanned."""
+    whole grid is checked before the first catalogue is built.
+
+    The grid is n-major, so each n's ``graph_classes`` catalogue is built
+    once, decides every alpha of that n, and is dropped before the next n's.
+    """
     for n in spec.n_values:
         check_cell_n(n, spec.cap)
-    cells = [(n, cell_alpha(expr, n)) for n in spec.n_values for expr in spec.alpha_expressions]
-    for n, alpha in cells:
-        _, records = scan_graph_range(n, alpha, spec.dev_class, spec.budget)
+    grid = [(n, [cell_alpha(expr, n) for expr in spec.alpha_expressions]) for n in spec.n_values]
+    for n, alphas in grid:
+        yield from _cells_of_n(n, alphas, spec)
+
+
+def _cells_of_n(
+    n: int, alphas: list[Fraction], spec: SweepSpec
+) -> Iterator[tuple[tuple, ReportRow]]:
+    """The cells of one n, all decided on one catalogue; an exact scan over
+    budget is refused before the catalogue is built."""
+    check_scan_budget(n, spec.dev_class, spec.budget)
+    classes = graph_classes(n)
+    for alpha in alphas:
+        records = decide_classes(classes, alpha, spec.dev_class, spec.budget)
         yield records, fold_records(n, alpha, 3 ** (n * (n - 1) // 2), records)
 
 

@@ -313,6 +313,33 @@ def smallest_cycle_through_edge(profile: StrategyProfile, a: int, b: int) -> tup
     return tuple(path)
 
 
+def _ring_cycles(edges) -> dict[Edge, tuple[int, ...]]:
+    """``smallest_cycle_through_edge`` of every edge of a block that is one
+    chordless cycle, taken off one walk of the ring.
+
+    A block with as many edges as vertices is such a ring, and the ring is
+    the only cycle through any of its edges: for edge (a, b) it runs from a,
+    away from b, and ends at b.
+    """
+    ends: dict[int, list[int]] = {}
+    for a, b in edges:
+        ends.setdefault(a, []).append(b)
+        ends.setdefault(b, []).append(a)
+    ring = [min(ends)]
+    v = ends[ring[0]][0]
+    while v != ring[0]:
+        x, y = ends[v]
+        ring.append(v)
+        v = y if x == ring[-2] else x
+    cycles = {}
+    for i, (v, w) in enumerate(zip(ring, ring[1:] + ring[:1])):
+        if v < w:  # from v back around to w
+            cycles[v, w] = tuple(ring[i::-1] + ring[:i:-1])
+        else:  # from w on around to v
+            cycles[w, v] = tuple(ring[i + 1:] + ring[:i + 1])
+    return cycles
+
+
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Rotation/reflection-invariant form: start at min vertex, smaller direction."""
     i = cycle.index(min(cycle))
@@ -351,22 +378,27 @@ def cycle_report(
     """Smallest-cycle survey of every block with a cycle, edges in sorted order.
 
     A cycle lies inside one block and a bridge lies on none, so only blocks
-    of at least three vertices are searched; only H's edges feed
-    ``per_vertex_cycle``.
+    of at least three vertices are searched: a ring block is read off one
+    walk (``_ring_cycles``), any other is searched edge by edge.  Only H's
+    edges feed ``per_vertex_cycle``.
     """
     blocks = zip(decomposition.components, decomposition.edge_components)
-    cyclic = [edges for vertices, edges in blocks if len(vertices) >= 3]
+    cyclic = [(vertices, edges) for vertices, edges in blocks if len(vertices) >= 3]
     if not cyclic:
         return CycleReport({}, {})
     if dist is None:
         dist = all_pairs_distances(profile)
     h_edges = decomposition.largest_edges()
+    rings: dict[Edge, tuple[int, ...]] = {}
+    for vertices, edges in cyclic:
+        if len(edges) == len(vertices):
+            rings.update(_ring_cycles(edges))
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # H vertex -> (length, canonical cycle)
     checked: set[tuple[int, ...]] = set()  # a ring's edges all return the same cycle
-    for e in sorted(e for edges in cyclic for e in edges):
-        cyc = smallest_cycle_through_edge(profile, e[0], e[1])
+    for e in sorted(e for _, edges in cyclic for e in edges):
+        cyc = rings.get(e) or smallest_cycle_through_edge(profile, e[0], e[1])
         canon = canonical_cycle(cyc)
         if canon not in checked:
             if not is_min_cycle(cyc, dist):

@@ -62,9 +62,11 @@ from ncg.equilibrium import (
     Deviation,
     DeviationClass,
     EnumerationResult,
+    GraphClass,
     VerificationReport,
     _distance_sums,
     _exact_checks,
+    _graph_rows,
     _ownership_equilibria,
     pair_list,
     profile_from_index,
@@ -80,6 +82,7 @@ from ncg.game import (
     bfs_sum,
     is_connected,
     mask_members,
+    row_sums,
 )
 from ncg.structure import (
     BiconnectedDecomposition,
@@ -129,6 +132,19 @@ def oracle_cell(n: int, alpha: Fraction, dev_class: DeviationClass) -> Enumerati
     return EnumerationResult(n, alpha, total, connected, equilibria)
 
 
+def labelled_class(n: int, graph: int) -> GraphClass:
+    """Graph index ``graph`` on n vertices as a catalogue entry of weight 1,
+    whatever its isomorphs: what ``graph_classes`` keeps of a representative."""
+    ks, edges, adj = _graph_rows(n, pair_list(n), graph)
+    return GraphClass(ks, edges, adj, 1, [row_sums(adj, v, 0) for v in range(n)])
+
+
+def profile_class(profile: StrategyProfile) -> GraphClass:
+    """``labelled_class`` of the profile's graph."""
+    pairs = pair_list(profile.n)
+    return labelled_class(profile.n, sum(1 << pairs.index(e) for e in profile.undirected_edges()))
+
+
 def oracle_graph_scan(
     n: int,
     alpha: Fraction,
@@ -144,20 +160,14 @@ def oracle_graph_scan(
     equilibrium, each report counting the exact class's checks.
     """
     checks = _exact_checks(n, budget)
-    pairs = pair_list(n)
     connected = 0
     found = []
     for graph in graphs:
-        ks = [k for k in range(len(pairs)) if graph >> k & 1]
-        edges = [pairs[k] for k in ks]
-        adj = [0] * n
-        for a, b in edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        ks, edges, adj = _graph_rows(n, pair_list(n), graph)
         if bfs_sum(adj, 0, adj[0]) is None:
             continue
         connected += 1 << len(edges)
-        for profile, _ in _ownership_equilibria(alpha, EXACT, ks, edges, adj, budget):
+        for profile, _ in _ownership_equilibria(alpha, EXACT, labelled_class(n, graph), budget):
             index = sum((1 if profile.buys(a, b) else 2) * 3**k for (a, b), k in zip(edges, ks))
             report = VerificationReport(profile_hash(profile), EXACT.spec(), True, None, checks)
             found.append((index, profile, report))

@@ -29,6 +29,7 @@ from oracle import (
     oracle_labelled_equilibria,
     oracle_ownership_scan,
     oracle_verify,
+    profile_class,
 )
 from strategies import (
     connected_profiles,
@@ -762,6 +763,23 @@ def test_exact_cell_builds_one_table_per_class(monkeypatch):
             assert calls == [cls] * classes, (spec, n)
 
 
+def test_catalogue_decodes_one_graph_per_isomorphism_class(monkeypatch):
+    # every class's images are marked, connected or not, so the graphs
+    # decoded and BFS-tested are one per isomorphism class of all graphs on
+    # n vertices (OEIS A000088), and the connected ones are kept (A001349)
+    import ncg.equilibrium as eq
+
+    rows = eq._graph_rows
+    calls = []
+    monkeypatch.setattr(eq, "_graph_rows", lambda *a: calls.append(a[2]) or rows(*a))
+    for n, graphs, connected in zip(range(1, 7), (1, 2, 4, 11, 34, 156), (1, 1, 2, 6, 21, 112)):
+        calls.clear()
+        classes = eq.graph_classes(n)
+        assert len(calls) == graphs, n
+        kept = [sum(1 << k for k in graph.ks) for graph in classes]
+        assert len(kept) == connected and kept == sorted(kept) and set(kept) <= set(calls), n
+
+
 @pytest.mark.parametrize(
     "spec", ["single-add", "single-swap", "k-subset:2", "single-add,single-delete"]
 )
@@ -799,8 +817,8 @@ def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, label
     # connected count.
     import ncg.equilibrium as eq
 
-    def one_equilibrium(alpha, cls, ks, edges, adj, budget):
-        return [(profile_from_index(len(adj), alpha, sum(3**k for k in ks)), 0)]
+    def one_equilibrium(alpha, cls, graph, budget):
+        return [(profile_from_index(len(graph.adj), alpha, sum(3**k for k in graph.ks)), 0)]
 
     monkeypatch.setattr(eq, "_ownership_equilibria", one_equilibrium)
     connected, records = scan_graph_range(n, Fraction(3), EXACT)
@@ -916,7 +934,7 @@ def test_greedy_filter_is_exactly_single_add_and_delete(p, num, den):
     # exactly when a single add or a single sale strictly improves.
     p = StrategyProfile(p.n, Fraction(num, den), p.edges)
     edges = list(p.undirected_edges())
-    greedy = _greedy_tables(p.adj, edges, p.alpha)
+    greedy = _greedy_tables(profile_class(p), p.alpha)
     options = None if greedy is None else greedy[1]
     buyer_trits = [1 if p.buys(a, b) else 2 for a, b in edges]
     filtered = options is None or any(t not in kept for t, kept in zip(buyer_trits, options))
@@ -940,8 +958,7 @@ def test_table_verdict_matches_exact_verification(p, num, den):
     # 2^10 profiles on one graph, each decided by the tables and re-verified.
     alpha = Fraction(num, den)
     edges = list(p.undirected_edges())
-    ks = [pair_list(p.n).index(e) for e in edges]
-    tabled = {q for q, _ in _ownership_equilibria(alpha, EXACT, ks, edges, p.adj, DEFAULT_BUDGET)}
+    tabled = {q for q, _ in _ownership_equilibria(alpha, EXACT, profile_class(p), DEFAULT_BUDGET)}
     drawn = tuple(1 if p.buys(a, b) else 2 for a, b in edges)
     free = min(len(edges), 10)
     for head in product((1, 2), repeat=free):

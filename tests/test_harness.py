@@ -31,6 +31,7 @@ from ncg.harness import (
     cell_alpha,
     contexts_by_graph,
     enumerate_cell,
+    fold_records,
     load_profile,
     parse_alpha_expression,
     profile_from_document,
@@ -38,8 +39,9 @@ from ncg.harness import (
     rows_to_csv,
     run_sweep,
     save_profile,
+    sweep_cells,
 )
-from ncg.equilibrium import EXACT, DeviationClass
+from ncg.equilibrium import EXACT, DeviationClass, scan_graph_range
 from ncg.structure import build_context
 
 RESTRICTED_CSV = Path(__file__).parent / "data" / "sweep_restricted.csv"
@@ -313,6 +315,59 @@ def test_sweep_decodes_one_profile_per_class_record(monkeypatch):
     assert records == [12, 10, 72, 25]
 
 
+SWEEP_ALPHAS = ("1/2", "2", "3", "n", "2n+1")
+THREE_STRATEGIES = "paper-strategy-1,paper-strategy-2,paper-strategy-3"
+
+
+@pytest.mark.parametrize("spec", ["exact", "single-add", "k-subset:2", THREE_STRATEGIES])
+def test_sweep_cells_equal_one_cell_scans(spec):
+    # one catalogue per n decides every alpha of that n as the cell's own
+    # scan does: the same records, reports with deviations_checked and
+    # weights included, in the same order, and the same rows
+    cls = DeviationClass.parse(spec)
+    sweep = SweepSpec(tuple(range(1, 6)), SWEEP_ALPHAS, cls)
+    cells = [(n, cell_alpha(expr, n)) for n in sweep.n_values for expr in SWEEP_ALPHAS]
+    swept = list(sweep_cells(sweep))
+    assert len(swept) == len(cells)
+    for (n, alpha), (records, row) in zip(cells, swept):
+        _, expected = scan_graph_range(n, alpha, cls)
+        assert records == expected, (n, alpha)
+        assert row == fold_records(n, alpha, 3 ** (n * (n - 1) // 2), expected), (n, alpha)
+
+
+def _counted_catalogues(monkeypatch) -> list:
+    """The n of every ``graph_classes`` call the sweep makes from now on."""
+    import ncg.harness as harness
+
+    calls = []
+    build = harness.graph_classes
+    monkeypatch.setattr(harness, "graph_classes", lambda n: calls.append(n) or build(n))
+    return calls
+
+
+def test_sweep_builds_one_catalogue_per_n(monkeypatch):
+    # each n's catalogue serves all its alphas, and lives for one sweep only
+    calls = _counted_catalogues(monkeypatch)
+    spec = SweepSpec((3, 4, 5), ("1/2", "2", "2n+1"), EXACT)
+    first = run_sweep(spec)
+    assert calls == [3, 4, 5]
+    assert run_sweep(spec) == first
+    assert calls == [3, 4, 5, 3, 4, 5]
+
+
+def test_over_budget_exact_sweep_is_refused_before_its_catalogue(monkeypatch):
+    # n = 3 needs 9 checks per profile and n = 4 needs 28: the n = 4 row is
+    # refused as its one-cell scan is, before its graphs are walked
+    with pytest.raises(BudgetExceededError) as cell:
+        scan_graph_range(4, Fraction(2), EXACT, budget=27)
+    calls = _counted_catalogues(monkeypatch)
+    with pytest.raises(BudgetExceededError) as swept:
+        run_sweep(SweepSpec((3, 4), ("2", "3"), EXACT, budget=27))
+    assert calls == [3]
+    assert str(swept.value) == str(cell.value)
+    assert swept.value.required == cell.value.required == 28
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -426,7 +481,8 @@ def test_cli_enumeration_ceiling(monkeypatch, capsys, n, cap):
     def refuse(*args):
         raise AssertionError("the cell was scanned")
 
-    monkeypatch.setattr("ncg.harness.scan_graph_range", refuse)
+    monkeypatch.setattr("ncg.harness.graph_classes", refuse)
+    monkeypatch.setattr("ncg.harness.decide_classes", refuse)
     assert cmd_run(["enumerate", "--n", n, "--alpha", "1", "--cap", cap]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -444,11 +500,13 @@ def test_cli_enumeration_ceiling(monkeypatch, capsys, n, cap):
     ],
 )
 def test_cli_sweep_validates_the_grid_before_scanning(monkeypatch, capsys, argv):
-    # a bad n or alpha anywhere in the grid exits 2 before the first cell
+    # a bad n or alpha anywhere in the grid exits 2 before the first
+    # catalogue is built or a cell decided
     def refuse(*args):
-        raise AssertionError("a cell was scanned")
+        raise AssertionError("a catalogue was built or a cell was scanned")
 
-    monkeypatch.setattr("ncg.harness.scan_graph_range", refuse)
+    monkeypatch.setattr("ncg.harness.graph_classes", refuse)
+    monkeypatch.setattr("ncg.harness.decide_classes", refuse)
     assert cmd_run(["sweep", *argv, "--jobs", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -52,9 +52,11 @@ from ncg import (
     largest_biconnected_component,
 )
 from ncg.audit import scaffold_profile
+from ncg.equilibrium import pair_list
 from ncg.errors import BudgetExceededError
 from ncg.game import mask_members
 from ncg.structure import (
+    _ring_cycles,
     all_simple_cycles,
     canonical_cycle,
     cycle_directed,
@@ -293,6 +295,36 @@ def test_cycle_report_checks_each_distinct_cycle_once(monkeypatch):
     monkeypatch.setattr(structure, "is_min_cycle", lambda c, dist: canonical_cycle(c) != ring)
     with pytest.raises(AssertionError, match="not a min-cycle"):
         cycle_report(p, decomp)
+
+
+def _edge_search(p, edges):
+    """``smallest_cycle_through_edge`` of each of ``edges`` that lies on a cycle."""
+    found = {e: smallest_cycle_through_edge(p, *e) for e in edges}
+    return {e: cycle for e, cycle in found.items() if cycle is not None}
+
+
+def test_ring_blocks_read_like_the_edge_search():
+    # a block with as many edges as vertices is one chordless cycle, read off
+    # one walk: the same cycles as the per-edge search, through the whole
+    # report on scaffolds 0-199, and block by block on every connected
+    # labelled graph on at most six vertices
+    for seed in range(200):
+        p = scaffold_profile(seed)
+        report = cycle_report(p, largest_biconnected_component(p))
+        assert report.per_edge_cycle == _edge_search(p, p.undirected_edges()), seed
+    rings = 0
+    for n in range(3, 7):
+        pairs = pair_list(n)
+        for graph in range(1 << len(pairs)):
+            p = profile(n, 1, [pairs[k] for k in range(len(pairs)) if graph >> k & 1])
+            if not is_connected(p):
+                continue
+            decomp = largest_biconnected_component(p)
+            for vertices, edges in zip(decomp.components, decomp.edge_components):
+                if len(vertices) >= 3 and len(edges) == len(vertices):
+                    rings += 1
+                    assert _ring_cycles(edges) == _edge_search(p, edges), (n, graph)
+    assert rings == 5788
 
 
 @example(profile(4, 1, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]), 20)

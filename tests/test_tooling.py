@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ncg.equilibrium import EXACT, EnumerationResult
-from ncg.harness import enumerate_cell
+from ncg.harness import SweepSpec, enumerate_cell, rows_to_csv, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +24,14 @@ def test_enumeration_result_rebuilds_from_its_five_fields():
     )
     assert rebuilt.representatives is None
     assert rebuilt == result
+
+
+def test_sweep_n5_rows_equal_the_benchmark_record():
+    # the bytes the sweep-n5 workload checks each pass against; the smoke
+    # run below covers only n = 3, 4
+    spec = SweepSpec((4, 5), ("2", "2n+1"), EXACT)
+    expected = (ROOT / "perfbench" / "expected" / "sweep.csv").read_text(encoding="utf-8")
+    assert rows_to_csv(run_sweep(spec)) == expected
 
 
 def test_perfbench_smoke_exits_0():
