@@ -3,10 +3,8 @@
 from .game import (
     BoughtEdge,
     CostBreakdown,
-    DistanceMatrix,
     StrategyProfile,
     all_pairs_distances,
-    connection_cost,
     is_connected,
     vertex_cost,
 )
@@ -14,7 +12,6 @@ from .structure import (
     BiconnectedDecomposition,
     CycleReport,
     EdgeClass,
-    SSet,
     SptAnalysis,
     StrategyContext,
     build_context,
@@ -23,7 +20,6 @@ from .structure import (
     classify_x_sets,
     compute_s_set,
     cycle_report,
-    edge_subtree_size,
     global_girth,
     largest_biconnected_component,
 )
@@ -49,9 +45,6 @@ from .audit import (
     audit_full,
     audit_structural,
     scaffold_profile,
-    strategy1_bound,
-    strategy2_bound,
-    strategy3_bound,
 )
 from .errors import (
     BudgetExceededError,

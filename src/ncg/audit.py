@@ -35,7 +35,7 @@ from .structure import (
     build_context,
     compute_s_set,
     cycle_directed,
-    edge_subtree_size,
+    edge_subtree,
     global_girth,
 )
 
@@ -89,7 +89,7 @@ def _strategy1(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     size = ctx.spt.subtree_size
     value = d * ctx.n - 2 * sum(size[v] for v in ctx.spt.path_to_root(u)[:d])
     for edge, level in sold:
-        value += (2 * level + 2 * d) * edge_subtree_size(ctx.spt, *edge)
+        value += (2 * level + 2 * d) * edge_subtree(ctx.spt, *edge).bit_count()
     return value, len(sold)
 
 
@@ -106,7 +106,7 @@ def _strategy2(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     if d % 2 == 0:
         value -= size[path[d // 2]]
     for edge, level in sold:
-        value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
+        value += (2 * level + d + 1) * edge_subtree(ctx.spt, *edge).bit_count()
     return value, len(sold) - 1
 
 
@@ -119,29 +119,11 @@ def _strategy3(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tu
     d = ctx.spt.depth[u]
     value = ctx.n - (d + 1) * ctx.spt.subtree_size[u]
     for edge, level in sold:
-        value += (2 * level + d + 1) * edge_subtree_size(ctx.spt, *edge)
+        value += (2 * level + d + 1) * edge_subtree(ctx.spt, *edge).bit_count()
     return value, len(sold) - 1
 
 
 _BOUND_TERMS = {"strategy1": _strategy1, "strategy2": _strategy2, "strategy3": _strategy3}
-
-
-def strategy1_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
-    """``_strategy1`` as an exact Fraction: integer terms minus their alpha multiple."""
-    value, times_alpha = _strategy1(ctx, u, sold)
-    return value - times_alpha * ctx.alpha
-
-
-def strategy2_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
-    """``_strategy2`` as an exact Fraction."""
-    value, times_alpha = _strategy2(ctx, u, sold)
-    return value - times_alpha * ctx.alpha
-
-
-def strategy3_bound(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> Fraction:
-    """``_strategy3`` as an exact Fraction."""
-    value, times_alpha = _strategy3(ctx, u, sold)
-    return value - times_alpha * ctx.alpha
 
 
 @dataclass(frozen=True)
@@ -211,7 +193,7 @@ def audit_deviation_bound(
             notes.append("alpha <= 2n")
         if not ctx.girth >= 7:
             notes.append("girth below 7")
-    if ctx.has_cyclic_h and ctx.connection(ctx.root) > ctx.connection(u):
+    if ctx.has_cyclic_h and ctx.connections[ctx.root] > ctx.connections[u]:
         notes.append("root connection cost exceeds seller's")  # impossible by construction
 
     value, times_alpha = _BOUND_TERMS[strategy_kind](ctx, u, sold)
@@ -226,7 +208,7 @@ def audit_deviation_bound(
         exact = inf
     else:
         spent = new.bit_count() - ctx.profile.bought[u].bit_count()
-        exact = p * spent + q * (new_sum - ctx.connection(u))
+        exact = p * spent + q * (new_sum - ctx.connections[u])
 
     if ne_certificate is not None and ne_certificate.is_equilibrium:
         if ne_certificate.profile_hash != ctx.profile_hash:
@@ -354,7 +336,7 @@ def audit_structural(
             if len(bought) >= 3:
                 triples.append({"vertex": u, "edges": bought})
             for e1, e2 in combinations(bought, 2):
-                union = (_edge_subtree(ctx, e1) | _edge_subtree(ctx, e2)).bit_count()
+                union = (edge_subtree(ctx.spt, *e1) | edge_subtree(ctx.spt, *e2)).bit_count()
                 if not 4 * union > n:
                     thin_pairs.append({"vertex": u, "edges": [e1, e2], "union": union})
         holds = not triples and not thin_pairs
@@ -372,7 +354,7 @@ def audit_structural(
                 continue
             depth = ctx.spt.depth[u]
             fat_pair = any(
-                4 * (_edge_subtree(ctx, e1) | _edge_subtree(ctx, e2)).bit_count() > n
+                4 * (edge_subtree(ctx.spt, *e1) | edge_subtree(ctx.spt, *e2)).bit_count() > n
                 for e1, e2 in combinations(bought, 2)
             )
             good = depth >= 3 and (not fat_pair or depth == 3)
@@ -432,12 +414,6 @@ def _ladder_purchases(ctx: StrategyContext, cap: int) -> list[tuple[Edge, int, i
     )
 
 
-def _edge_subtree(ctx: StrategyContext, edge: Edge) -> int:
-    """Mask of the subtree a down-edge carries; 0 for any other edge."""
-    child = ctx.spt.down_child(*edge)
-    return 0 if child is None else ctx.spt.subtree[child]
-
-
 def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
     """Do the edges form a spanning tree of the vertex set?"""
     if not vertices or len(edges) != len(vertices) - 1:
@@ -471,19 +447,19 @@ def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
         for u, w in ((a, b), (b, a)):
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
-            funnel = compute_s_set(ctx.profile, ctx.dist, anchor, v)
-            row = {"path": (u, v, w), "funnel_size": len(funnel.members)}
+            funnel_size = len(compute_s_set(ctx.profile, anchor, v))
+            row = {"path": (u, v, w), "funnel_size": funnel_size}
             cyc = ctx.cycles.per_vertex_cycle.get(v)
             if cyc is not None and len(cyc) > 3:
                 required = ctx.alpha / (2 * (len(cyc) - 3))
-                good = len(funnel.members) >= required
+                good = funnel_size >= required
                 row["cycle_bound"] = str(required)
                 row["cycle_bound_holds"] = good
                 ok = ok and good
             else:
                 row["cycle_bound"] = "gated (cycle length 3 or none)"
             if ctx.spt.down_child(u, v) == v and ctx.spt.down_child(v, w) == w:
-                good = len(funnel.members) >= ctx.spt.subtree_size[w]
+                good = funnel_size >= ctx.spt.subtree_size[w]
                 row["subtree_bound"] = ctx.spt.subtree_size[w]
                 row["subtree_bound_holds"] = good
                 ok = ok and good
@@ -501,7 +477,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
     if not (ctx.in_regime and bought and level is not None and level <= 2):
         return _finding("altpath", False, None, informational, vertex=u, edge=edge)
 
-    subtree = mask_members(_edge_subtree(ctx, edge))
+    subtree = mask_members(edge_subtree(ctx.spt, *edge))
     margins = {}
     holds = True
     detour = bfs_distances(ctx.profile.adj, ctx.root, blocked=1 << u)

@@ -154,20 +154,6 @@ def _subset_index(mask: int, v: int) -> int:
     return (mask & ((1 << v) - 1)) | (mask >> (v + 1) << v)
 
 
-def _distance_sums(profile: StrategyProfile, v: int, masks):
-    """Yield (mask, v's BFS distance sum) when v buys exactly ``mask``.
-
-    This prices restricted classes in verification and dynamics
-    (``_class_costs``); exact scans use ``sized_sums``.
-
-    The sum is None when v is cut off from some vertex.  v's row is the
-    edges others bought to v plus the mask.
-    """
-    adj, bought_by = profile.adj, profile.bought_by[v]
-    for mask in masks:
-        yield mask, bfs_sum(adj, v, bought_by | mask)
-
-
 def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
     """v's current cost in units of 1/q (alpha = p/q), and ``sized_sums`` up
     to the largest size whose sets can still cost at most that, less one
@@ -313,10 +299,15 @@ def _class_deviations(n: int, v: int, current: int, cls: DeviationClass, context
 
 def _class_costs(profile: StrategyProfile, v: int, cls: DeviationClass, contexts):
     """v's current cost and (mask, cost) per candidate, one BFS each: units of
-    1/q for alpha = p/q, inf when v is cut off from some vertex."""
+    1/q for alpha = p/q, inf when v is cut off from some vertex.
+
+    This prices restricted classes in verification and dynamics; exact scans
+    use ``sized_sums``.  v's row is the edges others bought to v plus the mask.
+    """
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    candidates = _class_deviations(profile.n, v, profile.bought[v], cls, contexts)
-    priced = _distance_sums(profile, v, chain([profile.bought[v]], candidates))
+    adj, into, current = profile.adj, profile.bought_by[v], profile.bought[v]
+    candidates = _class_deviations(profile.n, v, current, cls, contexts)
+    priced = ((mask, bfs_sum(adj, v, into | mask)) for mask in chain([current], candidates))
     costs = ((mask, inf if d is None else p * mask.bit_count() + q * d) for mask, d in priced)
     _, current = next(costs)
     return current, costs
@@ -535,7 +526,7 @@ class EnumerationResult:
 
     ``representatives`` holds ``scan_graph_range``'s class records and
     ``equilibria`` their ``labelled_equilibria``; the records are left out
-    of equality, and None in a result rebuilt from the other fields.
+    of equality, so a result rebuilt from the other five fields equals it.
     """
 
     n: int

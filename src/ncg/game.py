@@ -109,15 +109,9 @@ def profile_hash(profile: StrategyProfile) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs unweighted shortest distances; ``inf`` for separated pairs."""
-
-    n: int
-    rows: tuple[tuple[int | float, ...], ...]
-
-    def __getitem__(self, v: int) -> tuple[int | float, ...]:
-        return self.rows[v]
+# All-pairs unweighted shortest distances, one row per source; ``inf`` for
+# separated pairs.
+Distances = tuple[tuple[int | float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -284,25 +278,19 @@ def colex_index(position: int, k: int) -> int:
     return index
 
 
-def all_pairs_distances(profile: StrategyProfile) -> DistanceMatrix:
+def all_pairs_distances(profile: StrategyProfile) -> Distances:
     """Exact distances on the underlying undirected graph, one BFS per source.
 
     Edge ownership is irrelevant for traversal; a bought edge can be walked
     in either direction.
     """
-    rows = tuple(tuple(bfs_distances(profile.adj, s)) for s in range(profile.n))
-    return DistanceMatrix(profile.n, rows)
+    return tuple(tuple(bfs_distances(profile.adj, s)) for s in range(profile.n))
 
 
-def connection_cost(dist: DistanceMatrix, v: int) -> int | float:
-    """Sum of distances from ``v`` to every other vertex; ``inf`` if any is."""
-    return sum(dist[v])  # dist[v][v] is 0, and one inf term makes the sum inf
-
-
-def vertex_cost(profile: StrategyProfile, dist: DistanceMatrix, v: int) -> CostBreakdown:
+def vertex_cost(profile: StrategyProfile, dist: Distances, v: int) -> CostBreakdown:
     """Building plus connection cost for ``v``; total is ``inf`` when separated."""
     building = profile.alpha * profile.bought[v].bit_count()
-    connection = connection_cost(dist, v)
+    connection = sum(dist[v])  # dist[v][v] is 0, and one inf term makes the sum inf
     total: Fraction | float = inf if connection == inf else building + connection
     return CostBreakdown(v, building, connection, total)
 

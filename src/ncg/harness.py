@@ -276,11 +276,8 @@ def contexts_by_graph(records) -> Iterator[tuple]:
 
 
 def build_report_row(result: EnumerationResult) -> ReportRow:
-    """``fold_records`` of the class records, else of each equilibrium at weight 1."""
-    records = result.representatives
-    if records is None:
-        records = [(profile, report, 1) for profile, report in result.equilibria]
-    return fold_records(result.n, result.alpha, result.profiles_scanned, records)
+    """``fold_records`` of the result's class records."""
+    return fold_records(result.n, result.alpha, result.profiles_scanned, result.representatives)
 
 
 def fold_records(n: int, alpha: Fraction, scanned: int, records) -> ReportRow:

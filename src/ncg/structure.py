@@ -23,11 +23,10 @@ from itertools import combinations
 from math import inf
 from .errors import BudgetExceededError
 from .game import (
-    DistanceMatrix,
+    Distances,
     StrategyProfile,
     all_pairs_distances,
     bfs_distances,
-    connection_cost,
     is_connected,
     mask_members,
     profile_hash,
@@ -126,11 +125,11 @@ def largest_biconnected_component(profile: StrategyProfile) -> BiconnectedDecomp
     return BiconnectedDecomposition(components, edge_components)
 
 
-def choose_root(profile: StrategyProfile, dist: DistanceMatrix, h_vertices) -> int:
+def choose_root(profile: StrategyProfile, dist: Distances, h_vertices) -> int:
     """Vertex of minimum connection cost inside H; ties go to the smallest id."""
     if not h_vertices:
         raise ValueError("cannot choose a root in an empty component")
-    return min(h_vertices, key=lambda v: (connection_cost(dist, v), v))
+    return min(h_vertices, key=lambda v: (sum(dist[v]), v))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ class SptAnalysis:
         return path
 
 
-def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptAnalysis:
+def build_spt(profile: StrategyProfile, dist: Distances, root: int) -> SptAnalysis:
     """BFS shortest path tree from ``root`` under the directed-path parent rule."""
     n = profile.n
     depth = dist[root]
@@ -216,10 +215,10 @@ def build_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> SptA
     )
 
 
-def edge_subtree_size(spt: SptAnalysis, a: int, b: int) -> int:
-    """Subtree weight a pair carries: |T(child)| for a down-edge, else 0."""
+def edge_subtree(spt: SptAnalysis, a: int, b: int) -> int:
+    """Mask of the subtree a pair carries: T(child) for a down-edge, else 0."""
     child = spt.down_child(a, b)
-    return 0 if child is None else spt.subtree_size[child]
+    return 0 if child is None else spt.subtree[child]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,7 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(fwd, fwd[:1] + fwd[:0:-1])
 
 
-def is_min_cycle(cycle: tuple[int, ...], dist: DistanceMatrix) -> bool:
+def is_min_cycle(cycle: tuple[int, ...], dist: Distances) -> bool:
     """True iff the cycle realises the graph distance between all its pairs."""
     k = len(cycle)
     along = [min(d, k - d) for d in range(k)]  # around-the-cycle distance of offset d
@@ -371,9 +370,7 @@ def cycle_directed(profile: StrategyProfile, cycle: tuple[int, ...]) -> bool:
 
 
 def cycle_report(
-    profile: StrategyProfile,
-    decomposition: BiconnectedDecomposition,
-    dist: DistanceMatrix | None = None,
+    profile: StrategyProfile, decomposition: BiconnectedDecomposition, dist: Distances
 ) -> CycleReport:
     """Smallest-cycle survey of every block with a cycle, edges in sorted order.
 
@@ -386,8 +383,6 @@ def cycle_report(
     cyclic = [(vertices, edges) for vertices, edges in blocks if len(vertices) >= 3]
     if not cyclic:
         return CycleReport({}, {})
-    if dist is None:
-        dist = all_pairs_distances(profile)
     h_edges = decomposition.largest_edges()
     rings: dict[Edge, tuple[int, ...]] = {}
     for vertices, edges in cyclic:
@@ -473,7 +468,7 @@ def all_simple_cycles(profile: StrategyProfile, limit: int = 100_000) -> list[tu
 
 
 def min_cycles(
-    profile: StrategyProfile, dist: DistanceMatrix, cycles: CycleReport
+    profile: StrategyProfile, dist: Distances, cycles: CycleReport
 ) -> tuple[str, tuple[tuple[int, ...], ...]]:
     """(coverage, every min-cycle of the graph): "exhaustive" over
     ``all_simple_cycles``, or, past its budget, "smallest-per-edge-only": the
@@ -492,32 +487,22 @@ def min_cycles(
 # S-sets
 
 
-@dataclass(frozen=True)
-class SSet:
-    """Vertices whose shortest routes towards ``anchor`` funnel through ``via``:
-    every shortest path to every nearest anchor vertex passes via."""
+def compute_s_set(profile: StrategyProfile, anchor, via: int) -> frozenset[int]:
+    """Shortest-path funnel through ``via`` relative to the vertex set
+    ``anchor``: via and every vertex whose shortest paths to its nearest
+    anchor vertices all pass via.
 
-    anchor: frozenset[int]
-    via: int
-    members: frozenset[int]
-
-
-def compute_s_set(profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int) -> SSet:
-    """Shortest-path funnel through ``via`` relative to the vertex set ``anchor``."""
+    One BFS out of the anchor, a shell at a time.  The shortest routes to
+    the nearest anchor vertices are exactly the walks that step one shell
+    inwards each time, so x funnels iff every neighbour in the shell inside
+    its own is via or funnels itself.  With ``anchor == {via}`` that is
+    every vertex via reaches.
+    """
     anchor = frozenset(anchor)
     if not anchor:
         raise ValueError("anchor set must be nonempty")
     if via in anchor and anchor != {via}:
         raise ValueError("via must lie outside the anchor set (or be its only member)")
-    if anchor == {via}:
-        # Degenerate funnel: every reachable vertex trivially routes through via.
-        members = frozenset(x for x in range(profile.n) if dist[x][via] != inf)
-        return SSet(anchor=anchor, via=via, members=members)
-
-    # One BFS out of the anchor, a shell at a time.  The shortest routes to
-    # the nearest anchor vertices are exactly the walks that step one shell
-    # inwards each time, so x funnels iff every neighbour in the shell inside
-    # its own is via or funnels itself.
     adj = profile.adj
     funnel = 1 << via
     reach = 0
@@ -533,7 +518,7 @@ def compute_s_set(profile: StrategyProfile, dist: DistanceMatrix, anchor, via: i
             if not row & inner & ~funnel:
                 funnel |= 1 << x
         inner = shell
-    return SSet(anchor=anchor, via=via, members=frozenset(mask_members(funnel)))
+    return frozenset(mask_members(funnel))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +542,7 @@ class StrategyContext:
     """
 
     profile: StrategyProfile
-    dist: DistanceMatrix
+    dist: Distances
     decomposition: BiconnectedDecomposition
     h_vertices: frozenset[int]
     h_edges: frozenset[Edge]
@@ -570,7 +555,7 @@ class StrategyContext:
 
     def __post_init__(self):
         if self.connections is None:
-            object.__setattr__(self, "connections", tuple(map(sum, self.dist.rows)))
+            object.__setattr__(self, "connections", tuple(map(sum, self.dist)))
 
     @property
     def n(self) -> int:
@@ -588,9 +573,6 @@ class StrategyContext:
     def in_regime(self) -> bool:
         """The paper's regime: a cyclic core, alpha > 2n and girth at least 7."""
         return self.has_cyclic_h and self.alpha > 2 * self.n and self.girth >= 7
-
-    def connection(self, v: int) -> int | float:
-        return self.connections[v]
 
     @cached_property
     def profile_hash(self) -> str:
@@ -618,12 +600,12 @@ class StrategyContext:
     def deg_h(self, v: int) -> int:
         return len(self.h_neighbours[v])
 
-    def is_low_level(self, v: int, t: int, include_up: bool, cap: int = 2) -> bool:
-        """Is {v, t} a low-level edge for v: minimal level <= cap, or, with
+    def is_low_level(self, v: int, t: int, include_up: bool) -> bool:
+        """Is {v, t} a low-level edge for v: minimal level <= 2, or, with
         ``include_up``, v's up-edge (the tree edge to v's parent that the
         parent did not buy)?"""
         level = self.x_level((v, t))
-        if level is not None and level <= cap:
+        if level is not None and level <= 2:
             return True
         return include_up and t == self.spt.parent[v] and self.spt.down_child(v, t) is None
 
@@ -689,7 +671,7 @@ def build_context(
             raise ValueError("audit context requires a connected profile")
         dist = all_pairs_distances(profile)
         decomposition = largest_biconnected_component(profile)
-        connections = tuple(map(sum, dist.rows))  # connection_cost of every vertex
+        connections = tuple(map(sum, dist))  # every vertex's connection cost
         cycles = cycle_report(profile, decomposition, dist)
     elif graph.profile.adj != profile.adj:
         raise ValueError("context of a different graph")

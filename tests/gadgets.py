@@ -66,32 +66,34 @@ def up_and_out_seller(alpha=21):
 # oracles
 
 
-def oracle_distances(n, pairs) -> list[list[int | float]]:
+def oracle_source_distances(n, pairs, s) -> list[int | float]:
+    """Distances from ``s`` by a breadth-first search over the edge list."""
     adj = {v: set() for v in range(n)}
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
-    out = []
-    for s in range(n):
-        dist = {s: 0}
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        out.append([dist.get(v, inf) for v in range(n)])
-    return out
+    dist = {s: 0}
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return [dist.get(v, inf) for v in range(n)]
+
+
+def oracle_distances(n, pairs) -> list[list[int | float]]:
+    return [oracle_source_distances(n, pairs, s) for s in range(n)]
 
 
 def oracle_connection(prof: StrategyProfile, v: int) -> int | float:
     pairs = {e.endpoints() for e in prof.edges}
-    dist = oracle_distances(prof.n, pairs)[v]
+    dist = oracle_source_distances(prof.n, pairs, v)
     if any(dist[u] == inf for u in range(prof.n) if u != v):
         return inf
     return sum(dist[u] for u in range(prof.n) if u != v)

@@ -16,8 +16,9 @@ enumerate every class as target sets, the paper strategies from
 ``oracle_sellable_edges`` in one ``oracle_context`` per H vertex of least
 connection cost, as does ``oracle_sell_selections`` for the bound audits
 in one context.  ``oracle_best_response`` is the full scan the
-size-bounded exact scan replaced: every target set is priced by
-``_distance_sums`` and the least (cost, size, sorted tuple) wins.
+size-bounded exact scan replaced: every target set is priced from raw
+edge lists by ``gadgets.oracle_source_distances`` and the least (cost,
+size, sorted tuple) wins.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
 per anchor vertex.  ``oracle_x_levels`` is the fixpoint loop the one-pass
 X-levels replaced, and the ``oracle_*`` ladder queries restate the
@@ -51,7 +52,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import inf
 
-from gadgets import oracle_delta
+from gadgets import oracle_delta, oracle_source_distances
 
 from ncg.errors import BudgetExceededError
 
@@ -64,7 +65,6 @@ from ncg.equilibrium import (
     EnumerationResult,
     GraphClass,
     VerificationReport,
-    _distance_sums,
     _exact_checks,
     _graph_rows,
     _ownership_equilibria,
@@ -75,13 +75,12 @@ from ncg.equilibrium import (
 )
 from ncg.game import (
     BoughtEdge,
-    DistanceMatrix,
+    Distances,
     StrategyProfile,
     all_pairs_distances,
     bfs_distances,
     bfs_sum,
     is_connected,
-    mask_members,
     row_sums,
 )
 from ncg.structure import (
@@ -352,21 +351,19 @@ def oracle_best_response(
     profile: StrategyProfile, v: int
 ) -> tuple[frozenset[int], Fraction | float]:
     """What ``best_response_exact`` must return: every one of v's target sets
-    priced, the least (cost, size, sorted tuple) kept, its delta by
+    priced by one ``gadgets.oracle_source_distances`` search from v, the
+    least (cost, size, sorted tuple) kept, its delta by
     ``gadgets.oracle_delta``."""
     others = [u for u in range(profile.n) if u != v]
-    masks = [
-        sum(1 << u for i, u in enumerate(others) if sub >> i & 1)
-        for sub in range(1 << len(others))
-    ]
+    kept = {e.endpoints() for e in profile.edges if e.buyer != v}
 
-    def key(priced):
-        mask, dsum = priced
-        size = mask.bit_count()
-        return (inf if dsum is None else profile.alpha * size + dsum), size, mask_members(mask)
+    def key(targets):
+        dist = oracle_source_distances(profile.n, kept | {(min(v, t), max(v, t)) for t in targets}, v)
+        cost = inf if inf in dist else profile.alpha * len(targets) + sum(dist)
+        return cost, len(targets), targets
 
-    mask, _ = min(_distance_sums(profile, v, masks), key=key)
-    best = frozenset(mask_members(mask))
+    sets = (tuple(u for i, u in enumerate(others) if sub >> i & 1) for sub in range(1 << len(others)))
+    best = frozenset(min(sets, key=key))
     return best, oracle_delta(profile, v, best)
 
 
@@ -396,7 +393,7 @@ def oracle_rows(profile: StrategyProfile) -> tuple[tuple[int, ...], tuple[int, .
 
 
 def oracle_s_set_all_paths(
-    profile: StrategyProfile, dist: DistanceMatrix, anchor, via: int
+    profile: StrategyProfile, dist: Distances, anchor, via: int
 ) -> frozenset[int]:
     """via, plus every x all of whose shortest routes to its nearest anchor
     vertices pass via: deleting via lengthens each of those distances."""
@@ -632,7 +629,7 @@ def oracle_bound(
     )
 
 
-def oracle_spt(profile: StrategyProfile, dist: DistanceMatrix, root: int) -> dict:
+def oracle_spt(profile: StrategyProfile, dist: Distances, root: int) -> dict:
     """``build_spt``'s fields, vertex by vertex in (depth, id) order: the
     parent is the least level-up neighbour that bought the edge and is
     down-reachable, else the least level-up one."""

@@ -39,12 +39,9 @@ from ncg import (
     build_context,
     delta_cost,
     scaffold_profile,
-    strategy1_bound,
-    strategy2_bound,
-    strategy3_bound,
     verify_equilibrium,
 )
-from ncg.audit import MAX_SELL, audit_failures, eligible_sold_selections
+from ncg.audit import _BOUND_TERMS, MAX_SELL, audit_failures, eligible_sold_selections
 from ncg.equilibrium import profile_from_index
 from ncg.game import is_connected, mask_members
 from ncg.harness import enumerate_cell
@@ -98,14 +95,25 @@ def test_context_root_degrees_by_ownership():
 # bound values (hand evaluations)
 
 
+def _terms_bound(ctx, u, kind, sold):
+    """``_BOUND_TERMS[kind]`` as an exact Fraction: the integer terms minus
+    their alpha multiple, for the (edge, level) pairs ``sold``."""
+    value, times_alpha = _BOUND_TERMS[kind](ctx, u, sold)
+    return value - times_alpha * ctx.alpha
+
+
+# Each sold edge below has the level the hand evaluation uses (an up-edge
+# counts as level 0), so the audit prices the same bound.
+
+
 def test_strategy1_bound_depth1():
     ctx = _ctx(depth1_seller(alpha=21))
-    assert strategy1_bound(ctx, 3, [((2, 3), 0)]) == Fraction(-15)
+    assert audit_deviation_bound(ctx, 3, "strategy1", [2]).bound == Fraction(-15)
 
 
 def test_strategy1_bound_cancels_at_critical_alpha():
     ctx = _ctx(depth1_seller(alpha=6))  # alpha = d*n - sum 2|T(u_l)| exactly
-    assert strategy1_bound(ctx, 3, [((2, 3), 0)]) == 0
+    assert audit_deviation_bound(ctx, 3, "strategy1", [2]).bound == 0
 
 
 def test_strategy2_bound_even_depth_has_midpoint_term():
@@ -115,7 +123,7 @@ def test_strategy2_bound_even_depth_has_midpoint_term():
     assert ctx.spt.subtree_size[1] == 3
     assert ctx.spt.subtree_size[2] == 2
     assert ctx.x_level((2, 6)) == 0
-    assert strategy2_bound(ctx, 2, [((2, 6), 0)]) == Fraction(3)
+    assert audit_deviation_bound(ctx, 2, "strategy2", [6]).bound == Fraction(3)
 
 
 def test_strategy2_bound_odd_depth_drops_midpoint_term():
@@ -124,7 +132,7 @@ def test_strategy2_bound_odd_depth_drops_midpoint_term():
     assert ctx.spt.subtree_size[3] == 2
     assert ctx.spt.subtree_size[2] == 3
     assert ctx.x_level((3, 7)) == 0
-    assert strategy2_bound(ctx, 3, [((3, 7), 0)]) == Fraction(0)
+    assert audit_deviation_bound(ctx, 3, "strategy2", [7]).bound == Fraction(0)
 
 
 def test_strategy3_bound_two_weightless_edges():
@@ -135,14 +143,15 @@ def test_strategy3_bound_two_weightless_edges():
     assert ctx.spt.down_child(0, 1) is None and ctx.spt.parent[1] == 0  # 1's up-edge
     assert ctx.is_low_level(1, 0, include_up=True)
     assert ctx.x_level((1, 5)) == 0
-    assert strategy3_bound(ctx, 1, [((0, 1), 0), ((1, 5), 0)]) == Fraction(-19)
+    assert audit_deviation_bound(ctx, 1, "strategy3", [0, 5]).bound == Fraction(-19)
 
 
 def test_strategy3_bound_leaf_seller():
     ctx = _ctx(up_and_out_seller())
     assert ctx.spt.subtree_size[5] == 1
     assert ctx.profile.buys(5, 1)
-    assert strategy3_bound(ctx, 5, [((1, 5), 0)]) == Fraction(8)
+    assert ctx.x_level((1, 5)) == 0
+    assert audit_deviation_bound(ctx, 5, "strategy3", [1]).bound == Fraction(8)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +230,6 @@ def test_sold_selections_match_oracle(p):
         assert got == oracle_sell_selections(ctx, kind, MAX_SELL), kind
 
 
-_PUBLIC_BOUNDS = {
-    "strategy1": strategy1_bound,
-    "strategy2": strategy2_bound,
-    "strategy3": strategy3_bound,
-}
-
-
 @given(
     st.one_of(
         connected_profiles(max_n=7),
@@ -244,21 +246,21 @@ _PUBLIC_BOUNDS = {
 def test_bound_audit_integer_pricing_matches_fractions(p):
     # Every vertex sells every set of at most two neighbours, eligible or
     # not: the integer pricing must give delta_cost's exact delta and the
-    # public bound formulas' value whatever the preconditions say.
+    # bound terms' value in Fractions whatever the preconditions say.
     ctx = build_context(p)
     for u in range(p.n):
         neighbours = mask_members(p.adj[u])
         sales = [()] + [(t,) for t in neighbours] + [
             (a, b) for i, a in enumerate(neighbours) for b in neighbours[i + 1:]
         ]
-        for kind, bound_fn in _PUBLIC_BOUNDS.items():
+        for kind in _BOUND_TERMS:
             for sold in sales:
                 cmp = audit_deviation_bound(ctx, u, kind, sold)
                 levels = [((min(u, t), max(u, t)), ctx.x_level((u, t)) or 0) for t in sold]
                 new_targets = frozenset(mask_members(p.bought[u])) - set(sold)
                 if kind != "strategy1" and u != ctx.root:
                     new_targets |= {ctx.root}
-                assert cmp.bound == bound_fn(ctx, u, levels)
+                assert cmp.bound == _terms_bound(ctx, u, kind, levels)
                 assert isinstance(cmp.bound, Fraction)
                 assert cmp.exact_delta == delta_cost(p, u, new_targets), (u, kind, sold)
                 assert cmp.dominates == (cmp.exact_delta <= cmp.bound)

@@ -58,7 +58,6 @@ from ncg.equilibrium import (
     _bounded_scan,
     _class_contexts,
     _class_deviations,
-    _distance_sums,
     _greedy_tables,
     _ownership_equilibria,
     _subset_masks,
@@ -67,12 +66,13 @@ from ncg.equilibrium import (
     profile_from_index,
     scan_graph_range,
 )
-from ncg.game import BoughtEdge, StrategyProfile, mask_members, row_sums, sized_sums
+from ncg.game import BoughtEdge, StrategyProfile, bfs_sum, mask_members, row_sums, sized_sums
 from ncg.harness import (
     MAX_ENUMERATION_N,
     SweepSpec,
     build_report_row,
     enumerate_cell,
+    fold_records,
     format_fraction,
     run_sweep,
 )
@@ -268,7 +268,7 @@ def test_witness_recheck_raises(monkeypatch):
 
 
 def _bfs_sums(p, v):
-    return [s for _, s in _distance_sums(p, v, _subset_masks(p.n, v))]
+    return [bfs_sum(p.adj, v, p.bought_by[v] | mask) for mask in _subset_masks(p.n, v)]
 
 
 @example(profile(4, 1, [(0, 1), (1, 0), (2, 0)]))  # 0-1 bought twice, 3 isolated
@@ -682,7 +682,7 @@ def test_restricted_scan_prices_by_lookup(monkeypatch):
         raise AssertionError("the scan priced a candidate by BFS")
 
     monkeypatch.setattr("ncg.equilibrium.verify_equilibrium", refuse)
-    monkeypatch.setattr("ncg.equilibrium._distance_sums", refuse)
+    monkeypatch.setattr("ncg.equilibrium._class_costs", refuse)
     assert enumerate_cell(4, Fraction(2), DeviationClass.parse("single-add")) == expected
 
 
@@ -843,6 +843,12 @@ def test_labelled_images_take_the_first_vertex_map():
             assert result.equilibria == oracle_labelled_equilibria(result.representatives)
 
 
+def _labelled_row(result):
+    """The row folded from every labelled equilibrium at weight 1."""
+    records = [(profile, report, 1) for profile, report in result.equilibria]
+    return fold_records(result.n, result.alpha, result.profiles_scanned, records)
+
+
 def _sweep_rows(n, alphas, dev_class):
     """``run_sweep``'s rows, folded from class records with no labelled
     equilibrium decoded."""
@@ -861,8 +867,7 @@ def test_weighted_row_equals_labelled_row(n):
         for alpha, swept in zip(ORACLE_ALPHAS, _sweep_rows(n, ORACLE_ALPHAS, cls)):
             result = enumerate_cell(n, alpha, cls)
             assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
-            labelled = replace(result, representatives=None)
-            assert swept == build_report_row(result) == build_report_row(labelled), (spec, alpha)
+            assert swept == build_report_row(result) == _labelled_row(result), (spec, alpha)
 
 
 def test_weighted_row_equals_labelled_row_n6():
@@ -870,7 +875,7 @@ def test_weighted_row_equals_labelled_row_n6():
     assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
     row = build_report_row(result)
     assert _sweep_rows(6, [Fraction(3)], EXACT) == [row]
-    assert row == build_report_row(replace(result, representatives=None))
+    assert row == _labelled_row(result)
 
 
 def test_sweep_row_audits_each_class_record_once(monkeypatch):

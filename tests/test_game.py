@@ -15,7 +15,6 @@ from ncg import (
     BoughtEdge,
     StrategyProfile,
     all_pairs_distances,
-    connection_cost,
     is_connected,
     vertex_cost,
 )
@@ -24,11 +23,12 @@ from ncg.game import ball_levels, bfs_distances, bfs_sum, mask_members
 
 def assert_metric(d):
     """The defining invariants of a distance matrix, O(n^3)."""
-    for v in range(d.n):
+    n = len(d)
+    for v in range(n):
         assert d[v][v] == 0
-        for u in range(d.n):
+        for u in range(n):
             assert d[v][u] == d[u][v]
-            for w in range(d.n):
+            for w in range(n):
                 assert d[v][w] <= d[v][u] + d[u][w]
 
 
@@ -41,7 +41,7 @@ def test_distances_on_path():
 
 def test_distances_single_vertex():
     d = all_pairs_distances(profile(1, 1, []))
-    assert d.rows == ((0,),)
+    assert d == ((0,),)
 
 
 def test_distances_disconnected_pair():
@@ -51,10 +51,11 @@ def test_distances_disconnected_pair():
 
 
 def test_connection_cost_examples():
-    d = all_pairs_distances(path3())
-    assert connection_cost(d, 1) == 2
-    assert connection_cost(d, 0) == 3
-    assert connection_cost(all_pairs_distances(star(4)), 0) == 3
+    p = path3()
+    d = all_pairs_distances(p)
+    assert vertex_cost(p, d, 1).connection == 2
+    assert vertex_cost(p, d, 0).connection == 3
+    assert vertex_cost(star(4), all_pairs_distances(star(4)), 0).connection == 3
 
 
 def test_vertex_cost_path_buyer():
@@ -115,7 +116,7 @@ def test_vertex_cap_enforced():
 def test_distances_match_oracle_and_invariants(p):
     d = all_pairs_distances(p)
     expected = oracle_distances(p.n, {e.endpoints() for e in p.edges})
-    assert [list(row) for row in d.rows] == expected
+    assert [list(row) for row in d] == expected
     assert_metric(d)
     assert is_connected(p) == (inf not in expected[0])
 
@@ -177,7 +178,7 @@ def test_bfs_distances_with_cleared_edge_match_oracle(p):
 @settings(max_examples=50, deadline=None)
 def test_connection_cost_double_counting_identity(p):
     d = all_pairs_distances(p)
-    total = sum(connection_cost(d, v) for v in range(p.n))
+    total = sum(vertex_cost(p, d, v).connection for v in range(p.n))
     pair_sum = sum(d[u][v] for u in range(p.n) for v in range(u + 1, p.n))
     assert total == 2 * pair_sum
 
@@ -203,7 +204,7 @@ def test_relabel_buyer_affects_only_endpoint_building(p):
         return  # flip would collide with the antiparallel purchase
     q = StrategyProfile(p.n, p.alpha, others + (BoughtEdge(flipped.other, flipped.buyer),))
     dp, dq = all_pairs_distances(p), all_pairs_distances(q)
-    assert dp.rows == dq.rows
+    assert dp == dq
     for v in range(p.n):
         cp, cq = vertex_cost(p, dp, v), vertex_cost(q, dq, v)
         assert cp.connection == cq.connection
@@ -216,7 +217,7 @@ def test_relabel_buyer_affects_only_endpoint_building(p):
 def test_connection_cost_matches_oracle(p):
     d = all_pairs_distances(p)
     for v in range(p.n):
-        assert connection_cost(d, v) == oracle_connection(p, v)
+        assert vertex_cost(p, d, v).connection == oracle_connection(p, v)
 
 
 @given(st.one_of(doubled_profiles(), connected_profiles(), sparse_connected_profiles()))

@@ -1,7 +1,6 @@
 """Serialization, alpha expressions, report rows, and the CLI driver."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -15,7 +14,6 @@ from strategies import profiles
 from ncg import (
     BudgetExceededError,
     EnumerationCapError,
-    EnumerationResult,
     NcgError,
     ProfileFormatError,
     TreeConjectureViolation,
@@ -190,25 +188,23 @@ def test_shared_graph_contexts_audit_like_build_context(n, alpha):
         assert audit_failures(ctx, report) == summed
 
 
-def _passed_off(ring, alpha, dev_class):
-    """A fabricated cell whose one "equilibrium" is ``ring``, certified by
-    ``dev_class`` whatever the verifier says."""
-    report = VerificationReport(profile_hash(ring), dev_class.spec(), True, None, 0)
-    return EnumerationResult(
-        n=ring.n, alpha=Fraction(alpha), profiles_scanned=1, connected_count=1,
-        equilibria=((ring, report),),
-    )
+def _passed_off(ring, dev_class):
+    """A certificate that ``ring`` is an equilibrium under ``dev_class``,
+    whatever the verifier says."""
+    return VerificationReport(profile_hash(ring), dev_class.spec(), True, None, 0)
 
 
 def test_report_row_rejects_non_tree_above_2n():
     # a cyclic profile passed off as an exact equilibrium at alpha > 2n
+    ring = directed_ring(3, 7)
     with pytest.raises(TreeConjectureViolation):
-        build_report_row(_passed_off(directed_ring(3, 7), 7, EXACT))
+        fold_records(3, Fraction(7), 1, [(ring, _passed_off(ring, EXACT), 1)])
 
 
 def test_report_row_open_band_is_exploratory():
     # alpha inside [n, 2n): non-tree exact equilibria are data, not failures
-    row = build_report_row(_passed_off(directed_ring(3, 4), 4, EXACT))
+    ring = directed_ring(3, 4)
+    row = fold_records(3, Fraction(4), 1, [(ring, _passed_off(ring, EXACT), 1)])
     assert row.non_tree_ne_count == 1
     assert row.min_girth_among_ne == 3
 
@@ -219,16 +215,14 @@ def test_report_row_weights_class_records():
     # above 2n still fails the row
     single_add = DeviationClass.parse("single-add")
     ring = directed_ring(3, 7)
-    cell = _passed_off(ring, 7, single_add)
-    failures = audit_failures(build_context(ring), cell.equilibria[0][1])
+    report = _passed_off(ring, single_add)
+    failures = audit_failures(build_context(ring), report)
     assert failures > 0
-    weighted = replace(cell, equilibria=cell.equilibria * 3, representatives=(cell.equilibria[0] + (3,),))
-    row = build_report_row(weighted)
+    row = fold_records(3, Fraction(7), 1, [(ring, report, 3)])
     assert (row.ne_count, row.tree_ne_count, row.non_tree_ne_count) == (3, 0, 3)
     assert row.audit_failures == 3 * failures
-    exact = _passed_off(ring, 7, EXACT)
     with pytest.raises(TreeConjectureViolation):
-        build_report_row(replace(exact, representatives=(exact.equilibria[0] + (3,),)))
+        fold_records(3, Fraction(7), 1, [(ring, _passed_off(ring, EXACT), 3)])
 
 
 def test_report_row_counts_restricted_non_trees_above_2n(capsys):
@@ -236,7 +230,7 @@ def test_report_row_counts_restricted_non_trees_above_2n(capsys):
     ring = directed_ring(3, 7)
     single_add = DeviationClass.parse("single-add")
     assert verify_equilibrium(ring, single_add).is_equilibrium
-    row = build_report_row(_passed_off(ring, 7, single_add))
+    row = fold_records(3, Fraction(7), 1, [(ring, _passed_off(ring, single_add), 1)])
     assert row.non_tree_ne_count == 1
     # single-add finds non-tree "equilibria" at n=4, alpha=9; exact finds none
     assert cmd_run(["sweep", "--n", "4", "--alpha", "2n+1", "--class", "single-add"]) == 0

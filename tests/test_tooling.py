@@ -1,12 +1,15 @@
 """Tooling guards: the benchmark's smoke run, which re-drives ncg through its
-public calls, and what importing the CLI loads."""
+public calls, what importing the CLI loads, and that every public name has
+a caller."""
 
+import ast
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import ncg
 from ncg.equilibrium import EXACT, EnumerationResult
 from ncg.harness import SweepSpec, enumerate_cell, rows_to_csv, run_sweep
 
@@ -58,3 +61,34 @@ def test_cli_import_loads_no_process_pool():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+# The cost reference that tests compare delta_cost and the scans' integer
+# pricing against; the library prices costs without it.
+CALLER_FREE = {"vertex_cost", "CostBreakdown"}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name a module reads, as a bare name or an attribute, outside the
+    top-level definition of that same name; imports read nothing."""
+    names = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id != own:
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that only tests call is a second copy of some fact, or a
+    # helper with no user: library code under src/ncg or the benchmark under
+    # perfbench must read it
+    sources = [p for p in (ROOT / "src" / "ncg").glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "perfbench").glob("*.py")
+    used = set().union(*map(_referenced_names, sources))
+    uncalled = sorted(set(ncg.__all__) - used - CALLER_FREE)
+    assert uncalled == []
+    assert CALLER_FREE <= set(ncg.__all__)
