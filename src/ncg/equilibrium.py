@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, compress, permutations, repeat
 from math import inf
 from operator import getitem
 
@@ -545,7 +545,10 @@ class GraphClass:
     and adjacency rows ``adj``; ``weight`` is its number of labelled images,
     n!/|Aut G|.  ``sums[v]`` is ``row_sums(adj, v, 0)``: v's distance sum f_v(S)
     for every row S of v in subset-index order, from which every alpha's
-    cost tables are priced (``_cost_tables``).
+    cost tables are priced (``_cost_tables``).  ``automorphisms`` holds, per
+    vertex map fixing the representative (identity first), the profile-index
+    terms ``(0, 3^k', 2*3^k')`` of each pair k's image k' (``_vertex_maps``),
+    which carry an ownership of the representative to its image.
     """
 
     ks: list[int]
@@ -553,6 +556,7 @@ class GraphClass:
     adj: list[int]
     weight: int
     sums: list[list[int | None]]
+    automorphisms: list[list[tuple[int, int, int]]]
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -644,9 +648,9 @@ def _superset_min(table: list[int | None]) -> list[int | float]:
 
 def _ownership_equilibria(
     alpha: Fraction, dev_class: DeviationClass, graph: GraphClass, budget: int
-) -> list[tuple[StrategyProfile, int]]:
-    """(profile, deviations_checked) of every equilibrium under ``dev_class``
-    on the representative of ``graph``.
+) -> list[tuple[int, int]]:
+    """(profile index, deviations_checked) of every equilibrium under
+    ``dev_class`` on the representative of ``graph``, none of them decoded.
 
     Whatever v deviates to, it keeps I_v, the edges others bought to it, and
     pays for the rest of its row: for alpha = p/q, target mask T improves iff
@@ -660,7 +664,8 @@ def _ownership_equilibria(
     once a vertex whose edges are all owned is unstable.  The sum of the
     counts, ``deviations_checked``, may not exceed ``budget``.  Paper-strategy
     candidates follow the shortest path trees of the whole ownership, so such
-    a class decodes each one and counts as ``verify_equilibrium`` does.
+    a class decodes each ownership it reaches and counts as
+    ``verify_equilibrium`` does.
     """
     ks, edges, adj = graph.ks, graph.edges, graph.adj
     n, p = len(adj), alpha.numerator
@@ -702,28 +707,26 @@ def _ownership_equilibria(
         last[a] = last[b] = i
     settled = [[] if paper else [v for v, i in last.items() if i == k] for k in range(len(edges))]
     # Trit 1: a buys, so the edge is in I_b; trit 2: b buys, so it is in I_a.
+    # Each move adds its trit's term to the profile index.
     moves = [
-        [(trit, b, _subset_index(1 << a, b)) if trit == 1 else (trit, a, _subset_index(1 << b, a))
-         for trit in owners]
-        for (a, b), owners in zip(edges, options)
+        [(3**k, b, _subset_index(1 << a, b)) if trit == 1
+         else (2 * 3**k, a, _subset_index(1 << b, a)) for trit in owners]
+        for (a, b), k, owners in zip(edges, ks, options)
     ]
     kept = [0] * n
-    owners = []
     found = []
 
-    def walk(i: int) -> None:
+    def walk(i: int, index: int) -> None:
         if i < len(edges):
-            for trit, x, bit in moves[i]:
+            for term, x, bit in moves[i]:
                 kept[x] |= bit
                 if all(checks[u][kept[u]] is not None for u in settled[i]):
-                    owners.append(trit)
-                    walk(i + 1)
-                    owners.pop()
+                    walk(i + 1, index + term)
                 kept[x] ^= bit
             return
-        profile = profile_from_index(n, alpha, sum(t * 3**k for t, k in zip(owners, ks)))
         checked = 0
         if paper:
+            profile = profile_from_index(n, alpha, index)
             contexts = _class_contexts(profile, dev_class, graph)
             for v in range(n):
                 for mask in _class_deviations(n, v, profile.bought[v], dev_class, contexts):
@@ -734,9 +737,9 @@ def _ownership_equilibria(
                         return
         elif (checked := sum(map(getitem, checks, kept))) > budget:
             raise _budget_error(budget)
-        found.append((profile, checked))
+        found.append((index, checked))
 
-    walk(0)
+    walk(0, 0)
     return found
 
 
@@ -773,12 +776,12 @@ def _vertex_maps(n: int) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
     return maps
 
 
-def _distinct_images(ks: list[int], maps) -> dict:
-    """Image of the graph on pairs ``ks`` -> weights of the first map giving it."""
-    images = {}
-    for bits, weights in maps:
-        images.setdefault(sum(map(bits.__getitem__, ks)), weights)
-    return images
+def _graph_images(graph: int, ks: list[int], maps) -> tuple[set[int], list]:
+    """The images of graph index ``graph``, on pairs ``ks``, under every
+    vertex map, and the weights of the maps fixing it: its automorphisms."""
+    images = [sum(map(bits.__getitem__, ks)) for bits, _ in maps]
+    automorphisms = [weights for _, weights in compress(maps, map(graph.__eq__, images))]
+    return set(images), automorphisms
 
 
 def graph_classes(n: int) -> list[GraphClass]:
@@ -788,8 +791,10 @@ def graph_classes(n: int) -> list[GraphClass]:
     Bit k of a graph index is pair k of ``pair_list(n)``.  The first graph
     index no earlier class covers represents its class, and its images are
     marked whether it is connected or not, so one graph per isomorphism
-    class of all graphs is decoded and BFS-tested.  Nothing here depends on
-    alpha or on a deviation class: one catalogue serves a whole row of cells.
+    class of all graphs is decoded and BFS-tested.  The same pass over the
+    vertex maps keeps those fixing the representative.  Nothing here depends
+    on alpha or on a deviation class: one catalogue serves a whole row of
+    cells.
     """
     pairs = pair_list(n)
     maps = _vertex_maps(n)
@@ -799,12 +804,12 @@ def graph_classes(n: int) -> list[GraphClass]:
         if marked[graph >> 3] >> (graph & 7) & 1:
             continue
         ks, edges, adj = _graph_rows(n, pairs, graph)
-        images = _distinct_images(ks, maps)
+        images, automorphisms = _graph_images(graph, ks, maps)
         for image in images:
             marked[image >> 3] |= 1 << (image & 7)
         if bfs_sum(adj, 0, adj[0]) is not None:
             sums = [row_sums(adj, v, 0) for v in range(n)]
-            classes.append(GraphClass(ks, edges, adj, len(images), sums))
+            classes.append(GraphClass(ks, edges, adj, len(images), sums, automorphisms))
     return classes
 
 
@@ -815,18 +820,48 @@ def check_scan_budget(n: int, dev_class: DeviationClass, budget: int) -> None:
         _exact_checks(n, budget)
 
 
+def _orbits(ks: list[int], automorphisms, found: list[tuple[int, int]]):
+    """(least profile index, deviations_checked, size) per orbit of the
+    ``found`` ownerships, on pairs ``ks``, under the vertex maps
+    ``automorphisms`` (as ``GraphClass.automorphisms``), by least index."""
+    seen = set()
+    orbits = []
+    for index, checked in sorted(found):
+        if index not in seen:
+            trits = [index // 3**k % 3 for k in ks]
+            images = {sum(aut[k][t] for k, t in zip(ks, trits)) for aut in automorphisms}
+            seen |= images
+            orbits.append((index, checked, len(images)))
+    return orbits
+
+
 def decide_classes(
     classes: list[GraphClass], alpha: Fraction, dev_class: DeviationClass, budget: int
 ) -> tuple:
-    """One ``(profile, report, weight)`` record per equilibrium on each class's
-    representative, decided by one ownership walk (``_ownership_equilibria``)
-    and weighted by the class's images; ``labelled_equilibria`` decodes them."""
+    """One ``(profile, report, weight)`` record per orbit of equilibrium
+    ownerships on each class's representative under its automorphisms,
+    decided by one ownership walk (``_ownership_equilibria``).
+
+    Without a paper strategy an ownership's verdict and candidate count read
+    only its vertices' rows and the edges bought to them, which an
+    automorphism carries to the image: the equilibria are whole orbits whose
+    members agree on ``deviations_checked``.  Only an orbit's least profile
+    index is decoded and hashed; its weight, the class's weight times the
+    orbit's size, is n!/|Stab| of the ownership, its number of labelled
+    images.  Paper-strategy candidates follow shortest path trees whose
+    parent ties go to the smallest id, so there each ownership is its own
+    orbit, of the class's weight.  ``labelled_equilibria`` expands either.
+    """
     spec = dev_class.spec()
+    paper = _needs_context(dev_class)
     records = []
     for graph in classes:
-        for profile, checked in _ownership_equilibria(alpha, dev_class, graph, budget):
+        found = _ownership_equilibria(alpha, dev_class, graph, budget)
+        automorphisms = graph.automorphisms[:1] if paper else graph.automorphisms
+        for index, checked, size in _orbits(graph.ks, automorphisms, found):
+            profile = profile_from_index(len(graph.adj), alpha, index)
             report = VerificationReport(profile_hash(profile), spec, True, None, checked)
-            records.append((profile, report, graph.weight))
+            records.append((profile, report, graph.weight * size))
     return tuple(records)
 
 
@@ -847,23 +882,30 @@ def scan_graph_range(
 def labelled_equilibria(n: int, alpha: Fraction, records) -> tuple:
     """Labelled ``(profile, report)`` equilibria of class records, by profile index.
 
-    The first vertex map giving each image of a record's graph carries its
-    ownership there (classes are disjoint: these are the images the scan
-    marked), with the record's report under the image's hash.  Paper-strategy
-    candidates follow shortest path trees whose parent ties go to the
-    smallest id, so there ``deviations_checked`` may differ from
-    ``verify_equilibrium``'s on an image.
+    Every vertex map carries a record's ownership to a labelled image, which
+    keeps the record's report under the image's hash.  An orbit record (no
+    paper strategy) stands for every distinct image.  A paper-strategy
+    record stands for its ownership alone, so only the first map giving
+    each image of its graph carries it (classes are disjoint: these are the
+    images the scan marked); its candidates follow shortest path trees whose
+    parent ties go to the smallest id, so ``deviations_checked`` may differ
+    from ``verify_equilibrium``'s on an image.
     """
     position = {pair: k for k, pair in enumerate(pair_list(n))}
     maps = _vertex_maps(n)
-    found = []
+    found = {}
     for profile, report, _ in records:
         owned = [(position[e.endpoints()], 1 if e.buyer < e.other else 2) for e in profile.edges]
-        for weights in _distinct_images([k for k, _ in owned], maps).values():
+        orbit = not _needs_context(DeviationClass.parse(report.deviation_class))
+        seen = set()
+        for bits, weights in maps:
             index = sum(weights[k][trit] for k, trit in owned)
-            labelled = profile_from_index(n, alpha, index)
-            found.append((index, labelled, replace(report, profile_hash=profile_hash(labelled))))
-    return tuple((profile, report) for _, profile, report in sorted(found))
+            image = index if orbit else sum(bits[k] for k, _ in owned)
+            if image not in seen:
+                seen.add(image)
+                labelled = profile_from_index(n, alpha, index)
+                found[index] = (labelled, replace(report, profile_hash=profile_hash(labelled)))
+    return tuple(found[index] for index in sorted(found))
 
 
 def random_profile(

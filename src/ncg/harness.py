@@ -276,7 +276,13 @@ def contexts_by_graph(records) -> Iterator[tuple]:
 
 
 def build_report_row(result: EnumerationResult) -> ReportRow:
-    """``fold_records`` of the result's class records."""
+    """``fold_records`` of the result's class records; a result rebuilt
+    without them is refused."""
+    if result.representatives is None:
+        raise ValueError(
+            f"no class records (representatives) in the n={result.n}, alpha={result.alpha} "
+            "result to fold a row from"
+        )
     return fold_records(result.n, result.alpha, result.profiles_scanned, result.representatives)
 
 

@@ -133,9 +133,11 @@ def oracle_cell(n: int, alpha: Fraction, dev_class: DeviationClass) -> Enumerati
 
 def labelled_class(n: int, graph: int) -> GraphClass:
     """Graph index ``graph`` on n vertices as a catalogue entry of weight 1,
-    whatever its isomorphs: what ``graph_classes`` keeps of a representative."""
+    whatever its isomorphs, with the identity as its only automorphism: what
+    ``graph_classes`` keeps of a representative, one record per ownership."""
     ks, edges, adj = _graph_rows(n, pair_list(n), graph)
-    return GraphClass(ks, edges, adj, 1, [row_sums(adj, v, 0) for v in range(n)])
+    identity = [(0, 3**k, 2 * 3**k) for k in range(len(pair_list(n)))]
+    return GraphClass(ks, edges, adj, 1, [row_sums(adj, v, 0) for v in range(n)], [identity])
 
 
 def profile_class(profile: StrategyProfile) -> GraphClass:
@@ -166,33 +168,40 @@ def oracle_graph_scan(
         if bfs_sum(adj, 0, adj[0]) is None:
             continue
         connected += 1 << len(edges)
-        for profile, _ in _ownership_equilibria(alpha, EXACT, labelled_class(n, graph), budget):
-            index = sum((1 if profile.buys(a, b) else 2) * 3**k for (a, b), k in zip(edges, ks))
+        for index, _ in _ownership_equilibria(alpha, EXACT, labelled_class(n, graph), budget):
+            profile = profile_from_index(n, alpha, index)
             report = VerificationReport(profile_hash(profile), EXACT.spec(), True, None, checks)
             found.append((index, profile, report))
     return connected, found
 
 
-def oracle_labelled_equilibria(records) -> tuple[tuple[StrategyProfile, VerificationReport], ...]:
+def oracle_labelled_equilibria(
+    records, orbits: bool = True
+) -> tuple[tuple[StrategyProfile, VerificationReport], ...]:
     """The labelled equilibria of class records, by profile index, relabelling
     edges instead of ``labelled_equilibria``'s index arithmetic.
 
-    Each record goes to every image of its graph by the first vertex map, in
-    ``permutations`` order, that reaches it, and keeps its report under the
+    With ``orbits`` each record stands for its ownership's orbit under the
+    automorphisms of its graph, so it goes to every distinct relabelling of
+    its ownership.  Without, it stands for its ownership alone and goes to
+    every image of its graph by the first vertex map, in ``permutations``
+    order, that reaches it.  Each image keeps the record's report under the
     image's hash.
     """
     found = {}
     for profile, report, _ in records:
         n = profile.n
-        graphs = set()
+        pairs = pair_list(n)
+        seen = set()
         for pi in permutations(range(n)):
-            edges = tuple(BoughtEdge(pi[e.buyer], pi[e.other]) for e in profile.edges)
-            image = StrategyProfile(n, profile.alpha, edges)
-            if image.adj in graphs:
+            edges = [(pi[e.buyer], pi[e.other]) for e in profile.edges]
+            key = frozenset(edges) if orbits else frozenset(frozenset(e) for e in edges)
+            if key in seen:
                 continue
-            graphs.add(image.adj)
+            seen.add(key)
+            image = StrategyProfile(n, profile.alpha, tuple(BoughtEdge(*e) for e in edges))
             index = sum(
-                (1 if e.buyer < e.other else 2) * 3 ** pair_list(n).index(e.endpoints())
+                (1 if e.buyer < e.other else 2) * 3 ** pairs.index(e.endpoints())
                 for e in image.edges
             )
             found[index] = (image, replace(report, profile_hash=profile_hash(image)))

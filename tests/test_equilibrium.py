@@ -51,6 +51,7 @@ from ncg import (
     random_profile,
     verify_equilibrium,
 )
+from ncg.audit import audit_failures
 from ncg.equilibrium import (
     DEFAULT_BUDGET,
     Deviation,
@@ -61,6 +62,8 @@ from ncg.equilibrium import (
     _greedy_tables,
     _ownership_equilibria,
     _subset_masks,
+    decide_classes,
+    graph_classes,
     labelled_equilibria,
     pair_list,
     profile_from_index,
@@ -71,6 +74,7 @@ from ncg.harness import (
     MAX_ENUMERATION_N,
     SweepSpec,
     build_report_row,
+    contexts_by_graph,
     enumerate_cell,
     fold_records,
     format_fraction,
@@ -799,11 +803,20 @@ def test_restricted_scan_decodes_one_profile_per_class_record(monkeypatch, spec)
             assert len(calls) == len(records), (n, alpha)
 
 
-def _automorphism_count(adj: tuple[int, ...]) -> int:
+@cache
+def _automorphisms(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     n = len(adj)
+    return [
+        pi for pi in permutations(range(n))
+        if all(adj[pi[u]] >> pi[v] & 1 == adj[u] >> v & 1 for u in range(n) for v in range(n))
+    ]
+
+
+def _stabiliser_count(p: StrategyProfile) -> int:
+    edges = set(p.edges)
     return sum(
-        all(adj[pi[u]] >> pi[v] & 1 == adj[u] >> v & 1 for u in range(n) for v in range(n))
-        for pi in permutations(range(n))
+        all(BoughtEdge(pi[e.buyer], pi[e.other]) in edges for e in p.edges)
+        for pi in permutations(range(p.n))
     )
 
 
@@ -811,36 +824,114 @@ def _automorphism_count(adj: tuple[int, ...]) -> int:
     "n,classes,labelled", [(1, 1, 1), (2, 1, 1), (3, 2, 4), (4, 6, 38), (5, 21, 728)]
 )
 def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, labelled):
-    # Every connected graph passed off as holding one equilibrium, so each
-    # class has one record: its weight is n!/|Aut G|, the weights sum to the
-    # labelled connected graphs (OEIS A001187), and by ownerships to the
-    # connected count.
+    # A class weighs n!/|Aut G|, and the class weights sum to the labelled
+    # connected graphs (OEIS A001187).  With every ownership of every
+    # connected graph passed off as an equilibrium, each record stands for
+    # its ownership's orbit under Aut G: it weighs n!/|Stab| of the
+    # ownership, as many as its labelled images (expanded up to n = 4), and
+    # the weights sum to the connected count.
     import ncg.equilibrium as eq
 
-    def one_equilibrium(alpha, cls, graph, budget):
-        return [(profile_from_index(len(graph.adj), alpha, sum(3**k for k in graph.ks)), 0)]
+    catalogue = eq.graph_classes(n)
+    assert len(catalogue) == classes
+    assert sum(graph.weight for graph in catalogue) == labelled
+    for graph in catalogue:
+        assert graph.weight == factorial(n) // len(_automorphisms(tuple(graph.adj)))
 
-    monkeypatch.setattr(eq, "_ownership_equilibria", one_equilibrium)
+    def every_ownership(alpha, cls, graph, budget):
+        trits = product((1, 2), repeat=len(graph.ks))
+        return [(sum(t * 3**k for t, k in zip(owners, graph.ks)), 0) for owners in trits]
+
+    monkeypatch.setattr(eq, "_ownership_equilibria", every_ownership)
     connected, records = scan_graph_range(n, Fraction(3), EXACT)
-    assert len(records) == classes
     for record in records:
         p, _, weight = record
-        assert weight == factorial(n) // _automorphism_count(p.adj), p
-        assert len(labelled_equilibria(n, Fraction(3), [record])) == weight
-    result = enumerate_cell(n, Fraction(3), EXACT)
-    assert sum(weight for *_, weight in records) == len(result.equilibria) == labelled
-    assert sum(weight << len(p.edges) for p, _, weight in records) == connected
-    assert result.connected_count == connected
+        assert weight == factorial(n) // _stabiliser_count(p), p
+        if n <= 4:
+            assert len(labelled_equilibria(n, Fraction(3), [record])) == weight
+    assert sum(weight for *_, weight in records) == connected
 
 
 def test_labelled_images_take_the_first_vertex_map():
-    # which record's ownership lands on an image fixes its report; the paper
-    # strategies' candidate counts depend on vertex ids, so there a later map
-    # through an automorphism could carry another count
+    # an exact record stands for its ownership's orbit, every distinct
+    # relabelling of it; a paper-strategy record for its ownership alone,
+    # carried to each image of its graph by the first vertex map: the paper
+    # strategies' candidate counts depend on vertex ids, so there a later
+    # map through an automorphism could carry another count
     for spec in ("exact", THREE_STRATEGIES):
         for n, alpha in ((4, Fraction(2)), (5, Fraction(2))):
             result = enumerate_cell(n, alpha, DeviationClass.parse(spec))
-            assert result.equilibria == oracle_labelled_equilibria(result.representatives)
+            want = oracle_labelled_equilibria(result.representatives, orbits=spec == "exact")
+            assert result.equilibria == want
+
+
+def _ownership_records(n, alpha, cls):
+    """``decide_classes`` records with the identity as every class's only
+    automorphism: one record per equilibrium ownership of a representative,
+    of its class's weight."""
+    catalogue = [replace(graph, automorphisms=graph.automorphisms[:1]) for graph in graph_classes(n)]
+    return decide_classes(catalogue, alpha, cls, DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_records_equal_ownership_records(n):
+    # orbit records fold to the row of per-ownership records, all eight
+    # fields; both weigh the labelled count, and the orbits expand to the
+    # labelled equilibria that the per-ownership records give through the
+    # first vertex map reaching each image of their graph; paper-strategy
+    # classes keep one record per ownership, so they have no orbits to check
+    label_free = [spec for spec in RESTRICTED_SPECS if "paper" not in spec]
+    for spec in ["exact"] + (label_free if n < 5 else []):
+        cls = DeviationClass.parse(spec)
+        for alpha in ORACLE_ALPHAS:
+            result = enumerate_cell(n, alpha, cls)
+            owned = _ownership_records(n, alpha, cls)
+            scanned = result.profiles_scanned
+            assert build_report_row(result) == fold_records(n, alpha, scanned, owned), (spec, alpha)
+            assert sum(weight for *_, weight in result.representatives) == len(result.equilibria)
+            assert sum(weight for *_, weight in owned) == len(result.equilibria)
+            assert result.equilibria == oracle_labelled_equilibria(owned, orbits=False)
+
+
+def _orbit_key(p: StrategyProfile) -> tuple:
+    """The least sorted (buyer, other) tuple among p's images under its
+    graph's automorphisms."""
+    return min(
+        tuple(sorted((pi[e.buyer], pi[e.other]) for e in p.edges)) for pi in _automorphisms(p.adj)
+    )
+
+
+@pytest.mark.parametrize("spec", ["exact", "single-add", "single-delete", "single-swap", "k-subset:2"])
+def test_orbit_members_agree_on_girth_audit_and_checks(spec):
+    # the facts an orbit record reports once for all its members: girth,
+    # audit failures and deviations_checked, on every cell with n <= 5
+    cls = DeviationClass.parse(spec)
+    for n in range(1, 6):
+        for alpha in (Fraction(1, 2), Fraction(2), Fraction(3), Fraction(2 * n + 1)):
+            facts = {}
+            for ctx, report, _ in contexts_by_graph(_ownership_records(n, alpha, cls)):
+                fact = (ctx.girth, audit_failures(ctx, ne_certificate=report), report.deviations_checked)
+                facts.setdefault(_orbit_key(ctx.profile), set()).add(fact)
+            assert all(len(seen) == 1 for seen in facts.values()), (n, alpha)
+            orbits = len(decide_classes(graph_classes(n), alpha, cls, DEFAULT_BUDGET))
+            assert len(facts) == orbits, (n, alpha)
+
+
+def test_catalogue_keeps_each_representatives_automorphisms():
+    # identity first, |Aut G| maps in all, and each carries the all-lower-
+    # buys ownership to its image under one vertex map fixing the graph
+    for n in range(1, 7):
+        for graph in graph_classes(n):
+            auts = graph.automorphisms
+            assert len(auts) * graph.weight == factorial(n)
+            assert [auts[0][k] for k in graph.ks] == [(0, 3**k, 2 * 3**k) for k in graph.ks]
+            if n > 5:
+                continue
+            p = profile_from_index(n, Fraction(1), sum(3**k for k in graph.ks))
+            images = {sum(aut[k][1] for k in graph.ks) for aut in auts}
+            relabelled = {profile_from_index(n, Fraction(1), index).adj for index in images}
+            assert relabelled == {p.adj}
+            assert len(images) == factorial(n) // _stabiliser_count(p) // graph.weight
 
 
 def _labelled_row(result):
@@ -879,7 +970,8 @@ def test_weighted_row_equals_labelled_row_n6():
 
 
 def test_sweep_row_audits_each_class_record_once(monkeypatch):
-    # the sweep-n5 cells hold 62, 56, 1104 and 620 labelled equilibria
+    # the sweep-n5 cells hold 62, 56, 1104 and 620 labelled equilibria in
+    # 6, 5, 18 and 12 orbits of ownerships of their class representatives
     import ncg.harness as harness
 
     audit = harness.audit_failures
@@ -890,7 +982,7 @@ def test_sweep_row_audits_each_class_record_once(monkeypatch):
         calls.clear()
         build_report_row(enumerate_cell(n, Fraction(alpha), EXACT))
         counts.append(len(calls))
-    assert counts == [12, 10, 72, 25]
+    assert counts == [6, 5, 18, 12]
 
 
 def test_exact_scan_never_verifies(monkeypatch):
@@ -959,13 +1051,16 @@ def test_greedy_filter_is_exactly_single_add_and_delete(p, num, den):
 )
 @settings(max_examples=60, deadline=None)
 def test_table_verdict_matches_exact_verification(p, num, den):
-    # Every ownership of the first ten edges, the rest owned as drawn: at most
-    # 2^10 profiles on one graph, each decided by the tables and re-verified.
+    # Every ownership of the first ten edges (seven from n = 6 on, where each
+    # exact re-verification costs far more), the rest owned as drawn: at
+    # most 2^10 profiles on one graph, each decided by the tables and
+    # re-verified.
     alpha = Fraction(num, den)
     edges = list(p.undirected_edges())
-    tabled = {q for q, _ in _ownership_equilibria(alpha, EXACT, profile_class(p), DEFAULT_BUDGET)}
+    found = _ownership_equilibria(alpha, EXACT, profile_class(p), DEFAULT_BUDGET)
+    tabled = {profile_from_index(p.n, alpha, index) for index, _ in found}
     drawn = tuple(1 if p.buys(a, b) else 2 for a, b in edges)
-    free = min(len(edges), 10)
+    free = min(len(edges), 10 if p.n <= 5 else 7)
     for head in product((1, 2), repeat=free):
         owners = head + drawn[free:]
         bought = [BoughtEdge(*e) if t == 1 else BoughtEdge(*e[::-1]) for t, e in zip(owners, edges)]

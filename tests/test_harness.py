@@ -1,6 +1,7 @@
 """Serialization, alpha expressions, report rows, and the CLI driver."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -225,6 +226,13 @@ def test_report_row_weights_class_records():
         fold_records(3, Fraction(7), 1, [(ring, _passed_off(ring, EXACT), 3)])
 
 
+def test_report_row_refuses_a_result_without_class_records():
+    # a result rebuilt from its five positional fields has no records to fold
+    result = replace(enumerate_cell(3, Fraction(2), EXACT), representatives=None)
+    with pytest.raises(ValueError, match=r"no class records \(representatives\)"):
+        build_report_row(result)
+
+
 def test_report_row_counts_restricted_non_trees_above_2n(capsys):
     # a restricted class proves stability only against its own deviations
     ring = directed_ring(3, 7)
@@ -297,8 +305,9 @@ def test_exact_cell_decodes_each_equilibrium_once(monkeypatch):
 
 
 def test_sweep_decodes_one_profile_per_class_record(monkeypatch):
-    # the sweep-n5 cells: 12, 10, 72 and 25 class records stand for 62, 56,
-    # 1,104 and 620 labelled equilibria
+    # the sweep-n5 cells: 6, 5, 18 and 12 class records, one per orbit of
+    # equilibrium ownerships, stand for 62, 56, 1,104 and 620 labelled
+    # equilibria
     cells = [(4, "2"), (4, "9"), (5, "2"), (5, "11")]
     records = [len(enumerate_cell(n, Fraction(a), EXACT).representatives) for n, a in cells]
     calls = _counted_decodes(monkeypatch)
@@ -306,7 +315,7 @@ def test_sweep_decodes_one_profile_per_class_record(monkeypatch):
         calls.clear()
         run_sweep(SweepSpec((n,), (alpha,), EXACT))
         assert len(calls) == count, (n, alpha)
-    assert records == [12, 10, 72, 25]
+    assert records == [6, 5, 18, 12]
 
 
 SWEEP_ALPHAS = ("1/2", "2", "3", "n", "2n+1")
