@@ -18,7 +18,6 @@ from .structure import (
     build_spt,
     choose_root,
     classify_x_sets,
-    compute_s_set,
     cycle_report,
     global_girth,
     largest_biconnected_component,

@@ -30,10 +30,10 @@ from .game import BoughtEdge, StrategyProfile, bfs_distances, bfs_sum, mask_memb
 from .structure import (
     STRATEGY_SWITCHES,
     Edge,
+    LadderEdge,
     StrategyContext,
     _as_edge,
     build_context,
-    compute_s_set,
     cycle_directed,
     edge_subtree,
     global_girth,
@@ -41,6 +41,8 @@ from .structure import (
 
 _HAS_CYCLIC_H = attrgetter("has_cyclic_h")
 _IN_REGIME = attrgetter("in_regime")
+_TARGET = attrgetter("target")
+_RECORD = attrgetter("edge", "level")  # a sold edge as BoundComparison lists it
 
 # Each rule's applicability gate, in report order.  A rule whose gate is false
 # is inapplicable (holds=None), so it can never fail; degree-sum further needs
@@ -77,49 +79,72 @@ MAX_BOUND_CHECKS = 10_000
 # deviation-cost bounds
 
 
-def _strategy1(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tuple[int, int]:
+def _seller_notes(ctx: StrategyContext, u: int) -> tuple[str, ...]:
+    """The precondition notes of u's comparisons that no sold edge affects."""
+    notes = []
+    if not ctx.has_cyclic_h:
+        notes.append("no biconnected component with a cycle")
+    elif u not in ctx.h_vertices:
+        notes.append(f"vertex {u} outside H")
+    elif u == ctx.root:
+        notes.append("seller is the root")
+    if not ctx.in_regime:  # inside it alpha > 2n and girth >= 7 both hold
+        if not ctx.alpha > 2 * ctx.n:
+            notes.append("alpha <= 2n")
+        if not ctx.girth >= 7:
+            notes.append("girth below 7")
+    if ctx.has_cyclic_h and ctx.connections[ctx.root] > ctx.connections[u]:
+        notes.append("root connection cost exceeds seller's")  # impossible by construction
+    return tuple(notes)
+
+
+def _strategy1(
+    ctx: StrategyContext, sizes: tuple[int, ...], sold: tuple[LadderEdge, ...]
+) -> tuple[int, int]:
     """Cost-change upper bound for u selling the given bought edges.
 
-    sold is a list of (edge, level) pairs; levels must come in as the
-    minimal class levels (the nested classes make the minimal level the
-    tightest valid choice).  Each bound is returned as its integer terms
-    and the multiple of alpha it subtracts.
+    ``sizes`` is |T(v)| along u's tree path [u, parent(u), ..., root].
+    Levels are the minimal class levels (the nested classes make the minimal
+    level the tightest valid choice); an edge without one counts as level 0.
+    Each bound is returned as its integer terms and the multiple of alpha it
+    subtracts.
     """
-    d = ctx.spt.depth[u]
-    size = ctx.spt.subtree_size
-    value = d * ctx.n - 2 * sum(size[v] for v in ctx.spt.path_to_root(u)[:d])
-    for edge, level in sold:
-        value += (2 * level + 2 * d) * edge_subtree(ctx.spt, *edge).bit_count()
+    d = len(sizes) - 1
+    value = d * ctx.n - 2 * sum(sizes[:d])
+    for sale in sold:
+        value += (2 * (sale.level or 0) + 2 * d) * sale.subtree.bit_count()
     return value, len(sold)
 
 
-def _strategy2(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tuple[int, int]:
+def _strategy2(
+    ctx: StrategyContext, sizes: tuple[int, ...], sold: tuple[LadderEdge, ...]
+) -> tuple[int, int]:
     """Bound for selling the given edges while also buying the edge to the root.
 
     The midpoint subtree term only exists when the root distance is even;
     the halfway sum runs over strictly smaller path indices.
     """
-    d = ctx.spt.depth[u]
-    size = ctx.spt.subtree_size
-    path = ctx.spt.path_to_root(u)
-    value = ctx.n - 2 * sum(size[v] for v in path[: (d + 1) // 2])
+    d = len(sizes) - 1
+    value = ctx.n - 2 * sum(sizes[: (d + 1) // 2])
     if d % 2 == 0:
-        value -= size[path[d // 2]]
-    for edge, level in sold:
-        value += (2 * level + d + 1) * edge_subtree(ctx.spt, *edge).bit_count()
+        value -= sizes[d // 2]
+    for sale in sold:
+        value += (2 * (sale.level or 0) + d + 1) * sale.subtree.bit_count()
     return value, len(sold) - 1
 
 
-def _strategy3(ctx: StrategyContext, u: int, sold: list[tuple[Edge, int]]) -> tuple[int, int]:
+def _strategy3(
+    ctx: StrategyContext, sizes: tuple[int, ...], sold: tuple[LadderEdge, ...]
+) -> tuple[int, int]:
     """Bound for the root-rebuy rewrite when the sold set may include u's up-edge.
 
     Weaker than the previous bound: only u's own subtree contributes savings.
     Up-edges carry no subtree, so their level never affects the value.
     """
-    d = ctx.spt.depth[u]
-    value = ctx.n - (d + 1) * ctx.spt.subtree_size[u]
-    for edge, level in sold:
-        value += (2 * level + d + 1) * edge_subtree(ctx.spt, *edge).bit_count()
+    d = len(sizes) - 1
+    value = ctx.n - (d + 1) * sizes[0]
+    for sale in sold:
+        value += (2 * (sale.level or 0) + d + 1) * sale.subtree.bit_count()
     return value, len(sold) - 1
 
 
@@ -141,6 +166,53 @@ class BoundComparison:
     dominates: bool
 
 
+def _price(
+    ctx: StrategyContext,
+    u: int,
+    kind: str,
+    sold: tuple[LadderEdge, ...],
+    notes: tuple[str, ...],
+    ne_certificate: VerificationReport | None,
+) -> BoundComparison:
+    """Price one rewrite with the kind's bound and execute it exactly, given
+    the precondition notes found so far.
+
+    Both sides are priced in integer units of 1/q (alpha = p/q): the current
+    distance sum is u's connection cost, the new one comes from one BFS on
+    the graph with u's row rewritten.
+    """
+    profile = ctx.profile
+    value, times_alpha = _BOUND_TERMS[kind](ctx, ctx.spt.path_sizes[u], sold)
+    p, q = profile.alpha.numerator, profile.alpha.denominator
+    bound = q * value - p * times_alpha
+
+    new = ctx.rewrite(u, kind, map(_TARGET, sold))
+    new_sum = bfs_sum(profile.adj, u, profile.bought_by[u] | new)
+    if new_sum is None:
+        exact = inf
+    else:
+        spent = new.bit_count() - profile.bought[u].bit_count()
+        exact = p * spent + q * (new_sum - ctx.connections[u])
+
+    if ne_certificate is not None and ne_certificate.is_equilibrium:
+        if ne_certificate.profile_hash != ctx.profile_hash:
+            notes += ("certificate hash mismatch; ignored",)
+        elif exact < 0:
+            notes += ("certified equilibrium admits an improving rewrite",)
+
+    return BoundComparison(
+        lemma_id=kind,
+        vertex=u,
+        sold_edges=tuple(map(_RECORD, sold)),
+        bought_r=STRATEGY_SWITCHES[kind][1],
+        bound=Fraction(bound, q),
+        exact_delta=exact if exact == inf else Fraction(exact, q),
+        preconditions_met=not notes,
+        precondition_notes="; ".join(notes),
+        dominates=exact <= bound,
+    )
+
+
 def audit_deviation_bound(
     ctx: StrategyContext,
     u: int,
@@ -151,82 +223,38 @@ def audit_deviation_bound(
     """Price one rewrite with the selected bound and execute it exactly.
 
     ``sold_targets`` lists the other endpoints of edges u sells; a target
-    that is not a neighbour of u raises ``ValueError``.  The value
-    is always computed; ``preconditions_met`` records whether the bound's
-    own hypotheses held, and ``dominates`` whether exact <= bound.  Both
-    sides are priced in integer units of 1/q (alpha = p/q): the current
-    distance sum is u's connection cost, the new one comes from one BFS on
-    the graph with u's row rewritten.
+    that is not a neighbour of u, or that is listed twice, raises
+    ``ValueError``.  The value is always computed; ``preconditions_met``
+    records whether the bound's own hypotheses held, and ``dominates``
+    whether exact <= bound.
     """
     if strategy_kind not in _BOUND_TERMS:
         raise ValueError(f"unknown strategy kind {strategy_kind!r}")
     sells_up, buys_root = STRATEGY_SWITCHES[strategy_kind]
     notes: list[str] = []
 
-    sold: list[tuple[Edge, int]] = []
-    recorded: list[tuple[Edge, int | None]] = []
+    sold: list[LadderEdge] = []
     sold_targets = sorted(sold_targets)
-    for t in sold_targets:
+    for i, t in enumerate(sold_targets):
         edge = _as_edge(u, t)
-        if not ctx.profile.adj[u] >> t & 1:
+        if t < 0 or not ctx.profile.adj[u] >> t & 1:  # bit t of the row is 0 from t = n on
             raise ValueError(f"{edge} is not an edge of the profile")
-        level = ctx.x_level(edge)
-        recorded.append((edge, level))
+        if i and t == sold_targets[i - 1]:
+            raise ValueError(f"edge {edge} is sold twice")
         if not ctx.profile.buys(u, t):
             notes.append(f"edge {edge} is not bought by {u}")
         if edge not in ctx.h_edges:
             notes.append(f"edge {edge} lies outside H")
         if not ctx.is_low_level(u, t, sells_up):
             notes.append(f"edge {edge} has no eligible level for {strategy_kind}")
-        sold.append((edge, level or 0))  # an up-edge has no level and no subtree weight
+        sold.append(LadderEdge(t, edge, ctx.x_level(edge), edge_subtree(ctx.spt, *edge)))
 
     if not sold_targets:
         notes.append("no edges sold")
-    if not ctx.has_cyclic_h:
-        notes.append("no biconnected component with a cycle")
-    elif u not in ctx.h_vertices:
-        notes.append(f"vertex {u} outside H")
-    elif u == ctx.root:
-        notes.append("seller is the root")
-    if not ctx.in_regime:  # inside it alpha > 2n and girth >= 7 both hold
-        if not ctx.alpha > 2 * ctx.n:
-            notes.append("alpha <= 2n")
-        if not ctx.girth >= 7:
-            notes.append("girth below 7")
-    if ctx.has_cyclic_h and ctx.connections[ctx.root] > ctx.connections[u]:
-        notes.append("root connection cost exceeds seller's")  # impossible by construction
-
-    value, times_alpha = _BOUND_TERMS[strategy_kind](ctx, u, sold)
-    p, q = ctx.alpha.numerator, ctx.alpha.denominator
-    bound = q * value - p * times_alpha
-
+    notes.extend(_seller_notes(ctx, u))
     if buys_root and u == ctx.root:
         notes.append("root cannot buy an edge to itself; rewrite sells only")
-    new = ctx.rewrite(u, strategy_kind, sold_targets)
-    new_sum = bfs_sum(ctx.profile.adj, u, ctx.profile.bought_by[u] | new)
-    if new_sum is None:
-        exact = inf
-    else:
-        spent = new.bit_count() - ctx.profile.bought[u].bit_count()
-        exact = p * spent + q * (new_sum - ctx.connections[u])
-
-    if ne_certificate is not None and ne_certificate.is_equilibrium:
-        if ne_certificate.profile_hash != ctx.profile_hash:
-            notes.append("certificate hash mismatch; ignored")
-        elif exact < 0:
-            notes.append("certified equilibrium admits an improving rewrite")
-
-    return BoundComparison(
-        lemma_id=strategy_kind,
-        vertex=u,
-        sold_edges=tuple(recorded),
-        bought_r=buys_root,
-        bound=Fraction(bound, q),
-        exact_delta=exact if exact == inf else Fraction(exact, q),
-        preconditions_met=not notes,
-        precondition_notes="; ".join(notes),
-        dominates=exact <= bound,
-    )
+    return _price(ctx, u, strategy_kind, tuple(sold), tuple(notes), ne_certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +351,7 @@ def audit_structural(
     if lemma_id == "obs-x1":
         offenders = []
         for u in sorted(ctx.h_vertices):
-            bought = [e for e, _ in ctx.sellable_edges(u, include_up=True, cap=1)]
+            bought = [e.edge for e in ctx.low_ladder[u] if e.level is None or e.level <= 1]
             if len(bought) >= 2:
                 offenders.append({"vertex": u, "edges": bought})
         return _finding(lemma_id, applicable, not offenders, informational, offenders=offenders)
@@ -332,13 +360,13 @@ def audit_structural(
         triples = []
         thin_pairs = []
         for u in sorted(ctx.h_vertices):
-            bought = [e for e, _ in ctx.sellable_edges(u, include_up=True)]
-            if len(bought) >= 3:
-                triples.append({"vertex": u, "edges": bought})
-            for e1, e2 in combinations(bought, 2):
-                union = (edge_subtree(ctx.spt, *e1) | edge_subtree(ctx.spt, *e2)).bit_count()
+            row = ctx.low_ladder[u]
+            if len(row) >= 3:
+                triples.append({"vertex": u, "edges": [e.edge for e in row]})
+            for e1, e2 in combinations(row, 2):
+                union = (e1.subtree | e2.subtree).bit_count()
                 if not 4 * union > n:
-                    thin_pairs.append({"vertex": u, "edges": [e1, e2], "union": union})
+                    thin_pairs.append({"vertex": u, "edges": [e1.edge, e2.edge], "union": union})
         holds = not triples and not thin_pairs
         return _finding(
             lemma_id, applicable, holds, informational,
@@ -349,17 +377,17 @@ def audit_structural(
         rows = []
         ok = True
         for u in sorted(ctx.h_vertices):
-            bought = [e for e, _ in ctx.sellable_edges(u, include_up=False)]
+            bought = [e for e in ctx.low_ladder[u] if e.level is not None]
             if len(bought) < 2:
                 continue
             depth = ctx.spt.depth[u]
             fat_pair = any(
-                4 * (edge_subtree(ctx.spt, *e1) | edge_subtree(ctx.spt, *e2)).bit_count() > n
-                for e1, e2 in combinations(bought, 2)
+                4 * (e1.subtree | e2.subtree).bit_count() > n for e1, e2 in combinations(bought, 2)
             )
             good = depth >= 3 and (not fat_pair or depth == 3)
             ok = ok and good
-            rows.append({"vertex": u, "depth": depth, "edges": bought, "holds": good})
+            edges = [e.edge for e in bought]
+            rows.append({"vertex": u, "depth": depth, "edges": edges, "holds": good})
         return _finding(lemma_id, applicable, ok, informational, checked=rows)
 
     if lemma_id == "mainlemma1":
@@ -379,7 +407,7 @@ def audit_structural(
     if lemma_id == "mainlemma2":
         buyers = [
             u for u in sorted(ctx.h_vertices)
-            if len(ctx.sellable_edges(u, include_up=False)) >= 2
+            if sum(e.level is not None for e in ctx.low_ladder[u]) >= 2
         ]
         deg_r = ctx.deg_h(ctx.root) if ctx.has_cyclic_h else 0
         holds = len(buyers) < deg_r
@@ -437,21 +465,27 @@ def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
 
 
 def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
+    """Each directed path u -> v -> w through a vertex v of H-degree 2: v's
+    funnel, v and the vertices outside H entering H at v, against
+    alpha / (2(|C| - 3)) for v's cycle C and against |T(w)| when both edges
+    are down-edges."""
     rows = []
     ok = True
+    cycle_bounds: dict[int, Fraction] = {}  # cycle length -> alpha / (2(length - 3))
     for v in sorted(ctx.h_vertices):
         if ctx.deg_h(v) != 2:
             continue
         a, b = ctx.h_neighbours[v]
-        anchor = ctx.h_vertices - {v}
         for u, w in ((a, b), (b, a)):
             if not (ctx.profile.buys(u, v) and ctx.profile.buys(v, w)):
                 continue
-            funnel_size = len(compute_s_set(ctx.profile, anchor, v))
+            funnel_size = 1 + ctx.h_attachment[v]
             row = {"path": (u, v, w), "funnel_size": funnel_size}
             cyc = ctx.cycles.per_vertex_cycle.get(v)
             if cyc is not None and len(cyc) > 3:
-                required = ctx.alpha / (2 * (len(cyc) - 3))
+                if len(cyc) not in cycle_bounds:
+                    cycle_bounds[len(cyc)] = ctx.alpha / (2 * (len(cyc) - 3))
+                required = cycle_bounds[len(cyc)]
                 good = funnel_size >= required
                 row["cycle_bound"] = str(required)
                 row["cycle_bound_holds"] = good
@@ -531,16 +565,36 @@ def _bound_comparisons(
     ctx: StrategyContext, ne_certificate: VerificationReport | None
 ) -> tuple[list[BoundComparison], list[str]]:
     """Every bound comparison, family by family, and a note for each family
-    skipped because it would take the total past ``MAX_BOUND_CHECKS``."""
+    skipped because it would take the total past ``MAX_BOUND_CHECKS``.
+
+    One walk over H's non-root vertices splits each seller's ``low_ladder``
+    row into its sales without and with the up-edge and finds its
+    precondition notes, once; every family prices ``eligible_sold_selections``
+    from them, in its order, each bound from the seller's cached
+    ``spt.path_sizes``.  Such a sale has no precondition note of its own, so
+    each comparison starts from its seller's.
+    """
+    sellers = []
+    if ctx.has_cyclic_h:
+        for u in sorted(ctx.h_vertices - {ctx.root}):
+            every = ctx.low_ladder[u]
+            if every:  # else it sells nothing
+                low = [sale for sale in every if sale.level is not None]
+                sellers.append((u, _seller_notes(ctx, u), {False: low, True: every}))
     bounds: list[BoundComparison] = []
     skipped: list[str] = []
-    for kind in STRATEGY_SWITCHES:
-        family = list(eligible_sold_selections(ctx, kind))
+    for kind, (sells_up, _) in STRATEGY_SWITCHES.items():
+        family = [
+            (u, notes, sold)
+            for u, notes, sales in sellers
+            for k in range(1, MAX_SELL + 1)
+            for sold in combinations(sales[sells_up], k)
+        ]
         if len(bounds) + len(family) > MAX_BOUND_CHECKS:
             skipped.append(f"{kind}: {len(family)} selections over budget {MAX_BOUND_CHECKS}")
             continue
-        for u, combo in family:
-            bounds.append(audit_deviation_bound(ctx, u, kind, combo, ne_certificate))
+        for u, notes, sold in family:
+            bounds.append(_price(ctx, u, kind, sold, notes, ne_certificate))
     return bounds, skipped
 
 

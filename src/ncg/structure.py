@@ -4,14 +4,15 @@ Extracts the objects the audit layer reasons about: the biconnected
 decomposition and its largest piece H, a root r of minimum connection cost
 inside H, a shortest path tree T rooted at r with edge orientations and
 subtree sizes, the ladder of edge classes built from out-edges (X-levels),
-the smallest cycle through every edge of every block with a cycle, and
-shortest-path funnels (S-sets).  ``build_context`` bundles all of them
-into one ``StrategyContext``.  Its graph facts (distances, blocks with H,
-connection costs, root, cycle report and girth) depend only on the graph,
-and a context built on another context of the same graph shares them; the
-shortest path tree and edge classes depend on who bought which edge.  The
-cycle report is the one source of cycles and girth.  Each context computes
-its min-cycles when they are first read.
+and the smallest cycle through every edge of every block with a cycle.
+``build_context`` bundles all of them into one ``StrategyContext``.  Its
+graph facts (distances, blocks with H, connection costs, root, cycle report
+and girth) depend only on the graph, and a context built on another context
+of the same graph shares them; the shortest path tree and edge classes
+depend on who bought which edge.  The cycle report is the one source of
+cycles and girth.  Each context computes
+its min-cycles, its sellable edges and how many vertices hang off each
+vertex of H when they are first read.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import inf
+from typing import NamedTuple
 from .errors import BudgetExceededError
 from .game import (
     Distances,
@@ -159,6 +161,17 @@ class SptAnalysis:
     def subtree_size(self) -> tuple[int, ...]:
         """|T(v)| for every v: the popcount of its subtree mask."""
         return tuple(mask.bit_count() for mask in self.subtree)
+
+    @cached_property
+    def path_sizes(self) -> tuple[tuple[int, ...], ...]:
+        """|T(w)| for w along each vertex's ``path_to_root``, from the vertex
+        up: one pass down the tree, cached on first read."""
+        size = self.subtree_size
+        out: list[tuple[int, ...]] = [()] * len(self.parent)
+        for v in sorted(range(len(self.parent)), key=self.depth.__getitem__):
+            p = self.parent[v]
+            out[v] = (size[v],) if p is None else (size[v], *out[p])
+        return tuple(out)
 
     def is_tree_edge(self, a: int, b: int) -> bool:
         """Is {a, b} an edge of the tree?"""
@@ -376,29 +389,41 @@ def cycle_report(
 
     A cycle lies inside one block and a bridge lies on none, so only blocks
     of at least three vertices are searched: a ring block is read off one
-    walk (``_ring_cycles``), any other is searched edge by edge.  Only H's
-    edges feed ``per_vertex_cycle``.
+    walk (``_ring_cycles``) and canonicalised and min-checked once, any other
+    is searched edge by edge.  Only H's edges feed ``per_vertex_cycle``.
     """
     blocks = zip(decomposition.components, decomposition.edge_components)
     cyclic = [(vertices, edges) for vertices, edges in blocks if len(vertices) >= 3]
     if not cyclic:
         return CycleReport({}, {})
     h_edges = decomposition.largest_edges()
-    rings: dict[Edge, tuple[int, ...]] = {}
+    rings: dict[Edge, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # edge -> (cycle, canonical)
+    checked: set[tuple[int, ...]] = set()
     for vertices, edges in cyclic:
-        if len(edges) == len(vertices):
-            rings.update(_ring_cycles(edges))
+        if len(edges) == len(vertices):  # every edge of a ring returns the ring
+            cycles = _ring_cycles(edges)
+            first = min(cycles)
+            canon = canonical_cycle(cycles[first])
+            if not is_min_cycle(cycles[first], dist):
+                raise AssertionError(
+                    f"smallest cycle through {first} is not a min-cycle: {cycles[first]}"
+                )
+            checked.add(canon)
+            for e, cyc in cycles.items():
+                rings[e] = cyc, canon
 
     per_edge: dict[Edge, tuple[int, ...]] = {}
     best: dict[int, tuple[int, tuple[int, ...]]] = {}  # H vertex -> (length, canonical cycle)
-    checked: set[tuple[int, ...]] = set()  # a ring's edges all return the same cycle
     for e in sorted(e for _, edges in cyclic for e in edges):
-        cyc = rings.get(e) or smallest_cycle_through_edge(profile, e[0], e[1])
-        canon = canonical_cycle(cyc)
-        if canon not in checked:
-            if not is_min_cycle(cyc, dist):
-                raise AssertionError(f"smallest cycle through {e} is not a min-cycle: {cyc}")
-            checked.add(canon)
+        if e in rings:
+            cyc, canon = rings[e]
+        else:
+            cyc = smallest_cycle_through_edge(profile, e[0], e[1])
+            canon = canonical_cycle(cyc)
+            if canon not in checked:
+                if not is_min_cycle(cyc, dist):
+                    raise AssertionError(f"smallest cycle through {e} is not a min-cycle: {cyc}")
+                checked.add(canon)
         per_edge[e] = cyc
         if e in h_edges:
             key = (len(cyc), canon)
@@ -475,7 +500,15 @@ def min_cycles(
     cycle report's distinct per-edge cycles.  Either way each cycle is in
     canonical form, by length, then vertices.  Cycles the report already
     checked are not checked again.
+
+    A graph whose only cyclic block is a ring has that ring as its one cycle,
+    and the report holds it, checked, so it is not enumerated.  The graph is
+    unicyclic, m = n: the enumeration would walk only the ring, reading each
+    row at most twice per start vertex, at most 4n^2 row bits in all, 16,384
+    at ``MAX_N`` = 64, so its coverage would be "exhaustive" too.
     """
+    if len(cycles.canonical) == 1:
+        return "exhaustive", tuple(cycles.canonical)
     try:
         found = all_simple_cycles(profile)
     except BudgetExceededError:
@@ -484,45 +517,19 @@ def min_cycles(
 
 
 # ---------------------------------------------------------------------------
-# S-sets
-
-
-def compute_s_set(profile: StrategyProfile, anchor, via: int) -> frozenset[int]:
-    """Shortest-path funnel through ``via`` relative to the vertex set
-    ``anchor``: via and every vertex whose shortest paths to its nearest
-    anchor vertices all pass via.
-
-    One BFS out of the anchor, a shell at a time.  The shortest routes to
-    the nearest anchor vertices are exactly the walks that step one shell
-    inwards each time, so x funnels iff every neighbour in the shell inside
-    its own is via or funnels itself.  With ``anchor == {via}`` that is
-    every vertex via reaches.
-    """
-    anchor = frozenset(anchor)
-    if not anchor:
-        raise ValueError("anchor set must be nonempty")
-    if via in anchor and anchor != {via}:
-        raise ValueError("via must lie outside the anchor set (or be its only member)")
-    adj = profile.adj
-    funnel = 1 << via
-    reach = 0
-    for w in anchor:
-        reach |= adj[w]
-    inner = seen = sum(1 << w for w in anchor)
-    while shell := reach & ~seen:
-        seen |= shell
-        reach = 0
-        for x in mask_members(shell):
-            row = adj[x]
-            reach |= row
-            if not row & inner & ~funnel:
-                funnel |= 1 << x
-        inner = shell
-    return frozenset(mask_members(funnel))
-
-
-# ---------------------------------------------------------------------------
 # the full structural bundle
+
+
+class LadderEdge(NamedTuple):
+    """One edge a vertex may sell: its other endpoint, the edge, its minimal
+    level (None for the seller's up-edge, or for a sold edge without one) and
+    the mask of the subtree it carries (``edge_subtree``)."""
+
+    target: int
+    edge: Edge
+    level: int | None
+    subtree: int
+
 
 # The paper's strategies: kind -> (sells the seller's up-edge, buys the edge
 # to the root).  Strategy 3 sells from X_2^+, X_2 plus the up-edge.
@@ -624,13 +631,49 @@ class StrategyContext:
                     out[u].append((t, cls.level))
         return tuple(tuple(sorted(row)) for row in out)
 
-    def sellable_edges(self, v: int, include_up: bool, cap: int = 2) -> list[tuple[Edge, int]]:
-        """(edge, other endpoint) for v's bought low-level ladder edges, by endpoint."""
-        return [
-            (_as_edge(v, t), t)
-            for t, level in self.ladder[v]
-            if (include_up if level is None else level <= cap)
-        ]
+    @cached_property
+    def low_ladder(self) -> tuple[tuple[LadderEdge, ...], ...]:
+        """Each vertex's sellable ladder edges, by target: its ``ladder``
+        edges of minimal level <= 2, and its up-edge, with level None and an
+        empty subtree.  What the paper's strategies sell and the observations
+        about them read."""
+        return tuple(
+            tuple(
+                LadderEdge(t, _as_edge(v, t), level, edge_subtree(self.spt, v, t))
+                for t, level in row
+                if level is None or level <= 2
+            )
+            for v, row in enumerate(self.ladder)
+        )
+
+    @cached_property
+    def h_attachment(self) -> tuple[int, ...]:
+        """For each vertex of H, how many vertices outside H enter H at it;
+        0 elsewhere.
+
+        H is a block, so all paths from a vertex outside H enter H at the
+        same vertex, and a flood out of each H vertex over the vertices
+        outside H reaches exactly those entering at it.  Every shortest route
+        from them to H - {v} passes v, and from any other vertex outside H
+        none does: 1 + ``h_attachment[v]`` is the size of v's shortest-path
+        funnel relative to H - {v}.
+        """
+        adj = self.profile.adj
+        outside = (1 << self.n) - 1
+        for v in self.h_vertices:
+            outside ^= 1 << v
+        counts = [0] * self.n
+        for v in self.h_vertices:
+            piece = 0
+            shell = adj[v] & outside
+            while shell:
+                piece |= shell
+                reach = 0
+                for x in mask_members(shell):
+                    reach |= adj[x]
+                shell = reach & outside & ~piece
+            counts[v] = piece.bit_count()
+        return tuple(counts)
 
     def sell_sets(self, u: int, kind: str, most: int | None = None):
         """Sold-target tuples of u under the paper's "strategy1".."strategy3",
@@ -640,7 +683,7 @@ class StrategyContext:
         if not self.has_cyclic_h or u == self.root or u not in self.h_vertices:
             return
         sells_up, _ = STRATEGY_SWITCHES[kind]
-        targets = [t for _, t in self.sellable_edges(u, include_up=sells_up)]
+        targets = [e.target for e in self.low_ladder[u] if sells_up or e.level is not None]
         largest = len(targets) if most is None else min(most, len(targets))
         for size in range(1, largest + 1):
             yield from combinations(targets, size)

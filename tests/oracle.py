@@ -2,7 +2,9 @@
 
 ``scan_profile_range`` is the index scan the graph-first enumeration
 replaced: it decodes, connectivity-checks and verifies every one of the
-3^(n(n-1)/2) profile indices in order, with no filter.
+3^(n(n-1)/2) profile indices in order, with no filter;
+``oracle_profiles_cell`` verifies a cell's connected profiles decoded once
+by ``connected_cell_profiles`` for several alphas and classes.
 ``oracle_graph_scan`` is the exact graph scan that builds cost tables for
 every labelled connected graph, the scan the per-isomorphism-class decision
 replaced, and ``oracle_ownership_scan`` the loop that verified every
@@ -121,6 +123,30 @@ def scan_profile_range(
         if report.is_equilibrium:
             found.append((index, report))
     return connected, found
+
+
+def connected_cell_profiles(n: int, alphas) -> dict[Fraction, tuple[StrategyProfile, ...]]:
+    """Every connected profile on n vertices, by index, at each of
+    ``alphas``: the index scan's decode and connectivity test, run once for
+    all of them, since alpha changes neither."""
+    decoded = (profile_from_index(n, Fraction(1), i) for i in range(3 ** (n * (n - 1) // 2)))
+    edges = [p.edges for p in decoded if p.n == 1 or is_connected(p)]
+    return {alpha: tuple(StrategyProfile(n, alpha, e) for e in edges) for alpha in alphas}
+
+
+def oracle_profiles_cell(
+    n: int, alpha: Fraction, dev_class: DeviationClass, profiles
+) -> EnumerationResult:
+    """``oracle_cell`` given the cell's ``connected_cell_profiles``: each
+    verified in index order.  It is also the ownership loop's cell, which
+    verifies the same profiles graph by graph and sorts its equilibria by
+    index."""
+    equilibria = []
+    for profile in profiles:
+        report = verify_equilibrium(profile, dev_class)
+        if report.is_equilibrium:
+            equilibria.append((profile, report))
+    return EnumerationResult(n, alpha, 3 ** (n * (n - 1) // 2), len(profiles), tuple(equilibria))
 
 
 def oracle_cell(n: int, alpha: Fraction, dev_class: DeviationClass) -> EnumerationResult:

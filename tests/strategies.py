@@ -42,6 +42,26 @@ def sparse_connected_profiles(draw, min_n=2, max_n=8):
 
 
 @st.composite
+def glued_profiles(draw, parts=3, max_n=5):
+    """Connected profiles glued in a chain, each at a shared cut vertex or by
+    a bridge: several blocks, often several with a cycle."""
+    p = draw(connected_profiles(min_n=3, max_n=max_n))
+    n, edges = p.n, list(p.edges)
+    for _ in range(draw(st.integers(1, parts - 1))):
+        q = draw(connected_profiles(min_n=3, max_n=max_n))
+        anchor = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):  # q's vertex 0 is the anchor
+            label = [anchor] + list(range(n, n + q.n - 1))
+            n += q.n - 1
+        else:  # a bridge from the anchor to q's vertex 0
+            label = list(range(n, n + q.n))
+            edges.append(BoughtEdge(anchor, n) if draw(st.booleans()) else BoughtEdge(n, anchor))
+            n += q.n
+        edges += [BoughtEdge(label[e.buyer], label[e.other]) for e in q.edges]
+    return StrategyProfile(n, p.alpha, tuple(edges))
+
+
+@st.composite
 def disconnected_profiles(draw, max_n=9):
     """Two ``profiles`` side by side under a random relabelling: never connected."""
     a = draw(profiles(min_n=1, max_n=max_n - 1))

@@ -41,11 +41,16 @@ from ncg import (
     scaffold_profile,
     verify_equilibrium,
 )
-from ncg.audit import _BOUND_TERMS, MAX_SELL, audit_failures, eligible_sold_selections
+from ncg.audit import (
+    _BOUND_TERMS,
+    MAX_SELL,
+    audit_failures,
+    eligible_sold_selections,
+)
 from ncg.equilibrium import profile_from_index
 from ncg.game import is_connected, mask_members
 from ncg.harness import enumerate_cell
-from ncg.structure import global_girth
+from ncg.structure import LadderEdge, edge_subtree, global_girth
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +103,8 @@ def test_context_root_degrees_by_ownership():
 def _terms_bound(ctx, u, kind, sold):
     """``_BOUND_TERMS[kind]`` as an exact Fraction: the integer terms minus
     their alpha multiple, for the (edge, level) pairs ``sold``."""
-    value, times_alpha = _BOUND_TERMS[kind](ctx, u, sold)
+    sales = tuple(LadderEdge(None, e, level, edge_subtree(ctx.spt, *e)) for e, level in sold)
+    value, times_alpha = _BOUND_TERMS[kind](ctx, ctx.spt.path_sizes[u], sales)
     return value - times_alpha * ctx.alpha
 
 
@@ -179,6 +185,18 @@ def test_bound_audit_rejects_a_sold_non_edge():
             audit_deviation_bound(ctx, 0, kind, [3])
         with pytest.raises(ValueError, match="not an edge"):
             audit_deviation_bound(ctx, 3, kind, [4, 0])
+
+
+def test_bound_audit_rejects_a_target_out_of_range_or_sold_twice():
+    ctx = build_context(scaffold_profile(0))
+    # (8, 9) sold twice once priced -28 against an exact -13, a false
+    # violation of Strategy 1's bound; sold once it prices -1
+    assert audit_deviation_bound(ctx, 8, "strategy1", (9,)).bound == -1
+    with pytest.raises(ValueError, match=r"edge \(8, 9\) is sold twice"):
+        audit_deviation_bound(ctx, 8, "strategy1", (9, 9))
+    for t in (-1, ctx.n, ctx.n + 5):
+        with pytest.raises(ValueError, match="is not an edge"):
+            audit_deviation_bound(ctx, 8, "strategy1", (t,))
 
 
 def test_bound_audit_dominates_on_directed_ring():

@@ -22,12 +22,14 @@ from gadgets import (
     two_triangles,
 )
 from oracle import (
+    connected_cell_profiles,
     oracle_best_response,
     oracle_cell,
     oracle_class_move,
     oracle_graph_scan,
     oracle_labelled_equilibria,
     oracle_ownership_scan,
+    oracle_profiles_cell,
     oracle_verify,
     profile_class,
 )
@@ -609,9 +611,17 @@ def test_graph_first_scan_matches_index_oracle(spec):
             assert enumerate_cell(n, alpha, cls) == oracle_cell(n, alpha, cls), (n, alpha)
 
 
-def test_graph_first_scan_matches_index_oracle_n5():
-    for alpha in (Fraction(2), Fraction(3), Fraction(11)):
-        assert enumerate_cell(5, alpha, EXACT) == oracle_cell(5, alpha, EXACT), alpha
+@pytest.fixture(scope="session")
+def n5_profiles():
+    """The connected n = 5 profiles at the alphas the n = 5 cells are checked
+    at, decoded and connectivity-checked once for all their oracles."""
+    return connected_cell_profiles(5, (Fraction(2), Fraction(3), Fraction(11)))
+
+
+def test_graph_first_scan_matches_index_oracle_n5(n5_profiles):
+    for alpha, profiles in n5_profiles.items():
+        want = oracle_profiles_cell(5, alpha, EXACT, profiles)
+        assert enumerate_cell(5, alpha, EXACT) == want, alpha
 
 
 # Every class of VERIFY_SPECS, and a restricted class beside a paper strategy.
@@ -651,9 +661,9 @@ def test_cells_match_the_ownership_loop(spec):
 @pytest.mark.parametrize(
     "spec", ["single-add", "single-delete", "single-swap", "k-subset:2", "single-add,single-delete"]
 )
-def test_cells_match_the_ownership_loop_n5(spec):
+def test_cells_match_the_ownership_loop_n5(spec, n5_profiles):
     cls = DeviationClass.parse(spec)
-    want = oracle_ownership_scan(5, Fraction(3), cls)
+    want = oracle_profiles_cell(5, Fraction(3), cls, n5_profiles[Fraction(3)])
     assert enumerate_cell(5, Fraction(3), cls) == want
     if spec == "single-add":
         _assert_closed_under_relabelling(want)

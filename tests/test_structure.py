@@ -1,7 +1,8 @@
-"""Structural layer: biconnected pieces, SPT, edge classes, cycles, S-sets."""
+"""Structural layer: biconnected pieces, SPT, edge classes, cycles, H attachment."""
 
 import dataclasses
 import pickle
+import random
 from math import inf
 
 import pytest
@@ -36,7 +37,13 @@ from oracle import (
     oracle_tree_edges,
     oracle_x_levels,
 )
-from strategies import connected_profiles, doubled_profiles, profiles, sparse_connected_profiles
+from strategies import (
+    connected_profiles,
+    doubled_profiles,
+    glued_profiles,
+    profiles,
+    sparse_connected_profiles,
+)
 
 from ncg import (
     all_pairs_distances,
@@ -44,7 +51,6 @@ from ncg import (
     build_spt,
     choose_root,
     classify_x_sets,
-    compute_s_set,
     cycle_report,
     global_girth,
     is_connected,
@@ -53,7 +59,7 @@ from ncg import (
 from ncg.audit import scaffold_profile
 from ncg.equilibrium import pair_list
 from ncg.errors import BudgetExceededError
-from ncg.game import mask_members
+from ncg.game import MAX_N, mask_members
 from ncg.structure import (
     _ring_cycles,
     all_simple_cycles,
@@ -61,6 +67,7 @@ from ncg.structure import (
     cycle_directed,
     edge_subtree,
     is_min_cycle,
+    min_cycles,
     smallest_cycle_through_edge,
 )
 
@@ -401,12 +408,13 @@ def test_blocks_match_the_cycle_union_oracle(p):
 
 
 # ---------------------------------------------------------------------------
-# S-sets
+# shortest-path funnels and H attachment
 
 
 def test_s_set_on_path():
+    # the all-paths funnel oracle that H attachment counts are checked against
     p = path3()
-    assert compute_s_set(p, {0}, 1) == frozenset({1, 2})
+    assert oracle_s_set_all_paths(p, all_pairs_distances(p), {0}, 1) == frozenset({1, 2})
 
 
 def test_s_set_square_all_paths_vs_some_path():
@@ -414,19 +422,37 @@ def test_s_set_square_all_paths_vs_some_path():
     dist = all_pairs_distances(p)
     # 2 has a shortest path to 0 through 1, but another one through 3
     assert dist[2][1] + dist[1][0] == dist[2][0]
-    assert compute_s_set(p, {0}, 1) == frozenset({1})
+    assert oracle_s_set_all_paths(p, dist, {0}, 1) == frozenset({1})
 
 
-def test_s_set_rejects_via_inside_anchor():
-    p = path3()
-    with pytest.raises(ValueError):
-        compute_s_set(p, {0, 1}, 1)
+def _assert_attachment_is_the_funnel(p):
+    """1 + ``h_attachment[v]`` is v's all-paths funnel relative to H - {v},
+    for every vertex v of H; no vertex outside H has one."""
+    ctx = build_context(p)
+    for v in range(p.n):
+        if v in ctx.h_vertices:
+            funnel = oracle_s_set_all_paths(p, ctx.dist, ctx.h_vertices - {v}, v)
+            assert 1 + ctx.h_attachment[v] == len(funnel), v
+        else:
+            assert ctx.h_attachment[v] == 0, v
 
 
-def test_s_set_degenerate_anchor_is_everything_reachable():
-    assert compute_s_set(path3(), {1}, 1) == frozenset({0, 1, 2})
-    # only the vertices via reaches
-    assert compute_s_set(profile(4, 1, [(0, 1), (2, 3)]), {1}, 1) == frozenset({0, 1})
+def test_h_attachment_is_the_funnel_on_scaffolds():
+    for seed in range(1000):
+        _assert_attachment_is_the_funnel(scaffold_profile(seed))
+
+
+@given(
+    st.one_of(glued_profiles(), connected_profiles(max_n=8), sparse_connected_profiles(max_n=10))
+)
+@example(two_triangles())
+# two triangles joined by the path 2-3-4
+@example(profile(7, 1, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]))
+# H is a five-ring; a smaller triangle hangs off it by a bridge
+@example(profile(8, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]))
+@settings(max_examples=120, deadline=None)
+def test_h_attachment_is_the_funnel_on_several_cyclic_blocks(p):
+    _assert_attachment_is_the_funnel(p)
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +584,6 @@ def test_h_edge_count_identity_when_tree_spans(p):
     assert len(h_edges) == (len(h_vertices) - 1) + x0
 
 
-@given(st.one_of(profiles(max_n=8), sparse_connected_profiles(max_n=9)), st.data())
-@settings(max_examples=160, deadline=None)
-def test_all_paths_s_set_matches_blocked_bfs_oracle(p, data):
-    # The anchor {via} is drawn as often as the rest, on disconnected
-    # profiles too: its funnel is every vertex via reaches.
-    dist = all_pairs_distances(p)
-    via = data.draw(st.integers(0, p.n - 1))
-    rest = [x for x in range(p.n) if x != via]
-    anchor = data.draw(
-        st.one_of(st.just(frozenset({via})), st.frozensets(st.sampled_from(rest), min_size=1))
-    )
-    assert compute_s_set(p, anchor, via) == oracle_s_set_all_paths(p, dist, anchor, via)
-
-
 @given(st.one_of(connected_profiles(max_n=8), sparse_connected_profiles(max_n=10)))
 @example(two_triangles())
 @settings(max_examples=60, deadline=None)
@@ -595,14 +607,25 @@ def test_ladder_queries_match_oracle(p):
                 assert ctx.spt.down_child(v, t) == oracle_down_child(p, ctx.spt.parent, v, t)
         every = oracle_sellable_edges(ctx, v, include_up=True, cap=inf)
         assert list(ctx.ladder[v]) == [(t, ctx.x_classes[e].level) for e, t in every]
+        low = []
+        for e, t in oracle_sellable_edges(ctx, v, include_up=True, cap=2):
+            child = oracle_down_child(p, ctx.spt.parent, *e)
+            below = [] if child is None else sorted(oracle_subtree(ctx.spt.parent, child))
+            low.append((t, ctx.x_classes[e].level, below))
+        assert [(e.target, e.level, mask_members(e.subtree)) for e in ctx.low_ladder[v]] == low
+        assert all(e.edge == (min(v, e.target), max(v, e.target)) for e in ctx.low_ladder[v])
         for include_up in (False, True):
             for t in range(p.n):
                 if t != v:
                     want = oracle_is_low_level(ctx, v, t, include_up, 2)
                     assert ctx.is_low_level(v, t, include_up) == want
-            for cap in range(4):
-                want = oracle_sellable_edges(ctx, v, include_up, cap)
-                assert ctx.sellable_edges(v, include_up, cap) == want
+            for cap in range(3):
+                want = [t for _, t in oracle_sellable_edges(ctx, v, include_up, cap)]
+                got = [
+                    e.target for e in ctx.low_ladder[v]
+                    if (include_up if e.level is None else e.level <= cap)
+                ]
+                assert got == want
 
 
 @given(
@@ -686,7 +709,9 @@ def test_a_context_enumerates_cycles_once_on_first_read(monkeypatch):
     calls = []
     real = structure.all_simple_cycles
     monkeypatch.setattr(structure, "all_simple_cycles", lambda p: calls.append(p) or real(p))
-    for p in (directed_ring(7, 29), scaffold_profile(5)):
+    # a ring with a chord, and a scaffold with a chord: more than one cycle
+    chorded = profile(7, 29, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
+    for p in (chorded, scaffold_profile(19)):
         ctx = build_context(p)
         assert calls == []  # nothing until a rule reads the min-cycles
         assert ctx.min_cycles == ctx.min_cycles
@@ -694,25 +719,81 @@ def test_a_context_enumerates_cycles_once_on_first_read(monkeypatch):
         calls.clear()
         assert oracle_context(p).min_cycles == ctx.min_cycles
         calls.clear()
+    # a graph with one cycle reads it off the cycle report, also on first read
+    for p in (directed_ring(7, 29), scaffold_profile(5)):
+        ctx = build_context(p)
+        assert "min_cycles" not in vars(ctx)
+        assert ctx.min_cycles == ("exhaustive", tuple(ctx.cycles.canonical))
+        assert "min_cycles" in vars(ctx) and calls == []
     assert build_context(directed_ring(7, 29)).min_cycles == ("exhaustive", (tuple(range(7)),))
 
 
 def test_min_cycles_past_the_budget_are_the_distinct_per_edge_cycles(monkeypatch):
     import ncg.structure as structure
 
-    ring = directed_ring(7, 29)  # all seven ring edges return the one ring
+    # 0-1-2-3-4-5-0 and the path 0-6-7-8-3: three min-cycles; every edge of
+    # the six-ring returns the six-ring, every edge of the path one 7-cycle
+    theta = profile(9, 1, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6), (6, 7), (7, 8), (8, 3)])
     # H is a five-ring; a triangle hangs off it by a bridge
     pairs = [(i, (i + 1) % 5) for i in range(5)] + [(4, 5), (5, 6), (6, 7), (7, 5)]
     tailed = profile(8, 1, pairs)
-    exhaustive = {p: build_context(p).min_cycles for p in (ring, tailed)}
+    exhaustive = {p: build_context(p).min_cycles for p in (theta, tailed)}
     assert exhaustive[tailed] == ("exhaustive", ((5, 6, 7), (0, 1, 2, 3, 4)))
+    assert exhaustive[theta] == (
+        "exhaustive", ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 8, 7, 6), (0, 5, 4, 3, 8, 7, 6))
+    )
 
     def over_budget(p):
         raise BudgetExceededError("over", required=1)
 
     monkeypatch.setattr(structure, "all_simple_cycles", over_budget)
-    for p, (_, cycles) in exhaustive.items():
-        assert build_context(p).min_cycles == ("smallest-per-edge-only", cycles)
+    assert build_context(tailed).min_cycles == ("smallest-per-edge-only", exhaustive[tailed][1])
+    assert build_context(theta).min_cycles == (
+        "smallest-per-edge-only", exhaustive[theta][1][:2]
+    )
+
+
+def _enumerated_min_cycles(p, ctx):
+    """``min_cycles`` over ``all_simple_cycles``, as for a graph of several cycles."""
+    try:
+        found = all_simple_cycles(p)
+    except BudgetExceededError:
+        per_edge = sorted(ctx.cycles.canonical, key=lambda c: (len(c), c))
+        return "smallest-per-edge-only", tuple(per_edge)
+    return "exhaustive", tuple(c for c in found if is_min_cycle(c, ctx.dist))
+
+
+def _unicyclic(rng, n, ring, hub_share):
+    """A ring on 0..ring-1 and trees on the other vertices: each hangs off
+    vertex 0 with probability ``hub_share``, else off a random earlier vertex."""
+    pairs = [(i, (i + 1) % ring) for i in range(ring)]
+    for v in range(ring, n):
+        pairs.append((0 if rng.random() < hub_share else rng.randrange(v), v))
+    return profile(n, 1, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs])
+
+
+def test_one_cycle_min_cycles_match_the_enumeration():
+    # The ring is read off the cycle report, coverage included: the
+    # enumeration it stands for takes at most 4n^2 steps, within its budget
+    # up to n = MAX_N = 64, hub-heavy graphs, whose rows are longest, too.
+    rng = random.Random(31)
+    graphs = [scaffold_profile(seed) for seed in range(1000)]
+    for n in range(3, MAX_N + 1):
+        for hub_share in (0.0, 0.5, 0.95):
+            graphs.append(_unicyclic(rng, n, rng.randint(3, n), hub_share))
+    graphs += [_unicyclic(rng, MAX_N, 3, 1.0), _unicyclic(rng, MAX_N, MAX_N, 0.0)]
+    one_cycle = 0
+    for p in graphs:
+        ctx = build_context(p)
+        if len(ctx.cycles.canonical) != 1:
+            continue
+        one_cycle += 1
+        assert len(p.undirected_edges()) == p.n
+        all_simple_cycles(p, limit=4 * p.n * p.n)  # does not raise
+        want = _enumerated_min_cycles(p, ctx)
+        assert ctx.min_cycles == want == min_cycles(p, ctx.dist, ctx.cycles)
+        assert ctx.min_cycles[0] == "exhaustive"
+    assert one_cycle == 922 + 3 * (MAX_N - 2) + 2
 
 
 def test_contexts_built_on_a_context_pickle():
