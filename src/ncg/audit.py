@@ -332,7 +332,7 @@ def audit_structural(
     if lemma_id == "x2position":
         rows = []
         ok = True
-        for edge, u, level in _ladder_purchases(ctx, 2):
+        for edge, u, level in ctx.ladder_purchases:
             cyc = ctx.cycles.per_vertex_cycle.get(u)
             if cyc is None:
                 continue
@@ -393,7 +393,9 @@ def audit_structural(
     if lemma_id == "mainlemma1":
         rows = []
         ok = True
-        for edge, u0, _ in _ladder_purchases(ctx, 0):
+        for edge, u0, level in ctx.ladder_purchases:
+            if level:
+                continue
             prefix = ctx.spt.path_to_root(u0)[:3]
             deg2 = [v for v in prefix if ctx.deg_h(v) == 2]
             good = len(deg2) <= 1
@@ -429,17 +431,6 @@ def audit_structural(
         )
 
     raise AssertionError(f"unhandled lemma id {lemma_id}")
-
-
-def _ladder_purchases(ctx: StrategyContext, cap: int) -> list[tuple[Edge, int, int]]:
-    """(edge, buyer, level) for every bought ladder edge of level at most
-    ``cap``, by edge, then buyer."""
-    return sorted(
-        (_as_edge(u, t), u, level)
-        for u, row in enumerate(ctx.ladder)
-        for t, level in row
-        if level is not None and level <= cap
-    )
 
 
 def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
@@ -531,7 +522,7 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
 def _audit_altpath_all(ctx, applicable, informational) -> AuditFinding:
     per_edge = []
     ok = True
-    for edge, u, level in _ladder_purchases(ctx, 2):
+    for edge, u, level in ctx.ladder_purchases:
         sub = audit_altpath(ctx, u, edge)
         if sub.applicable:
             ok = ok and bool(sub.holds)

@@ -166,18 +166,28 @@ def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
     k, not the first that fails.  There is no cap when v is cut off now.
     """
     adj, bought_by = profile.adj, profile.bought_by[v]
-    m = profile.n - 1
-    p, q = profile.alpha.numerator, profile.alpha.denominator
     current_sum = bfs_sum(adj, v, adj[v])
     if current_sum is None:
-        return inf, sized_sums(adj, v, bought_by, m)
+        return inf, sized_sums(adj, v, bought_by, profile.n - 1)
+    p, q = profile.alpha.numerator, profile.alpha.denominator
     cost = p * profile.bought[v].bit_count() + q * current_sum
-    into = bought_by.bit_count()
-    cap = max(
-        (k for k in range(m + 1) if p * k + q * (2 * m - min(m, k + into)) <= cost - strict),
-        default=-1,
-    )
-    return cost, sized_sums(adj, v, bought_by, cap)
+    return cost, sized_sums(adj, v, bought_by, _size_cap(profile, v, cost - strict))
+
+
+def _size_cap(profile: StrategyProfile, v: int, limit: int) -> int:
+    """The largest k whose lower bound L(k) (``_bounded_scan``) is at most
+    ``limit``, or -1.  L moves by p - q per edge until v's neighbours can
+    cover every other vertex, at k = ``free``, and by p after it."""
+    p, q = profile.alpha.numerator, profile.alpha.denominator
+    m = profile.n - 1
+    free = m - profile.bought_by[v].bit_count()
+    if p <= 0:  # L never rises: its least value is L(m)
+        return m if (p + q) * m <= limit else -1
+    if p * free + q * m <= limit:
+        return min(m, (limit - q * m) // p)
+    if p <= q:  # below free, L(k) >= L(free) > limit
+        return -1
+    return max(-1, (limit - q * (m + free)) // (p - q))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +229,10 @@ def best_response_exact(
     Ties prefer fewer edges, then lexicographically smallest target set.
     The returned delta is <= 0 since the current strategy competes.  Only
     sizes whose cost lower bound does not exceed the current cost are
-    priced (``_bounded_scan``).
+    priced (``_bounded_scan``), and once a size sets the best cost so far,
+    only larger sizes whose lower bound is below it (``_size_cap``).  A
+    winner other than v's current row is re-priced by ``delta_cost``; the
+    current row itself is no move, and its delta is ``Fraction(0)``.
     """
     n = profile.n
     required = 1 << (n - 1)
@@ -240,10 +253,14 @@ def best_response_exact(
         # Subset indices keep vertex order, so the smallest sorted tuple of
         # one size has the smallest member list.
         best = min((colex_index(i, k) for i, d in enumerate(sums) if d == low), key=mask_members)
+        if _size_cap(profile, v, best_cost - 1) <= k:
+            break  # no larger set can cost less than the incumbent
 
     # The current strategy, or everyone when v is cut off now, lies within
     # the cap, so best is never None.
     best_set = frozenset(mask_members(_subset_mask(best, v)))
+    if best == _subset_index(profile.bought[v], v):
+        return best_set, Fraction(0)
     delta = delta_cost(profile, v, best_set)
     if delta > 0:  # cannot happen: current strategy is in the search space
         raise AssertionError("best response worse than current strategy")
@@ -461,6 +478,10 @@ def best_response_dynamics(
     ``max_iters`` bounds the number of passes; non-convergence is a valid
     outcome and leaves ``converged`` False.  ``vertex_order`` is one of
     ``VERTEX_ORDERS``; "random" shuffles each pass with ``seed``.
+
+    A vertex that answered "no move" on the current profile is not asked
+    again until some vertex moves, nor, under the exact class, is the mover:
+    its best response reads only G - v and the edges bought to v.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -469,6 +490,7 @@ def best_response_dynamics(
     rng = random.Random(seed)
     profile = initial
     contexts = _class_contexts(profile, dev_class)
+    settled: set[int] = set()
     steps: list[tuple[int, Deviation, Fraction | float]] = []
     converged = False
     for _ in range(max_iters):
@@ -477,13 +499,17 @@ def best_response_dynamics(
             rng.shuffle(order)
         improved = False
         for v in order:
+            if v in settled:
+                continue
             move = _best_class_move(profile, v, dev_class, budget, contexts)
             if move is None:
+                settled.add(v)
                 continue
             targets, delta = move
             steps.append((v, Deviation(v, targets), delta))
             profile = profile.with_strategy(v, targets)
             contexts = _class_contexts(profile, dev_class)
+            settled = {v} if dev_class.kind == "exact-all-subsets" else set()
             improved = True
         if not improved:
             converged = True

@@ -193,14 +193,15 @@ def ball_levels(adj: Sequence[int], sources: int, blocked: int) -> int:
 
     Bit block ``d`` (bits ``[d*n, (d+1)*n)``) is the set of vertices within
     distance ``d`` of some source, for ``d = 0..n-2``; once the frontier
-    empties, the remaining blocks repeat the last ball.  The union of two
-    results is the result for the union of their sources.
+    empties, past the sources' eccentricity, the walk stops and the
+    remaining blocks repeat the last ball, written by one multiplication.
+    The union of two results is the result for the union of their sources.
     """
     n = len(adj)
     ball = frontier = sources & ~blocked
     levels = 0
     for d in range(n - 1):
-        if d and frontier:
+        if d:
             nxt = 0
             f = frontier
             while f:
@@ -208,6 +209,8 @@ def ball_levels(adj: Sequence[int], sources: int, blocked: int) -> int:
                 nxt |= adj[low.bit_length() - 1]
                 f ^= low
             frontier = nxt & ~(ball | blocked)
+            if not frontier:  # blocks d..n-2 repeat the ball: one bit per block
+                return levels | ball * (((1 << (n - 1 - d) * n) - 1) // ((1 << n) - 1)) << d * n
             ball |= frontier
         levels |= ball << (d * n)
     return levels

@@ -64,9 +64,11 @@ class BiconnectedDecomposition:
         return self.edge_components[0] if self.edge_components else frozenset()
 
 
-def _biconnected_edge_groups(n: int, adj: tuple[int, ...]) -> list[list[Edge]]:
-    """Iterative lowpoint DFS over bitmask rows, neighbours in increasing
-    order; returns the edge set of every biconnected piece."""
+def _decompose(profile: StrategyProfile) -> BiconnectedDecomposition:
+    """``largest_biconnected_component`` of a profile known to be connected:
+    an iterative lowpoint DFS over bitmask rows, neighbours in increasing
+    order, collects the edge set of every biconnected piece."""
+    n, adj = profile.n, profile.adj
     disc = [0] * n  # 0 = unvisited, else discovery time from 1
     low = [0] * n
     timer = 1
@@ -109,14 +111,6 @@ def _biconnected_edge_groups(n: int, adj: tuple[int, ...]) -> list[list[Edge]]:
                     if e == closing:
                         break
                 groups.append(group)
-    return groups
-
-
-def largest_biconnected_component(profile: StrategyProfile) -> BiconnectedDecomposition:
-    """Decompose the underlying graph; requires a connected profile."""
-    if not is_connected(profile):
-        raise ValueError("biconnected decomposition requires a connected profile")
-    groups = _biconnected_edge_groups(profile.n, profile.adj)
     packed = []
     for group in groups:
         vertices = frozenset(v for e in group for v in e)
@@ -125,6 +119,13 @@ def largest_biconnected_component(profile: StrategyProfile) -> BiconnectedDecomp
     components = tuple(v for v, _ in packed)
     edge_components = tuple(e for _, e in packed)
     return BiconnectedDecomposition(components, edge_components)
+
+
+def largest_biconnected_component(profile: StrategyProfile) -> BiconnectedDecomposition:
+    """Decompose the underlying graph; requires a connected profile."""
+    if not is_connected(profile):
+        raise ValueError("biconnected decomposition requires a connected profile")
+    return _decompose(profile)
 
 
 def choose_root(profile: StrategyProfile, dist: Distances, h_vertices) -> int:
@@ -632,6 +633,13 @@ class StrategyContext:
         return tuple(tuple(sorted(row)) for row in out)
 
     @cached_property
+    def ladder_purchases(self) -> tuple[tuple[Edge, int, int], ...]:
+        """(edge, buyer, level) of every ``ladder`` edge of level at most 2,
+        by edge, then buyer."""
+        pairs = ((u, t, lv) for u, row in enumerate(self.ladder) for t, lv in row if lv is not None)
+        return tuple(sorted((_as_edge(u, t), u, lv) for u, t, lv in pairs if lv <= 2))
+
+    @cached_property
     def low_ladder(self) -> tuple[tuple[LadderEdge, ...], ...]:
         """Each vertex's sellable ladder edges, by target: its ``ladder``
         edges of minimal level <= 2, and its up-edge, with level None and an
@@ -713,7 +721,7 @@ def build_context(
         if not is_connected(profile):
             raise ValueError("audit context requires a connected profile")
         dist = all_pairs_distances(profile)
-        decomposition = largest_biconnected_component(profile)
+        decomposition = _decompose(profile)
         connections = tuple(map(sum, dist))  # every vertex's connection cost
         cycles = cycle_report(profile, decomposition, dist)
     elif graph.profile.adj != profile.adj:

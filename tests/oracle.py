@@ -20,7 +20,8 @@ connection cost, as does ``oracle_sell_selections`` for the bound audits
 in one context.  ``oracle_best_response`` is the full scan the
 size-bounded exact scan replaced: every target set is priced from raw
 edge lists by ``gadgets.oracle_source_distances`` and the least (cost,
-size, sorted tuple) wins.
+size, sorted tuple) wins.  ``oracle_dynamics`` is the best-response loop
+that asks every vertex every pass, the one settling vertices replaced.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
 per anchor vertex.  ``oracle_x_levels`` is the fixpoint loop the one-pass
 X-levels replaced, and the ``oracle_*`` ladder queries restate the
@@ -49,6 +50,7 @@ adjacency entry at a time on set-based paths, both walking the 2-core.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -64,9 +66,12 @@ from ncg.equilibrium import (
     EXACT,
     Deviation,
     DeviationClass,
+    DynamicsTrace,
     EnumerationResult,
     GraphClass,
     VerificationReport,
+    _best_class_move,
+    _class_contexts,
     _exact_checks,
     _graph_rows,
     _ownership_equilibria,
@@ -400,6 +405,38 @@ def oracle_best_response(
     sets = (tuple(u for i, u in enumerate(others) if sub >> i & 1) for sub in range(1 << len(others)))
     best = frozenset(min(sets, key=key))
     return best, oracle_delta(profile, v, best)
+
+
+def oracle_dynamics(
+    initial: StrategyProfile,
+    dev_class: DeviationClass,
+    vertex_order: str,
+    max_iters: int,
+    seed: int | None = None,
+) -> DynamicsTrace:
+    """What ``best_response_dynamics`` must return: the plain loop that asks
+    every vertex every pass, with no vertex settled, as the benchmark's
+    traced re-drive does, and rebuilds the class's contexts after each move."""
+    rng = random.Random(seed)
+    profile = initial
+    steps = []
+    for _ in range(max_iters):
+        order = list(range(profile.n))
+        if vertex_order == "random":
+            rng.shuffle(order)
+        improved = False
+        for v in order:
+            move = _best_class_move(
+                profile, v, dev_class, DEFAULT_BUDGET, _class_contexts(profile, dev_class)
+            )
+            if move is not None:
+                targets, delta = move
+                steps.append((v, Deviation(v, targets), delta))
+                profile = profile.with_strategy(v, targets)
+                improved = True
+        if not improved:
+            return DynamicsTrace(tuple(steps), True, profile)
+    return DynamicsTrace(tuple(steps), False, profile)
 
 
 def oracle_neighbours(profile: StrategyProfile, v: int) -> list[int]:

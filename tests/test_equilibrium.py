@@ -26,6 +26,7 @@ from oracle import (
     oracle_best_response,
     oracle_cell,
     oracle_class_move,
+    oracle_dynamics,
     oracle_graph_scan,
     oracle_labelled_equilibria,
     oracle_ownership_scan,
@@ -53,7 +54,7 @@ from ncg import (
     random_profile,
     verify_equilibrium,
 )
-from ncg.audit import audit_failures
+from ncg.audit import audit_failures, scaffold_profile
 from ncg.equilibrium import (
     DEFAULT_BUDGET,
     Deviation,
@@ -63,6 +64,7 @@ from ncg.equilibrium import (
     _class_deviations,
     _greedy_tables,
     _ownership_equilibria,
+    _size_cap,
     _subset_masks,
     decide_classes,
     graph_classes,
@@ -468,7 +470,6 @@ def test_paper_strategies_add_nothing_while_disconnected():
 
 def test_paper_strategy_dynamics_build_one_context_per_profile(monkeypatch):
     import ncg.equilibrium as eq
-    from ncg.audit import scaffold_profile
 
     # one context per profile computes the graph facts; the context of
     # every other tied root is built on it
@@ -488,7 +489,6 @@ def test_paper_strategy_dynamics_build_one_context_per_profile(monkeypatch):
 
 def test_paper_strategies_never_enumerate_cycles(monkeypatch):
     import ncg.structure as structure
-    from ncg.audit import scaffold_profile
 
     def refuse(*args):
         raise AssertionError("paper strategies read no min-cycles")
@@ -504,6 +504,53 @@ def test_dynamics_random_order_is_seeded():
     a = best_response_dynamics(directed_ring(4, 2), EXACT, "random", 20, seed=11)
     b = best_response_dynamics(directed_ring(4, 2), EXACT, "random", 20, seed=11)
     assert a == b
+
+
+DYNAMICS_SPECS = ["exact", "single-add", "single-delete", "paper-strategy-2", "single-add,exact"]
+
+
+@pytest.mark.parametrize("spec", DYNAMICS_SPECS)
+@example(profile(4, 9, [(0, 1), (2, 3)]), ("round-robin", None))
+@example(scaffold_profile(2), ("round-robin", None))
+@example(ring_with_pendant(1), ("random", 5))
+@example(directed_ring(6, Fraction(1, 3)), ("random", 0))
+@given(
+    st.one_of(
+        profiles(max_n=6),
+        sparse_connected_profiles(max_n=7),
+        disconnected_profiles(max_n=6),
+    ),
+    st.one_of(
+        st.just(("round-robin", None)), st.tuples(st.just("random"), st.integers(0, 1 << 16))
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_dynamics_match_the_loop_asking_every_vertex(spec, p, order):
+    # settled vertices are skipped, and under exact the mover too; the
+    # trace, the pass count and the random order's draws stay those of the
+    # plain loop
+    cls = DeviationClass.parse(spec)
+    vertex_order, seed = order
+    got = best_response_dynamics(p, cls, vertex_order, 8, seed)
+    assert got == oracle_dynamics(p, cls, vertex_order, 8, seed)
+
+
+@pytest.mark.parametrize("spec", ["exact", "single-delete", "paper-strategy-2"])
+def test_dynamics_ask_each_vertex_once_on_an_equilibrium(monkeypatch, spec):
+    import ncg.equilibrium as eq
+
+    asked = []
+    real = eq._best_class_move
+
+    def counted(p, v, *args):
+        asked.append(v)
+        return real(p, v, *args)
+
+    monkeypatch.setattr(eq, "_best_class_move", counted)
+    p = star(5, alpha=9)
+    trace = best_response_dynamics(p, DeviationClass.parse(spec), max_iters=5)
+    assert trace.converged and trace.steps == ()
+    assert asked == list(range(p.n))
 
 
 @given(connected_profiles(min_n=2, max_n=5))
@@ -524,7 +571,10 @@ def test_dynamics_agent_costs_strictly_decrease_at_own_steps(p):
         assert verify_equilibrium(trace.final_profile).is_equilibrium
 
 
-@given(profiles(min_n=1, max_n=6), st.integers(1, 6), st.integers(1, 2))
+# alpha = 1/3: L(k) is not monotone, falling until v's neighbours can cover
+# everyone and rising after, and the incumbent's size cap meets both slopes
+@example(profile(5, 1, [(1, 0), (2, 1), (3, 2), (4, 3)]), 1, 3)
+@given(profiles(min_n=1, max_n=6), st.integers(1, 6), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_best_response_matches_brute_force(p, num, den):
     # small alphas make equal-cost strategies common, so the tie-break runs
@@ -539,6 +589,19 @@ def test_best_response_matches_brute_force(p, num, den):
         best, delta = best_response_exact(p, v)
         assert best == expected
         assert delta == oracle_delta(p, v, best)
+
+
+@given(profiles(min_n=1, max_n=8), st.integers(-2, 12), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_size_cap_is_the_largest_admissible_size(p, num, den, data):
+    # the closed form against every size's lower bound L(k); alpha <= 0 too
+    p = StrategyProfile(p.n, Fraction(num, den), p.edges)
+    v = data.draw(st.integers(0, p.n - 1), label="v")
+    limit = data.draw(st.integers(-10, 200), label="limit")
+    a, b = p.alpha.numerator, p.alpha.denominator
+    m, into = p.n - 1, p.bought_by[v].bit_count()
+    admissible = [k for k in range(m + 1) if a * k + b * (2 * m - min(m, k + into)) <= limit]
+    assert _size_cap(p, v, limit) == max(admissible, default=-1)
 
 
 @given(connected_profiles(min_n=2, max_n=6))

@@ -115,8 +115,21 @@ def test_components_cover_all_edges():
 
 
 def test_decomposition_rejects_disconnected():
-    with pytest.raises(ValueError, match="connected"):
-        largest_biconnected_component(profile(3, 1, [(0, 1)]))
+    p = profile(3, 1, [(0, 1)])
+    with pytest.raises(ValueError, match="^biconnected decomposition requires a connected profile$"):
+        largest_biconnected_component(p)
+    with pytest.raises(ValueError, match="^audit context requires a connected profile$"):
+        build_context(p)
+
+
+def test_a_context_tests_connectivity_once(monkeypatch):
+    import ncg.structure as structure
+
+    tested = []
+    real = structure.is_connected
+    monkeypatch.setattr(structure, "is_connected", lambda p: tested.append(p) or real(p))
+    build_context(scaffold_profile(0))
+    assert len(tested) == 1
 
 
 # ---------------------------------------------------------------------------
