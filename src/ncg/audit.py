@@ -45,8 +45,7 @@ _TARGET = attrgetter("target")
 _RECORD = attrgetter("edge", "level")  # a sold edge as BoundComparison lists it
 
 # Each rule's applicability gate, in report order.  A rule whose gate is false
-# is inapplicable (holds=None), so it can never fail; degree-sum further needs
-# the tree edges in H to span H.
+# is inapplicable (holds=None), so it can never fail.
 _GATES = {
     "mincyclesize": lambda ctx: True,
     "seven-cycle": lambda ctx: ctx.alpha > 2 * ctx.n,
@@ -93,8 +92,11 @@ def _seller_notes(ctx: StrategyContext, u: int) -> tuple[str, ...]:
             notes.append("alpha <= 2n")
         if not ctx.girth >= 7:
             notes.append("girth below 7")
+    # Only a root of more than the least connection cost in H lets this note
+    # fire for a seller in H: one given to build_context explicitly, never
+    # its default root nor any of _class_contexts' tied roots.
     if ctx.has_cyclic_h and ctx.connections[ctx.root] > ctx.connections[u]:
-        notes.append("root connection cost exceeds seller's")  # impossible by construction
+        notes.append("root connection cost exceeds seller's")
     return tuple(notes)
 
 
@@ -333,9 +335,7 @@ def audit_structural(
         rows = []
         ok = True
         for edge, u, level in ctx.ladder_purchases:
-            cyc = ctx.cycles.per_vertex_cycle.get(u)
-            if cyc is None:
-                continue
+            cyc = ctx.cycles.per_vertex_cycle[u]
             required = len(cyc) // 2 - level
             good = ctx.spt.depth[u] >= required
             ok = ok and good
@@ -419,31 +419,17 @@ def audit_structural(
         )
 
     if lemma_id == "degree-sum":
-        t_in_h = {e for e in ctx.h_edges if ctx.spt.is_tree_edge(*e)}
-        spanning = applicable and _spans(ctx.h_vertices, t_in_h)
+        # the tree edges inside a block span it, wherever the root is
         n_h = len(ctx.h_vertices)
         x0 = sum(1 for c in ctx.x_classes.values() if c.level == 0)
         degree_sum = sum(ctx.deg_h(v) for v in ctx.h_vertices)
         holds = degree_sum == 2 * (n_h - 1) + 2 * x0
         return _finding(
-            lemma_id, spanning, holds, False,
-            spanning=spanning, degree_sum=degree_sum, n_h=n_h, out_edges=x0,
+            lemma_id, applicable, holds, False,
+            spanning=applicable, degree_sum=degree_sum, n_h=n_h, out_edges=x0,
         )
 
     raise AssertionError(f"unhandled lemma id {lemma_id}")
-
-
-def _spans(vertices: frozenset[int], edges: set[Edge]) -> bool:
-    """Do the edges form a spanning tree of the vertex set?"""
-    if not vertices or len(edges) != len(vertices) - 1:
-        return False
-    adj = [0] * (max(vertices) + 1)
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    # |V| - 1 edges that reach all of V from one vertex are a tree on V.
-    dist = bfs_distances(adj, min(vertices))
-    return all(dist[v] != inf for v in vertices)
 
 
 def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
@@ -472,8 +458,8 @@ def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
                 continue
             funnel_size = 1 + ctx.h_attachment[v]
             row = {"path": (u, v, w), "funnel_size": funnel_size}
-            cyc = ctx.cycles.per_vertex_cycle.get(v)
-            if cyc is not None and len(cyc) > 3:
+            cyc = ctx.cycles.per_vertex_cycle[v]
+            if len(cyc) > 3:
                 if len(cyc) not in cycle_bounds:
                     cycle_bounds[len(cyc)] = ctx.alpha / (2 * (len(cyc) - 3))
                 required = cycle_bounds[len(cyc)]

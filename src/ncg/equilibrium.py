@@ -550,7 +550,7 @@ def _best_class_move(
 class EnumerationResult:
     """Exhaustive scan outcome over all buyer-annotated profiles.
 
-    ``representatives`` holds ``scan_graph_range``'s class records and
+    ``representatives`` holds ``decide_classes``' class records and
     ``equilibria`` their ``labelled_equilibria``; the records are left out
     of equality, so a result rebuilt from the other five fields equals it.
     """
@@ -889,20 +889,6 @@ def decide_classes(
             report = VerificationReport(profile_hash(profile), spec, True, None, checked)
             records.append((profile, report, graph.weight * size))
     return tuple(records)
-
-
-def scan_graph_range(
-    n: int, alpha: Fraction, dev_class: DeviationClass, budget: int = DEFAULT_BUDGET
-) -> tuple[int, tuple]:
-    """Decide every profile on n vertices, one connected graph per isomorphism
-    class: ``decide_classes`` on the ``graph_classes`` catalogue of one cell.
-
-    Returns (connected-profile count, records).
-    """
-    check_scan_budget(n, dev_class, budget)
-    classes = graph_classes(n)
-    connected = sum(graph.weight << len(graph.ks) for graph in classes)
-    return connected, decide_classes(classes, alpha, dev_class, budget)
 
 
 def labelled_equilibria(n: int, alpha: Fraction, records) -> tuple:

@@ -28,7 +28,6 @@ from .equilibrium import (
     decide_classes,
     graph_classes,
     labelled_equilibria,
-    scan_graph_range,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
 from .game import BoughtEdge, is_connected
@@ -228,16 +227,19 @@ def enumerate_cell(
 ) -> EnumerationResult:
     """Exhaustively scan one (n, alpha) cell, with its labelled equilibria.
 
-    The scan walks the 2^(n(n-1)/2) underlying graphs (``scan_graph_range``)
+    The scan walks the 2^(n(n-1)/2) underlying graphs (``graph_classes``)
     and decides one connected graph per isomorphism class from per-vertex
-    cost tables; only here and in ``--dump-dir`` does ``labelled_equilibria``
-    carry its class records to every relabelling.  ``profiles_scanned``
+    cost tables (``decide_classes``); only here and in ``--dump-dir`` does
+    ``labelled_equilibria`` carry its class records to every relabelling.  ``profiles_scanned``
     counts the profiles covered, 3^(n(n-1)/2), not those verified.  n above
     ``cap`` or ``MAX_ENUMERATION_N`` is refused before anything is
     allocated.  ``jobs`` is ignored: every cell runs serially.
     """
     check_cell_n(n, cap)
-    connected, records = scan_graph_range(n, alpha, dev_class, budget)
+    check_scan_budget(n, dev_class, budget)
+    classes = graph_classes(n)
+    connected = sum(graph.weight << len(graph.ks) for graph in classes)
+    records = decide_classes(classes, alpha, dev_class, budget)
     equilibria = labelled_equilibria(n, alpha, records)
     return EnumerationResult(n, alpha, 3 ** (n * (n - 1) // 2), connected, equilibria, records)
 

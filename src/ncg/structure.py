@@ -589,12 +589,14 @@ class StrategyContext:
 
     @cached_property
     def h_neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours along edges of H in increasing order."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.h_edges:
-            out[a].append(b)
-            out[b].append(a)
-        return tuple(tuple(sorted(row)) for row in out)
+        """Each vertex's neighbours along edges of H in increasing order: an
+        edge between two vertices of a block lies in it, so a vertex of H has
+        its adjacency row masked to H, and any other vertex none."""
+        h = sum(1 << v for v in self.h_vertices)
+        return tuple(
+            tuple(mask_members(row & h)) if h >> v & 1 else ()
+            for v, row in enumerate(self.profile.adj)
+        )
 
     @cached_property
     def min_cycles(self) -> tuple[str, tuple[tuple[int, ...], ...]]:
@@ -618,69 +620,42 @@ class StrategyContext:
         return include_up and t == self.spt.parent[v] and self.spt.down_child(v, t) is None
 
     @cached_property
-    def ladder(self) -> tuple[tuple[tuple[int, int | None], ...], ...]:
-        """Each vertex's bought ladder edges as (target, level), by target:
-        every H-edge it bought that has a level, and (parent, None) for its
-        up-edge in H (the tree edge to its parent that the parent did not
-        buy).  Empty when H has no cycle."""
-        out: list[list[tuple[int, int | None]]] = [[] for _ in range(self.n)]
-        for (a, b), cls in self.x_classes.items():
-            for u, t in ((a, b), (b, a)):
-                if self.profile.buys(u, t) and (
-                    cls.level is not None or self.is_low_level(u, t, include_up=True)
-                ):
-                    out[u].append((t, cls.level))
+    def low_ladder(self) -> tuple[tuple[LadderEdge, ...], ...]:
+        """Each vertex's sellable ladder edges, by target: every H-edge it
+        bought that ``is_low_level`` for it with ``include_up``, so its edges
+        of minimal level <= 2 and its up-edge, with level None and an empty
+        subtree.  What the paper's strategies sell and the observations
+        about them read; empty when H has no cycle."""
+        out: list[list[LadderEdge]] = [[] for _ in range(self.n)]
+        for edge, cls in self.x_classes.items():
+            for u, t in (edge, edge[::-1]):
+                if self.profile.buys(u, t) and self.is_low_level(u, t, include_up=True):
+                    out[u].append(LadderEdge(t, edge, cls.level, edge_subtree(self.spt, u, t)))
         return tuple(tuple(sorted(row)) for row in out)
 
     @cached_property
     def ladder_purchases(self) -> tuple[tuple[Edge, int, int], ...]:
-        """(edge, buyer, level) of every ``ladder`` edge of level at most 2,
-        by edge, then buyer."""
-        pairs = ((u, t, lv) for u, row in enumerate(self.ladder) for t, lv in row if lv is not None)
-        return tuple(sorted((_as_edge(u, t), u, lv) for u, t, lv in pairs if lv <= 2))
-
-    @cached_property
-    def low_ladder(self) -> tuple[tuple[LadderEdge, ...], ...]:
-        """Each vertex's sellable ladder edges, by target: its ``ladder``
-        edges of minimal level <= 2, and its up-edge, with level None and an
-        empty subtree.  What the paper's strategies sell and the observations
-        about them read."""
-        return tuple(
-            tuple(
-                LadderEdge(t, _as_edge(v, t), level, edge_subtree(self.spt, v, t))
-                for t, level in row
-                if level is None or level <= 2
-            )
-            for v, row in enumerate(self.ladder)
-        )
+        """(edge, buyer, level) of every ``low_ladder`` edge with a level, by
+        edge, then buyer."""
+        return tuple(sorted(
+            (e.edge, u, e.level) for u, row in enumerate(self.low_ladder) for e in row
+            if e.level is not None
+        ))
 
     @cached_property
     def h_attachment(self) -> tuple[int, ...]:
         """For each vertex of H, how many vertices outside H enter H at it;
-        0 elsewhere.
+        0 elsewhere: those a BFS from it reaches with the rest of H deleted.
 
         H is a block, so all paths from a vertex outside H enter H at the
-        same vertex, and a flood out of each H vertex over the vertices
-        outside H reaches exactly those entering at it.  Every shortest route
-        from them to H - {v} passes v, and from any other vertex outside H
-        none does: 1 + ``h_attachment[v]`` is the size of v's shortest-path
-        funnel relative to H - {v}.
+        same vertex.  Every shortest route from them to H - {v} passes v, and
+        from any other vertex outside H none does: 1 + ``h_attachment[v]`` is
+        the size of v's shortest-path funnel relative to H - {v}.
         """
-        adj = self.profile.adj
-        outside = (1 << self.n) - 1
-        for v in self.h_vertices:
-            outside ^= 1 << v
+        h = sum(1 << v for v in self.h_vertices)
         counts = [0] * self.n
         for v in self.h_vertices:
-            piece = 0
-            shell = adj[v] & outside
-            while shell:
-                piece |= shell
-                reach = 0
-                for x in mask_members(shell):
-                    reach |= adj[x]
-                shell = reach & outside & ~piece
-            counts[v] = piece.bit_count()
+            counts[v] = self.n - bfs_distances(self.profile.adj, v, h ^ 1 << v).count(inf) - 1
         return tuple(counts)
 
     def sell_sets(self, u: int, kind: str, most: int | None = None):

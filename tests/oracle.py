@@ -33,7 +33,8 @@ edge-class rules straight from ``x_classes``, ``spt.parent`` and
 profile's graph facts off its bought edges one edge at a time, the scan its
 bitmask rows replaced.
 ``oracle_per_vertex_cycle`` and ``oracle_h_neighbours`` are the per-vertex
-scans over H's edges that the context's tables replaced,
+scans over H's edges that the context's tables replaced, ``oracle_spans``
+the spanning-tree test by BFS that degree-sum's gate replaced,
 ``oracle_girth_witness`` the search of every edge, bridges included, that
 the ``mincyclesize`` witness from the cycle report replaced, and
 ``oracle_context`` assembles a ``StrategyContext`` from the public structure
@@ -183,7 +184,7 @@ def oracle_graph_scan(
     graphs: range,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, list[tuple[int, StrategyProfile, VerificationReport]]]:
-    """The exact ``scan_graph_range`` with one table build per labelled graph.
+    """The exact scan of ``enumerate_cell`` with one table build per labelled graph.
 
     Every connected graph index in ``graphs`` is decided from its own cost
     tables (``_ownership_equilibria`` under the exact class), with no
@@ -514,6 +515,19 @@ def oracle_girth_witness(profile: StrategyProfile, girth) -> tuple[int, ...] | N
 def oracle_h_neighbours(ctx: StrategyContext, v: int) -> tuple[int, ...]:
     """v's neighbours along H in increasing order, by scanning every H edge."""
     return tuple(sorted((e[0] if e[1] == v else e[1]) for e in ctx.h_edges if v in e))
+
+
+def oracle_spans(vertices: frozenset[int], edges) -> bool:
+    """Do the edges form a spanning tree of the vertex set?"""
+    if not vertices or len(edges) != len(vertices) - 1:
+        return False
+    adj = [0] * (max(vertices) + 1)
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    # |V| - 1 edges that reach all of V from one vertex are a tree on V.
+    dist = bfs_distances(adj, min(vertices))
+    return all(dist[v] != inf for v in vertices)
 
 
 def oracle_context(profile: StrategyProfile, root: int | None = None) -> StrategyContext:

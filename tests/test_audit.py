@@ -47,7 +47,7 @@ from ncg.audit import (
     audit_failures,
     eligible_sold_selections,
 )
-from ncg.equilibrium import profile_from_index
+from ncg.equilibrium import _class_contexts, profile_from_index
 from ncg.game import is_connected, mask_members
 from ncg.harness import enumerate_cell
 from ncg.structure import LadderEdge, edge_subtree, global_girth
@@ -213,6 +213,29 @@ def test_bound_audit_certificate_mismatch_noted():
     other = verify_equilibrium(path3(alpha=5))
     cmp = audit_deviation_bound(_ctx(p), 3, "strategy1", [4], ne_certificate=other)
     assert "hash mismatch" in cmp.precondition_notes
+
+
+ROOT_COST_NOTE = "root connection cost exceeds seller's"
+
+
+def _root_cost_notes(ctx) -> list[bool]:
+    return [ROOT_COST_NOTE in b.precondition_notes for b in audit_full(ctx).bounds]
+
+
+def test_root_cost_note_fires_only_at_an_explicit_costlier_root():
+    # root 9 of scaffold 0 costs more than every seller in H
+    p = scaffold_profile(0)
+    ctx = build_context(p)
+    assert _root_cost_notes(build_context(p, ctx, 9)) == [True] * 13
+    assert _root_cost_notes(ctx) == [False] * 13
+    # scaffold 3 ties H vertices 0, 1 and 7 at the least connection cost: the
+    # class contexts root at each of them, and no seller costs less
+    p = scaffold_profile(3)
+    contexts = _class_contexts(p, DeviationClass.parse("paper-strategy-3"))
+    assert [c.root for c in contexts] == [0, 1, 7]
+    for c in contexts:
+        notes = _root_cost_notes(c)
+        assert notes and not any(notes), c.root
 
 
 def test_bound_domination_on_seeded_scaffolds():

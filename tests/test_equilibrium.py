@@ -71,7 +71,6 @@ from ncg.equilibrium import (
     labelled_equilibria,
     pair_list,
     profile_from_index,
-    scan_graph_range,
 )
 from ncg.game import BoughtEdge, StrategyProfile, bfs_sum, mask_members, row_sums, sized_sums
 from ncg.harness import (
@@ -655,7 +654,7 @@ def test_enumeration_ceiling_ignores_the_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("the cell was scanned")
 
-    monkeypatch.setattr("ncg.harness.scan_graph_range", refuse)
+    monkeypatch.setattr("ncg.harness.graph_classes", refuse)
     for n, cap in ((MAX_ENUMERATION_N + 1, MAX_ENUMERATION_N + 1), (9, 64)):
         with pytest.raises(EnumerationCapError, match="ceiling"):
             enumerate_cell(n, Fraction(1), EXACT, cap=cap)
@@ -836,7 +835,7 @@ def test_exact_cell_builds_one_table_per_class(monkeypatch):
         cls = DeviationClass.parse(spec)
         for n, classes in counts if spec == "exact" else counts[:5]:
             calls.clear()
-            scan_graph_range(n, Fraction(3), cls)
+            decide_classes(graph_classes(n), Fraction(3), cls, DEFAULT_BUDGET)
             assert calls == [cls] * classes, (spec, n)
 
 
@@ -872,7 +871,7 @@ def test_restricted_scan_decodes_one_profile_per_class_record(monkeypatch, spec)
     for n in range(1, 6):
         for alpha in (Fraction(1, 2), Fraction(3), Fraction(11)):
             calls.clear()
-            _, records = scan_graph_range(n, alpha, cls)
+            records = decide_classes(graph_classes(n), alpha, cls, DEFAULT_BUDGET)
             assert len(calls) == len(records), (n, alpha)
 
 
@@ -915,8 +914,9 @@ def test_class_weight_is_its_labelled_image_count(monkeypatch, n, classes, label
         trits = product((1, 2), repeat=len(graph.ks))
         return [(sum(t * 3**k for t, k in zip(owners, graph.ks)), 0) for owners in trits]
 
+    connected = enumerate_cell(n, Fraction(3), EXACT).connected_count
     monkeypatch.setattr(eq, "_ownership_equilibria", every_ownership)
-    connected, records = scan_graph_range(n, Fraction(3), EXACT)
+    records = decide_classes(catalogue, Fraction(3), EXACT, DEFAULT_BUDGET)
     for record in records:
         p, _, weight = record
         assert weight == factorial(n) // _stabiliser_count(p), p

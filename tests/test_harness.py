@@ -40,7 +40,7 @@ from ncg.harness import (
     save_profile,
     sweep_cells,
 )
-from ncg.equilibrium import EXACT, DeviationClass, scan_graph_range
+from ncg.equilibrium import EXACT, DeviationClass
 from ncg.structure import build_context
 
 RESTRICTED_CSV = Path(__file__).parent / "data" / "sweep_restricted.csv"
@@ -333,7 +333,7 @@ def test_sweep_cells_equal_one_cell_scans(spec):
     swept = list(sweep_cells(sweep))
     assert len(swept) == len(cells)
     for (n, alpha), (records, row) in zip(cells, swept):
-        _, expected = scan_graph_range(n, alpha, cls)
+        expected = enumerate_cell(n, alpha, cls).representatives
         assert records == expected, (n, alpha)
         assert row == fold_records(n, alpha, 3 ** (n * (n - 1) // 2), expected), (n, alpha)
 
@@ -362,7 +362,7 @@ def test_over_budget_exact_sweep_is_refused_before_its_catalogue(monkeypatch):
     # n = 3 needs 9 checks per profile and n = 4 needs 28: the n = 4 row is
     # refused as its one-cell scan is, before its graphs are walked
     with pytest.raises(BudgetExceededError) as cell:
-        scan_graph_range(4, Fraction(2), EXACT, budget=27)
+        enumerate_cell(4, Fraction(2), EXACT, budget=27)
     calls = _counted_catalogues(monkeypatch)
     with pytest.raises(BudgetExceededError) as swept:
         run_sweep(SweepSpec((3, 4), ("2", "3"), EXACT, budget=27))

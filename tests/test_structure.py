@@ -32,6 +32,7 @@ from oracle import (
     oracle_context,
     oracle_sellable_edges,
     oracle_simple_cycles,
+    oracle_spans,
     oracle_spt,
     oracle_subtree,
     oracle_tree_edges,
@@ -47,6 +48,7 @@ from strategies import (
 
 from ncg import (
     all_pairs_distances,
+    audit_structural,
     build_context,
     build_spt,
     choose_root,
@@ -468,6 +470,45 @@ def test_h_attachment_is_the_funnel_on_several_cyclic_blocks(p):
     _assert_attachment_is_the_funnel(p)
 
 
+def _assert_block_facts(p):
+    """What contexts read off H being a block, at every root: its tree edges
+    span it when it has a cycle (degree-sum's ``spanning`` detail), an edge
+    between two of its vertices lies in it (``h_neighbours``), every path
+    from outside it enters it at one vertex (``h_attachment``, the funnel),
+    and every vertex of a cyclic H lies on a cycle of H."""
+    ctx = build_context(p)
+    h = ctx.h_vertices
+    neighbours = [oracle_h_neighbours(ctx, v) for v in range(p.n)]
+    attachment = [
+        len(oracle_s_set_all_paths(p, ctx.dist, h - {v}, v)) - 1 if v in h else 0
+        for v in range(p.n)
+    ]
+    for r in range(p.n):
+        rooted = build_context(p, ctx, r)
+        tree = ctx.h_edges & oracle_tree_edges(rooted.spt.parent)
+        spanning = rooted.has_cyclic_h and oracle_spans(h, tree)
+        assert audit_structural(rooted, "degree-sum").detail["spanning"] == spanning, r
+        assert list(rooted.h_neighbours) == neighbours, r
+        assert list(rooted.h_attachment) == attachment, r
+        if rooted.has_cyclic_h:
+            assert h <= rooted.cycles.per_vertex_cycle.keys(), r
+
+
+def test_block_facts_on_scaffolds():
+    for seed in range(200):
+        _assert_block_facts(scaffold_profile(seed))
+
+
+@given(
+    st.one_of(glued_profiles(), connected_profiles(max_n=8), sparse_connected_profiles(max_n=10))
+)
+@example(two_triangles())
+@example(profile(1, 1, []))
+@settings(max_examples=120, deadline=None)
+def test_block_facts_at_every_root(p):
+    _assert_block_facts(p)
+
+
 # ---------------------------------------------------------------------------
 # properties on random profiles
 
@@ -618,8 +659,6 @@ def test_ladder_queries_match_oracle(p):
         for t in range(p.n):
             if t != v:
                 assert ctx.spt.down_child(v, t) == oracle_down_child(p, ctx.spt.parent, v, t)
-        every = oracle_sellable_edges(ctx, v, include_up=True, cap=inf)
-        assert list(ctx.ladder[v]) == [(t, ctx.x_classes[e].level) for e, t in every]
         low = []
         for e, t in oracle_sellable_edges(ctx, v, include_up=True, cap=2):
             child = oracle_down_child(p, ctx.spt.parent, *e)

@@ -1,6 +1,6 @@
 """Tooling guards: the benchmark's smoke run, which re-drives ncg through its
-public calls, what importing the CLI loads, and that every public name has
-a caller."""
+public calls, what importing the CLI loads, and that every top-level name
+of the library has a reader."""
 
 import ast
 import os
@@ -68,27 +68,43 @@ def test_cli_import_loads_no_process_pool():
 CALLER_FREE = {"vertex_cost", "CostBreakdown"}
 
 
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function's or class's, or
+    an assignment's targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return set()
+
+
+def _module(path: Path) -> list[ast.stmt]:
+    return ast.parse(path.read_text(encoding="utf-8")).body
+
+
 def _referenced_names(path: Path) -> set[str]:
     """Every name a module reads, as a bare name or an attribute, outside the
     top-level definition of that same name; imports read nothing."""
     names = set()
-    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        own = getattr(stmt, "name", None)
+    for stmt in _module(path):
+        own = _defined_names(stmt)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id != own:
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and node.attr != own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id not in own:
+                    names.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr not in own:
                 names.add(node.attr)
     return names
 
 
 def test_every_exported_name_has_a_caller():
-    # a public name that only tests call is a second copy of some fact, or a
-    # helper with no user: library code under src/ncg or the benchmark under
-    # perfbench must read it
-    sources = [p for p in (ROOT / "src" / "ncg").glob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "perfbench").glob("*.py")
-    used = set().union(*map(_referenced_names, sources))
-    uncalled = sorted(set(ncg.__all__) - used - CALLER_FREE)
-    assert uncalled == []
+    # every top-level name of src/ncg, exported or private: a name only tests
+    # read is a second copy of some fact, or a helper with no user, such as
+    # one a deletion left behind; library code under src/ncg or the
+    # benchmark under perfbench must read it
+    library = [p for p in (ROOT / "src" / "ncg").glob("*.py") if p.name != "__init__.py"]
+    defined = {name for path in library for stmt in _module(path) for name in _defined_names(stmt)}
+    used = set().union(*map(_referenced_names, library + list((ROOT / "perfbench").glob("*.py"))))
+    assert sorted(defined - used - CALLER_FREE) == []
     assert CALLER_FREE <= set(ncg.__all__)
