@@ -235,11 +235,13 @@ def cmd_run(argv=None) -> int:
         if args.command == "audit":
             profile = load_profile(args.input)
             certificate = None
-            certified_class = None
             if not args.no_certify:
-                certificate = verify_equilibrium(profile, dev_class, args.budget)
-                if certificate.is_equilibrium:
-                    certified_class = certificate.deviation_class
+                try:
+                    certificate = verify_equilibrium(profile, dev_class, args.budget)
+                except BudgetExceededError as exc:  # audit uncertified, as --no-certify does
+                    sys.stderr.write(f"not certified: {exc}; audited uncertified\n")
+            certified = certificate is not None and certificate.is_equilibrium
+            certified_class = certificate.deviation_class if certified else None
             report = audit_full(build_context(profile), ne_certificate=certificate)
             sys.stdout.write(
                 json.dumps(audit_to_json(report, certified_class), indent=2) + "\n"

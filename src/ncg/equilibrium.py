@@ -154,10 +154,10 @@ def _subset_index(mask: int, v: int) -> int:
     return (mask & ((1 << v) - 1)) | (mask >> (v + 1) << v)
 
 
-def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
+def _bounded_scan(profile: StrategyProfile, v: int, strict: bool, neighbours):
     """v's current cost in units of 1/q (alpha = p/q), and ``sized_sums`` up
     to the largest size whose sets can still cost at most that, less one
-    when ``strict``.
+    when ``strict``; ``neighbours`` lists each vertex's neighbours.
 
     v's neighbours are its k targets and the set I of vertices that bought
     an edge to it, and every other vertex is at distance at least 2, so a
@@ -168,10 +168,10 @@ def _bounded_scan(profile: StrategyProfile, v: int, strict: bool):
     adj, bought_by = profile.adj, profile.bought_by[v]
     current_sum = bfs_sum(adj, v, adj[v])
     if current_sum is None:
-        return inf, sized_sums(adj, v, bought_by, profile.n - 1)
+        return inf, sized_sums(adj, v, bought_by, profile.n - 1, neighbours)
     p, q = profile.alpha.numerator, profile.alpha.denominator
     cost = p * profile.bought[v].bit_count() + q * current_sum
-    return cost, sized_sums(adj, v, bought_by, _size_cap(profile, v, cost - strict))
+    return cost, sized_sums(adj, v, bought_by, _size_cap(profile, v, cost - strict), neighbours)
 
 
 def _size_cap(profile: StrategyProfile, v: int, limit: int) -> int:
@@ -222,7 +222,7 @@ def delta_cost(profile: StrategyProfile, v: int, new_edge_set) -> Fraction | flo
 
 
 def best_response_exact(
-    profile: StrategyProfile, v: int, budget: int = DEFAULT_BUDGET
+    profile: StrategyProfile, v: int, budget: int = DEFAULT_BUDGET, neighbours=None
 ) -> tuple[frozenset[int], Fraction | float]:
     """Cost-minimising edge set for ``v`` over all subsets of the other vertices.
 
@@ -233,6 +233,7 @@ def best_response_exact(
     only larger sizes whose lower bound is below it (``_size_cap``).  A
     winner other than v's current row is re-priced by ``delta_cost``; the
     current row itself is no move, and its delta is ``Fraction(0)``.
+    ``neighbours``, each vertex's neighbour list, is built when None.
     """
     n = profile.n
     required = 1 << (n - 1)
@@ -243,7 +244,7 @@ def best_response_exact(
         )
     p, q = profile.alpha.numerator, profile.alpha.denominator
     # A set that ties the current cost may still win on size or order.
-    _, layers = _bounded_scan(profile, v, strict=False)
+    _, layers = _bounded_scan(profile, v, strict=False, neighbours=neighbours)
     best_cost = best = None
     for k, sums in enumerate(layers):
         low = min((d for d in sums if d is not None), default=None)
@@ -388,11 +389,12 @@ def verify_equilibrium(
         _exact_checks(profile.n, budget)
     covers_all = exact or EXACT in dev_class.parts
     contexts = _class_contexts(profile, dev_class)
+    neighbours = list(map(mask_members, profile.adj)) if covers_all else None
 
     checked = 0
     for v in range(profile.n):
         if covers_all:
-            index = _first_improvement(profile, v)
+            index = _first_improvement(profile, v, neighbours)
             if index is None:
                 checked += (1 << (profile.n - 1)) - 1
                 if checked > budget:  # the composite walk would stop one past the budget
@@ -428,25 +430,25 @@ def _exact_checks(n: int, budget: int) -> int:
     return required
 
 
-def _first_improvement(profile: StrategyProfile, v: int) -> int | None:
+def _first_improvement(profile: StrategyProfile, v: int, neighbours) -> int | None:
     """The least subset index of a target set strictly improving v, or None.
 
     Only sizes whose cost lower bound is below v's current cost are priced
     (``_bounded_scan``); within one size the first improving set has the
-    least index.
+    least index, and no k-set has an index below 2^k - 1.
     """
     p, q = profile.alpha.numerator, profile.alpha.denominator
-    cost, layers = _bounded_scan(profile, v, strict=True)
-    best = None
+    cost, layers = _bounded_scan(profile, v, strict=True, neighbours=neighbours)
+    best = end = 1 << (profile.n - 1)  # past every subset index
     for k, sums in enumerate(layers):
+        if best < (1 << k) - 1:
+            break
         limit = (cost - 1 - p * k) // q  # the largest improving distance sum
         for i, d in enumerate(sums):
             if d is not None and d <= limit:
-                index = colex_index(i, k)
-                if best is None or index < best:
-                    best = index
+                best = min(best, colex_index(i, k))
                 break
-    return best
+    return best if best < end else None
 
 
 def _witness_report(
@@ -465,6 +467,31 @@ def _witness_report(
 # dynamics
 
 
+class _Rows:
+    """A profile's ``n``, ``alpha`` and bitmask rows, as lists a move rewrites
+    in place, and each vertex's neighbour list: what the scans read."""
+
+    def __init__(self, profile: StrategyProfile):
+        self.n, self.alpha = profile.n, profile.alpha
+        self.adj, self.bought = list(profile.adj), list(profile.bought)
+        self.bought_by = list(profile.bought_by)
+        self.neighbours = list(map(mask_members, self.adj))
+
+    def move(self, v: int, targets: frozenset[int]) -> None:
+        """v buys ``targets`` instead: its bit flips in the rows it gains or drops."""
+        changed = self.bought[v] ^ sum(1 << t for t in targets)
+        self.bought[v] ^= changed
+        for u in mask_members(changed):
+            self.bought_by[u] ^= 1 << v
+        for u in mask_members(changed | 1 << v):
+            self.adj[u] = self.bought[u] | self.bought_by[u]
+            self.neighbours[u] = mask_members(self.adj[u])
+
+    def profile(self) -> StrategyProfile:
+        edges = (BoughtEdge(v, u) for v in range(self.n) for u in mask_members(self.bought[v]))
+        return StrategyProfile(self.n, self.alpha, tuple(edges))
+
+
 def best_response_dynamics(
     initial: StrategyProfile,
     dev_class: DeviationClass = EXACT,
@@ -481,44 +508,46 @@ def best_response_dynamics(
 
     A vertex that answered "no move" on the current profile is not asked
     again until some vertex moves, nor, under the exact class, is the mover:
-    its best response reads only G - v and the edges bought to v.
+    its best response reads only G - v and the edges bought to v.  Moves
+    rewrite ``_Rows``; profiles are built for the result and paper contexts.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if vertex_order not in VERTEX_ORDERS:
         raise ValueError(f"unknown vertex order {vertex_order!r}")
     rng = random.Random(seed)
-    profile = initial
-    contexts = _class_contexts(profile, dev_class)
+    rows = _Rows(initial)
+    contexts = _class_contexts(initial, dev_class)
     settled: set[int] = set()
     steps: list[tuple[int, Deviation, Fraction | float]] = []
     converged = False
     for _ in range(max_iters):
-        order = list(range(profile.n))
+        order = list(range(rows.n))
         if vertex_order == "random":
             rng.shuffle(order)
         improved = False
         for v in order:
             if v in settled:
                 continue
-            move = _best_class_move(profile, v, dev_class, budget, contexts)
+            move = _best_class_move(rows, v, dev_class, budget, contexts, rows.neighbours)
             if move is None:
                 settled.add(v)
                 continue
             targets, delta = move
             steps.append((v, Deviation(v, targets), delta))
-            profile = profile.with_strategy(v, targets)
-            contexts = _class_contexts(profile, dev_class)
+            rows.move(v, targets)
+            if _needs_context(dev_class):
+                contexts = _class_contexts(rows.profile(), dev_class)
             settled = {v} if dev_class.kind == "exact-all-subsets" else set()
             improved = True
         if not improved:
             converged = True
             break
-    return DynamicsTrace(tuple(steps), converged, profile)
+    return DynamicsTrace(tuple(steps), converged, rows.profile() if steps else initial)
 
 
 def _best_class_move(
-    profile: StrategyProfile, v: int, cls: DeviationClass, budget: int, contexts
+    profile: StrategyProfile, v: int, cls: DeviationClass, budget: int, contexts, neighbours=None
 ) -> tuple[frozenset[int], Fraction | float] | None:
     """Best strictly improving deviation for v within the class, or None.
 
@@ -526,7 +555,7 @@ def _best_class_move(
     reconnecting set, so size decides, then members.
     """
     if cls.kind == "exact-all-subsets":
-        targets, delta = best_response_exact(profile, v, budget)
+        targets, delta = best_response_exact(profile, v, budget, neighbours)
         return (targets, delta) if delta < 0 else None
     current_cost, priced = _class_costs(profile, v, cls, contexts)
     best = None
@@ -834,7 +863,8 @@ def graph_classes(n: int) -> list[GraphClass]:
         for image in images:
             marked[image >> 3] |= 1 << (image & 7)
         if bfs_sum(adj, 0, adj[0]) is not None:
-            sums = [row_sums(adj, v, 0) for v in range(n)]
+            neighbours = list(map(mask_members, adj))
+            sums = [row_sums(adj, v, 0, neighbours) for v in range(n)]
             classes.append(GraphClass(ks, edges, adj, len(images), sums, automorphisms))
     return classes
 

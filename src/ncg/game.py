@@ -188,38 +188,45 @@ def bfs_sum(adj: Sequence[int], v: int, row: int) -> int | None:
     return total if seen == (1 << len(adj)) - 1 else None
 
 
-def ball_levels(adj: Sequence[int], sources: int, blocked: int) -> int:
-    """Bit-packed balls around the ``sources`` mask, ``blocked`` vertices deleted.
+def source_levels(adj: Sequence[int], v: int, neighbours: Sequence[Sequence[int]]) -> list[int]:
+    """Bit-packed balls in G - v around every vertex t (``neighbours[t]``
+    lists t's neighbours in G), entry v equal to 0.
 
-    Bit block ``d`` (bits ``[d*n, (d+1)*n)``) is the set of vertices within
-    distance ``d`` of some source, for ``d = 0..n-2``; once the frontier
-    empties, past the sources' eccentricity, the walk stops and the
-    remaining blocks repeat the last ball, written by one multiplication.
-    The union of two results is the result for the union of their sources.
+    Bit block ``d`` (bits ``[d*n, (d+1)*n)``) of entry t is the set of
+    vertices within distance ``d`` of t, for ``d = 0..n-2``.  Block d + 1 is
+    t plus the union of block d over t's neighbours, so each entry starts as
+    t in every block and is updated in place until a sweep changes nothing:
+    every update keeps each block inside the true ball, and at the fixpoint
+    block d equals it, by induction on d.
     """
     n = len(adj)
-    ball = frontier = sources & ~blocked
-    levels = 0
-    for d in range(n - 1):
-        if d:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~(ball | blocked)
-            if not frontier:  # blocks d..n-2 repeat the ball: one bit per block
-                return levels | ball * (((1 << (n - 1 - d) * n) - 1) // ((1 << n) - 1)) << d * n
-            ball |= frontier
-        levels |= ball << (d * n)
-    return levels
+    full = (1 << (n - 1) * n) - 1
+    every = full // ((1 << n) - 1)  # one bit per block
+    levels = [0 if t == v else every << t for t in range(n)]
+    others = [(t, neighbours[t]) for t in range(n) if t != v]
+    while True:
+        before = levels[:]
+        for t, row in others:
+            up = 0
+            for u in row:
+                up |= levels[u]
+            levels[t] |= up << n & full
+        if levels == before:
+            return levels
+
+
+def _union(levels: list[int], mask: int) -> int:
+    """The ``source_levels`` of the set ``mask``: the union of its members'."""
+    x = 0
+    for t in mask_members(mask):
+        x |= levels[t]
+    return x
 
 
 def _ball_sums(unions: list[int], n: int, v: int) -> list[int | None]:
     """v's distance sums from the ball-level unions of its target sets.
 
-    With P[t] the ``ball_levels`` of t in G - v, target set T puts u within
+    With P[t] the ``source_levels`` of t in G - v, target set T puts u within
     distance d + 1 of v iff u lies in block d of x = P[base] | OR of P[t]
     over t in T, where base is the rest of row v.  So v's distance sum is
     (n-1)n - popcount(x), or None when the top block misses a vertex.
@@ -230,40 +237,40 @@ def _ball_sums(unions: list[int], n: int, v: int) -> list[int | None]:
     return [total - x.bit_count() if x >= reached else None for x in unions]
 
 
-def row_sums(adj: Sequence[int], v: int, base: int) -> list[int | None]:
+def row_sums(adj: Sequence[int], v: int, base: int, neighbours=None) -> list[int | None]:
     """v's distance sums when row v is ``base`` plus each target set.
 
     Position i holds the set whose members are the j-th vertices other than
     v for each bit j of i (its subset index); the unions are built by
-    doubling.
+    doubling.  ``neighbours`` is as in ``sized_sums``.
     """
-    blocked = 1 << v
-    table = [ball_levels(adj, base, blocked)]
-    for t in range(len(adj)):
-        if t != v:
-            lv = ball_levels(adj, 1 << t, blocked)
-            table += [x | lv for x in table]
+    levels = source_levels(adj, v, neighbours or list(map(mask_members, adj)))
+    table = [_union(levels, base)]
+    for lv in levels[:v] + levels[v + 1:]:
+        table += [x | lv for x in table]
     return _ball_sums(table, len(adj), v)
 
 
-def sized_sums(adj: Sequence[int], v: int, base: int, cap: int):
+def sized_sums(adj: Sequence[int], v: int, base: int, cap: int, neighbours=None):
     """Yield ``row_sums`` split by target-set size, for sizes 0..cap.
 
     List k holds the k-sets in subset-index order, which within one size is
     colex order: the k-sets whose largest member is the t-th other vertex
     extend the first comb(t, k - 1) unions of list k - 1, so ``colex_index``
     maps a position back to its subset index.  Only two lists are alive at
-    a time.
+    a time.  ``neighbours`` is passed to ``source_levels``, built from
+    ``adj`` when None; a cap-0 scan prices its one set by ``bfs_sum``.
     """
     if cap < 0:
         return
-    n = len(adj)
-    blocked = 1 << v
-    layer = [ball_levels(adj, base, blocked)]
-    yield _ball_sums(layer, n, v)
     if cap == 0:
+        yield [bfs_sum(adj, v, base)]
         return
-    levels = [ball_levels(adj, 1 << t, blocked) for t in range(n) if t != v]
+    n = len(adj)
+    levels = source_levels(adj, v, neighbours or list(map(mask_members, adj)))
+    layer = [_union(levels, base)]
+    yield _ball_sums(layer, n, v)
+    del levels[v]
     for k in range(1, cap + 1):
         layer = [x | lv for t, lv in enumerate(levels) for x in layer[: comb(t, k - 1)]]
         yield _ball_sums(layer, n, v)

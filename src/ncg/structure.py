@@ -707,7 +707,8 @@ def build_context(
         root = graph.root if root is None else root
     h_vertices = decomposition.largest_vertices()
     if root is None:
-        root = choose_root(profile, dist, h_vertices) if h_vertices else 0
+        # choose_root's pick, read off the connection costs summed above
+        root = min(h_vertices, key=lambda v: (connections[v], v)) if h_vertices else 0
     spt = build_spt(profile, dist, root)
     x_classes = {
         c.edge: c for c in classify_x_sets(profile, spt, decomposition)

@@ -57,11 +57,13 @@ from ncg import (
 from ncg.audit import audit_failures, scaffold_profile
 from ncg.equilibrium import (
     DEFAULT_BUDGET,
+    VERTEX_ORDERS,
     Deviation,
     _best_class_move,
     _bounded_scan,
     _class_contexts,
     _class_deviations,
+    _first_improvement,
     _greedy_tables,
     _ownership_equilibria,
     _size_cap,
@@ -293,6 +295,8 @@ def test_exact_sums_match_bfs_pricing(p):
         assert row_sums(p.adj, v, p.bought_by[v]) == expected
         by_size = [[s for i, s in enumerate(expected) if i.bit_count() == k] for k in range(p.n)]
         assert list(sized_sums(p.adj, v, p.bought_by[v], p.n - 1)) == by_size
+        # cap 0 prices its one set by a BFS, not by the level sweep
+        assert list(sized_sums(p.adj, v, p.bought_by[v], 0)) == by_size[:1]
 
 
 def test_exact_verification_prices_current_strategy_past_the_first_table():
@@ -310,8 +314,26 @@ def test_size_cap_on_star_leaves():
     # k edges saves at most k hops, so no size can improve and only the
     # empty set can tie.
     leaf = star(6, alpha=9)
-    assert list(_bounded_scan(leaf, 1, strict=True)[1]) == []
-    assert len(list(_bounded_scan(leaf, 1, strict=False)[1])) == 1
+    neighbours = [mask_members(row) for row in leaf.adj]
+    assert list(_bounded_scan(leaf, 1, strict=True, neighbours=neighbours)[1]) == []
+    assert len(list(_bounded_scan(leaf, 1, strict=False, neighbours=neighbours)[1])) == 1
+
+
+@example(profile(8, Fraction(1, 2), [(v, v + 1) for v in range(7)]), 1, 2)  # a path at alpha 1/2
+@given(connected_profiles(min_n=2, max_n=8), st.integers(1, 6), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_first_improvement_is_the_least_improving_index(p, num, den):
+    # small alphas leave vertices improvable at several sizes, and the scan
+    # stops taking sizes once its witness is below every larger set's index
+    p = StrategyProfile(p.n, Fraction(num, den), p.edges)
+    neighbours = [mask_members(row) for row in p.adj]
+    for v in range(p.n):
+        improving = [
+            i for i, mask in enumerate(_subset_masks(p.n, v))
+            if oracle_delta(p, v, mask_members(mask)) < 0
+        ]
+        assert _first_improvement(p, v, neighbours) == min(improving, default=None), v
+    assert verify_equilibrium(p) == oracle_verify(p, EXACT)
 
 
 SMALL_ALPHAS = [Fraction(a) for a in ("1/3", "1/2", "1", "3/2", "2", "3", "9")]
@@ -532,6 +554,26 @@ def test_dynamics_match_the_loop_asking_every_vertex(spec, p, order):
     vertex_order, seed = order
     got = best_response_dynamics(p, cls, vertex_order, 8, seed)
     assert got == oracle_dynamics(p, cls, vertex_order, 8, seed)
+
+
+@pytest.mark.parametrize("spec", ["exact", "single-add"])
+def test_dynamics_build_only_the_final_profile(monkeypatch, spec):
+    # moves rewrite rows; a profile is built for the result alone, and none
+    # when no vertex moves
+    cls = DeviationClass.parse(spec)
+    starts = [random_profile(8, 0.3, seed=s, alpha=2, require_connected=True) for s in range(3)]
+    ne = star(5, alpha=9)
+    built = []
+    post_init = StrategyProfile.__post_init__
+    monkeypatch.setattr(StrategyProfile, "__post_init__", lambda p: built.append(p) or post_init(p))
+    for p in starts:
+        for order in VERTEX_ORDERS:
+            built.clear()
+            trace = best_response_dynamics(p, cls, order, seed=1)
+            assert trace.steps and len(built) == 1 and built[0] is trace.final_profile
+    built.clear()
+    trace = best_response_dynamics(ne, cls)
+    assert trace.steps == () and trace.final_profile is ne and built == []
 
 
 @pytest.mark.parametrize("spec", ["exact", "single-delete", "paper-strategy-2"])

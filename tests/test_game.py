@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gadgets import oracle_connection, oracle_distances, path3, profile, star
@@ -18,7 +18,7 @@ from ncg import (
     is_connected,
     vertex_cost,
 )
-from ncg.game import ball_levels, bfs_distances, bfs_sum, mask_members
+from ncg.game import bfs_distances, bfs_sum, mask_members, source_levels
 
 
 def assert_metric(d):
@@ -134,20 +134,33 @@ def test_bfs_distances_with_blocked_vertex_match_oracle(p):
                 assert bfs_distances(adj, s, blocked=1 << x) == expected[s]
 
 
-@given(profiles(min_n=1, max_n=8), st.data())
+@example(profile(1, 1, []), 0)
+@example(profile(2, 1, []), 0)
+@example(profile(2, 1, [(1, 0)]), 0)
+@example(star(6), 0b111110)  # deleting the centre leaves five isolated leaves
+@example(profile(7, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 0b1000001)  # 6 isolated
+@given(st.one_of(profiles(min_n=1, max_n=8), sparse_connected_profiles()), st.integers(0, 255))
 @settings(max_examples=80, deadline=None)
-def test_ball_levels_match_bfs_distances(p, data):
+def test_source_levels_match_bfs_distances(p, sources):
+    # every vertex's balls in G - v, for every v, against a BFS with v
+    # deleted; a set's levels are the union of its members'
     n = p.n
-    sources = data.draw(st.integers(0, (1 << n) - 1), label="sources")
-    blocked = data.draw(st.integers(0, (1 << n) - 1), label="blocked")
-    adj = p.adj
-    rows = [bfs_distances(adj, s, blocked) for s in range(n) if sources >> s & 1]
-    near = [min((row[u] for row in rows), default=inf) for u in range(n)]
-    levels = ball_levels(adj, sources, blocked)
-    assert levels >> (n * max(n - 1, 0)) == 0
-    for d in range(n - 1):
-        ball = sum(1 << u for u in range(n) if near[u] <= d)
-        assert levels >> (d * n) & ((1 << n) - 1) == ball
+    neighbours = [mask_members(row) for row in p.adj]
+    for v in range(n):
+        levels = source_levels(p.adj, v, neighbours)
+        assert len(levels) == n and levels[v] == 0
+        members = [t for t in mask_members(sources & ((1 << n) - 1)) if t != v]
+        union = 0
+        for t in members:
+            union |= levels[t]
+        rows = [bfs_distances(p.adj, t, 1 << v) for t in members]
+        near = [min((row[u] for row in rows), default=inf) for u in range(n)]
+        for t, x in [(t, levels[t]) for t in range(n) if t != v] + [(None, union)]:
+            dist = near if t is None else bfs_distances(p.adj, t, 1 << v)
+            assert x >> (n * max(n - 1, 0)) == 0
+            for d in range(n - 1):
+                ball = sum(1 << u for u in range(n) if dist[u] <= d)
+                assert x >> (d * n) & ((1 << n) - 1) == ball, (v, t, d)
 
 
 @given(st.one_of(profiles(min_n=1, max_n=8), sparse_connected_profiles()), st.data())

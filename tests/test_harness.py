@@ -22,7 +22,7 @@ from ncg import (
     profile_hash,
     verify_equilibrium,
 )
-from ncg.audit import audit_failures, audit_full
+from ncg.audit import audit_failures, audit_full, scaffold_profile
 from ncg.cli import cmd_run
 from ncg.harness import (
     SweepSpec,
@@ -452,6 +452,22 @@ def test_cli_audit(tmp_path, capsys):
     assert out["certified_class"] == "exact-all-subsets"
     ids = {f["lemma_id"] for f in out["findings"]}
     assert "mincyclesize" in ids and "degree-sum" in ids
+
+
+def test_cli_audit_over_budget_audits_uncertified(tmp_path, capsys):
+    # scaffold 9 (n = 19) needs more exact checks than the default budget:
+    # it is audited uncertified, the same JSON as under --no-certify
+    path = _write_profile(tmp_path, scaffold_profile(9))
+    assert cmd_run(["audit", "--input", path, "--no-certify"]) == 0
+    want = capsys.readouterr()
+    assert cmd_run(["audit", "--input", path]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out and json.loads(got.out)["certified_class"] is None
+    assert want.err == ""
+    assert got.err == (
+        "not certified: exact verification needs 4980717 deviation checks"
+        " (budget 4194304); audited uncertified\n"
+    )
 
 
 def test_cli_sweep_deterministic(tmp_path):
