@@ -44,28 +44,6 @@ _IN_REGIME = attrgetter("in_regime")
 _TARGET = attrgetter("target")
 _RECORD = attrgetter("edge", "level")  # a sold edge as BoundComparison lists it
 
-# Each rule's applicability gate, in report order.  A rule whose gate is false
-# is inapplicable (holds=None), so it can never fail.
-_GATES = {
-    "mincyclesize": lambda ctx: True,
-    "seven-cycle": lambda ctx: ctx.alpha > 2 * ctx.n,
-    "directed-mincycles": lambda ctx: ctx.alpha > 2 * (ctx.n - 1),
-    "maxn2": _HAS_CYCLIC_H,
-    "altpath": _IN_REGIME,
-    "x2position": _IN_REGIME,
-    "deg2": _HAS_CYCLIC_H,
-    "obs-x1": _IN_REGIME,
-    "obs-x2": _IN_REGIME,
-    "obs-x2depth": _IN_REGIME,
-    "mainlemma1": _IN_REGIME,
-    "mainlemma2": _IN_REGIME,
-    "degree-sum": _HAS_CYCLIC_H,
-}
-LEMMA_IDS = tuple(_GATES)
-
-# degree-sum is a combinatorial identity; everything else presumes equilibrium.
-_NE_GATED = frozenset(set(LEMMA_IDS) - {"degree-sum"})
-
 # Bound audits price every sell-set of at most this many eligible edges.
 MAX_SELL = 2
 
@@ -282,166 +260,57 @@ def _certified(ne_certificate: VerificationReport | None, ctx: StrategyContext) 
     )
 
 
-def _finding(lemma_id, applicable, holds, informational, **detail) -> AuditFinding:
-    return AuditFinding(lemma_id, applicable, holds if applicable else None, informational, detail)
+def _mincyclesize(ctx):
+    bound = 2 * ctx.alpha / ctx.n + 2
+    holds = ctx.girth == inf or ctx.girth >= bound
+    witness = None
+    if not holds:
+        # the girth may be realised outside H: the report covers every block
+        witness = next(c for c in ctx.cycles.per_edge_cycle.values() if len(c) == ctx.girth)
+    return holds, {"girth": ctx.girth, "bound": str(bound), "counter_witness": witness}
 
 
-def audit_structural(
-    ctx: StrategyContext,
-    lemma_id: str,
-    ne_certificate: VerificationReport | None = None,
-) -> AuditFinding:
-    """Evaluate one structural rule literally over the context."""
-    if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}")
-    informational = lemma_id in _NE_GATED and not _certified(ne_certificate, ctx)
-    applicable = _GATES[lemma_id](ctx)
-    n = ctx.n
-    alpha = ctx.alpha
-
-    if lemma_id == "mincyclesize":
-        bound = 2 * alpha / n + 2
-        holds = ctx.girth == inf or ctx.girth >= bound
-        witness = None
-        if not holds:
-            # the girth may be realised outside H: the report covers every block
-            witness = next(c for c in ctx.cycles.per_edge_cycle.values() if len(c) == ctx.girth)
-        return _finding(
-            lemma_id, applicable, holds, informational,
-            girth=ctx.girth, bound=str(bound), counter_witness=witness,
-        )
-
-    if lemma_id == "seven-cycle":
-        holds = ctx.girth == inf or ctx.girth >= 7
-        return _finding(lemma_id, applicable, holds, informational, girth=ctx.girth)
-
-    if lemma_id == "directed-mincycles":
-        return _audit_directed_mincycles(ctx, applicable, informational)
-
-    if lemma_id == "maxn2":
-        violations = [
-            {"vertex": v, "subtree": ctx.spt.subtree_size[v], "in_h": v in ctx.h_vertices}
-            for v in range(n)
-            if v != ctx.root and 2 * ctx.spt.subtree_size[v] > n
-        ]
-        return _finding(
-            lemma_id, applicable, not violations, informational, violations=violations
-        )
-
-    if lemma_id == "altpath":
-        return _audit_altpath_all(ctx, applicable, informational)
-
-    if lemma_id == "x2position":
-        rows = []
-        ok = True
-        for edge, u, level in ctx.ladder_purchases:
-            cyc = ctx.cycles.per_vertex_cycle[u]
-            required = len(cyc) // 2 - level
-            good = ctx.spt.depth[u] >= required
-            ok = ok and good
-            rows.append(
-                {"vertex": u, "edge": edge, "level": level,
-                 "cycle_len": len(cyc), "depth": ctx.spt.depth[u], "holds": good}
-            )
-        return _finding(lemma_id, applicable, ok, informational, checked=rows)
-
-    if lemma_id == "deg2":
-        return _audit_deg2(ctx, applicable, informational)
-
-    if lemma_id == "obs-x1":
-        offenders = []
-        for u in sorted(ctx.h_vertices):
-            bought = [e.edge for e in ctx.low_ladder[u] if e.level is None or e.level <= 1]
-            if len(bought) >= 2:
-                offenders.append({"vertex": u, "edges": bought})
-        return _finding(lemma_id, applicable, not offenders, informational, offenders=offenders)
-
-    if lemma_id == "obs-x2":
-        triples = []
-        thin_pairs = []
-        for u in sorted(ctx.h_vertices):
-            row = ctx.low_ladder[u]
-            if len(row) >= 3:
-                triples.append({"vertex": u, "edges": [e.edge for e in row]})
-            for e1, e2 in combinations(row, 2):
-                union = (e1.subtree | e2.subtree).bit_count()
-                if not 4 * union > n:
-                    thin_pairs.append({"vertex": u, "edges": [e1.edge, e2.edge], "union": union})
-        holds = not triples and not thin_pairs
-        return _finding(
-            lemma_id, applicable, holds, informational,
-            triple_buyers=triples, thin_pairs=thin_pairs,
-        )
-
-    if lemma_id == "obs-x2depth":
-        rows = []
-        ok = True
-        for u in sorted(ctx.h_vertices):
-            bought = [e for e in ctx.low_ladder[u] if e.level is not None]
-            if len(bought) < 2:
-                continue
-            depth = ctx.spt.depth[u]
-            fat_pair = any(
-                4 * (e1.subtree | e2.subtree).bit_count() > n for e1, e2 in combinations(bought, 2)
-            )
-            good = depth >= 3 and (not fat_pair or depth == 3)
-            ok = ok and good
-            edges = [e.edge for e in bought]
-            rows.append({"vertex": u, "depth": depth, "edges": edges, "holds": good})
-        return _finding(lemma_id, applicable, ok, informational, checked=rows)
-
-    if lemma_id == "mainlemma1":
-        rows = []
-        ok = True
-        for edge, u0, level in ctx.ladder_purchases:
-            if level:
-                continue
-            prefix = ctx.spt.path_to_root(u0)[:3]
-            deg2 = [v for v in prefix if ctx.deg_h(v) == 2]
-            good = len(deg2) <= 1
-            ok = ok and good
-            rows.append(
-                {"vertex": u0, "out_edge": edge, "path_prefix": prefix,
-                 "deg2_vertices": deg2, "holds": good}
-            )
-        return _finding(lemma_id, applicable, ok, informational, checked=rows)
-
-    if lemma_id == "mainlemma2":
-        buyers = [
-            u for u in sorted(ctx.h_vertices)
-            if sum(e.level is not None for e in ctx.low_ladder[u]) >= 2
-        ]
-        deg_r = ctx.deg_h(ctx.root) if ctx.has_cyclic_h else 0
-        holds = len(buyers) < deg_r
-        return _finding(
-            lemma_id, applicable, holds, informational,
-            double_buyers=buyers, root_degree=deg_r,
-        )
-
-    if lemma_id == "degree-sum":
-        # the tree edges inside a block span it, wherever the root is
-        n_h = len(ctx.h_vertices)
-        x0 = sum(1 for c in ctx.x_classes.values() if c.level == 0)
-        degree_sum = sum(ctx.deg_h(v) for v in ctx.h_vertices)
-        holds = degree_sum == 2 * (n_h - 1) + 2 * x0
-        return _finding(
-            lemma_id, applicable, holds, False,
-            spanning=applicable, degree_sum=degree_sum, n_h=n_h, out_edges=x0,
-        )
-
-    raise AssertionError(f"unhandled lemma id {lemma_id}")
+def _seven_cycle(ctx):
+    return ctx.girth == inf or ctx.girth >= 7, {"girth": ctx.girth}
 
 
-def _audit_directed_mincycles(ctx, applicable, informational) -> AuditFinding:
+def _directed_mincycles(ctx):
     coverage, min_cycles = ctx.min_cycles  # once per context; only ownership is read here
     bad = [c for c in min_cycles if not cycle_directed(ctx.profile, c)]
-    return _finding(
-        "directed-mincycles", applicable, not bad, informational,
-        coverage=coverage, min_cycle_count=len(min_cycles), non_directed=bad,
-    )
+    return not bad, {"coverage": coverage, "min_cycle_count": len(min_cycles), "non_directed": bad}
 
 
-def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
+def _maxn2(ctx):
+    violations = [
+        {"vertex": v, "subtree": ctx.spt.subtree_size[v], "in_h": v in ctx.h_vertices}
+        for v in range(ctx.n)
+        if v != ctx.root and 2 * ctx.spt.subtree_size[v] > ctx.n
+    ]
+    return not violations, {"violations": violations}
+
+
+def _altpath(ctx):
+    rows = []
+    for edge, u, level in ctx.ladder_purchases:
+        sub = audit_altpath(ctx, u, edge)
+        if sub.applicable:
+            rows.append({"vertex": u, "edge": edge, "level": level, "holds": sub.holds})
+    return all(row["holds"] for row in rows), {"checked": rows}
+
+
+def _x2position(ctx):
+    rows = []
+    for edge, u, level in ctx.ladder_purchases:
+        cyc = ctx.cycles.per_vertex_cycle[u]
+        good = ctx.spt.depth[u] >= len(cyc) // 2 - level
+        rows.append(
+            {"vertex": u, "edge": edge, "level": level,
+             "cycle_len": len(cyc), "depth": ctx.spt.depth[u], "holds": good}
+        )
+    return all(row["holds"] for row in rows), {"checked": rows}
+
+
+def _deg2(ctx):
     """Each directed path u -> v -> w through a vertex v of H-degree 2: v's
     funnel, v and the vertices outside H entering H at v, against
     alpha / (2(|C| - 3)) for v's cycle C and against |T(w)| when both edges
@@ -475,18 +344,127 @@ def _audit_deg2(ctx, applicable, informational) -> AuditFinding:
                 row["subtree_bound_holds"] = good
                 ok = ok and good
             rows.append(row)
-    return _finding("deg2", applicable, ok, informational, checked=rows)
+    return ok, {"checked": rows}
 
 
-def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> AuditFinding:
+def _obs_x1(ctx):
+    offenders = []
+    for u in sorted(ctx.h_vertices):
+        bought = [e.edge for e in ctx.low_ladder[u] if e.level is None or e.level <= 1]
+        if len(bought) >= 2:
+            offenders.append({"vertex": u, "edges": bought})
+    return not offenders, {"offenders": offenders}
+
+
+def _obs_x2(ctx):
+    triples = []
+    thin_pairs = []
+    for u in sorted(ctx.h_vertices):
+        row = ctx.low_ladder[u]
+        if len(row) >= 3:
+            triples.append({"vertex": u, "edges": [e.edge for e in row]})
+        for e1, e2 in combinations(row, 2):
+            union = (e1.subtree | e2.subtree).bit_count()
+            if not 4 * union > ctx.n:
+                thin_pairs.append({"vertex": u, "edges": [e1.edge, e2.edge], "union": union})
+    return not triples and not thin_pairs, {"triple_buyers": triples, "thin_pairs": thin_pairs}
+
+
+def _obs_x2depth(ctx):
+    rows = []
+    for u in sorted(ctx.h_vertices):
+        bought = [e for e in ctx.low_ladder[u] if e.level is not None]
+        if len(bought) < 2:
+            continue
+        depth = ctx.spt.depth[u]
+        fat_pair = any(
+            4 * (e1.subtree | e2.subtree).bit_count() > ctx.n for e1, e2 in combinations(bought, 2)
+        )
+        good = depth >= 3 and (not fat_pair or depth == 3)
+        rows.append({"vertex": u, "depth": depth, "edges": [e.edge for e in bought], "holds": good})
+    return all(row["holds"] for row in rows), {"checked": rows}
+
+
+def _mainlemma1(ctx):
+    rows = []
+    for edge, u0, level in ctx.ladder_purchases:
+        if level:
+            continue
+        prefix = ctx.spt.path_to_root(u0)[:3]
+        deg2 = [v for v in prefix if ctx.deg_h(v) == 2]
+        rows.append(
+            {"vertex": u0, "out_edge": edge, "path_prefix": prefix,
+             "deg2_vertices": deg2, "holds": len(deg2) <= 1}
+        )
+    return all(row["holds"] for row in rows), {"checked": rows}
+
+
+def _mainlemma2(ctx):
+    buyers = [
+        u for u in sorted(ctx.h_vertices)
+        if sum(e.level is not None for e in ctx.low_ladder[u]) >= 2
+    ]
+    deg_r = ctx.deg_h(ctx.root) if ctx.has_cyclic_h else 0
+    return len(buyers) < deg_r, {"double_buyers": buyers, "root_degree": deg_r}
+
+
+def _degree_sum(ctx):
+    # the tree edges inside a block span it, wherever the root is
+    n_h = len(ctx.h_vertices)
+    x0 = sum(1 for c in ctx.x_classes.values() if c.level == 0)
+    degree_sum = sum(ctx.deg_h(v) for v in ctx.h_vertices)
+    holds = degree_sum == 2 * (n_h - 1) + 2 * x0
+    detail = {"spanning": ctx.has_cyclic_h, "degree_sum": degree_sum, "n_h": n_h, "out_edges": x0}
+    return holds, detail
+
+
+# Each rule in report order: its applicability gate, whether it presumes an
+# equilibrium, and its check, ctx -> (holds, detail).  A rule whose gate is
+# false is inapplicable (holds=None), so it can never fail; one that presumes
+# an equilibrium is informational without a matching certificate.  degree-sum
+# alone is a combinatorial identity.
+_RULES = {
+    "mincyclesize": (lambda ctx: True, True, _mincyclesize),
+    "seven-cycle": (lambda ctx: ctx.alpha > 2 * ctx.n, True, _seven_cycle),
+    "directed-mincycles": (lambda ctx: ctx.alpha > 2 * (ctx.n - 1), True, _directed_mincycles),
+    "maxn2": (_HAS_CYCLIC_H, True, _maxn2),
+    "altpath": (_IN_REGIME, True, _altpath),
+    "x2position": (_IN_REGIME, True, _x2position),
+    "deg2": (_HAS_CYCLIC_H, True, _deg2),
+    "obs-x1": (_IN_REGIME, True, _obs_x1),
+    "obs-x2": (_IN_REGIME, True, _obs_x2),
+    "obs-x2depth": (_IN_REGIME, True, _obs_x2depth),
+    "mainlemma1": (_IN_REGIME, True, _mainlemma1),
+    "mainlemma2": (_IN_REGIME, True, _mainlemma2),
+    "degree-sum": (_HAS_CYCLIC_H, False, _degree_sum),
+}
+LEMMA_IDS = tuple(_RULES)
+
+
+def audit_structural(
+    ctx: StrategyContext,
+    lemma_id: str,
+    ne_certificate: VerificationReport | None = None,
+) -> AuditFinding:
+    """Evaluate one structural rule literally over the context."""
+    if lemma_id not in _RULES:
+        raise ValueError(f"unknown lemma id {lemma_id!r}")
+    gate, presumes_equilibrium, rule = _RULES[lemma_id]
+    applicable = gate(ctx)
+    holds, detail = rule(ctx)
+    informational = presumes_equilibrium and not _certified(ne_certificate, ctx)
+    return AuditFinding(lemma_id, applicable, holds if applicable else None, informational, detail)
+
+
+def audit_altpath(ctx: StrategyContext, u: int, edge) -> AuditFinding:
     """Check the detour guarantee below one sold edge: every subtree vertex
-    keeps a root route of length depth + 2*level that avoids the seller."""
+    keeps a root route of length depth + 2*level that avoids the seller.
+    Uncertified, the finding is informational."""
     edge = _as_edge(*edge)
-    informational = not _certified(ne_certificate, ctx)
     level = ctx.x_level(edge)
     bought = u in edge and ctx.profile.buys(u, edge[0] if edge[1] == u else edge[1])
     if not (ctx.in_regime and bought and level is not None and level <= 2):
-        return _finding("altpath", False, None, informational, vertex=u, edge=edge)
+        return AuditFinding("altpath", False, None, True, {"vertex": u, "edge": edge})
 
     subtree = mask_members(edge_subtree(ctx.spt, *edge))
     margins = {}
@@ -499,21 +477,9 @@ def audit_altpath(ctx: StrategyContext, u: int, edge, ne_certificate=None) -> Au
         margins[w] = margin
         if actual == inf or actual > allowed:
             holds = False
-    return _finding(
-        "altpath", True, holds, informational,
-        vertex=u, edge=edge, level=level, margins=margins, subtree_size=len(subtree),
-    )
-
-
-def _audit_altpath_all(ctx, applicable, informational) -> AuditFinding:
-    per_edge = []
-    ok = True
-    for edge, u, level in ctx.ladder_purchases:
-        sub = audit_altpath(ctx, u, edge)
-        if sub.applicable:
-            ok = ok and bool(sub.holds)
-            per_edge.append({"vertex": u, "edge": edge, "level": level, "holds": sub.holds})
-    return _finding("altpath", applicable, ok, informational, checked=per_edge)
+    detail = {"vertex": u, "edge": edge, "level": level, "margins": margins,
+              "subtree_size": len(subtree)}
+    return AuditFinding("altpath", True, holds, True, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +577,7 @@ def audit_failures(ctx: StrategyContext, ne_certificate: VerificationReport | No
     work that cannot count: a rule whose gate is false is not evaluated, and
     outside the regime no bound is priced, since every comparison there notes
     an unmet precondition."""
-    failing = sum(
-        1
-        for lemma_id, gate in _GATES.items()
-        if gate(ctx) and audit_structural(ctx, lemma_id, ne_certificate).holds is False
-    )
+    failing = sum(1 for gate, _, rule in _RULES.values() if gate(ctx) and not rule(ctx)[0])
     if ctx.in_regime:
         bounds, _ = _bound_comparisons(ctx, ne_certificate)
         failing += sum(1 for b in bounds if _violated(b))

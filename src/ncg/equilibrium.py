@@ -87,6 +87,12 @@ class DeviationClass:
             return ",".join(p.spec() for p in self.parts)
         return self.kind
 
+    @property
+    def covers_exact(self) -> bool:
+        """Whether the class prices every target set: exact, or a composite
+        with an exact part, whose equilibria are exact ones."""
+        return self.kind == "exact-all-subsets" or EXACT in self.parts
+
     @staticmethod
     def parse(text: str) -> "DeviationClass":
         parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -387,7 +393,7 @@ def verify_equilibrium(
     exact = dev_class.kind == "exact-all-subsets"
     if exact:
         _exact_checks(profile.n, budget)
-    covers_all = exact or EXACT in dev_class.parts
+    covers_all = dev_class.covers_exact
     contexts = _class_contexts(profile, dev_class)
     neighbours = list(map(mask_members, profile.adj)) if covers_all else None
 
@@ -552,14 +558,18 @@ def _best_class_move(
     """Best strictly improving deviation for v within the class, or None.
 
     The least (cost, size, members) wins; a cut-off v gains -inf from every
-    reconnecting set, so size decides, then members.
+    reconnecting set, so size decides, then members.  Past ``budget``
+    candidates a restricted class raises ``BudgetExceededError``, as its
+    verification does.
     """
     if cls.kind == "exact-all-subsets":
         targets, delta = best_response_exact(profile, v, budget, neighbours)
         return (targets, delta) if delta < 0 else None
     current_cost, priced = _class_costs(profile, v, cls, contexts)
     best = None
-    for mask, cost in priced:
+    for checked, (mask, cost) in enumerate(priced, 1):
+        if checked > budget:
+            raise BudgetExceededError(f"best response exceeded budget {budget}", required=checked)
         if cost >= current_cost:
             continue
         key = (cost if current_cost < inf else 0, mask.bit_count(), mask_members(mask))

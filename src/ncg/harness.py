@@ -20,7 +20,6 @@ from pathlib import Path
 from .audit import audit_failures
 from .equilibrium import (
     DEFAULT_BUDGET,
-    EXACT,
     DeviationClass,
     EnumerationResult,
     StrategyProfile,
@@ -297,10 +296,11 @@ def fold_records(n: int, alpha: Fraction, scanned: int, records) -> ReportRow:
     ``audit_failures``, which evaluates only the rules whose gate holds and
     prices bounds only in the paper's regime, and counts as many times as
     its weight.  Being connected, an equilibrium is a tree iff its girth is
-    infinite.  A non-tree equilibrium that the exact class certifies at
-    alpha > 2n is a hard failure, never a data point.  A restricted class
-    proves stability only against its own deviations, so its non-tree
-    counts are data, as are all of them in the open band [n, 2n).
+    infinite.  A non-tree equilibrium certified at alpha > 2n by a class
+    that ``covers_exact`` is a hard failure, never a data point.  A
+    restricted class proves stability only against its own deviations, so
+    its non-tree counts are data, as are all of them in the open band
+    [n, 2n).
     """
     tree = non_tree = failures = 0
     exact_non_tree = False
@@ -310,7 +310,8 @@ def fold_records(n: int, alpha: Fraction, scanned: int, records) -> ReportRow:
             tree += weight
         else:
             non_tree += weight
-            exact_non_tree = exact_non_tree or report.deviation_class == EXACT.spec()
+            if not exact_non_tree:
+                exact_non_tree = DeviationClass.parse(report.deviation_class).covers_exact
         min_girth = min(min_girth, ctx.girth)
         failures += weight * audit_failures(ctx, ne_certificate=report)
     if alpha > 2 * n and exact_non_tree:

@@ -30,6 +30,7 @@ from strategies import connected_profiles, sparse_connected_profiles
 
 from ncg import (
     BoughtEdge,
+    BudgetExceededError,
     DeviationClass,
     StrategyProfile,
     audit_altpath,
@@ -596,18 +597,23 @@ def test_audit_failures_on_single_add_certificates(alpha, failing_rule):
     assert fails > 20
 
 
-@given(
-    st.one_of(
+def _drawn_contexts(test):
+    """Hypothesis draws of connected and sparse profiles and of scaffolds."""
+    # H is a five-ring; a smaller triangle hangs off it by a bridge
+    ring_and_triangle = profile(
+        8, 40, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]
+    )
+    for p in (ring_and_triangle, scaffold_profile(0), figure_gadget()):
+        test = example(p)(test)
+    draws = st.one_of(
         connected_profiles(max_n=8),
         sparse_connected_profiles(max_n=10),
         st.integers(0, 999).map(scaffold_profile),
     )
-)
-@example(figure_gadget())
-@example(scaffold_profile(0))
-# H is a five-ring; a smaller triangle hangs off it by a bridge
-@example(profile(8, 40, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 5)]))
-@settings(max_examples=60, deadline=None)
+    return given(draws)(settings(max_examples=60, deadline=None)(test))
+
+
+@_drawn_contexts
 def test_public_call_context_audits_like_build_context(p):
     # the benchmark's traced re-drive assembles contexts this way and
     # requires the same context and the same report, details included
@@ -616,6 +622,23 @@ def test_public_call_context_audits_like_build_context(p):
     got, want = audit_full(ctx), audit_full(ref)
     assert got == want and got.summary == want.summary
     assert [f.detail for f in got.findings] == [f.detail for f in want.findings]
+
+
+@_drawn_contexts
+def test_audit_failures_count_like_audit_full(p):
+    # audit_failures reads the rule table itself, not audit_structural:
+    # uncertified, and with the exact certificate where there is one, it
+    # counts the failing findings and bound violations audit_full reports
+    certificates = [None]
+    try:
+        report = verify_equilibrium(p)
+    except BudgetExceededError:
+        report = None
+    if report is not None and report.is_equilibrium:
+        certificates.append(report)
+    for certificate in certificates:
+        want = _summed_failures(audit_full(build_context(p), certificate))
+        assert audit_failures(build_context(p), certificate) == want
 
 
 @cache

@@ -426,6 +426,18 @@ def test_dynamics_rejects_bad_arguments(kwargs, message):
         best_response_dynamics(star(4, alpha=9), EXACT, **kwargs)
 
 
+@pytest.mark.parametrize("spec", ["k-subset:2", "exact,single-add", "single-add,exact"])
+def test_dynamics_bound_each_restricted_best_response_by_the_budget(spec):
+    # 0 and 1 buy each other, 1 buys 2 and 2 buys 0; under these classes a
+    # best response prices each of a vertex's three other target sets
+    triangle = profile(3, 3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+    cls = DeviationClass.parse(spec)
+    with pytest.raises(BudgetExceededError) as err:
+        best_response_dynamics(triangle, cls, budget=2)
+    assert err.value.required == 3
+    assert best_response_dynamics(triangle, cls, budget=3) == best_response_dynamics(triangle, cls)
+
+
 def test_dynamics_fixpoint_on_equilibrium():
     trace = best_response_dynamics(star(4, alpha=9), EXACT, max_iters=5)
     assert trace.converged

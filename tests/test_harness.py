@@ -195,19 +195,27 @@ def _passed_off(ring, dev_class):
     return VerificationReport(profile_hash(ring), dev_class.spec(), True, None, 0)
 
 
+# exact, and composites with an exact part: each prices every target set
+COVERING_EXACT = ("exact", "exact,single-add", "single-add,exact")
+
+
 def test_report_row_rejects_non_tree_above_2n():
     # a cyclic profile passed off as an exact equilibrium at alpha > 2n
     ring = directed_ring(3, 7)
-    with pytest.raises(TreeConjectureViolation):
-        fold_records(3, Fraction(7), 1, [(ring, _passed_off(ring, EXACT), 1)])
+    for spec in COVERING_EXACT:
+        cert = _passed_off(ring, DeviationClass.parse(spec))
+        with pytest.raises(TreeConjectureViolation):
+            fold_records(3, Fraction(7), 1, [(ring, cert, 1)])
 
 
 def test_report_row_open_band_is_exploratory():
     # alpha inside [n, 2n): non-tree exact equilibria are data, not failures
     ring = directed_ring(3, 4)
-    row = fold_records(3, Fraction(4), 1, [(ring, _passed_off(ring, EXACT), 1)])
-    assert row.non_tree_ne_count == 1
-    assert row.min_girth_among_ne == 3
+    for spec in COVERING_EXACT:
+        cert = _passed_off(ring, DeviationClass.parse(spec))
+        row = fold_records(3, Fraction(4), 1, [(ring, cert, 1)])
+        assert row.non_tree_ne_count == 1
+        assert row.min_girth_among_ne == 3
 
 
 def test_report_row_weights_class_records():
@@ -434,6 +442,17 @@ def test_cli_dynamics(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["converged"] is True
     assert out["steps"][0]["delta"] == "-4"
+
+
+@pytest.mark.parametrize("spec", ["k-subset:2", "exact,single-add"])
+def test_cli_dynamics_budget_bounds_each_best_response(tmp_path, capsys, spec):
+    # each best response on the triangle prices three target sets
+    path = _write_profile(tmp_path, profile(3, 3, [(0, 1), (1, 0), (1, 2), (2, 0)]))
+    assert cmd_run(["dynamics", "--input", path, "--class", spec, "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget error: best response exceeded budget 1\n"
+    assert cmd_run(["dynamics", "--input", path, "--class", spec, "--budget", "3"]) == 0
 
 
 def test_cli_dynamics_paper_strategy_on_disconnected_profile(tmp_path, capsys):

@@ -12,6 +12,7 @@ from pathlib import Path
 import ncg
 from ncg.equilibrium import EXACT, EnumerationResult
 from ncg.harness import SweepSpec, enumerate_cell, rows_to_csv, run_sweep
+from ncg.structure import STRATEGY_SWITCHES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +48,21 @@ def test_perfbench_smoke_exits_0():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr[-4000:]
+
+
+def test_benchmark_metric_names_follow_the_library():
+    # perfbench/spans.py names a per-layer metric after each rule and each
+    # strategy from its own copies of the names
+    names = ("LEMMA_IDS", "STRATEGIES")
+    copies = {
+        target.id: ast.literal_eval(stmt.value)
+        for stmt in _module(ROOT / "perfbench" / "spans.py")
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if target.id in names
+    }
+    assert copies["LEMMA_IDS"] == ncg.audit.LEMMA_IDS
+    assert copies["STRATEGIES"] == tuple(STRATEGY_SWITCHES)
 
 
 def test_cli_import_loads_no_process_pool():
