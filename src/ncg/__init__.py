@@ -39,7 +39,6 @@ from .audit import (
     AuditFinding,
     AuditReport,
     BoundComparison,
-    audit_altpath,
     audit_deviation_bound,
     audit_full,
     audit_structural,

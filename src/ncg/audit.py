@@ -166,7 +166,7 @@ def _price(
     p, q = profile.alpha.numerator, profile.alpha.denominator
     bound = q * value - p * times_alpha
 
-    new = ctx.rewrite(u, kind, map(_TARGET, sold))
+    new = ctx.rewrite(u, kind, sold)
     new_sum = bfs_sum(profile.adj, u, profile.bought_by[u] | new)
     if new_sum is None:
         exact = inf
@@ -290,11 +290,15 @@ def _maxn2(ctx):
 
 
 def _altpath(ctx):
+    """Below each ladder purchase, in the regime only: every vertex w of the
+    subtree the edge carries keeps a route to the root that avoids the
+    seller, of length at most depth(w) + 2*level."""
     rows = []
-    for edge, u, level in ctx.ladder_purchases:
-        sub = audit_altpath(ctx, u, edge)
-        if sub.applicable:
-            rows.append({"vertex": u, "edge": edge, "level": level, "holds": sub.holds})
+    for edge, u, level in ctx.ladder_purchases if ctx.in_regime else ():
+        detour = bfs_distances(ctx.profile.adj, ctx.root, blocked=1 << u)
+        below = mask_members(edge_subtree(ctx.spt, *edge))
+        holds = all(detour[w] <= ctx.spt.depth[w] + 2 * level for w in below)
+        rows.append({"vertex": u, "edge": edge, "level": level, "holds": holds})
     return all(row["holds"] for row in rows), {"checked": rows}
 
 
@@ -456,32 +460,6 @@ def audit_structural(
     return AuditFinding(lemma_id, applicable, holds if applicable else None, informational, detail)
 
 
-def audit_altpath(ctx: StrategyContext, u: int, edge) -> AuditFinding:
-    """Check the detour guarantee below one sold edge: every subtree vertex
-    keeps a root route of length depth + 2*level that avoids the seller.
-    Uncertified, the finding is informational."""
-    edge = _as_edge(*edge)
-    level = ctx.x_level(edge)
-    bought = u in edge and ctx.profile.buys(u, edge[0] if edge[1] == u else edge[1])
-    if not (ctx.in_regime and bought and level is not None and level <= 2):
-        return AuditFinding("altpath", False, None, True, {"vertex": u, "edge": edge})
-
-    subtree = mask_members(edge_subtree(ctx.spt, *edge))
-    margins = {}
-    holds = True
-    detour = bfs_distances(ctx.profile.adj, ctx.root, blocked=1 << u)
-    for w in subtree:
-        allowed = ctx.spt.depth[w] + 2 * level
-        actual = detour[w]
-        margin = inf if actual == inf else allowed - actual
-        margins[w] = margin
-        if actual == inf or actual > allowed:
-            holds = False
-    detail = {"vertex": u, "edge": edge, "level": level, "margins": margins,
-              "subtree_size": len(subtree)}
-    return AuditFinding("altpath", True, holds, True, detail)
-
-
 # ---------------------------------------------------------------------------
 # full audit
 
@@ -496,12 +474,22 @@ class AuditReport:
     summary: dict = field(compare=False, default_factory=dict)
 
 
+def _sales(ctx: StrategyContext, strategy_kind: str) -> list:
+    """(seller, sale) of every ``sell_sets`` sale of at most ``MAX_SELL``
+    edges, sellers in increasing order; only a vertex with ``low_ladder``
+    edges can sell."""
+    return [
+        (u, sold)
+        for u, row in enumerate(ctx.low_ladder) if row
+        for sold in ctx.sell_sets(u, strategy_kind, MAX_SELL)
+    ]
+
+
 def eligible_sold_selections(ctx: StrategyContext, strategy_kind: str):
     """All (vertex, sold-target-tuple) pairs a strategy audit can price:
-    ``sell_sets`` of every H vertex, at most ``MAX_SELL`` edges each."""
-    for u in sorted(ctx.h_vertices):
-        for sold in ctx.sell_sets(u, strategy_kind, MAX_SELL):
-            yield u, sold
+    ``_sales`` with each sale as its targets."""
+    for u, sold in _sales(ctx, strategy_kind):
+        yield u, tuple(map(_TARGET, sold))
 
 
 def _bound_comparisons(
@@ -510,34 +498,22 @@ def _bound_comparisons(
     """Every bound comparison, family by family, and a note for each family
     skipped because it would take the total past ``MAX_BOUND_CHECKS``.
 
-    One walk over H's non-root vertices splits each seller's ``low_ladder``
-    row into its sales without and with the up-edge and finds its
-    precondition notes, once; every family prices ``eligible_sold_selections``
-    from them, in its order, each bound from the seller's cached
-    ``spt.path_sizes``.  Such a sale has no precondition note of its own, so
-    each comparison starts from its seller's.
+    Every family prices its ``_sales`` in order, each bound from the
+    seller's cached ``spt.path_sizes``.  Such a sale has no precondition note
+    of its own, so each comparison starts from its seller's, found once.
     """
-    sellers = []
-    if ctx.has_cyclic_h:
-        for u in sorted(ctx.h_vertices - {ctx.root}):
-            every = ctx.low_ladder[u]
-            if every:  # else it sells nothing
-                low = [sale for sale in every if sale.level is not None]
-                sellers.append((u, _seller_notes(ctx, u), {False: low, True: every}))
+    notes: dict[int, tuple[str, ...]] = {}
     bounds: list[BoundComparison] = []
     skipped: list[str] = []
-    for kind, (sells_up, _) in STRATEGY_SWITCHES.items():
-        family = [
-            (u, notes, sold)
-            for u, notes, sales in sellers
-            for k in range(1, MAX_SELL + 1)
-            for sold in combinations(sales[sells_up], k)
-        ]
+    for kind in STRATEGY_SWITCHES:
+        family = _sales(ctx, kind)
         if len(bounds) + len(family) > MAX_BOUND_CHECKS:
             skipped.append(f"{kind}: {len(family)} selections over budget {MAX_BOUND_CHECKS}")
             continue
-        for u, notes, sold in family:
-            bounds.append(_price(ctx, u, kind, sold, notes, ne_certificate))
+        for u, sold in family:
+            if u not in notes:
+                notes[u] = _seller_notes(ctx, u)
+            bounds.append(_price(ctx, u, kind, sold, notes[u], ne_certificate))
     return bounds, skipped
 
 
@@ -625,5 +601,6 @@ def scaffold_profile(seed: int) -> StrategyProfile:
         alpha = Fraction(4 * n + 2 * rng.randint(1, n) - 1, 2)  # half-integer above 2n
 
     profile = StrategyProfile(n, alpha, tuple(edges))
-    assert global_girth(profile) >= 7
+    if global_girth(profile) < 7:
+        raise AssertionError(f"scaffold {seed} has girth below 7")
     return profile

@@ -204,6 +204,8 @@ def cmd_run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         dev_class = DeviationClass.parse(args.dev_class)
 
         if args.command == "verify":

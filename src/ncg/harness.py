@@ -29,7 +29,7 @@ from .equilibrium import (
     labelled_equilibria,
 )
 from .errors import EnumerationCapError, ProfileFormatError, TreeConjectureViolation
-from .game import BoughtEdge, is_connected
+from .game import MAX_N, BoughtEdge, is_connected
 from .structure import build_context
 
 SCHEMA_VERSION = 1
@@ -86,8 +86,8 @@ def profile_from_document(doc: dict) -> StrategyProfile:
         if key not in doc:
             raise ProfileFormatError("missing-field", f"missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ProfileFormatError("bad-n", f"n must be a positive integer, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+        raise ProfileFormatError("bad-n", f"n must be an integer in [1, {MAX_N}], got {n!r}")
     alpha = parse_fraction(doc["alpha"])
     if alpha <= 0:
         raise ProfileFormatError("bad-alpha", f"alpha must be positive, got {doc['alpha']!r}")

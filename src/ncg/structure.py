@@ -222,7 +222,8 @@ def build_spt(profile: StrategyProfile, dist: Distances, root: int) -> SptAnalys
     subtree = [1 << v for v in range(n)]
     for v in reversed(order[1:]):  # deepest first: a subtree is whole before it joins
         subtree[parent[v]] |= subtree[v]
-    assert subtree[root] == (1 << n) - 1
+    if subtree[root] != (1 << n) - 1:
+        raise AssertionError(f"the tree from {root} misses vertices")
 
     return SptAnalysis(
         root=root, parent=tuple(parent), depth=tuple(depth), subtree=tuple(subtree), down=down
@@ -645,38 +646,39 @@ class StrategyContext:
     @cached_property
     def h_attachment(self) -> tuple[int, ...]:
         """For each vertex of H, how many vertices outside H enter H at it;
-        0 elsewhere: those a BFS from it reaches with the rest of H deleted.
+        0 elsewhere.
 
         H is a block, so all paths from a vertex outside H enter H at the
-        same vertex.  Every shortest route from them to H - {v} passes v, and
-        from any other vertex outside H none does: 1 + ``h_attachment[v]`` is
-        the size of v's shortest-path funnel relative to H - {v}.
+        same vertex, its nearest one in H.  Every shortest route from them to
+        H - {v} passes v, and from any other vertex outside H none does:
+        1 + ``h_attachment[v]`` is the size of v's shortest-path funnel
+        relative to H - {v}.
         """
-        h = sum(1 << v for v in self.h_vertices)
         counts = [0] * self.n
-        for v in self.h_vertices:
-            counts[v] = self.n - bfs_distances(self.profile.adj, v, h ^ 1 << v).count(inf) - 1
+        for w, row in enumerate(self.dist):
+            if self.h_vertices and w not in self.h_vertices:
+                counts[min(self.h_vertices, key=row.__getitem__)] += 1
         return tuple(counts)
 
     def sell_sets(self, u: int, kind: str, most: int | None = None):
-        """Sold-target tuples of u under the paper's "strategy1".."strategy3",
-        by size up to ``most``: u's bought edges of minimal level <= 2, and
-        for strategy3 u's up-edge.  Only a non-root vertex of a cyclic H sells.
-        """
-        if not self.has_cyclic_h or u == self.root or u not in self.h_vertices:
+        """Sales of u under the paper's "strategy1".."strategy3", tuples of
+        its ``low_ladder`` edges by size up to ``most``: those of minimal level
+        <= 2, and for strategy3 its up-edge.  The root sells nothing, and only
+        a vertex of a cyclic H has ladder edges."""
+        if u == self.root:
             return
         sells_up, _ = STRATEGY_SWITCHES[kind]
-        targets = [e.target for e in self.low_ladder[u] if sells_up or e.level is not None]
-        largest = len(targets) if most is None else min(most, len(targets))
+        sales = [e for e in self.low_ladder[u] if sells_up or e.level is not None]
+        largest = len(sales) if most is None else min(most, len(sales))
         for size in range(1, largest + 1):
-            yield from combinations(targets, size)
+            yield from combinations(sales, size)
 
     def rewrite(self, u: int, kind: str, sold) -> int:
-        """u's target mask after selling ``sold``; strategies 2 and 3 also buy
-        the edge to the root, unless u is the root."""
+        """u's target mask after selling the ``LadderEdge``s ``sold``;
+        strategies 2 and 3 also buy the edge to the root, unless u is the root."""
         new = self.profile.bought[u]
-        for t in sold:
-            new &= ~(1 << t)
+        for sale in sold:
+            new &= ~(1 << sale.target)
         if STRATEGY_SWITCHES[kind][1] and u != self.root:
             new |= 1 << self.root
         return new

@@ -23,7 +23,9 @@ edge lists by ``gadgets.oracle_source_distances`` and the least (cost,
 size, sorted tuple) wins.  ``oracle_dynamics`` is the best-response loop
 that asks every vertex every pass, the one settling vertices replaced.
 ``oracle_s_set_all_paths`` is the all-paths funnel by one via-deleted BFS
-per anchor vertex.  ``oracle_x_levels`` is the fixpoint loop the one-pass
+per anchor vertex, and ``oracle_altpath`` the altpath rule's rows with the
+seller deleted by ``oracle_distances_without``, a list-based BFS over
+``oracle_neighbours``.  ``oracle_x_levels`` is the fixpoint loop the one-pass
 X-levels replaced, and the ``oracle_*`` ladder queries restate the
 edge-class rules straight from ``x_classes``, ``spt.parent`` and
 ``profile.buys``; ``oracle_tree_edges``, ``oracle_down_child`` and
@@ -482,6 +484,47 @@ def oracle_s_set_all_paths(
         if all(cut[w][x] > dist[x][w] for w in anchor if dist[x][w] == nearest):
             members.add(x)
     return frozenset(members)
+
+
+def oracle_distances_without(profile: StrategyProfile, source: int, deleted: int) -> dict[int, int]:
+    """Distances from ``source`` in the graph with ``deleted`` removed, by a
+    list-based BFS over ``oracle_neighbours``; unreached vertices are absent,
+    every one when the source is deleted."""
+    dist = {} if source == deleted else {source: 0}
+    queue = list(dist)
+    for v in queue:
+        for w in oracle_neighbours(profile, v):
+            if w != deleted and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def oracle_altpath(ctx: StrategyContext) -> list[tuple[dict, int | float]]:
+    """The altpath rule's rows, each with its least slack: in the regime,
+    for every H edge of level at most 2 (``oracle_x_levels``) and each
+    endpoint that bought it, by edge, then buyer, the slack
+    depth(w) + 2*level - detour(w) of every vertex w below the edge, where
+    the detour avoids the buyer.  The least slack is inf below no vertex and
+    -inf when some vertex is cut off; the row holds iff it is at least 0."""
+    p = ctx.profile
+    if not (len(ctx.h_vertices) >= 3 and p.alpha > 2 * p.n and global_girth(p) >= 7):
+        return []
+    depth = oracle_distances_without(p, ctx.root, -1)
+    out = []
+    for edge, level in sorted(oracle_x_levels(p, ctx.spt, ctx.decomposition).items()):
+        if level > 2:
+            continue
+        child = oracle_down_child(p, ctx.spt.parent, *edge)
+        below = () if child is None else oracle_subtree(ctx.spt.parent, child)
+        for u in edge:
+            if oracle_buys(p, u, edge[0] + edge[1] - u):
+                detour = oracle_distances_without(p, ctx.root, u)
+                slack = min(
+                    (depth[w] + 2 * level - detour.get(w, inf) for w in below), default=inf
+                )
+                out.append(({"vertex": u, "edge": edge, "level": level, "holds": slack >= 0}, slack))
+    return out
 
 
 def oracle_per_vertex_cycle(per_edge_cycle, h_vertices, h_edges) -> dict:

@@ -79,3 +79,24 @@ def doubled_profiles(draw, min_n=1, max_n=9):
     p = draw(profiles(min_n=min_n, max_n=max_n))
     back = [BoughtEdge(e.other, e.buyer) for e in p.edges if draw(st.booleans())]
     return StrategyProfile(p.n, p.alpha, p.edges + tuple(back))
+
+
+@st.composite
+def regime_profiles(draw, max_ring=12, max_extra=8):
+    """The paper's regime: a ring of at least 7 vertices with random trees
+    hanging off it and, on a ring of 12 or more, maybe one chord that keeps
+    the girth at 7 or more; each edge bought by one end or by both, and alpha
+    above 2n."""
+    ring = draw(st.integers(7, max_ring))
+    n = ring + draw(st.integers(0, max_extra))
+    pairs = [(i, (i + 1) % ring) for i in range(ring)]
+    pairs += [(draw(st.integers(0, v - 1)), v) for v in range(ring, n)]
+    if ring >= 12 and draw(st.booleans()):
+        a = draw(st.integers(0, ring - 1))
+        pairs.append((a, (a + draw(st.integers(6, ring - 6))) % ring))
+    edges = []
+    for u, v in pairs:
+        owners = draw(st.sampled_from([(u,), (v,), (u, v)]))
+        edges += [BoughtEdge(w, u + v - w) for w in owners]
+    alpha = Fraction(draw(st.integers(4 * n + 1, 8 * n)), 2)
+    return StrategyProfile(n, alpha, tuple(edges))

@@ -20,20 +20,20 @@ from gadgets import (
     up_and_out_seller,
 )
 from oracle import (
+    oracle_altpath,
     oracle_bound,
     oracle_context,
     oracle_girth_witness,
     oracle_s_set_all_paths,
     oracle_sell_selections,
 )
-from strategies import connected_profiles, sparse_connected_profiles
+from strategies import connected_profiles, regime_profiles, sparse_connected_profiles
 
 from ncg import (
     BoughtEdge,
     BudgetExceededError,
     DeviationClass,
     StrategyProfile,
-    audit_altpath,
     audit_deviation_bound,
     audit_full,
     audit_structural,
@@ -498,24 +498,53 @@ def test_unknown_lemma_rejected():
 # altpath
 
 
+def _altpath_row(ctx, u, edge):
+    rows = audit_structural(ctx, "altpath").detail["checked"]
+    return next(row for row in rows if (row["vertex"], row["edge"]) == (u, edge))
+
+
 def test_altpath_vacuous_on_out_edge():
-    ctx = _ctx(figure_gadget())
-    finding = audit_altpath(ctx, 5, (5, 6))  # level-0 edge: empty subtree
-    assert finding.applicable and finding.holds
-    assert finding.detail["margins"] == {}
+    # a level-0 edge carries no subtree: nothing below it needs a detour
+    row = _altpath_row(_ctx(figure_gadget()), 5, (5, 6))
+    assert row == {"vertex": 5, "edge": (5, 6), "level": 0, "holds": True}
 
 
 def test_altpath_level1_down_edge_has_detour():
-    ctx = _ctx(figure_gadget())
-    finding = audit_altpath(ctx, 4, (4, 5))  # level 1, subtree {5}
-    assert finding.applicable and finding.holds
-    assert finding.detail["margins"] == {5: 1}  # detour 6 vs allowance 5 + 2
+    # level 1, subtree {5}: the detour 0-10-9-8-7-6-5 is 6 long, within 5 + 2
+    row = _altpath_row(_ctx(figure_gadget()), 4, (4, 5))
+    assert row == {"vertex": 4, "edge": (4, 5), "level": 1, "holds": True}
 
 
 def test_altpath_gated_below_girth_seven():
-    ctx = _ctx(directed_ring(6, 13))
-    finding = audit_altpath(ctx, 2, (2, 3))
+    finding = audit_structural(_ctx(directed_ring(6, 13)), "altpath")
     assert not finding.applicable
+    assert finding.detail["checked"] == []  # rows are listed in the regime only
+
+
+def _altpath_slacks(ctx):
+    """The least slack of each altpath row, after checking the rows against
+    ``oracle_altpath``."""
+    checked = oracle_altpath(ctx)
+    assert audit_structural(ctx, "altpath").detail["checked"] == [row for row, _ in checked]
+    return [slack for _, slack in checked]
+
+
+def test_altpath_rows_match_oracle_on_scaffolds():
+    slacks = [s for seed in range(1000) for s in _altpath_slacks(_ctx(scaffold_profile(seed)))]
+    assert len(slacks) == 2547
+    assert slacks.count(0) == 65  # rows whose detour exactly meets its allowance
+
+
+@given(regime_profiles(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_altpath_rows_match_oracle_in_regime(p, data):
+    # the default root and another H vertex; an edge bought by both ends
+    # puts its child seller below the edge, so rows fail too
+    ctx = build_context(p)
+    root = data.draw(st.sampled_from(sorted(ctx.h_vertices)))
+    for rooted in (ctx, build_context(p, ctx, root)):
+        assert rooted.in_regime
+        _altpath_slacks(rooted)
 
 
 # ---------------------------------------------------------------------------

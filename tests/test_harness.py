@@ -92,6 +92,7 @@ def test_document_examples():
         ({"n": 2, "alpha": "0", "edges": []}, "bad-alpha"),
         ({"n": 2, "alpha": "-1", "edges": []}, "bad-alpha"),
         ({"n": 2, "alpha": -3, "edges": []}, "bad-alpha"),
+        ({"n": 65, "alpha": "1", "edges": []}, "bad-n"),  # above MAX_N
     ],
 )
 def test_document_error_codes(doc, code):
@@ -511,6 +512,33 @@ def test_cli_budget_error(tmp_path, capsys):
     path = _write_profile(tmp_path, profile(12, 9, [(0, i) for i in range(1, 12)]))
     assert cmd_run(["verify", "--input", path, "--budget", "100"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input"],
+        ["audit", "--input"],
+        ["dynamics", "--input"],
+        ["enumerate", "--n", "3", "--alpha", "1"],
+        ["sweep", "--n", "3", "--alpha", "1"],
+    ],
+)
+def test_cli_rejects_a_negative_budget(tmp_path, capsys, argv):
+    # refused before any work, even where the work would need no deviation
+    # check: a disconnected profile is decided without one
+    if argv[-1] == "--input":
+        argv = argv + [_write_profile(tmp_path, profile(3, 1, [(0, 1)]))]
+    assert cmd_run([*argv, "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be at least 0, got -1\n"
+
+
+def test_cli_budget_0_verifies_a_single_vertex(tmp_path, capsys):
+    path = _write_profile(tmp_path, profile(1, 1, []))
+    assert cmd_run(["verify", "--input", path, "--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_equilibrium"] is True
 
 
 @pytest.mark.parametrize("n,cap", [("8", "8"), ("9", "64")])

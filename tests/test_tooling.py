@@ -1,6 +1,6 @@
 """Tooling guards: the benchmark's smoke run, which re-drives ncg through its
-public calls, what importing the CLI loads, and that every top-level name
-of the library has a reader."""
+public calls, what importing the CLI loads, that the library holds no assert
+statement, and that every top-level name of the library has a reader."""
 
 import ast
 import os
@@ -63,6 +63,17 @@ def test_benchmark_metric_names_follow_the_library():
     }
     assert copies["LEMMA_IDS"] == ncg.audit.LEMMA_IDS
     assert copies["STRATEGIES"] == tuple(STRATEGY_SWITCHES)
+
+
+def test_library_raises_instead_of_asserting():
+    # an assert statement vanishes under python -O, and with it the check
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "ncg").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_cli_import_loads_no_process_pool():
